@@ -82,6 +82,8 @@ cluster-smoke:
 	sh tools/check_bench_cluster.sh BENCH_cluster_migrate.json
 	grep -q '"keys_moved"' BENCH_cluster_migrate.json \
 		|| { echo "FAIL: migrate run lacks keys_moved" >&2; exit 1; }
+	grep -Eq '"scan_parked": [1-9]' BENCH_cluster_migrate.json \
+		|| { echo "FAIL: no scans parked on the directory-routed compute" >&2; exit 1; }
 	rm -f BENCH_cluster_migrate.json
 
 # model-based differential fuzzing: replay seeded op sequences against

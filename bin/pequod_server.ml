@@ -23,12 +23,17 @@
      pequod_server --port 7077 \
        --partition 's@127.0.0.1:7001' --partition 'p@127.0.0.1:7002' \
        --join 't|<u>|<t>|<p> = check s|<u>|<p> copy p|<p>|<t>'
+   The routes are this server's partition directory, fixed at epoch 1;
+   --dir-host also serves it to --directory followers, which poll it for
+   changes (docs/PARTITIONING.md).
 *)
 
 module Net_server = Pequod_server_lib.Net_server
 module Remote = Pequod_server_lib.Remote
 module Shard = Pequod_server_lib.Shard
+module Directory = Pequod_server_lib.Directory
 module Config = Pequod_core.Config
+module Message = Pequod_proto.Message
 
 open Cmdliner
 
@@ -118,7 +123,8 @@ let partitions =
         ~doc:
           "Base-table partition route (repeatable). Bare $(b,TABLE) covers the whole table. \
            With $(b,@HOST:PORT) (or a single $(b,--peer)) the range is owned by that home \
-           server and fetched+subscribed on first need; otherwise this process is its home.")
+           server and fetched+subscribed on first need; otherwise this process is its home. \
+           The routes form this server's partition directory at epoch 1.")
 
 let advertise =
   Arg.(
@@ -153,11 +159,11 @@ let dir_host =
     value & flag
     & info [ "dir-host" ]
         ~doc:
-          "Serve the authoritative partition directory (the $(b,seed) role). The directory \
-           is seeded at epoch 1 from this process's $(b,--partition) specs (each spec must \
-           name its home with @HOST:PORT, or defaults to this server); an empty spec list \
-           starts at epoch 0, waiting for $(b,pequod_ctl dir-seed). Incompatible with \
-           $(b,--directory) and $(b,--shards).")
+          "Serve this server's partition directory to $(b,--directory) followers (the \
+           $(b,seed) role). The directory is seeded at epoch 1 from this process's \
+           $(b,--partition) specs (each spec must name its home with @HOST:PORT, or \
+           defaults to this server); an empty spec list starts at epoch 0, waiting for \
+           $(b,pequod_ctl dir-seed). Incompatible with $(b,--directory) and $(b,--shards).")
 
 let directory =
   Arg.(
@@ -195,48 +201,6 @@ let sub_check_every =
            the homes a walk of this server's live subscriptions, so large deployments \
            should slow it down.")
 
-(* follower bootstrap: one blocking directory fetch from the seed, with
-   a short retry budget. Failure is not fatal — the server starts at
-   epoch 0 (every range deferred) and the poll tick keeps trying. *)
-let initial_dir_fetch dir seed_addr =
-  let module Net_client = Pequod_server_lib.Net_client in
-  let module Message = Pequod_proto.Message in
-  match String.rindex_opt seed_addr ':' with
-  | None -> Logs.err (fun m -> m "bad --directory address %S" seed_addr)
-  | Some i -> (
-    match
-      int_of_string_opt (String.sub seed_addr (i + 1) (String.length seed_addr - i - 1))
-    with
-    | None -> Logs.err (fun m -> m "bad --directory address %S" seed_addr)
-    | Some cport ->
-      let chost = String.sub seed_addr 0 i in
-      let client =
-        Net_client.create
-          ~config:
-            { Net_client.connect_timeout = 1.0; call_timeout = 3.0; max_retries = 3;
-              backoff = 0.2 }
-          ~host:chost ~port:cport ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Net_client.close client)
-        (fun () ->
-          match Net_client.call client Message.Dir_get with
-          | Message.Dir_state { epoch; entries } -> (
-            if epoch = 0 then
-              Logs.warn (fun m ->
-                  m "directory seed %s has no entries yet (epoch 0)" seed_addr)
-            else
-              match Pequod_server_lib.Directory.install dir ~epoch ~entries with
-              | Ok () -> ()
-              | Error msg ->
-                Logs.err (fun m -> m "directory from seed %s rejected: %s" seed_addr msg))
-          | Message.Error msg ->
-            Logs.warn (fun m -> m "directory seed %s refused Dir_get: %s" seed_addr msg)
-          | _ -> Logs.warn (fun m -> m "directory seed %s: unexpected response" seed_addr)
-          | exception Net_client.Net_error msg ->
-            Logs.warn (fun m ->
-                m "directory seed %s unreachable (%s); starting at epoch 0" seed_addr msg)))
-
 let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_max_bytes
     metrics_dump verbose peers partitions advertise sub_check_every shards shard_cuts
     dir_host directory dir_poll_every hot_threshold =
@@ -255,6 +219,7 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
     p.Config.p_snapshot_every <- snapshot_every;
     p.Config.p_wal_max_bytes <- wal_max_bytes;
     config.Config.persist <- Some p);
+  let durable = match data_dir with Some dir -> " (durable in " ^ dir ^ ")" | None -> "" in
   if shards > 0 then begin
     if partitions <> [] || peers <> [] then begin
       Logs.err (fun m -> m "--shards is incompatible with --partition/--peer");
@@ -275,9 +240,7 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
             m "pequod-server listening on port %d with %d joins, %d shards on ports [%s]%s"
               (Shard.port t) (List.length joins) shards
               (String.concat "; " (List.map string_of_int (Shard.shard_ports t)))
-              (match data_dir with
-              | Some dir -> Printf.sprintf " (durable in %s)" dir
-              | None -> ""));
+              durable);
         Shard.run t;
         0
       | exception (Failure msg | Invalid_argument msg) ->
@@ -293,98 +256,58 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
         m "--directory followers take all routes from the seed; drop --partition/--peer");
     1
   end
-  else if dir_host || directory <> None then begin
-    (* directory mode: routing truth lives in the partition directory,
-       seeded here (--dir-host) or polled from the seed (--directory) *)
-    let module Directory = Pequod_server_lib.Directory in
-    let module Message = Pequod_proto.Message in
-    match
-      Net_server.create ~config ?metrics_every:metrics_dump ~port ~joins ~memory_limit ()
-    with
-    | t -> (
-      let self_addr = Printf.sprintf "%s:%d" advertise (Net_server.port t) in
-      let dir = Directory.create () in
-      let seeded =
-        if not dir_host then Ok ()
-        else
-          match Remote.routes_of_specs ~peers partitions with
-          | Error _ as e -> e
-          | Ok [] -> Ok () (* epoch 0 until pequod_ctl dir-seed *)
-          | Ok routes ->
-            if List.exists (fun r -> String.equal r.Remote.r_table "*") routes then
-              Error "wildcard --partition specs cannot seed the directory"
-            else
-              let entries =
-                List.map
-                  (fun (r : Remote.route) ->
-                    { Message.de_table = r.r_table; de_lo = r.r_lo; de_hi = r.r_hi;
-                      de_home = Option.value r.r_addr ~default:self_addr;
-                      de_replicas = [] })
-                  routes
-              in
-              Directory.install dir ~epoch:1 ~entries
-      in
-      match seeded with
-      | Error msg ->
-        Logs.err (fun m -> m "%s" msg);
-        1
-      | Ok () ->
-        Option.iter (initial_dir_fetch dir) directory;
-        Net_server.set_directory t ?seed:directory ~hot_threshold ~dir ~self_addr ();
-        let tick =
-          Remote.attach
-            (Remote.Config.make ~check_every:sub_check_every
-               ~on_wait:(Net_server.on_wait t) ~engine:(Net_server.engine t) ~self_addr
-               (Remote.Config.directory ~poll_every:dir_poll_every ?seed:directory dir))
-        in
-        Net_server.add_ticker t tick;
-        Logs.app (fun m ->
-            m "pequod-server listening on port %d with %d joins, directory %s (epoch %d)%s"
-              (Net_server.port t)
-              (List.length (Pequod_core.Server.joins (Net_server.engine t)))
-              (match directory with
-              | None -> "seed"
-              | Some s -> "follower of " ^ s)
-              (Directory.epoch dir)
-              (match data_dir with
-              | Some dir -> Printf.sprintf " (durable in %s)" dir
-              | None -> ""));
-        Net_server.run t;
-        0)
-    | exception Failure msg ->
+  else
+    match Remote.routes_of_specs ~peers partitions with
+    | Error msg ->
       Logs.err (fun m -> m "%s" msg);
       1
-  end
-  else
-  match Remote.routes_of_specs ~peers partitions with
-  | Error msg ->
-    Logs.err (fun m -> m "%s" msg);
-    1
-  | Ok routes -> (
-    match
-      Net_server.create ~config ?metrics_every:metrics_dump ~port ~joins ~memory_limit ()
-    with
-    | t ->
-      let self_addr = Printf.sprintf "%s:%d" advertise (Net_server.port t) in
-      let heal =
-        Remote.attach
-          (Remote.Config.make ~check_every:sub_check_every ~server:t
-             ~engine:(Net_server.engine t) ~self_addr (Remote.Config.Static routes))
-      in
-      Net_server.add_ticker t heal;
-      Logs.app (fun m ->
-          m "pequod-server listening on port %d with %d joins, %d partition routes%s"
-            (Net_server.port t)
-            (List.length (Pequod_core.Server.joins (Net_server.engine t)))
-            (List.length routes)
-            (match data_dir with
-            | Some dir -> Printf.sprintf " (durable in %s)" dir
-            | None -> ""));
-      Net_server.run t;
-      0
-    | exception Failure msg ->
-      Logs.err (fun m -> m "%s" msg);
-      1)
+    | Ok routes -> (
+      match
+        Net_server.create ~config ?metrics_every:metrics_dump ~port ~joins ~memory_limit ()
+      with
+      | t -> (
+        let self_addr = Printf.sprintf "%s:%d" advertise (Net_server.port t) in
+        (* Routing truth is always a partition directory. A follower's
+           copy stays at epoch 0 ("not yet synced") until its first poll
+           of the seed lands, and so does a seed with no specs, waiting
+           for pequod_ctl dir-seed. Every other server fixes its specs at
+           epoch 1 — even none, which routes everything here. *)
+        let dir = Directory.create () in
+        let installed =
+          if directory <> None || (dir_host && routes = []) then Ok ()
+          else
+            Directory.install dir ~epoch:1
+              ~entries:
+                (List.map
+                   (fun (r : Remote.route) ->
+                     { Message.de_table = r.r_table; de_lo = r.r_lo; de_hi = r.r_hi;
+                       de_home = Option.value r.r_addr ~default:self_addr;
+                       de_replicas = [] })
+                   routes)
+        in
+        match installed with
+        | Error msg ->
+          Logs.err (fun m -> m "%s" msg);
+          1
+        | Ok () ->
+          Net_server.set_directory t ?seed:directory ~hot_threshold ~dir ~self_addr ();
+          Net_server.add_ticker t
+            (Remote.attach ~server:t ~self_addr ~check_every:sub_check_every
+               (Remote.Directory { dir; seed = directory; poll_every = dir_poll_every }));
+          Logs.app (fun m ->
+              m "pequod-server listening on port %d with %d joins, directory epoch %d (%d \
+                 entries%s)%s"
+                (Net_server.port t)
+                (List.length (Pequod_core.Server.joins (Net_server.engine t)))
+                (Directory.epoch dir)
+                (List.length (Directory.entries dir))
+                (match directory with Some s -> ", following " ^ s | None -> "")
+                durable);
+          Net_server.run t;
+          0)
+      | exception Failure msg ->
+        Logs.err (fun m -> m "%s" msg);
+        1)
 
 let cmd =
   Cmd.v

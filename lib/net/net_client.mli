@@ -50,8 +50,8 @@ type t
 
     [on_wait] runs repeatedly (every couple of milliseconds) while a
     {!call} or {!pipeline} waits for its response, so an event-loop
-    owner can keep serving while blocked — the shard layer passes a
-    nested server step here. The hook must not issue a request on
+    owner can keep serving while blocked — a server passes a nested
+    step of its own loop here. The hook must not issue a request on
     {e this} client's main connection; if re-entrant work does call back
     into the same client, that inner exchange transparently runs on a
     dedicated one-shot connection so response streams never interleave. *)

@@ -206,9 +206,9 @@ type t = {
   mutable in_engine : bool;
   mutable router : router option;
   mutable dirst : dirstate option; (* directory mode (see [set_directory]) *)
-  (* a nested [step] used as the write-forwarding clients' [on_wait]
-     hook, bound on the first real step (it cannot be built in [create]
-     because [step] is defined later) *)
+  (* a zero-timeout nested [step], the [on_wait] of this server's
+     blocking clients (see [on_wait]), bound on the first real step (it
+     cannot be built in [create] because [step] is defined later) *)
   mutable nested_step : unit -> unit;
   persist : Persist.t option; (* durability manager, when --data-dir is set *)
   (* home-server subscriptions (§2.4): source table -> subscriber
@@ -239,11 +239,10 @@ type t = {
      the Remote subscription-healing heartbeat; each callback rate-limits
      itself *)
   mutable tickers : (unit -> unit) list;
-  (* asynchronous fetch engine, installed by [Remote.attach ~server]:
-     given the full missing-range set of a parked scan, it issues every
-     fetch (batched per peer, single-flighted across waiters) and calls
-     back once all of them completed. [None]: scans resolve through the
-     engine's blocking resolver, as before. *)
+  (* asynchronous fetch engine, installed by [Remote.attach]: given the
+     full missing-range set of a parked scan, it issues every fetch
+     (batched per peer, single-flighted across waiters) and calls back
+     once all of them completed. [None]: no routes, so no scan misses. *)
   mutable fetcher : ((string * string * string) list -> (ok:bool -> unit) -> unit) option;
   (* non-client fds serviced by this loop: the fetcher's peer sockets *)
   externals : (Unix.file_descr, readable:bool -> writable:bool -> unit) Hashtbl.t;
@@ -371,7 +370,7 @@ let unwatch_fd t fd =
   Hashtbl.remove t.externals fd;
   Poller.remove t.poller fd
 
-(** Install the asynchronous fetch engine (see [Remote.attach ~server]):
+(** Install the asynchronous fetch engine (see [Remote.attach]):
     scans missing base ranges park instead of failing, and [fetcher] is
     handed the full missing set plus a completion callback. *)
 let set_fetcher t fetcher = t.fetcher <- Some fetcher
@@ -417,15 +416,16 @@ let hotspot_tick _t ds () =
     end
   end
 
-(** Put this server in directory mode: [dir] is its copy of the
-    partition directory (the authoritative one when [seed] is [None] —
-    the [--dir-host] role — a follower copy polled from [seed]
-    otherwise). Enables serving [Dir_get]/[Dir_watch]/[Dir_update],
-    the [Migrate] driver, forwarding of writes whose directory home is
-    another server, and hotspot detection over the per-owned-range read
-    tallies ([hot_threshold] reads/s over [hot_check_every]-second
-    windows; 0 disables). Call once, before serving; pair it with
-    {!Remote.attach_directory} on the same [dir]. *)
+(** Install this server's partition directory: [dir] is its copy —
+    authoritative when [seed] is [None] (a [--dir-host] seed, or a
+    server whose [--partition] specs fixed it at epoch 1), a follower
+    copy polled from [seed] otherwise. Enables serving
+    [Dir_get]/[Dir_watch]/[Dir_update], the [Migrate] driver,
+    forwarding of reads and writes whose directory home is another
+    server, and hotspot detection over the per-owned-range read tallies
+    ([hot_threshold] reads/s over [hot_check_every]-second windows; 0
+    disables). Call once, before serving; pair it with {!Remote.attach}
+    on the same [dir]. *)
 let set_directory t ?seed ?(hot_threshold = 0.) ?(hot_check_every = 5.0) ~dir ~self_addr
     () =
   let obs = Server.obs t.engine in
@@ -445,10 +445,11 @@ let set_directory t ?seed ?(hot_threshold = 0.) ?(hot_check_every = 5.0) ~dir ~s
   t.dirst <- Some ds;
   add_ticker t (hotspot_tick t ds)
 
-(** One nested event-loop step, for threading as the [on_wait] of
-    clients owned by this server's loop: while such a client blocks on a
-    call, the loop keeps serving peer traffic — which is what makes
-    symmetric fetches between directory-mode servers deadlock-free. *)
+(** One zero-timeout nested event-loop step (a no-op before the loop's
+    first step), for threading as the [on_wait] of blocking clients
+    owned by this server's loop: between the client's short waits on
+    its own socket, the loop keeps serving peer traffic — which is what
+    makes symmetric calls between servers deadlock-free. *)
 let on_wait t () = t.nested_step ()
 
 (** The port actually bound (useful with [~port:0]). *)
@@ -670,7 +671,7 @@ let call_client t ds addr =
     in
     let c =
       Net_client.create ~obs:(Server.obs t.engine) ~config
-        ~on_wait:(fun () -> t.nested_step ())
+        ~on_wait:(on_wait t)
         ~host:chost ~port:cport ()
     in
     Hashtbl.add ds.ds_calls addr c;
@@ -799,22 +800,9 @@ let clamp_min min ~lo ~hi =
       else None)
     min
 
-(* A directory-routed scan, served piecewise: segments of [lo, hi)
-   homed (or replicated) here scan the local engine, segments homed
-   elsewhere forward a clamped [Scan] to a replica or the home, gaps the
-   directory does not cover (join outputs, un-governed tables) stay
-   local. Segments come back in key order, so concatenation is the
-   ordered answer.
-
-   [min] is a stamped read's demand vector ([] for plain scans): local
-   segments below a demanded stamp heal synchronously — the stale piece
-   is unmarked, so the resolver refetches it from its owner during the
-   local scan — and remote segments forward a clamped [Scan_at] so each
-   candidate enforces the demand on its own copy (a stale replica
-   answers [Stale] and [read_forward] falls through to the home). *)
 (* Synchronously re-establish a demand: drop the unprovable copies,
-   then touch each dropped range through the engine so a blocking
-   resolver refetches it inline and re-records the owner's stamp. The
+   then touch each dropped range through the engine so the resolver
+   refetches it inline and re-records the owner's stamp. The
    serving read need not scan the ranges it demands (a timeline read
    demands its sources), so dropping alone is not enough — derived
    data computed from the dropped copy stays resident and would be
@@ -828,28 +816,24 @@ let heal_demand t unmet min =
     unmet;
   List.iter
     (fun (_, lo, hi, _) ->
-      match Server.scan_result t.engine ~lo ~hi with
+      match Server.scan_result ~may_defer:false t.engine ~lo ~hi with
       | _ -> ()
       | exception _ -> ())
     unmet;
   Server.stamp_unsatisfied t.engine min
 
-let scan_directory t ds ?(min = []) ~lo ~hi () =
-  let still_unmet =
-    match min with
-    | [] -> []
-    | _ -> (
-      match Server.stamp_unsatisfied t.engine min with
-      | [] -> []
-      | unmet ->
-        Obs.Counter.incr t.m_stale_waits;
-        heal_demand t unmet min)
-  in
-  match still_unmet with
-  | _ :: _ as still ->
-    Obs.Counter.incr t.m_stale_errors;
-    Message.Stale still
-  | [] ->
+(* A directory-routed scan is served piecewise: segments of [lo, hi)
+   homed (or replicated) here scan the local engine, segments homed
+   elsewhere forward a clamped [Scan] to a replica or the home, and
+   gaps the directory does not cover (join outputs, un-governed tables)
+   stay local. [remote_segments] cuts the range in key order, or says
+   [None] when no segment is remote: the scan then takes the ordinary
+   local path, parking on a miss like any other. *)
+let remote_segments t ~lo ~hi =
+  match t.dirst with
+  | None -> None
+  | Some ds when Directory.epoch ds.ds_dir = 0 -> None
+  | Some ds ->
   let table = Pequod_store.Store.table_name_of lo in
   let overlapping =
     List.filter
@@ -880,10 +864,34 @@ let scan_directory t ds ?(min = []) ~lo ~hi () =
       end)
     overlapping;
   if String.compare !cursor hi < 0 then segments := (None, !cursor, hi) :: !segments;
-  let segments = List.rev !segments in
-  match segments with
-  | [ (None, _, _) ] | [] -> Message.apply_to_server t.engine (Message.Scan { lo; hi })
-  | segs ->
+  if List.for_all (fun (tgt, _, _) -> tgt = None) !segments then None
+  else Some (ds, List.rev !segments)
+
+(* Serve [remote_segments]' cut; segments come back in key order, so
+   concatenation is the ordered answer. Local segments have no parked
+   slot to wait in, so their misses fetch inline.
+
+   [min] is a stamped read's demand vector ([] for plain scans): local
+   pieces below a demanded stamp heal synchronously ([heal_demand]),
+   and remote segments forward a clamped [Scan_at] so each candidate
+   enforces the demand on its own copy (a stale replica answers [Stale]
+   and [read_forward] falls through to the home). *)
+let scan_segments t ds ~min segs =
+  let still_unmet =
+    match min with
+    | [] -> []
+    | _ -> (
+      match Server.stamp_unsatisfied t.engine min with
+      | [] -> []
+      | unmet ->
+        Obs.Counter.incr t.m_stale_waits;
+        heal_demand t unmet min)
+  in
+  match still_unmet with
+  | _ :: _ as still ->
+    Obs.Counter.incr t.m_stale_errors;
+    Message.Stale still
+  | [] ->
     let err = ref None in
     let stale = ref [] in
     let fail m = if !err = None then err := Some m in
@@ -892,7 +900,7 @@ let scan_directory t ds ?(min = []) ~lo ~hi () =
         (fun (tgt, slo, shi) ->
           match tgt with
           | None -> (
-            match Server.scan_result t.engine ~lo:slo ~hi:shi with
+            match Server.scan_result ~may_defer:false t.engine ~lo:slo ~hi:shi with
             | `Ok pairs -> pairs
             | `Missing ((mt, mlo, mhi) :: _) ->
               fail
@@ -1111,23 +1119,16 @@ let pump_stamp_waits t =
                 List.iter
                   (fun (table, lo, hi, _) -> Server.unmark_present t.engine ~table ~lo ~hi)
                   unmet;
-                match t.fetcher with
-                | Some fetch ->
-                  w.sw_fetching <- true;
-                  fetch
-                    (List.map (fun (table, lo, hi, _) -> (table, lo, hi)) unmet)
-                    (fun ~ok ->
-                      w.sw_fetching <- false;
-                      if not ok then w.sw_fetch_failed <- true)
-                | None ->
-                  (* blocking resolver: touch each dropped range so it
-                     refetches inline *)
-                  List.iter
-                    (fun (_, lo, hi, _) ->
-                      match Server.scan_result t.engine ~lo ~hi with
-                      | _ -> ()
-                      | exception _ -> ())
-                    unmet
+                (* only a server with a fetcher parks stamped reads *)
+                Option.iter
+                  (fun fetch ->
+                    w.sw_fetching <- true;
+                    fetch
+                      (List.map (fun (table, lo, hi, _) -> (table, lo, hi)) unmet)
+                      (fun ~ok ->
+                        w.sw_fetching <- false;
+                        if not ok then w.sw_fetch_failed <- true))
+                  t.fetcher
               end;
               if w.sw_fetch_failed then begin
                 (* the owner is unreachable: freshness cannot be
@@ -1338,9 +1339,9 @@ and handle_local_engine ~may_park t client req =
     | None -> Some (Message.apply_to_server t.engine req))
   | Message.Scan { lo; hi } -> (
     tally_read t lo;
-    match t.dirst with
-    | Some ds when Directory.epoch ds.ds_dir > 0 -> Some (scan_directory t ds ~lo ~hi ())
-    | _ -> (
+    match remote_segments t ~lo ~hi with
+    | Some (ds, segs) -> Some (scan_segments t ds ~min:[] segs)
+    | None -> (
       match t.fetcher with
       | Some _ when may_park -> (
         match Server.scan_result t.engine ~lo ~hi with
@@ -1359,9 +1360,9 @@ and handle_local_engine ~may_park t client req =
   | Message.Scan_at { lo; hi; min } -> (
     Obs.Counter.incr t.m_session_reads;
     tally_read t lo;
-    match t.dirst with
-    | Some ds when Directory.epoch ds.ds_dir > 0 -> Some (scan_directory t ds ~min ~lo ~hi ())
-    | _ -> serve_stamped t client ~may_park req ~min)
+    match remote_segments t ~lo ~hi with
+    | Some (ds, segs) -> Some (scan_segments t ds ~min segs)
+    | None -> serve_stamped t client ~may_park req ~min)
   | Message.Dir_get | Message.Dir_watch _ | Message.Dir_update _ -> (
     match t.dirst with
     | None -> Some (Message.Error "no partition directory on this server")
@@ -2064,7 +2065,7 @@ let maybe_dump_metrics t =
     only advances sibling/peer traffic. *)
 let rec step ?(timeout = 1.0) t =
   if t.nested_step == no_nested then
-    t.nested_step <- (fun () -> step ~timeout:0.005 t);
+    t.nested_step <- (fun () -> step ~timeout:0.0 t);
   let nested = t.stepping in
   t.stepping <- true;
   Fun.protect ~finally:(fun () -> t.stepping <- nested) @@ fun () ->
@@ -2121,7 +2122,12 @@ let rec step ?(timeout = 1.0) t =
     pump_migration t;
     pump_stamp_waits t;
     Option.iter Persist.tick t.persist;
-    List.iter (fun f -> f ()) t.tickers;
+    (* tickers feed the engine (subscription heals, replica warming):
+       like a request handler, they hold off fetch completions that
+       would re-enter it from a nested step *)
+    t.in_engine <- true;
+    Fun.protect ~finally:(fun () -> t.in_engine <- false) (fun () ->
+        List.iter (fun f -> f ()) t.tickers);
     maybe_dump_metrics t
   end
 

@@ -3,6 +3,8 @@
 
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
+module Pattern = Pequod_pattern.Pattern
+module Joinspec = Pequod_pattern.Joinspec
 
 let src = Logs.Src.create "pequod.remote"
 
@@ -40,6 +42,9 @@ let parse_spec ~peers spec =
   | Error _ as e -> e
   | Ok r_addr -> (
     match String.split_on_char ':' body with
+    (* "*" is the shard layer's wildcard, whose bounds are component
+       space (see [instantiate]); a spec's bounds are key space *)
+    | "*" :: _ -> Error (Printf.sprintf "partition %S: \"*\" is not a table" spec)
     | [ table ] when table <> "" ->
       Ok { r_table = table; r_lo = table ^ "|"; r_hi = table ^ "}"; r_addr }
     | [ table; lo; hi ] when table <> "" && String.compare lo hi < 0 ->
@@ -66,24 +71,23 @@ let host_port addr =
 
 (* peer clients, one per owning address, created lazily and registered
    in the engine's own metrics registry ([net.client.retries] etc.) *)
-let client_cache ?config ?on_wait obs =
+let client_cache ~on_wait obs =
   let cache : (string, Net_client.t) Hashtbl.t = Hashtbl.create 4 in
   fun addr ->
     match Hashtbl.find_opt cache addr with
     | Some c -> c
     | None ->
       let chost, cport = host_port addr in
-      let c = Net_client.create ~obs ?config ?on_wait ~host:chost ~port:cport () in
+      let c = Net_client.create ~obs ~on_wait ~host:chost ~port:cport () in
       Hashtbl.add cache addr c;
       c
 
 (* One blocking fetch+subscribe exchange: the §2.4 [Fetch] naming this
    server as the subscriber, answered by a [Subscribed] snapshot. On
    success the granted subscription is recorded in [tracked] (keyed by
-   the exact clamp, valued by the granting home) for the healing
-   heartbeat to audit. Shared by the static-route and directory
-   resolvers and by the asynchronous fetcher's non-collecting fallback,
-   so the protocol exchange lives exactly once. *)
+   the exact clamp, valued by the granting server) for the healing
+   heartbeat to audit. Shared by the blocking resolver, replica warming
+   and the heartbeat's refetch. *)
 let fetch_one ~engine ~client_for ~tracked ~m_fetch_out ~self_addr ~table ~lo ~hi addr =
   Obs.Counter.incr m_fetch_out;
   match
@@ -185,10 +189,15 @@ let routes_of_entries ~self_addr entries =
    round-trip per missing range, the fetcher owns its own nonblocking
    peer sockets, driven by the serving loop itself
    ([Net_server.watch_fd]): a parked scan's whole missing-range set is
-   planned into per-home clamps and written as one pipelined burst per
-   peer, concurrently across peers. Responses are matched to fetches in
+   planned into clamps and written as one pipelined burst per peer,
+   concurrently across peers. Responses are matched to fetches in
    per-connection pipeline order (the wire has no request ids), fed
    into the engine, and the scan retried once the full set has landed.
+
+   Each clamp carries its candidate servers: the range's read replicas,
+   then its home. A candidate that refuses, is down, or drops the
+   connection hands the fetch to the next one; the waiters fail only
+   once the home has failed too.
 
    Single-flight: an in-flight table keyed by the exact (table, lo, hi)
    clamp means N concurrent parked scans missing the same range share
@@ -207,6 +216,7 @@ module Fetcher = struct
 
   type flight = {
     fl_key : string * string * string; (* table, clamp lo, clamp hi *)
+    mutable fl_cands : string list; (* candidates not yet tried, the home last *)
     mutable fl_waiters : waiter list;
   }
 
@@ -224,10 +234,11 @@ module Fetcher = struct
     f_server : Net_server.t;
     f_engine : Server.t;
     f_self : string;
-    (* missing range -> remote clamps, re-planned at fetch time *)
+    (* missing range -> (table, clamp lo, clamp hi, candidates) fetches,
+       re-planned at fetch time *)
     f_plan :
       table:string -> lo:string -> hi:string ->
-      [ `Fail | `Nothing | `Clamps of (string * string * string * string) list ];
+      [ `Fail | `Nothing | `Clamps of (string * string * string * string list) list ];
     f_tracked : (string * string * string, string) Hashtbl.t;
     f_peers : (string, peer) Hashtbl.t;
     f_inflight : (string * string * string, flight) Hashtbl.t;
@@ -237,7 +248,8 @@ module Fetcher = struct
     m_inflight : Obs.Gauge.t; (* fetch.inflight *)
   }
 
-  let create ~server ~engine ~self_addr ~plan ~tracked =
+  let create ~server ~self_addr ~plan ~tracked =
+    let engine = Net_server.engine server in
     let obs = Server.obs engine in
     { f_server = server;
       f_engine = engine;
@@ -268,18 +280,80 @@ module Fetcher = struct
     w.w_remaining <- w.w_remaining - 1;
     if w.w_remaining = 0 then w.w_k ~ok:(not w.w_failed)
 
-  let drop_flight f fl =
+  (* The flight leaves the in-flight table before its waiters run: a
+     waiter's retry may miss the same range again (eviction raced the
+     feed) and must start a fresh fetch, not join a completed one. *)
+  let complete_flight f fl ~ok =
     Hashtbl.remove f.f_inflight fl.fl_key;
-    Obs.Gauge.set f.m_inflight (Hashtbl.length f.f_inflight)
+    Obs.Gauge.set f.m_inflight (Hashtbl.length f.f_inflight);
+    let ws = fl.fl_waiters in
+    fl.fl_waiters <- [];
+    List.iter (fun w -> complete_waiter w ~ok) ws
+
+  (* Queue [fl]'s [Fetch] on its next candidate, skipping candidates in
+     dead-peer backoff, and return that peer for flushing; with no
+     candidate left the flight fails. *)
+  let rec issue f fl now =
+    match fl.fl_cands with
+    | [] ->
+      complete_flight f fl ~ok:false;
+      None
+    | addr :: rest ->
+      fl.fl_cands <- rest;
+      let peer = peer_of f addr in
+      if peer.p_fd = None && now < peer.p_down_until then issue f fl now
+      else begin
+        Obs.Counter.incr f.m_fetch_out;
+        Queue.add fl peer.p_flights;
+        let table, lo, hi = fl.fl_key in
+        Buffer.add_string peer.p_out
+          (Net_client.encode_request_frame
+             (Message.Fetch { table; lo; hi; subscriber = f.f_self }));
+        Some peer
+      end
+
+  let rec write_some fd data pos len =
+    if pos >= len then pos
+    else
+      match Unix.write_substring fd data pos (len - pos) with
+      | n -> write_some fd data (pos + n) len
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_some fd data pos len
+      | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> pos
+
+  let sockaddr_of addr =
+    let host, port = host_port addr in
+    let inet =
+      match Unix.inet_addr_of_string host with
+      | a -> a
+      | exception _ -> (
+        match (Unix.gethostbyname host).Unix.h_addr_list with
+        | [||] -> raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host))
+        | addrs -> addrs.(0)
+        | exception Not_found ->
+          raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host)))
+    in
+    Unix.ADDR_INET (inet, port)
+
+  (* a candidate failed [fl]: hand it to the next one *)
+  let rec retry f fl =
+    match issue f fl (Unix.gettimeofday ()) with
+    | Some peer -> kick f peer
+    | None -> ()
+
+  (* connect if needed, then push the whole pipeline out in as few
+     writes as the socket allows *)
+  and kick f peer =
+    ensure_connected f peer;
+    flush_peer f peer
 
   (* Tear a peer connection down: every fetch still in its pipeline
-     fails (their parked scans answer Error and the client may retry),
-     and the peer sits out a short backoff so a dead home is one failed
-     [connect] per half second, not per scan. *)
-  let fail_peer f peer msg =
+     moves on to its next candidate (or fails, and its parked scans
+     answer Error), and the peer sits out a short backoff so a dead
+     server is one failed [connect] per half second, not per scan. *)
+  and fail_peer f peer msg =
     if not (Queue.is_empty peer.p_flights) then
       Log.warn (fun m ->
-          m "peer %s: %s; failing %d in-flight fetches" peer.p_addr msg
+          m "peer %s: %s; re-routing %d in-flight fetches" peer.p_addr msg
             (Queue.length peer.p_flights));
     (match peer.p_fd with
     | Some fd ->
@@ -291,27 +365,13 @@ module Fetcher = struct
     peer.p_decoder <- Frame.decoder ();
     Buffer.clear peer.p_out;
     peer.p_down_until <- Unix.gettimeofday () +. 0.5;
-    let flights = Queue.fold (fun acc fl -> fl :: acc) [] peer.p_flights in
+    let flights = List.of_seq (Queue.to_seq peer.p_flights) in
     Queue.clear peer.p_flights;
-    List.iter
-      (fun fl ->
-        drop_flight f fl;
-        let ws = fl.fl_waiters in
-        fl.fl_waiters <- [];
-        List.iter (fun w -> complete_waiter w ~ok:false) ws)
-      (List.rev flights)
-
-  let rec write_some fd data pos len =
-    if pos >= len then pos
-    else
-      match Unix.write_substring fd data pos (len - pos) with
-      | n -> write_some fd data (pos + n) len
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_some fd data pos len
-      | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> pos
+    List.iter (retry f) flights
 
   (* Nonblocking flush; write interest stays on exactly while bytes
      remain buffered (a level-triggered poller would spin otherwise). *)
-  let flush_peer f peer =
+  and flush_peer f peer =
     match peer.p_fd with
     | None -> ()
     | Some _ when peer.p_connecting -> ()
@@ -329,43 +389,27 @@ module Fetcher = struct
       | exception Unix.Unix_error (err, _, _) ->
         fail_peer f peer ("write: " ^ Unix.error_message err))
 
-  (* One response frame = the head of this peer's pipeline. The flight
-     leaves the in-flight table before its waiters run: a waiter's
-     retry may miss the same range again (eviction raced the feed) and
-     must start a fresh fetch, not join a completed one. *)
-  let handle_frame f peer frame =
+  (* one response frame = the head of this peer's pipeline *)
+  and handle_frame f peer frame =
     match Queue.take_opt peer.p_flights with
-    | None ->
-      fail_peer f peer "unexpected frame with no fetch in flight"
-    | Some fl ->
-      drop_flight f fl;
+    | None -> fail_peer f peer "unexpected frame with no fetch in flight"
+    | Some fl -> (
       let table, lo, hi = fl.fl_key in
-      let ok =
-        match Message.decode_response frame with
-        | Message.Subscribed { stamp; pairs } ->
-          Hashtbl.replace f.f_tracked fl.fl_key peer.p_addr;
-          Server.feed_base f.f_engine ~table ~lo ~hi pairs;
-          if stamp > 0 then Server.set_range_stamp f.f_engine ~table ~lo ~hi stamp;
-          true
-        | Message.Error msg ->
-          Log.warn (fun m ->
-              m "fetch %s[%s,%s) from %s refused: %s" table lo hi peer.p_addr msg);
-          false
-        | _ ->
-          Log.warn (fun m ->
-              m "fetch %s[%s,%s) from %s: unexpected response" table lo hi peer.p_addr);
-          false
-        | exception Message.Protocol_error msg ->
-          Log.warn (fun m ->
-              m "fetch %s[%s,%s) from %s: protocol error: %s" table lo hi peer.p_addr
-                msg);
-          false
+      let failed why =
+        Log.warn (fun m -> m "fetch %s[%s,%s) from %s %s" table lo hi peer.p_addr why);
+        retry f fl
       in
-      let ws = fl.fl_waiters in
-      fl.fl_waiters <- [];
-      List.iter (fun w -> complete_waiter w ~ok) ws
+      match Message.decode_response frame with
+      | Message.Subscribed { stamp; pairs } ->
+        Hashtbl.replace f.f_tracked fl.fl_key peer.p_addr;
+        Server.feed_base f.f_engine ~table ~lo ~hi pairs;
+        if stamp > 0 then Server.set_range_stamp f.f_engine ~table ~lo ~hi stamp;
+        complete_flight f fl ~ok:true
+      | Message.Error msg -> failed ("refused: " ^ msg)
+      | _ -> failed "answered unexpectedly"
+      | exception Message.Protocol_error msg -> failed ("broke protocol: " ^ msg))
 
-  let read_peer f peer fd =
+  and read_peer f peer fd =
     match Unix.read fd f.f_buf 0 (Bytes.length f.f_buf) with
     | 0 -> fail_peer f peer "connection closed"
     | n ->
@@ -380,7 +424,7 @@ module Fetcher = struct
     | exception Unix.Unix_error (err, _, _) ->
       fail_peer f peer ("read: " ^ Unix.error_message err)
 
-  let peer_ready f peer fd ~readable ~writable =
+  and peer_ready f peer fd ~readable ~writable =
     if peer.p_fd = Some fd then begin
       if writable then
         if peer.p_connecting then (
@@ -395,57 +439,36 @@ module Fetcher = struct
       if readable && peer.p_fd = Some fd then read_peer f peer fd
     end
 
-  let sockaddr_of addr =
-    let host, port = host_port addr in
-    let inet =
-      match Unix.inet_addr_of_string host with
-      | a -> a
-      | exception _ -> (
-        match (Unix.gethostbyname host).Unix.h_addr_list with
-        | [||] -> raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host))
-        | addrs -> addrs.(0)
-        | exception Not_found ->
-          raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host)))
-    in
-    Unix.ADDR_INET (inet, port)
-
-  let ensure_connected f peer =
+  and ensure_connected f peer =
     if peer.p_fd = None then begin
       match
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         (try Unix.set_nonblock fd
          with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-        (fd, (try Unix.connect fd (sockaddr_of peer.p_addr); `Done with
-              | Unix.Unix_error (Unix.EINPROGRESS, _, _) -> `Pending
+        (fd, (try Unix.connect fd (sockaddr_of peer.p_addr); false with
+              | Unix.Unix_error (Unix.EINPROGRESS, _, _) -> true
               | e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e))
       with
-      | fd, `Done ->
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+      | fd, pending ->
+        if not pending then
+          (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
         peer.p_fd <- Some fd;
-        peer.p_connecting <- false;
+        peer.p_connecting <- pending;
         peer.p_decoder <- Frame.decoder ();
-        Net_server.watch_fd f.f_server fd ~read:true ~write:false
-          ~on_ready:(fun ~readable ~writable ->
-            peer_ready f peer fd ~readable ~writable)
-      | fd, `Pending ->
-        peer.p_fd <- Some fd;
-        peer.p_connecting <- true;
-        peer.p_decoder <- Frame.decoder ();
-        (* write-ready signals the connect outcome (SO_ERROR) *)
-        Net_server.watch_fd f.f_server fd ~read:true ~write:true
-          ~on_ready:(fun ~readable ~writable ->
-            peer_ready f peer fd ~readable ~writable)
+        (* while the connect is pending, write-ready signals its outcome
+           (SO_ERROR) *)
+        Net_server.watch_fd f.f_server fd ~read:true ~write:pending
+          ~on_ready:(fun ~readable ~writable -> peer_ready f peer fd ~readable ~writable)
       | exception Unix.Unix_error (err, _, _) ->
         fail_peer f peer ("connect: " ^ Unix.error_message err)
     end
 
   (* The [Net_server.set_fetcher] entry point: issue one parked scan's
      whole missing-range set, calling [k ~ok] once every clamp has
-     landed (or any failed). Completion may run synchronously — every
-     clamp already in flight from a down peer — or later from
-     [peer_ready]; the caller handles both. *)
+     landed (or failed on every candidate). Completion may run
+     synchronously — every candidate in dead-peer backoff — or later
+     from [peer_ready]; the caller handles both. *)
   let request f ranges k =
-    let now = Unix.gettimeofday () in
     let planned =
       List.fold_left
         (fun acc (table, lo, hi) ->
@@ -465,120 +488,142 @@ module Fetcher = struct
     | `Fail -> k ~ok:false
     | `Ok [] -> k ~ok:true
     | `Ok clamps ->
+      let now = Unix.gettimeofday () in
       let waiter = { w_remaining = List.length clamps; w_failed = false; w_k = k } in
       let touched = ref [] in
       List.iter
-        (fun (table, flo, fhi, home) ->
+        (fun (table, flo, fhi, cands) ->
           let key = (table, flo, fhi) in
           match Hashtbl.find_opt f.f_inflight key with
           | Some fl ->
             (* single-flight: share the wire fetch already under way *)
             Obs.Counter.incr f.m_coalesced;
             fl.fl_waiters <- waiter :: fl.fl_waiters
-          | None ->
-            let peer = peer_of f home in
-            if peer.p_fd = None && now < peer.p_down_until then
-              complete_waiter waiter ~ok:false
-            else begin
-              Obs.Counter.incr f.m_fetch_out;
-              let fl = { fl_key = key; fl_waiters = [ waiter ] } in
-              Hashtbl.replace f.f_inflight key fl;
-              Obs.Gauge.set f.m_inflight (Hashtbl.length f.f_inflight);
-              Queue.add fl peer.p_flights;
-              Buffer.add_string peer.p_out
-                (Net_client.encode_request_frame
-                   (Message.Fetch
-                      { table; lo = flo; hi = fhi; subscriber = f.f_self }));
-              if not (List.memq peer !touched) then touched := peer :: !touched
-            end)
+          | None -> (
+            let fl = { fl_key = key; fl_cands = cands; fl_waiters = [ waiter ] } in
+            Hashtbl.replace f.f_inflight key fl;
+            Obs.Gauge.set f.m_inflight (Hashtbl.length f.f_inflight);
+            match issue f fl now with
+            | Some peer -> if not (List.memq peer !touched) then touched := peer :: !touched
+            | None -> ()))
         clamps;
-      (* one burst per touched peer: connect if needed, then push the
-         whole pipeline out in as few writes as the socket allows *)
-      List.iter
-        (fun peer ->
-          ensure_connected f peer;
-          flush_peer f peer)
-        (List.rev !touched)
+      (* one burst per touched peer *)
+      List.iter (kick f) (List.rev !touched)
 end
 
-let attach_directory_impl ?(check_every = 2.0) ?(poll_every = 1.0) ?client_config
-    ?on_wait ?seed ~engine ~self_addr ~dir () =
+type source =
+  | Fixed of route list
+  | Directory of { dir : Directory.t; seed : string option; poll_every : float }
+
+let attach ~server ~self_addr ~check_every source =
+  let engine = Net_server.engine server in
   let obs = Server.obs engine in
-  let client_for = client_cache ?config:client_config ?on_wait obs in
-  (* a dedicated short-fuse client for the seed poll, so a dead seed
-     costs the tick half a second, not the full fetch retry budget *)
-  let poll_for =
-    client_cache
-      ~config:
-        { Net_client.connect_timeout = 0.5; call_timeout = 2.0; max_retries = 0;
-          backoff = 0.05 }
-      ?on_wait obs
-  in
+  let on_wait = Net_server.on_wait server in
+  let client_for = client_cache ~on_wait obs in
   let m_fetch_out = Obs.counter obs "peer.fetch.out" in
-  let m_dir_fetch = Obs.counter obs "dir.fetch" in
-  let m_epoch = Obs.gauge obs "dir.epoch" in
   let m_sub_lost = Obs.counter obs "peer.sub.lost" in
-  let routes = ref [] in
-  let applied = ref 0 in
-  (* read candidates per directory range: that range's replicas, minus
-     this server — the home is always the fallback *)
-  let replicas : (string * string * string, string list) Hashtbl.t = Hashtbl.create 8 in
+  (* live subscriptions this server believes it holds: exactly the
+     (table, clamp) ranges whose Fetch was granted, keyed to the server
+     that granted them. The healing heartbeat audits this against that
+     server's own Sub_check answer. *)
   let tracked : (string * string * string, string) Hashtbl.t = Hashtbl.create 16 in
   let fetch_one = fetch_one ~engine ~client_for ~tracked ~m_fetch_out ~self_addr in
-  (* one clamp's fetch: spread reads over the range's replicas (each
-     server starts at a different candidate), fall through to the next
-     candidate — the home last — when one refuses or is down *)
-  let fetch_clamp (r, flo, fhi) =
+  (* the routes in force, the read replicas of each remotely homed range
+     (minus this server), and the directory epoch they reflect: 0 until
+     a follower first syncs, 1 for fixed routes *)
+  let routes = ref [] in
+  let replicas : (string * string * string, string list) Hashtbl.t = Hashtbl.create 8 in
+  let applied = ref 0 in
+  let plan ~table ~lo ~hi =
+    (* a wildcard slice never claims a join-output table: each shard
+       recomputes its outputs from subscription-fresh sources, and a
+       fetched copy would freeze, because join-derived writes are not
+       client-origin and are never pushed *)
+    let sink =
+      List.exists
+        (fun spec -> String.equal (Pattern.table (Joinspec.output spec)) table)
+        (Server.joins engine)
+    in
+    let routes =
+      if sink then List.filter (fun r -> not (String.equal r.r_table "*")) !routes
+      else !routes
+    in
+    plan ~routes ~table ~lo ~hi
+  in
+  (* who may serve a fetch under route [r]: its replicas, rotated by
+     this server's identity so readers spread over them, then the home *)
+  let candidates r =
     let home = Option.get r.r_addr in
-    let cands =
-      match Hashtbl.find_opt replicas (r.r_table, r.r_lo, r.r_hi) with
-      | None | Some [] -> [ home ]
-      | Some reps ->
-        let all = reps @ [ home ] in
-        let n = List.length all in
-        let start = Hashtbl.hash self_addr mod n in
-        List.init n (fun i -> List.nth all ((start + i) mod n))
-    in
-    let rec go = function
-      | [] -> None
-      | addr :: rest -> (
-        match fetch_one ~table:r.r_table ~lo:flo ~hi:fhi addr with
-        | Some _ as got -> got
-        | None -> go rest)
-    in
-    go cands
+    match Hashtbl.find_opt replicas (r.r_table, r.r_lo, r.r_hi) with
+    | None -> [ home ]
+    | Some reps ->
+      let n = List.length reps in
+      let start = Hashtbl.hash self_addr mod n in
+      List.init n (fun i -> List.nth reps ((start + i) mod n)) @ [ home ]
   in
-  Server.set_resolver engine (fun ~table ~lo ~hi ->
-      if !applied = 0 then
-        (* no directory yet: resolving [Local] here would mark the range
-           present and freeze it empty; defer until the first epoch *)
+  (* one clamp's blocking fetch, falling through the candidates *)
+  let fetch_clamp (r, flo, fhi) =
+    List.find_map (fun addr -> fetch_one ~table:r.r_table ~lo:flo ~hi:fhi addr) (candidates r)
+  in
+  let resolve ~table ~lo ~hi =
+    if !applied = 0 then
+      (* no directory yet: resolving [Local] here would mark the range
+         present and freeze it empty; defer until the first epoch *)
+      Server.Deferred
+    else
+      match plan ~table ~lo ~hi with
+      | `Unrouted | `Fetch [] -> Server.Local
+      | `Gap ->
+        (* surface the misconfiguration instead of serving the gap as
+           present-and-empty: the scan reports the range missing *)
+        Log.warn (fun m ->
+            m "partition routes leave a gap inside %s[%s,%s); check the partition specs"
+              table lo hi);
         Server.Deferred
-      else
-        match plan ~routes:!routes ~table ~lo ~hi with
-        | `Unrouted -> Server.Local (* not a directory table (join outputs) *)
-        | `Gap ->
-          Log.warn (fun m ->
-              m "directory leaves a gap inside %s[%s,%s); check the seed entries" table
-                lo hi);
-          Server.Deferred
-        | `Fetch [] -> Server.Local
-        | `Fetch clamps ->
-          let rec fetch acc = function
-            | [] -> Server.Resolved (List.concat (List.rev acc))
-            | clamp :: rest -> (
-              match fetch_clamp clamp with
-              | Some pairs -> fetch (pairs :: acc) rest
-              | None -> Server.Deferred)
-          in
-          fetch [] clamps);
-  let owned_of rs =
-    List.filter_map
-      (fun r -> if r.r_addr = None then Some (r.r_table, r.r_lo, r.r_hi) else None)
-      rs
+      | `Fetch _ when Server.collecting engine ->
+        (* a collect-mode scan: report the miss and keep collecting; the
+           server parks the scan and the fetcher issues the whole
+           missing set as one burst *)
+        Server.Deferred
+      | `Fetch clamps ->
+        (* a caller with no retry loop above it (an updater firing
+           inside a feed_base, a bare scan or get): fetch each clamp
+           inline; all must answer for the range to resolve *)
+        let rec fetch acc = function
+          | [] -> Server.Resolved (List.concat (List.rev acc))
+          | clamp :: rest -> (
+            match fetch_clamp clamp with
+            | Some pairs -> fetch (pairs :: acc) rest
+            | None -> Server.Deferred)
+        in
+        fetch [] clamps
   in
+  (* A server that has synced and whose routes are all its own needs no
+     resolver, and keeping it off leaves its tables ungoverned — the
+     authority for every stamp a session can hold, like a lone server.
+     Once needed (a follower not yet synced, a remote range) it stays. *)
+  let resolving = ref false in
+  let govern () =
+    if (not !resolving) && (!applied = 0 || List.exists (fun r -> r.r_addr <> None) !routes)
+    then begin
+      resolving := true;
+      Server.set_resolver engine resolve
+    end
+  in
+  let fetcher =
+    Fetcher.create ~server ~self_addr ~tracked ~plan:(fun ~table ~lo ~hi ->
+        if !applied = 0 then `Fail
+        else
+          match plan ~table ~lo ~hi with
+          | `Unrouted | `Fetch [] -> `Nothing
+          | `Gap -> `Fail
+          | `Fetch clamps ->
+            `Clamps (List.map (fun (r, flo, fhi) -> (table, flo, fhi, candidates r)) clamps))
+  in
+  Net_server.set_fetcher server (Fetcher.request fetcher);
   (* replica duty waiting to be established: (table, lo, hi, home)
      ranges this server replicates but has not fetch+subscribed yet.
-     Retried every tick until the home answers. *)
+     Retried every second until the home answers. *)
   let warm_pending = ref [] in
   let warm_replicas () =
     warm_pending :=
@@ -592,14 +637,21 @@ let attach_directory_impl ?(check_every = 2.0) ?(poll_every = 1.0) ?client_confi
           | None -> true)
         !warm_pending
   in
-  (* bring this server in line with the directory version currently in
-     [dir]: recompute routes, adjust owned presence, drop subscriptions
-     whose granting server the new version no longer names for the
-     range, and warm any range this server now serves as a replica *)
-  let apply () =
-    let epoch = Directory.epoch dir in
-    let entries = Directory.entries dir in
-    let new_routes = routes_of_entries ~self_addr entries in
+  (* owned ranges; a local wildcard slice has no concrete table to
+     mark — it resolves as `Fetch with no remote clamps, i.e. Local *)
+  let owned_of rs =
+    List.filter_map
+      (fun r ->
+        if r.r_addr = None && not (String.equal r.r_table "*") then
+          Some (r.r_table, r.r_lo, r.r_hi)
+        else None)
+      rs
+  in
+  (* Bring this server in line with [new_routes] and the directory
+     [entries] behind them: adjust owned presence by diff, drop
+     subscriptions whose granting server the routes no longer name for
+     the range, and warm any range this server now replicates. *)
+  let apply ~epoch new_routes entries =
     let old_owned = owned_of !routes in
     let new_owned = owned_of new_routes in
     List.iter
@@ -611,93 +663,129 @@ let attach_directory_impl ?(check_every = 2.0) ?(poll_every = 1.0) ?client_confi
         if not (List.mem k new_owned) then Server.unmark_present engine ~table ~lo ~hi)
       old_owned;
     Hashtbl.reset replicas;
-    let warm = ref [] in
     List.iter
       (fun (e : Message.dir_entry) ->
-        if not (String.equal e.Message.de_home self_addr) then begin
-          (match
-             List.filter (fun a -> not (String.equal a self_addr)) e.Message.de_replicas
-           with
-          | [] -> ()
-          | others ->
-            Hashtbl.replace replicas (e.Message.de_table, e.Message.de_lo, e.Message.de_hi) others);
-          if
-            List.exists (String.equal self_addr) e.Message.de_replicas
-            && not (Hashtbl.mem tracked (e.Message.de_table, e.Message.de_lo, e.Message.de_hi))
-          then
-            warm :=
-              (e.Message.de_table, e.Message.de_lo, e.Message.de_hi, e.Message.de_home)
-              :: !warm
-        end)
+        match List.filter (fun a -> not (String.equal a self_addr)) e.de_replicas with
+        | [] -> ()
+        | others -> Hashtbl.replace replicas (e.de_table, e.de_lo, e.de_hi) others)
       entries;
     routes := new_routes;
     applied := epoch;
-    Obs.Gauge.set m_epoch epoch;
+    govern ();
     Log.info (fun m ->
-        m "directory epoch %d applied: %d routes, %d owned" epoch
-          (List.length new_routes) (List.length new_owned));
-    let stale = ref [] in
-    Hashtbl.iter
-      (fun ((table, lo, hi) as key) addr ->
-        let valid =
-          match plan ~routes:new_routes ~table ~lo ~hi with
-          | `Fetch clamps ->
-            List.exists
-              (fun (r, _, _) ->
-                (match r.r_addr with
-                | Some h -> String.equal h addr
-                | None -> false)
-                ||
-                match Hashtbl.find_opt replicas (r.r_table, r.r_lo, r.r_hi) with
-                | Some reps -> List.exists (String.equal addr) reps
-                | None -> false)
-              clamps
-          | _ -> false
-        in
-        if not valid then stale := key :: !stale)
-      tracked;
+        m "routes of epoch %d applied: %d routes, %d owned" epoch (List.length new_routes)
+          (List.length new_owned));
+    let stale =
+      Hashtbl.fold
+        (fun ((table, lo, hi) as key) addr acc ->
+          match plan ~table ~lo ~hi with
+          | `Fetch clamps
+            when List.exists (fun (r, _, _) -> List.mem addr (candidates r)) clamps ->
+            acc
+          | _ -> key :: acc)
+        tracked []
+    in
     List.iter
       (fun ((table, lo, hi) as key) ->
         Hashtbl.remove tracked key;
         (* the data moved out from under the subscription: forget the
            presence; the next scan refetches from the current home *)
         Server.unmark_present engine ~table ~lo ~hi)
-      !stale;
+      stale;
     (* replica duty: a direct fetch+subscribe from the home feeds the
-       copy in (base-table scans never resolve on their own); failures
-       stay pending and retry every tick *)
-    warm_pending := !warm;
+       copy in (base-table scans never resolve on their own) *)
+    warm_pending :=
+      List.filter_map
+        (fun (e : Message.dir_entry) ->
+          if
+            List.mem self_addr e.de_replicas
+            && not (Hashtbl.mem tracked (e.de_table, e.de_lo, e.de_hi))
+          then Some (e.de_table, e.de_lo, e.de_hi, e.de_home)
+          else None)
+        entries;
     warm_replicas ()
   in
-  if Directory.epoch dir > 0 then apply ();
-  let last_poll = ref neg_infinity in
-  let poll now =
-    match seed with
-    | None -> () (* this server is the seed; installs land in [dir] directly *)
-    | Some seed_addr ->
-      if now -. !last_poll >= poll_every then begin
-        last_poll := now;
-        match
-          Net_client.call (poll_for seed_addr)
-            (Message.Dir_watch { epoch = Directory.epoch dir })
-        with
-        | Message.Dir_state { epoch; entries } ->
-          Obs.Counter.incr m_dir_fetch;
-          (* a migration flip pushed to this server can race the poll:
-             an answer at-or-below the installed epoch is just old news *)
-          if epoch > Directory.epoch dir then (
-            match Directory.install dir ~epoch ~entries with
-            | Ok () -> ()
-            | Error msg ->
-              Log.warn (fun m -> m "directory update from seed rejected: %s" msg))
-        | Message.Done -> Obs.Counter.incr m_dir_fetch (* unchanged *)
-        | Message.Error msg ->
-          Log.warn (fun m -> m "seed %s refused Dir_watch: %s" seed_addr msg)
-        | _ -> ()
-        | exception Net_client.Net_error msg ->
-          Log.debug (fun m -> m "directory seed %s unreachable: %s" seed_addr msg)
-      end
+  (* [poll]: ask the seed for a newer directory (rate-limited).
+     [sync]: apply the local copy's epoch if it moved — a poll, a pushed
+     [Dir_update] or a migration flip installed it. *)
+  let poll, sync =
+    match source with
+    | Fixed rs ->
+      apply ~epoch:1 rs [];
+      ((fun _ -> ()), fun () -> ())
+    | Directory { dir; seed; poll_every } ->
+      let m_dir_fetch = Obs.counter obs "dir.fetch" in
+      let m_epoch = Obs.gauge obs "dir.epoch" in
+      let sync () =
+        let epoch = Directory.epoch dir in
+        if epoch > !applied then begin
+          let entries = Directory.entries dir in
+          apply ~epoch (routes_of_entries ~self_addr entries) entries;
+          Obs.Gauge.set m_epoch epoch
+        end
+      in
+      let poll =
+        match seed with
+        | None -> fun _ -> () (* installs land in [dir] directly *)
+        | Some seed_addr ->
+          (* a dedicated short-fuse client, so a dead seed costs the
+             tick half a second, not the full fetch retry budget *)
+          let host, port = host_port seed_addr in
+          let client =
+            Net_client.create ~obs ~on_wait ~host ~port
+              ~config:
+                { Net_client.connect_timeout = 0.5; call_timeout = 2.0; max_retries = 0;
+                  backoff = 0.05 }
+              ()
+          in
+          let last_poll = ref neg_infinity in
+          fun now ->
+            if now -. !last_poll >= poll_every then begin
+              last_poll := now;
+              match
+                Net_client.call client (Message.Dir_watch { epoch = Directory.epoch dir })
+              with
+              | Message.Dir_state { epoch; entries } -> (
+                Obs.Counter.incr m_dir_fetch;
+                (* a migration flip pushed to this server can race the
+                   poll: an answer at-or-below the installed epoch is
+                   just old news *)
+                if epoch > Directory.epoch dir then
+                  match Directory.install dir ~epoch ~entries with
+                  | Ok () -> ()
+                  | Error msg ->
+                    Log.warn (fun m -> m "directory update from seed rejected: %s" msg))
+              | Message.Done -> Obs.Counter.incr m_dir_fetch (* unchanged *)
+              | Message.Error msg ->
+                Log.warn (fun m -> m "seed %s refused Dir_watch: %s" seed_addr msg)
+              | _ -> ()
+              | exception Net_client.Net_error msg ->
+                Log.debug (fun m -> m "directory seed %s unreachable: %s" seed_addr msg)
+            end
+      in
+      (poll, sync)
   in
+  (* a range the heartbeat found dropped: re-plan it against the
+     current routes and refetch each clamp (feed_base reconciles the
+     data, the Fetch re-subscribes); a clamp no candidate answers is
+     un-marked present so the next scan goes back through the resolver *)
+  let refetch (table, lo, hi) =
+    match plan ~table ~lo ~hi with
+    | `Unrouted | `Fetch [] -> () (* owned here now *)
+    | `Gap -> Server.unmark_present engine ~table ~lo ~hi
+    | `Fetch clamps ->
+      List.iter
+        (fun ((_, flo, fhi) as clamp) ->
+          match fetch_clamp clamp with
+          | Some pairs -> Server.feed_base engine ~table ~lo:flo ~hi:fhi pairs
+          | None -> Server.unmark_present engine ~table ~lo:flo ~hi:fhi)
+        clamps
+  in
+  (* The healing heartbeat: every [check_every] seconds ask each server
+     we hold subscriptions from which of them it still pushes, and
+     refetch every range it dropped (a failed push while we were
+     blocked or down, a restart, a migration). Without this, a dropped
+     subscription would freeze the fetched copy forever with no error. *)
   let last_check = ref neg_infinity in
   let heal now =
     if Hashtbl.length tracked > 0 && now -. !last_check >= check_every then begin
@@ -715,6 +803,9 @@ let attach_directory_impl ?(check_every = 2.0) ?(poll_every = 1.0) ?client_confi
               (Message.Sub_check { subscriber = self_addr })
           with
           | Message.Sub_ranges live ->
+            (* hash the answer: a compute tracks one range per fetched
+               timeline piece, so [keys] and [live] both grow with the
+               working set and a List.mem join is quadratic *)
             let live_set = Hashtbl.create (1 + List.length live) in
             List.iter (fun k -> Hashtbl.replace live_set k ()) live;
             List.iter
@@ -722,209 +813,30 @@ let attach_directory_impl ?(check_every = 2.0) ?(poll_every = 1.0) ?client_confi
                 if not (Hashtbl.mem live_set key) then begin
                   Obs.Counter.force_add m_sub_lost 1;
                   Log.warn (fun m ->
-                      m "subscription %s[%s,%s) lost at %s; will refetch" table lo hi
-                        addr);
+                      m "subscription %s[%s,%s) lost at %s; refetching" table lo hi addr);
                   Hashtbl.remove tracked key;
-                  (* directory mode heals lazily: drop the presence and
-                     let the next scan replan — the range may have been
-                     migrated to a different home since *)
-                  Server.unmark_present engine ~table ~lo ~hi
+                  refetch key
                 end)
               keys
           | _ -> ()
-          | exception Net_client.Net_error _ -> ())
+          | exception Net_client.Net_error _ ->
+            (* unreachable: scans surface it; the next heartbeat retries
+               once it returns *)
+            ())
         by_addr
     end
   in
+  (* a follower's first poll doubles as its bootstrap fetch *)
+  poll (Unix.gettimeofday ());
+  sync ();
+  govern ();
   let last_warm = ref neg_infinity in
   fun () ->
     let now = Unix.gettimeofday () in
     poll now;
-    if Directory.epoch dir > !applied then apply ();
+    sync ();
     if !warm_pending <> [] && now -. !last_warm >= 1.0 then begin
       last_warm := now;
       warm_replicas ()
     end;
     heal now
-
-let attach_static_impl ?(check_every = 2.0) ?client_config ?on_wait
-    ?(local_tables = fun _ -> false) ?server ~engine ~self_addr ~routes () =
-  List.iter
-    (fun r ->
-      match r.r_addr with
-      (* local wildcard slices cannot be pre-marked (no concrete table);
-         they resolve as `Fetch with no remote clamps -> Local instead *)
-      | None when not (String.equal r.r_table "*") ->
-        Server.mark_present engine ~table:r.r_table ~lo:r.r_lo ~hi:r.r_hi
-      | _ -> ())
-    routes;
-  if List.for_all (fun r -> r.r_addr = None) routes then fun () -> ()
-  else begin
-    let client_for = client_cache ?config:client_config ?on_wait (Server.obs engine) in
-    let m_fetch_out = Obs.counter (Server.obs engine) "peer.fetch.out" in
-    (* live subscriptions this server believes it holds: exactly the
-       (table, clamp) ranges whose Fetch was granted, keyed to the home
-       that granted them. The healing heartbeat audits this against the
-       home's own Sub_check answer. *)
-    let tracked : (string * string * string, string) Hashtbl.t = Hashtbl.create 16 in
-    let fetch_one = fetch_one ~engine ~client_for ~tracked ~m_fetch_out ~self_addr in
-    let async =
-      match server with
-      | None -> false
-      | Some srv ->
-        (* asynchronous read path: install the fetch engine on the
-           serving loop. A parked scan's missing ranges are re-planned
-           here into (table, clamp, home) fetches at issue time. *)
-        let fplan ~table ~lo ~hi =
-          if local_tables table then `Nothing
-          else
-            match plan ~routes ~table ~lo ~hi with
-            | `Unrouted | `Fetch [] -> `Nothing
-            | `Gap -> `Fail
-            | `Fetch clamps ->
-              `Clamps
-                (List.map
-                   (fun (r, flo, fhi) -> (table, flo, fhi, Option.get r.r_addr))
-                   clamps)
-        in
-        let fetcher = Fetcher.create ~server:srv ~engine ~self_addr ~plan:fplan ~tracked in
-        Net_server.set_fetcher srv (Fetcher.request fetcher);
-        true
-    in
-    Server.set_resolver engine (fun ~table ~lo ~hi ->
-        (* tables the caller declares always-local — the shard layer's
-           join outputs, which every shard recomputes from (fetched,
-           subscription-fresh) sources rather than fetching: a fetched
-           copy of a join output would freeze, because join-derived
-           writes are not client-origin and are never pushed *)
-        if local_tables table then Server.Local
-        else
-        match plan ~routes ~table ~lo ~hi with
-        | `Unrouted -> Server.Local
-        | `Gap ->
-          (* surface the misconfiguration instead of serving the gap as
-             present-and-empty: the scan reports the range missing *)
-          Log.warn (fun m ->
-              m "partition routes leave a gap inside %s[%s,%s); check --partition" table lo
-                hi);
-          Server.Deferred
-        | `Fetch [] -> Server.Local
-        | `Fetch clamps ->
-          if async && Server.collecting engine then
-            (* collect-mode scan under an asynchronous host: report the
-               miss and keep collecting; the host parks the scan and the
-               fetcher issues the whole missing set as one burst *)
-            Server.Deferred
-          else begin
-            (* blocking path (no async host installed, or a caller with
-               no retry loop above it — an updater firing inside a
-               feed_base, a bare scan/get): fetch each owning peer's
-               clamp inline; all must answer for the range to resolve *)
-            let rec fetch acc = function
-              | [] -> Server.Resolved (List.concat (List.rev acc))
-              | (r, flo, fhi) :: rest -> (
-                match fetch_one ~table ~lo:flo ~hi:fhi (Option.get r.r_addr) with
-                | Some pairs -> fetch (pairs :: acc) rest
-                | None -> Server.Deferred)
-            in
-            fetch [] clamps
-          end);
-    (* The healing heartbeat, run from the host's event loop: every
-       [check_every] seconds ask each home which of our subscriptions it
-       still holds. A range the home dropped (failed push while we were
-       blocked or down, home restart) is refetched — feed_base reconciles
-       the data and the Fetch re-subscribes — or, if the home is
-       unreachable, un-marked present so the next scan goes back through
-       the resolver. Without this, a dropped subscription would freeze
-       the fetched copy forever with no error. *)
-    let m_sub_lost = Obs.counter (Server.obs engine) "peer.sub.lost" in
-    let last_check = ref neg_infinity in
-    fun () ->
-      let now = Unix.gettimeofday () in
-      if Hashtbl.length tracked > 0 && now -. !last_check >= check_every then begin
-        last_check := now;
-        let by_addr = Hashtbl.create 4 in
-        Hashtbl.iter
-          (fun key addr ->
-            let prev = Option.value ~default:[] (Hashtbl.find_opt by_addr addr) in
-            Hashtbl.replace by_addr addr (key :: prev))
-          tracked;
-        Hashtbl.iter
-          (fun addr keys ->
-            match
-              Net_client.call ~timeout:2.0 (client_for addr)
-                (Message.Sub_check { subscriber = self_addr })
-            with
-            | Message.Sub_ranges live ->
-              (* hash the home's answer: a compute tracks one range per
-                 fetched timeline piece, so [keys] and [live] both grow
-                 with the working set and a List.mem join is quadratic *)
-              let live_set = Hashtbl.create (1 + List.length live) in
-              List.iter (fun k -> Hashtbl.replace live_set k ()) live;
-              List.iter
-                (fun ((table, lo, hi) as key) ->
-                  if not (Hashtbl.mem live_set key) then begin
-                    Obs.Counter.force_add m_sub_lost 1;
-                    Log.warn (fun m ->
-                        m "subscription %s[%s,%s) lost at %s; refetching" table lo hi addr);
-                    Hashtbl.remove tracked key;
-                    match fetch_one ~table ~lo ~hi addr with
-                    | Some pairs -> Server.feed_base engine ~table ~lo ~hi pairs
-                    | None ->
-                      (* cannot re-establish now: forget the presence so
-                         the next scan retries through the resolver *)
-                      Server.unmark_present engine ~table ~lo ~hi
-                  end)
-                keys
-            | _ -> ()
-            | exception Net_client.Net_error _ ->
-              (* home unreachable: scans surface it; the next heartbeat
-                 retries once it returns *)
-              ())
-          by_addr
-      end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The single configuration surface: one record, one attach.           *)
-
-module Config = struct
-  type routing =
-    | Static of route list
-    | Directory of { dir : Directory.t; seed : string option; poll_every : float }
-
-  type t = {
-    engine : Server.t;
-    self_addr : string;
-    routing : routing;
-    server : Net_server.t option;
-    check_every : float;
-    client_config : Net_client.config option;
-    on_wait : (unit -> unit) option;
-    local_tables : string -> bool;
-  }
-
-  let make ?(check_every = 2.0) ?client_config ?on_wait
-      ?(local_tables = fun _ -> false) ?server ~engine ~self_addr routing =
-    { engine; self_addr; routing; server; check_every; client_config; on_wait;
-      local_tables }
-
-  let directory ?(poll_every = 1.0) ?seed dir = Directory { dir; seed; poll_every }
-end
-
-let attach (cfg : Config.t) =
-  match cfg.Config.routing with
-  | Config.Static routes ->
-    attach_static_impl ~check_every:cfg.Config.check_every
-      ?client_config:cfg.Config.client_config ?on_wait:cfg.Config.on_wait
-      ~local_tables:cfg.Config.local_tables ?server:cfg.Config.server
-      ~engine:cfg.Config.engine ~self_addr:cfg.Config.self_addr ~routes ()
-  | Config.Directory { dir; seed; poll_every } ->
-    attach_directory_impl ~check_every:cfg.Config.check_every ~poll_every
-      ?client_config:cfg.Config.client_config ?on_wait:cfg.Config.on_wait ?seed
-      ~engine:cfg.Config.engine ~self_addr:cfg.Config.self_addr ~dir ()
-
-(* deprecated wrappers (one PR of grace); new code goes through
-   [Config.make] + [attach] *)
-let attach_routes = attach_static_impl
-let attach_directory = attach_directory_impl

@@ -1,27 +1,33 @@
 (** Live distributed deployment (§2.4/§3.3): wires a {!Net_client} into
     a cache engine as its missing-range resolver.
 
-    A server started with [--partition] routes learns which peer is the
-    {e home} for each base-table range. Ranges routed to this process are
-    marked present (home ownership). Ranges routed to a peer are fetched
-    on first need: the resolver sends [Fetch] naming this server's own
-    address as the subscriber, the home replies [Subscribed] with a
-    snapshot and starts pushing [Notify_batch] frames for every later
-    write in the range — the protocol the simulator models, between live
-    processes.
+    A server's routes say which peer is the {e home} of each base-table
+    range: a fixed route list (the shard layer's slices), or the
+    partition directory — fixed at epoch 1 by [--partition] specs, or
+    polled from a seed. Ranges routed to this process are marked present
+    (home ownership). Ranges routed to a peer are fetched on first need:
+    a [Fetch] names this server's own address as the subscriber, and the
+    home (or a read replica) replies [Subscribed] with a snapshot and
+    starts pushing [Notify_batch] frames for every later write in the
+    range — the protocol the simulator models, between live processes.
 
-    A fetch that fails (peer down, after the client's bounded retries)
-    resolves as [Deferred]: the scan reports the range as missing and the
-    server answers that client with an [Error] instead of crashing; the
-    next scan retries, so a respawned peer heals the route.
+    A scan that misses parks instead of blocking the event loop: the
+    fetcher issues its whole missing set as one pipelined burst per
+    peer, single-flighted across waiters. A fetch whose every candidate
+    (the range's replicas, then its home) fails answers the parked scan
+    [Error] instead of crashing; the next scan retries, so a respawned
+    peer heals the route. Resolver calls with no retry loop above them
+    fetch inline through blocking clients that keep the server's loop
+    turning ({!Net_server.on_wait}).
 
     Subscriptions self-heal: the tick returned by {!attach} periodically
-    sends [Sub_check] to every home this server fetched from and compares
+    sends [Sub_check] to every server this one fetched from and compares
     the answer against the subscriptions it believes it holds. A range
-    the home dropped (a failed push, a home restart) is refetched —
-    [feed_base] reconciles the data and the [Fetch] re-subscribes — or,
-    if the home is unreachable, un-marked present so the next scan goes
-    back through the resolver. Losses are counted in [peer.sub.lost]. *)
+    the server dropped (a failed push, a restart) is re-planned against
+    the current routes and refetched — [feed_base] reconciles the data
+    and the [Fetch] re-subscribes — or, if no owner answers, un-marked
+    present so the next scan goes back through the resolver. Losses are
+    counted in [peer.sub.lost]. *)
 
 (** One partition route. [r_addr = None] means this process is the home
     (the range is marked present); [Some "host:port"] names the owning
@@ -45,7 +51,8 @@ type route = {
     the [--peer] list: an explicit [@HOST:PORT] wins; a bare spec is
     owned by the single [--peer] when exactly one is given, is local
     when none is, and is an error (ambiguous) with several. A bare
-    [TABLE] covers the whole table. *)
+    [TABLE] covers the whole table. ["*"] is an error: it is not a
+    table. *)
 val routes_of_specs :
   peers:string list -> string list -> (route list, string) result
 
@@ -67,102 +74,33 @@ val plan :
 val routes_of_entries :
   self_addr:string -> Pequod_proto.Message.dir_entry list -> route list
 
-(** The single configuration surface for wiring an engine into the
-    cluster. One record names everything the old
-    [attach]/[attach_directory]/[set_fetcher] sprawl took as scattered
-    optional arguments; {!attach} is the one entry point. *)
-module Config : sig
-  (** Where routes come from: a static [--partition] route list, or a
-      live partition directory (a {!Directory.t} shared with
-      {!Net_server.set_directory}) re-planned on every epoch change.
-      [seed = None] means this server {e is} the seed; [poll_every] is
-      the follower's seed-poll period in seconds. *)
-  type routing =
-    | Static of route list
-    | Directory of { dir : Directory.t; seed : string option; poll_every : float }
+(** Where routes come from. [Fixed routes] apply once. [Directory]
+    routes come from a {!Directory.t} shared with
+    {!Net_server.set_directory} and re-plan on every epoch change;
+    [seed = None] means the directory is installed locally (a seed, or
+    a server whose [--partition] specs fixed it), otherwise the tick
+    polls [seed] every [poll_every] seconds. *)
+type source =
+  | Fixed of route list
+  | Directory of { dir : Directory.t; seed : string option; poll_every : float }
 
-  type t = {
-    engine : Pequod_core.Server.t;
-    self_addr : string;  (** this server's advertised host:port *)
-    routing : routing;
-    server : Net_server.t option;
-        (** the {!Net_server.t} serving [engine]: turns on the
-            asynchronous read path (parked scans, batched single-flight
-            fetches). [None]: the blocking resolver. Static routing
-            only. *)
-    check_every : float;  (** [Sub_check] healing period, seconds *)
-    client_config : Net_client.config option;
-        (** per-peer retry/timeout override *)
-    on_wait : (unit -> unit) option;
-        (** threaded into every peer client (see {!Net_client.create})
-            so the owning loop keeps serving while a fetch blocks *)
-    local_tables : string -> bool;
-        (** tables the resolver treats as always-local regardless of
-            routes (the shard layer's join outputs) *)
-  }
+(** Install [source]'s routing on [server]'s engine — the resolver and
+    the asynchronous fetcher — and return the maintenance tick: run it
+    from the serving loop ({!Net_server.add_ticker}). Call once, before
+    serving; a follower's first seed poll happens here.
 
-  (** Build a config; defaults: [check_every = 2.0], no client-config
-      override, no [on_wait], no always-local tables, blocking
-      resolver. *)
-  val make :
-    ?check_every:float ->
-    ?client_config:Net_client.config ->
-    ?on_wait:(unit -> unit) ->
-    ?local_tables:(string -> bool) ->
-    ?server:Net_server.t ->
-    engine:Pequod_core.Server.t -> self_addr:string -> routing -> t
-
-  (** [directory ?poll_every ?seed dir] — shorthand for the
-      {!Directory} routing case ([poll_every] defaults to 1s). *)
-  val directory : ?poll_every:float -> ?seed:string -> Directory.t -> routing
-end
-
-(** Install the configured routing on the engine and return the
-    maintenance tick — run it from the serving event loop
-    ({!Net_server.add_ticker}). Call once, before serving.
-
-    With {!Config.Static} routes: local routes are marked present;
-    remote routes install a resolver that fetches from the owning peers
-    and subscribes as [self_addr], and the tick heals subscriptions
-    (one [Sub_check] round per [check_every] seconds, counted in
-    [peer.sub.lost]). With [server] set, scans that miss park instead
-    of blocking: the fetch engine issues a parked scan's whole missing
-    set as one pipelined burst per owning peer, single-flighted across
-    waiters ([fetch.coalesced], [fetch.inflight],
-    [resolver.fetch.wait_ns]).
-
-    With {!Config.Directory}: routes come from the directory and
-    re-plan on every epoch change — newly owned ranges are marked
-    present, formerly owned ones un-marked, orphaned subscriptions
-    dropped, replica duty fetch+subscribed eagerly — and the tick also
-    polls the seed ([dir.fetch], [dir.epoch]).
+    Every change of routes marks and un-marks owned ranges by diff,
+    drops subscriptions whose granting server the routes no longer name,
+    and warms the ranges this server replicates (fetch+subscribe from
+    the home). A wildcard route never claims a table an installed join
+    outputs into. The tick polls the seed ([dir.fetch], [dir.epoch]) and
+    heals subscriptions every [check_every] seconds ([peer.sub.lost]).
+    Parked scans report [scan.parked], [fetch.coalesced],
+    [fetch.inflight] and [resolver.fetch.wait_ns].
 
     Every [Subscribed] snapshot's version stamp is recorded against the
     fed range ({!Pequod_core.Server.set_range_stamp}), so stamped
     session reads (docs/SESSIONS.md) can tell a fresh copy from a stale
     one — on replicas exactly as on computes. *)
-val attach : Config.t -> unit -> unit
-
-(** Deprecated pre-{!Config} entry point (static routes); use
-    {!Config.make} + {!attach}. *)
-val attach_routes :
-  ?check_every:float ->
-  ?client_config:Net_client.config ->
-  ?on_wait:(unit -> unit) ->
-  ?local_tables:(string -> bool) ->
-  ?server:Net_server.t ->
-  engine:Pequod_core.Server.t -> self_addr:string -> routes:route list -> unit ->
-  unit -> unit
-  [@@deprecated "use Remote.Config.make + Remote.attach"]
-
-(** Deprecated pre-{!Config} entry point (directory routing); use
-    {!Config.make} + {!attach}. *)
-val attach_directory :
-  ?check_every:float ->
-  ?poll_every:float ->
-  ?client_config:Net_client.config ->
-  ?on_wait:(unit -> unit) ->
-  ?seed:string ->
-  engine:Pequod_core.Server.t -> self_addr:string -> dir:Directory.t -> unit ->
-  unit -> unit
-  [@@deprecated "use Remote.Config.make + Remote.attach"]
+val attach :
+  server:Net_server.t -> self_addr:string -> check_every:float -> source -> unit -> unit

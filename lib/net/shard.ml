@@ -18,13 +18,11 @@
    while B forwards to A), so a shard never blocks dead on a sibling —
    while waiting for a sibling's response it keeps serving its own
    internal traffic through nested event-loop steps (the Net_client
-   [on_wait] hook; see Net_server.step). *)
+   [on_wait] hook; see Net_server.on_wait). *)
 
 module Server = Pequod_core.Server
 module Config = Pequod_core.Config
 module Message = Pequod_proto.Message
-module Pattern = Pequod_pattern.Pattern
-module Joinspec = Pequod_pattern.Joinspec
 
 let src = Logs.Src.create "pequod.shard"
 
@@ -138,11 +136,6 @@ let shard_config template ~shards ~i =
   | Some m -> c.Config.memory_limit <- Some (max 1 (m / shards)));
   c
 
-let is_sink engine table =
-  List.exists
-    (fun spec -> String.equal (Pattern.table (Joinspec.output spec)) table)
-    (Server.joins engine)
-
 (* Stats_full, aggregated: sum counters and gauges across shards under
    their own names, and additionally expose every shard.* counter per
    shard as shard.<i>.<suffix> (shard.ops -> shard.0.ops). Histogram
@@ -218,9 +211,6 @@ let create ?config ?backend ?metrics_every ?(sub_check_every = 2.0)
   Array.iteri
     (fun i srv ->
       let engine = Net_server.engine srv in
-      (* serving while blocked: drive a zero-timeout step of this
-         shard's own loop between waiting slices *)
-      let on_wait () = Net_server.step ~timeout:0.0 srv in
       if shards > 1 then begin
         let routes =
           List.init shards (fun j ->
@@ -228,22 +218,20 @@ let create ?config ?backend ?metrics_every ?(sub_check_every = 2.0)
               { Remote.r_table = "*"; r_lo; r_hi;
                 r_addr = (if j = i then None else Some (addr j)) })
         in
-        let heal =
-          Remote.attach
-            (Remote.Config.make ~check_every:sub_check_every ~on_wait
-               ~local_tables:(is_sink engine) ~server:srv ~engine ~self_addr:(addr i)
-               (Remote.Config.Static routes))
-        in
-        Net_server.add_ticker srv heal;
+        Net_server.add_ticker srv
+          (Remote.attach ~server:srv ~self_addr:(addr i) ~check_every:sub_check_every
+             (Remote.Fixed routes));
         (* forwarding clients, one per sibling, separate from the
            resolver's fetch clients so a slow fetch never queues behind
-           point-write traffic *)
+           point-write traffic; waits keep this shard's loop serving *)
         let clients =
           Array.init shards (fun j ->
               if j = i then None
               else
                 let h, p = (advertise, Net_server.port servers.(j)) in
-                Some (Net_client.create ~obs:(Server.obs engine) ~on_wait ~host:h ~port:p ()))
+                Some
+                  (Net_client.create ~obs:(Server.obs engine)
+                     ~on_wait:(Net_server.on_wait srv) ~host:h ~port:p ()))
         in
         let client j =
           match clients.(j) with Some c -> c | None -> invalid_arg "Shard: self call"

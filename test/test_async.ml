@@ -1,7 +1,7 @@
-(* The asynchronous remote read path (Remote.attach ~server): parked
-   scans, fan-out fetch batching, and single-flight coalescing, driven
-   over real TCP sockets in one process with manually-stepped event
-   loops — a home server and a compute server whose scans miss. *)
+(* The asynchronous remote read path (Remote.attach): parked scans,
+   fan-out fetch batching, and single-flight coalescing, driven over
+   real TCP sockets in one process with manually-stepped event loops —
+   a home server and a compute server whose scans miss. *)
 
 module Net_server = Pequod_server_lib.Net_server
 module Remote = Pequod_server_lib.Remote
@@ -88,9 +88,8 @@ let test_single_flight () =
     | Error e -> Alcotest.fail e
   in
   let _heal =
-    Remote.attach
-      (Remote.Config.make ~server:compute ~engine:(Net_server.engine compute)
-         ~self_addr:(addr_of compute) (Remote.Config.Static routes))
+    Remote.attach ~server:compute ~self_addr:(addr_of compute) ~check_every:2.0
+      (Remote.Fixed routes)
   in
   let fd = connect compute in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
@@ -129,9 +128,8 @@ let test_park_failure () =
     | Error e -> Alcotest.fail e
   in
   let _heal =
-    Remote.attach
-      (Remote.Config.make ~server:compute ~engine:(Net_server.engine compute)
-         ~self_addr:(addr_of compute) (Remote.Config.Static routes))
+    Remote.attach ~server:compute ~self_addr:(addr_of compute) ~check_every:2.0
+      (Remote.Fixed routes)
   in
   let fd = connect compute in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
@@ -160,38 +158,39 @@ let test_park_failure () =
   check_bool "failed scan parked" true (counter compute "scan.parked" >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* async == sync equivalence                                           *)
+(* remote == single-server equivalence                                 *)
 
 let users = [| "ann"; "bob"; "cat"; "dan"; "eve" |]
 
-(* One random interleaving of home writes and compute timeline reads,
-   identical for both modes at the same seed: returns the raw wire
-   response frames of every compute request, in order. *)
-let run_transcript ~async seed =
+(* One random interleaving of base writes and timeline reads, the same
+   for both modes at the same seed: returns the raw wire response frames
+   of every read, in order. [`Remote] writes to a home and reads from a
+   compute fetching from it on the asynchronous path; [`Single] sends
+   everything to one server that owns s and p and runs the join itself
+   — the reference, with no remote path at all. *)
+let run_transcript mode seed =
   with_server ~joins:[] @@ fun home ->
   with_server ~joins:[ timeline_join ] @@ fun compute ->
-  let h = Net_server.engine home in
-  Server.mark_present h ~table:"s" ~lo:"s|" ~hi:"s}";
-  Server.mark_present h ~table:"p" ~lo:"p|" ~hi:"p}";
-  let routes =
-    match Remote.routes_of_specs ~peers:[ addr_of home ] [ "s"; "p" ] with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
+  let writer =
+    match mode with
+    | `Single -> compute
+    | `Remote ->
+      let h = Net_server.engine home in
+      Server.mark_present h ~table:"s" ~lo:"s|" ~hi:"s}";
+      Server.mark_present h ~table:"p" ~lo:"p|" ~hi:"p}";
+      let routes =
+        match Remote.routes_of_specs ~peers:[ addr_of home ] [ "s"; "p" ] with
+        | Ok r -> r
+        | Error e -> Alcotest.fail e
+      in
+      let _heal =
+        Remote.attach ~server:compute ~self_addr:(addr_of compute) ~check_every:2.0
+          (Remote.Fixed routes)
+      in
+      home
   in
   let servers = [ compute; home ] in
-  let on_wait () = Net_server.step ~timeout:0.001 home in
-  let _heal =
-    if async then
-      Remote.attach
-        (Remote.Config.make ~server:compute ~on_wait
-           ~engine:(Net_server.engine compute) ~self_addr:(addr_of compute)
-           (Remote.Config.Static routes))
-    else
-      Remote.attach
-        (Remote.Config.make ~on_wait ~engine:(Net_server.engine compute)
-           ~self_addr:(addr_of compute) (Remote.Config.Static routes))
-  in
-  let hfd = connect home in
+  let hfd = connect writer in
   let cfd = connect compute in
   Fun.protect
     ~finally:(fun () ->
@@ -237,17 +236,17 @@ let run_transcript ~async seed =
 let test_equivalence () =
   List.iter
     (fun seed ->
-      let sync_t = run_transcript ~async:false seed in
-      let async_t = run_transcript ~async:true seed in
+      let reference = run_transcript `Single seed in
+      let remote = run_transcript `Remote seed in
       check_bool
         (Printf.sprintf "seed %d: same transcript length" seed)
         true
-        (List.length sync_t = List.length async_t);
+        (List.length reference = List.length remote);
       List.iteri
         (fun i (s, a) ->
           if not (String.equal s a) then
-            Alcotest.failf "seed %d: response %d differs between sync and async" seed i)
-        (List.combine sync_t async_t))
+            Alcotest.failf "seed %d: response %d differs from the single server" seed i)
+        (List.combine reference remote))
     [ 1; 7; 42; 1234 ]
 
 let () =
@@ -257,6 +256,6 @@ let () =
         [
           Alcotest.test_case "single-flight coalescing" `Quick test_single_flight;
           Alcotest.test_case "parked failure keeps order" `Quick test_park_failure;
-          Alcotest.test_case "sync == async transcripts" `Quick test_equivalence;
+          Alcotest.test_case "remote == single server" `Quick test_equivalence;
         ] );
     ]

@@ -286,6 +286,14 @@ let test_fetch_dedup () =
    fetch clamps carry only the remotely-owned intersections. *)
 let test_remote_plan () =
   let route table lo hi addr = { Remote.r_table = table; r_lo = lo; r_hi = hi; r_addr = addr } in
+  (* "*" is the shard layer's component-space wildcard: a spec's
+     key-space bounds must never be read as one *)
+  List.iter
+    (fun spec ->
+      match Remote.routes_of_specs ~peers:[] [ "s"; spec ] with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "spec %S must be rejected" spec)
+    [ "*"; "*@127.0.0.1:1"; "*:a:b@127.0.0.1:1" ];
   let split =
     [ route "p" "p|" "p|m" (Some "h1:1"); route "p" "p|m" "p}" (Some "h2:1") ]
   in

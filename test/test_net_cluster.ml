@@ -16,6 +16,7 @@
 
 module Message = Pequod_proto.Message
 module Net_client = Pequod_server_lib.Net_client
+module Directory = Pequod_server_lib.Directory
 
 let check_bool = Alcotest.(check bool)
 
@@ -673,6 +674,136 @@ let test_session_stale_on_dead_owner () =
           | pairs -> List.mem_assoc "t|ann|0000000200|bob" pairs
           | exception Session.Stale _ -> false))
 
+(* ------------------------------------------------------------------ *)
+(* Directory mode: read replicas and subscription healing.            *)
+
+(* [f ~start ~client] with every spawned server and client torn down
+   afterwards: [start args] boots a server and returns (pid, port),
+   [client port] connects a tracked client *)
+let with_cluster f =
+  let pids = ref [] in
+  let clients = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun c -> try Net_client.close c with _ -> ()) !clients;
+      List.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+        !pids)
+    (fun () ->
+      let start args =
+        let pid, out = spawn args in
+        pids := pid :: !pids;
+        (pid, read_port out)
+      in
+      let client port =
+        let c = Net_client.create ~host:"127.0.0.1" ~port () in
+        clients := c :: !clients;
+        c
+      in
+      f ~start ~client)
+
+let dir_update client ~epoch entries =
+  match Net_client.call client (Message.Dir_update { epoch; entries }) with
+  | Message.Done -> ()
+  | Message.Error msg -> Alcotest.failf "Dir_update failed: %s" msg
+  | _ -> Alcotest.fail "unexpected Dir_update response"
+
+(* A read replica end to end: the seed homes s and p, a follower becomes
+   a replica of p through Dir_update (what pequod_ctl replicate sends),
+   and a third server computes timelines. The replica warms and serves
+   its copy (replica.reads), pushes keep the compute fresh, and once the
+   replica is killed reads still answer through the home — a dead
+   replica costs a fallback, never the answer. *)
+let test_replica () =
+  with_cluster @@ fun ~start ~client ->
+  let _, port_a =
+    start [ "--port"; "0"; "--dir-host"; "--partition"; "s"; "--partition"; "p" ]
+  in
+  let addr_a = Printf.sprintf "127.0.0.1:%d" port_a in
+  let pid_b, port_b = start [ "--port"; "0"; "--directory"; addr_a ] in
+  let addr_b = Printf.sprintf "127.0.0.1:%d" port_b in
+  let _, port_c = start [ "--port"; "0"; "--join"; timeline_join; "--directory"; addr_a ] in
+  let seed = client port_a in
+  let replica = client port_b in
+  let compute = client port_c in
+  put_ok seed "s|ann|bob" "1";
+  put_ok seed "p|bob|0000000100" "hi";
+  let epoch, entries = dir_state seed in
+  (match Directory.add_replica entries ~table:"p" ~lo:"p|" ~hi:"p}" ~addr:addr_b with
+  | Ok entries -> dir_update seed ~epoch:(epoch + 1) entries
+  | Error msg -> Alcotest.failf "add_replica: %s" msg);
+  List.iter
+    (fun c ->
+      poll ~timeout:10.0 ~what:"followers to adopt the replica epoch" (fun () ->
+          fst (dir_state c) = epoch + 1))
+    [ replica; compute ];
+  poll ~timeout:10.0 ~what:"the replica to warm" (fun () ->
+      get_value replica "p|bob|0000000100" = Ok (Some "hi"));
+  check_bool "replica served its copy" true (counter_of replica "replica.reads" >= 1);
+  (match scan_pairs compute "t|ann|" "t|ann}" with
+  | Ok [ ("t|ann|0000000100|bob", "hi") ] -> ()
+  | Ok pairs -> Alcotest.failf "timeline: %d pairs" (List.length pairs)
+  | Error msg -> Alcotest.failf "timeline failed: %s" msg);
+  put_ok seed "p|bob|0000000200" "yo";
+  poll ~timeout:10.0 ~what:"the push to reach the compute timeline" (fun () ->
+      match scan_pairs compute "t|ann|" "t|ann}" with
+      | Ok pairs -> List.mem_assoc "t|ann|0000000200|bob" pairs
+      | Error _ -> false);
+  Unix.kill pid_b Sys.sigkill;
+  ignore (Unix.waitpid [] pid_b);
+  (* a cold timeline fetches its p range past the dead replica *)
+  put_ok seed "s|dee|liz" "1";
+  put_ok seed "p|liz|0000000300" "back";
+  (match scan_pairs compute "t|dee|" "t|dee}" with
+  | Ok [ ("t|dee|0000000300|liz", "back") ] -> ()
+  | Ok pairs -> Alcotest.failf "cold timeline after replica death: %d pairs" (List.length pairs)
+  | Error msg -> Alcotest.failf "cold timeline after replica death failed: %s" msg);
+  match scan_pairs compute "t|ann|" "t|ann}" with
+  | Ok (_ :: _) -> ()
+  | Ok [] -> Alcotest.fail "warm timeline lost after replica death"
+  | Error msg -> Alcotest.failf "warm timeline after replica death: %s" msg
+
+(* [test_cluster]'s healing steps on a directory-routed compute: the
+   home of p restarts on its port and forgets the compute's
+   subscription. The heartbeat must refetch the range, not only forget
+   it — the already-valid t|ann output would keep serving its frozen
+   copy. *)
+let test_directory_heal () =
+  with_cluster @@ fun ~start ~client ->
+  let _, port_a = start [ "--port"; "0"; "--dir-host" ] in
+  let addr_a = Printf.sprintf "127.0.0.1:%d" port_a in
+  let home_b_args port = [ "--port"; string_of_int port; "--directory"; addr_a ] in
+  let pid_b, port_b = start (home_b_args 0) in
+  let _, port_c = start [ "--port"; "0"; "--join"; timeline_join; "--directory"; addr_a ] in
+  let seed = client port_a in
+  let compute = client port_c in
+  let entry table home =
+    { Message.de_table = table; de_lo = table ^ "|"; de_hi = table ^ "}"; de_home = home;
+      de_replicas = [] }
+  in
+  dir_update seed ~epoch:1
+    [ entry "s" addr_a; entry "p" (Printf.sprintf "127.0.0.1:%d" port_b) ];
+  poll ~timeout:10.0 ~what:"the compute to adopt the directory" (fun () ->
+      fst (dir_state compute) = 1);
+  put_ok seed "s|ann|bob" "1";
+  put_ok (client port_b) "p|bob|0000000100" "hi";
+  (match scan_pairs compute "t|ann|" "t|ann}" with
+  | Ok [ ("t|ann|0000000100|bob", "hi") ] -> ()
+  | Ok pairs -> Alcotest.failf "first scan: %d pairs" (List.length pairs)
+  | Error msg -> Alcotest.failf "first scan failed: %s" msg);
+  Unix.kill pid_b Sys.sigkill;
+  ignore (Unix.waitpid [] pid_b);
+  let _, port_b2 = start (home_b_args port_b) in
+  check_bool "respawned on the same port" true (port_b2 = port_b);
+  put_ok (client port_b) "p|bob|0000000400" "anew";
+  poll ~timeout:15.0 ~what:"sub_check healing after the home respawn" (fun () ->
+      match scan_pairs compute "t|ann|" "t|ann}" with
+      | Ok pairs -> List.mem_assoc "t|ann|0000000400|bob" pairs
+      | Error _ -> false);
+  check_bool "loss detected and counted" true (counter_of compute "peer.sub.lost" >= 1)
+
 let () =
   Alcotest.run "net-cluster"
     [
@@ -682,6 +813,8 @@ let () =
           Alcotest.test_case "migrate then verify" `Quick test_migrate_then_verify;
           Alcotest.test_case "kill -9 source mid-migration" `Quick
             test_migration_crash_safety;
+          Alcotest.test_case "replica warms, fails over" `Quick test_replica;
+          Alcotest.test_case "heartbeat refetches lost sub" `Quick test_directory_heal;
         ] );
       ( "session",
         [
