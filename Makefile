@@ -2,7 +2,7 @@
 # test suite (unit, integration, property-based, and the persist
 # fault-injection tests in test/test_persist.ml).
 
-.PHONY: check build test bench micro micro-smoke net-smoke cluster-bench cluster-smoke fuzz fuzz-replay doc linkcheck clean
+.PHONY: check build test bench micro micro-smoke net-smoke cluster-bench cluster-smoke perfbench-smoke fuzz fuzz-replay doc linkcheck clean
 
 check: ; dune build && dune runtest
 
@@ -85,6 +85,16 @@ cluster-smoke:
 	grep -Eq '"scan_parked": [1-9]' BENCH_cluster_migrate.json \
 		|| { echo "FAIL: no scans parked on the directory-routed compute" >&2; exit 1; }
 	rm -f BENCH_cluster_migrate.json
+
+# CI smoke for the repository benchmark (perfbench/, BENCHMARK.json): a
+# 2 s twip-static run on a live home + compute pair. Its last output line
+# is the JSON result; the run must check out correct with no failed op.
+perfbench-smoke:
+	@line=$$(python3 perfbench/run.py --workload twip-static --seed 1 --seconds 2 --trace 0 \
+		| tail -n 1); \
+	echo "$$line"; \
+	echo "$$line" | grep -q '"correct": true' && echo "$$line" | grep -Eq '"failed": 0[,}]' \
+		|| { echo "FAIL: perfbench smoke was not correct or had failed ops" >&2; exit 1; }
 
 # model-based differential fuzzing: replay seeded op sequences against
 # the engine and the naive oracle (test/fuzz/).  Deterministic given

@@ -142,11 +142,14 @@ let bench_codec_roundtrip =
     (Staged.stage (fun () -> ignore (Message.decode_request (Message.encode_request req))))
 
 (* The batched write pipeline, measured at the engine level: sequential
-   puts pay table resolution, a full tree descent and an updater stab per
-   key; put_batch sorts once, threads insertion hints across each run and
-   coalesces the stabs. Sorted vs shuffled separates the hint win from
-   the stab/resolution win; the updater variants add a live copy join so
-   the coalesced-stab path is on the measured path. *)
+   puts pay table resolution and a full tree descent per key; put_batch
+   sorts once and threads insertion hints across each run. Both paths
+   stab the updater tree once per key. Sorted vs shuffled separates the
+   hint win from the resolution win; the updater variants add a live
+   copy join so updater firing is on the measured path. The dense ones
+   put every key under one updater; the sparse ones scatter small
+   batches over 10k disjoint updaters, the shape of a subscription push
+   (Notify_batch) reaching a compute server. *)
 module Engine = Pequod_core.Server
 
 let batch_pairs n = List.init n (fun i -> (Printf.sprintf "b|u%03d|%010d" (i / 256) i, "v"))
@@ -175,6 +178,34 @@ let bench_put_path ~name ~batched ~updater pairs =
          if batched then Engine.put_batch s pairs
          else List.iter (fun (k, v) -> Engine.put s k v) pairs))
 
+(* One engine with a materialized copy output per user, so 10k disjoint
+   updaters over b|; each run writes 16 batches of 4 keys at scattered
+   users. The keys repeat across runs, so the store does not grow. *)
+let sparse_users = 10_000
+
+let sparse_engine () =
+  let s = Engine.create () in
+  Engine.add_join_exn s "bb|<u>|<i> = copy b|<u>|<i>";
+  for u = 0 to sparse_users - 1 do
+    ignore (Engine.scan s ~lo:(Printf.sprintf "bb|u%05d|" u) ~hi:(Printf.sprintf "bb|u%05d}" u))
+  done;
+  s
+
+let sparse_batches =
+  let rng = Rng.create 0x5BA75 in
+  List.init 16 (fun _ ->
+      List.init 4 (fun i ->
+          (Printf.sprintf "b|u%05d|%010d" (Rng.int rng sparse_users) i, "v")))
+
+let bench_put_sparse ~name ~batched s =
+  Test.make ~name
+    (Staged.stage (fun () ->
+         List.iter
+           (fun pairs ->
+             if batched then Engine.put_batch s pairs
+             else List.iter (fun (k, v) -> Engine.put s k v) (List.sort compare pairs))
+           sparse_batches))
+
 let put_seq_10k_sorted = "server put 10k sequential (sorted)"
 let put_batch_10k_sorted = "server put 10k batched (sorted)"
 
@@ -182,6 +213,7 @@ let batch_tests =
   let p1k = batch_pairs 1_000 in
   let p10k = batch_pairs 10_000 in
   let s10k = shuffled_pairs 10_000 in
+  let sparse = sparse_engine () in
   [
     bench_put_path ~name:"server put 1k sequential (sorted)" ~batched:false ~updater:false p1k;
     bench_put_path ~name:"server put 1k batched (sorted)" ~batched:true ~updater:false p1k;
@@ -192,6 +224,8 @@ let batch_tests =
     bench_put_path ~name:"server put 1k sequential (sorted, updater)" ~batched:false ~updater:true
       p1k;
     bench_put_path ~name:"server put 1k batched (sorted, updater)" ~batched:true ~updater:true p1k;
+    bench_put_sparse ~name:"server put sequential (sparse, 10k updaters)" ~batched:false sparse;
+    bench_put_sparse ~name:"server put batched (sparse, 10k updaters)" ~batched:true sparse;
   ]
 
 let all_tests =

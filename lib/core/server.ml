@@ -105,10 +105,6 @@ type tbl_meta = {
      One map serves both roles — a migration flips a range from fetched
      to owned and the counter continues where the feed left it *)
   mutable stamps : int Range_map.t option;
-  (* bumped whenever an entry enters or leaves [updaters]: put_batch
-     prefetches one overlap list per key run and must notice when firing
-     an updater installs or retracts entries mid-run *)
-  mutable gen : int;
 }
 
 (* Resolver answers for a missing base range (§3.3). *)
@@ -163,7 +159,6 @@ type metrics = {
   evictions : Obs.Counter.t; (* evict.cover *)
   pulls : Obs.Counter.t; (* exec.pull *)
   put_batches : Obs.Counter.t; (* op.put_batch *)
-  coalesced_stabs : Obs.Counter.t; (* updater.coalesced_stabs *)
   scan_ns : Obs.Histogram.t; (* op.scan.ns *)
   scan_pairs : Obs.Histogram.t; (* op.scan.pairs *)
   put_bytes : Obs.Histogram.t; (* store.put.bytes *)
@@ -192,7 +187,6 @@ let make_metrics obs =
     evictions = Obs.counter obs "evict.cover";
     pulls = Obs.counter obs "exec.pull";
     put_batches = Obs.counter obs "op.put_batch";
-    coalesced_stabs = Obs.counter obs "updater.coalesced_stabs";
     scan_ns = Obs.histogram obs "op.scan.ns";
     scan_pairs = Obs.histogram obs "op.scan.pairs";
     put_bytes = Obs.histogram obs "store.put.bytes";
@@ -263,8 +257,7 @@ let meta t name =
               combine_index = Hashtbl.create 64;
               present = None;
               owned = None;
-              stamps = None;
-              gen = 0 }
+              stamps = None }
     in
     Hashtbl.add t.meta name m;
     m
@@ -405,7 +398,13 @@ and apply_remove t key =
 
 (* Every write runs the updaters stabbing the key (§3.2). *)
 and notify t key ~old_value ~new_value ~change =
-  let m = meta t (Store.table_name_of key) in
+  fire t (meta t (Store.table_name_of key)) key ~old_value ~new_value ~change
+
+(* [notify] with the key's table meta already resolved: one stab, then
+   every context of every hit. The hits are collected before any fires,
+   so an updater installed by this key's own firing waits for the next
+   write, whether the writes arrive one by one or as a batch. *)
+and fire t m key ~old_value ~new_value ~change =
   if Interval_map.size m.updaters > 0 then begin
     let hits = ref [] in
     Interval_map.stab m.updaters key (fun e -> hits := Interval_map.handle_data e :: !hits);
@@ -550,7 +549,6 @@ and retract_binding t join b ~lo ~hi =
    index (which must never point at a removed entry) *)
 and delete_updater_entry t m e =
   ignore t;
-  m.gen <- m.gen + 1;
   Interval_map.remove m.updaters e;
   let up = Interval_map.handle_data e in
   let slo, shi = Interval_map.handle_range e in
@@ -632,7 +630,6 @@ and install_updater t join ~source_idx ~kind ~slo ~shi ~cx =
       | None ->
         Obs.Counter.incr t.hot.installed;
         let up = { up_join = join; up_source = source_idx; up_kind = kind; up_contexts = [ cx ] } in
-        m.gen <- m.gen + 1;
         let e = Interval_map.add m.updaters ~lo:slo ~hi:shi up in
         if t.config.Config.combine_updaters then Hashtbl.replace m.combine_index ckey e;
         register e
@@ -1261,76 +1258,33 @@ let remove t key =
   emit t (M_remove key)
 
 (* One contiguous run of a batch: every key lives in table [tname],
-   ascending. The table and its meta are resolved once; insertion hints
-   thread from each put to the next (sorted runs hit the §4.2 O(1)
-   append path); and instead of stabbing the updater interval tree per
-   key, the overlap list for the whole run is fetched once and filtered
-   by containment per key. Filtering an in-order [iter_overlapping] list
-   reproduces [notify]'s stab order exactly; [m.gen] detects updater
-   installs/retractions caused by the firing itself, forcing a refetch
-   so no key fires against a stale list. *)
+   ascending. The table and its meta are resolved once, and insertion
+   hints thread from each put to the next (sorted runs hit the §4.2 O(1)
+   append path). Each key then fires through the same per-key stab as a
+   single put, O(log n + matches): a notification batch scatters a few
+   keys over a table with thousands of disjoint updaters, so anything
+   spanning the whole run would walk updaters no key touches. *)
 let apply_batch_run t tname run =
   let tbl = Store.table t.store tname in
   let m = meta t tname in
   let hint = ref None in
-  let put_cell key data =
-    Obs.Counter.incr t.hot.puts;
-    Obs.Histogram.observe t.hot.put_bytes (String.length data);
-    let handle, old = Table.put ?hint:!hint tbl key { data; charged = String.length data } in
-    hint := Some handle;
-    (match old with Some oc -> t.value_bytes <- t.value_bytes - oc.charged | None -> ());
-    t.value_bytes <- t.value_bytes + String.length data;
-    old
-  in
-  (* A run into a table with no updaters needs none of the overlap-list
-     bookkeeping below, and nothing can install an updater mid-run (only
-     an updater firing can): the whole run is hinted tree appends. The
-     bulk-load case — and what the sorted put_batch microbenchmark
-     measures. *)
-  if Interval_map.size m.updaters = 0 then
-    List.iter (fun (key, data) -> ignore (put_cell key data)) run
-  else begin
-  let run_lo = fst (List.hd run) in
-  let run_hi =
-    Strkey.key_after (List.fold_left (fun _ (k, _) -> k) run_lo run)
-  in
-  let snap_gen = ref (-1) in
-  let overlaps = ref [] in
-  let refetch () =
-    snap_gen := m.gen;
-    let acc = ref [] in
-    Interval_map.iter_overlapping m.updaters ~lo:run_lo ~hi:run_hi (fun e -> acc := e :: !acc);
-    overlaps := List.rev !acc
-  in
   List.iter
     (fun (key, data) ->
-      let old = put_cell key data in
-      if Interval_map.size m.updaters > 0 then begin
-        if !snap_gen = m.gen then Obs.Counter.incr t.hot.coalesced_stabs else refetch ();
-        let change = if old = None then Insert else Update in
-        let old_value = Option.map (fun c -> c.data) old in
-        let hits = ref [] in
-        List.iter
-          (fun e ->
-            let elo, ehi = Interval_map.handle_range e in
-            if String.compare elo key <= 0 && String.compare key ehi < 0 then
-              hits := Interval_map.handle_data e :: !hits)
-          !overlaps;
-        List.iter
-          (fun up ->
-            List.iter
-              (fun cx -> run_context t up cx key ~old_value ~new_value:(Some data) ~change)
-              up.up_contexts)
-          !hits
-      end)
+      Obs.Counter.incr t.hot.puts;
+      Obs.Histogram.observe t.hot.put_bytes (String.length data);
+      let handle, old = Table.put ?hint:!hint tbl key { data; charged = String.length data } in
+      hint := Some handle;
+      (match old with Some oc -> t.value_bytes <- t.value_bytes - oc.charged | None -> ());
+      t.value_bytes <- t.value_bytes + String.length data;
+      let change = if old = None then Insert else Update in
+      fire t m key ~old_value:(Option.map (fun c -> c.data) old) ~new_value:(Some data) ~change)
     run
-  end
 
 (** Batched write. Equivalent to the same puts applied one at a time in
     ascending key order (duplicate keys keep their argument order, so the
-    last occurrence wins), but pays the per-key costs once per contiguous
-    run: table resolution, updater stabs, insertion descents, and — at
-    the callers' layers — wire framing and WAL fsyncs. Eviction runs once
+    last occurrence wins), but pays some per-key costs once per contiguous
+    run: table resolution, insertion descents, and — at the callers'
+    layers — wire framing and WAL fsyncs. Eviction runs once
     after the whole batch. Atomic with respect to validation: every key
     is checked before any store mutation. *)
 let put_batch t pairs =

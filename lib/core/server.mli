@@ -63,11 +63,12 @@ val put : t -> string -> string -> unit
 (** Batched write — the hot path for bulk loads and grouped client
     traffic. Equivalent to the same puts applied one at a time in
     ascending key order (duplicate keys keep their argument order, so
-    the last occurrence wins), but pays the per-key costs once per
-    contiguous same-table key run: table resolution, updater interval
-    stabs (see the [updater.coalesced_stabs] counter), and tree descents
-    (insertion hints thread across the run). Every key is validated
-    before any store mutation; eviction runs once after the batch. *)
+    the last occurrence wins), but pays table resolution once per
+    contiguous same-table key run and threads insertion hints across it
+    (a sorted run appends without tree descents). Each key fires its
+    updaters through the same per-key interval stab as {!put}. Every key
+    is validated before any store mutation; eviction runs once after the
+    batch. *)
 val put_batch : t -> (string * string) list -> unit
 
 val remove : t -> string -> unit

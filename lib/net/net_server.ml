@@ -224,6 +224,7 @@ type t = {
   (* transport metrics, recorded into the engine's registry so one
      snapshot covers the whole server *)
   m_rpcs : Obs.Counter.t; (* net.rpcs *)
+  m_rpc_kind : Obs.Counter.t array; (* rpc.<kind>, by Message.request_kind_index *)
   m_bytes_in : Obs.Counter.t; (* net.bytes_in *)
   m_bytes_out : Obs.Counter.t; (* net.bytes_out *)
   m_req_bytes : Obs.Histogram.t; (* rpc.request.bytes *)
@@ -317,6 +318,7 @@ let create ?config ?metrics_every ?backend ~port ~joins ~memory_limit () =
     pending_notify = Hashtbl.create 8;
     pending_order = [];
     m_rpcs = Obs.counter obs "net.rpcs";
+    m_rpc_kind = Array.map (fun k -> Obs.counter obs ("rpc." ^ k)) Message.request_kinds;
     m_bytes_in = Obs.counter obs "net.bytes_in";
     m_bytes_out = Obs.counter obs "net.bytes_out";
     m_req_bytes = Obs.histogram obs "rpc.request.bytes";
@@ -1672,9 +1674,7 @@ let handle_frame t client buf ~off ~len =
     match Message.decode_request_view buf ~off ~len with
     | req ->
       (* per-kind RPC tally; pequod's whole evaluation counts messages *)
-      if !Obs.enabled then
-        Obs.Counter.incr
-          (Obs.counter (Server.obs t.engine) ("rpc." ^ Message.request_kind req));
+      Obs.Counter.incr t.m_rpc_kind.(Message.request_kind_index req);
       dispatch t client req
     | exception Message.Protocol_error msg ->
       Some (Message.Error ("protocol error: " ^ msg))

@@ -116,28 +116,33 @@ type response =
       (* the directory as of [epoch] (Dir_get/Dir_watch answer) *)
   | Error of string
 
-(** Short name of a request's kind, for per-kind RPC counters
-    ([rpc.get], [rpc.scan], ...). *)
-let request_kind = function
-  | Hello _ -> "hello"
-  | Get _ -> "get"
-  | Put _ -> "put"
-  | Remove _ -> "remove"
-  | Put_batch _ -> "put_batch"
-  | Scan _ -> "scan"
-  | Add_join _ -> "add_join"
-  | Fetch _ -> "fetch"
-  | Notify_put _ -> "notify_put"
-  | Notify_remove _ -> "notify_remove"
-  | Notify_batch _ -> "notify_batch"
-  | Sub_check _ -> "sub_check"
-  | Stats_full -> "stats_full"
-  | Dir_get -> "dir_get"
-  | Dir_watch _ -> "dir_watch"
-  | Dir_update _ -> "dir_update"
-  | Migrate _ -> "migrate"
-  | Get_at _ -> "get_at"
-  | Scan_at _ -> "scan_at"
+(** Short name of every request kind, for per-kind RPC counters
+    ([rpc.get], [rpc.scan], ...), indexed by {!request_kind_index}. *)
+let request_kinds =
+  [| "hello"; "get"; "put"; "remove"; "put_batch"; "scan"; "add_join"; "fetch";
+     "notify_put"; "notify_remove"; "notify_batch"; "sub_check"; "stats_full";
+     "dir_get"; "dir_watch"; "dir_update"; "migrate"; "get_at"; "scan_at" |]
+
+let request_kind_index = function
+  | Hello _ -> 0
+  | Get _ -> 1
+  | Put _ -> 2
+  | Remove _ -> 3
+  | Put_batch _ -> 4
+  | Scan _ -> 5
+  | Add_join _ -> 6
+  | Fetch _ -> 7
+  | Notify_put _ -> 8
+  | Notify_remove _ -> 9
+  | Notify_batch _ -> 10
+  | Sub_check _ -> 11
+  | Stats_full -> 12
+  | Dir_get -> 13
+  | Dir_watch _ -> 14
+  | Dir_update _ -> 15
+  | Migrate _ -> 16
+  | Get_at _ -> 17
+  | Scan_at _ -> 18
 
 (** One-way requests are applied without sending a response frame.
     Subscription pushes must be one-way: a home server that waited for

@@ -72,10 +72,9 @@ let workload =
 (* expand a batch to the sequential puts it is documented to equal *)
 let expand pairs = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) pairs
 
-let transcript ~batched config =
+let transcript ~joins ~batched config ops =
   let server = Server.create ~config () in
-  Server.add_join_exn server timeline_join;
-  Server.add_join_exn server karma_join;
+  List.iter (Server.add_join_exn server) joins;
   let buf = Buffer.create 8192 in
   List.iter
     (fun op ->
@@ -88,10 +87,12 @@ let transcript ~batched config =
       | Read (lo, hi) ->
         List.iter (fun (k, v) -> Printf.bprintf buf "%S=%S\n" k v) (Server.scan server ~lo ~hi));
       Server.check_invariants server)
-    workload;
+    ops;
   (* final resident state, byte for byte *)
   Server.iter_pairs server (fun k v -> Printf.bprintf buf "%S=%S\n" k v);
   Printf.bprintf buf "size=%d memory=%d\n" (Server.size server) (Server.memory_bytes server);
+  (* the same firings, not just the same outcome *)
+  Printf.bprintf buf "updater.run=%d\n" (Server.counter server "updater.run");
   Buffer.contents buf
 
 let variants =
@@ -111,7 +112,7 @@ let variants =
         c.Config.combine_updaters <- false );
   ]
 
-let test_equivalence () =
+let check_equivalent ~joins ops =
   List.iter
     (fun (name, tweak) ->
       let make () =
@@ -120,10 +121,75 @@ let test_equivalence () =
         tweak c;
         c
       in
-      let b = transcript ~batched:true (make ()) in
-      let s = transcript ~batched:false (make ()) in
+      let b = transcript ~joins ~batched:true (make ()) ops in
+      let s = transcript ~joins ~batched:false (make ()) ops in
       if b <> s then Alcotest.failf "variant %S: batched and sequential transcripts differ" name)
     variants
+
+let test_equivalence () = check_equivalent ~joins:[ timeline_join; karma_join ] workload
+
+(* Batches shaped like a subscription push reaching a compute server: a
+   few keys scattered over tables where hundreds of timelines are
+   materialized, so every key stabs one of hundreds of disjoint
+   updaters. The [x|] join keeps its check source ([x|a|]) and value
+   source ([x|b|]) in one table, so a subscription and a post by the
+   followed user land in the same batch run with the subscription first:
+   under eager checks, firing the subscription installs the updater the
+   post must then fire. *)
+let push_users = 300
+let user i = Printf.sprintf "u%03d" i
+let mirror_join = "f|<user>|<time>|<poster> = check x|a|<user>|<poster> copy x|b|<poster>|<time>"
+
+let push_workload =
+  let rng = Rng.create 0x9054 in
+  let clock = ref 0 in
+  let post tbl poster =
+    incr clock;
+    (Printf.sprintf "%s|%s|%s" tbl poster (tm !clock), Printf.sprintf "m%d" !clock)
+  in
+  let someone () = user (Rng.int rng push_users) in
+  let preload =
+    List.concat
+      (List.init push_users (fun u ->
+           let follows = List.init 3 (fun _ -> someone ()) in
+           List.concat_map
+             (fun v ->
+               [ (Printf.sprintf "s|%s|%s" (user u) v, "1");
+                 (Printf.sprintf "x|a|%s|%s" (user u) v, "1") ])
+             follows
+           @ [ post "p" (user u); post "x|b" (user u) ]))
+  in
+  let materialize u =
+    [ Read (Printf.sprintf "t|%s|" u, Printf.sprintf "t|%s}" u);
+      Read (Printf.sprintf "f|%s|" u, Printf.sprintf "f|%s}" u) ]
+  in
+  let pushes =
+    List.init 300 (fun _ ->
+        match Rng.int rng 8 with
+        | 0 -> materialize (someone ())
+        | 1 -> [ Del (Printf.sprintf "x|a|%s|%s" (someone ()) (someone ())) ]
+        | _ ->
+          (* 2-8 keys: a follow item is two, the follow and the
+             followee's post *)
+          let item () =
+            match Rng.int rng 5 with
+            | 0 -> [ post "p" (someone ()) ]
+            | 1 -> [ post "x|b" (someone ()) ]
+            | 2 -> [ (Printf.sprintf "s|%s|%s" (someone ()) (someone ()), "1") ]
+            | _ ->
+              let v = someone () in
+              [ (Printf.sprintf "x|a|%s|%s" (someone ()) v, "1"); post "x|b" v ]
+          in
+          let n = 2 + Rng.int rng 6 in
+          let rec fill acc = if List.length acc >= n then acc else fill (acc @ item ()) in
+          [ Batch (fill []) ])
+  in
+  (Batch preload :: List.concat_map materialize (List.init push_users user))
+  @ List.concat pushes
+  @ [ Read ("", "\xfe") ]
+
+let test_push_shaped () =
+  check_equivalent ~joins:[ timeline_join; mirror_join ] push_workload
 
 (* ------------------------------------------------------------------ *)
 (* scan ?limit                                                         *)
@@ -198,6 +264,7 @@ let () =
       ( "put_batch",
         [
           Alcotest.test_case "equivalent to sequential puts" `Quick test_equivalence;
+          Alcotest.test_case "push-shaped batches" `Quick test_push_shaped;
           Alcotest.test_case "scan limit" `Quick test_scan_limit;
           Alcotest.test_case "fuzz generator coverage" `Quick test_fuzz_batches;
         ] );

@@ -121,7 +121,11 @@ let test_message_roundtrip () =
   List.iter
     (fun resp ->
       check_bool "response" true (Message.decode_response (Message.encode_response resp) = resp))
-    responses
+    responses;
+  (* [requests] holds every variant: each names its own rpc.<kind>
+     counter, and every kind name belongs to a variant *)
+  let kinds = List.sort_uniq compare (List.map Message.request_kind_index requests) in
+  check_bool "request kinds" true (kinds = List.init (Array.length Message.request_kinds) Fun.id)
 
 let test_bad_tags () =
   check_bool "bad request tag" true
