@@ -55,6 +55,8 @@ cluster-smoke:
 		--users 10000 --ops 1000000 --workers 2 --homes 2 --computes 1 \
 		--pipeline 16
 	sh tools/check_bench_cluster.sh BENCH_cluster.json
+	grep -Eq '"errors": 0[,}]' BENCH_cluster.json \
+		|| { echo "FAIL: failed ops under pipelined load" >&2; exit 1; }
 	grep -Eq '"fetch_coalesced": [1-9]' BENCH_cluster.json \
 		|| { echo "FAIL: no single-flight coalescing under pipelined load" >&2; exit 1; }
 	grep -Eq '"scan_parked": [1-9]' BENCH_cluster.json \
@@ -64,9 +66,19 @@ cluster-smoke:
 			--users 10000 --ops 1000000 --workers 2 --shards $$n \
 			--out BENCH_cluster_shards$$n.json \
 		&& sh tools/check_bench_cluster.sh BENCH_cluster_shards$$n.json \
-		|| exit 1; \
+		&& grep -Eq '"errors": 0[,}]' BENCH_cluster_shards$$n.json \
+		|| { echo "FAIL: --shards $$n run" >&2; exit 1; }; \
 	done
-	rm -f BENCH_cluster_shards1.json BENCH_cluster_shards2.json BENCH_cluster_shards4.json
+	# pipelined shards: scans park behind sibling forwards, the pattern
+	# that once wedged a ring of forwarding shards
+	PEQUOD_LOAD_QUOTA=2000 timeout 180 dune exec bin/pequod_load.exe -- \
+		--users 10000 --ops 1000000 --workers 2 --shards 4 --pipeline 16 \
+		--out BENCH_cluster_shards4p.json
+	sh tools/check_bench_cluster.sh BENCH_cluster_shards4p.json
+	grep -Eq '"errors": 0[,}]' BENCH_cluster_shards4p.json \
+		|| { echo "FAIL: failed ops under pipelined --shards 4" >&2; exit 1; }
+	rm -f BENCH_cluster_shards1.json BENCH_cluster_shards2.json BENCH_cluster_shards4.json \
+		BENCH_cluster_shards4p.json
 	PEQUOD_LOAD_QUOTA=2000 timeout 180 dune exec bin/pequod_load.exe -- \
 		--users 10000 --ops 1000000 --workers 2 --homes 2 --computes 1 \
 		--pipeline 16 --sessions --out BENCH_cluster_sessions.json

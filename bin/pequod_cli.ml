@@ -23,6 +23,7 @@
 module Message = Pequod_proto.Message
 module Net_client = Pequod_server_lib.Net_client
 module Session = Pequod_server_lib.Session
+module Directory = Pequod_server_lib.Directory
 
 let print_stamps stamps =
   List.iter
@@ -65,13 +66,9 @@ let split_addr addr =
     Printf.eprintf "error: bad address %s (want HOST:PORT)\n" addr;
     exit 2
 
-let table_of_key key =
-  match String.index_opt key '|' with Some i -> String.sub key 0 i | None -> key
-
 (* --directory: ask the partition directory who owns [key] and connect
-   there. Wildcard entries partition every table in component space
-   (the part of the key after "T|"), mirroring the route semantics in
-   [Remote]. Falls back to --host/--port when no entry covers the key. *)
+   there, by the same lookup servers route with. Falls back to
+   --host/--port when no entry covers the key. *)
 let resolve_home ~host ~port directory key =
   match directory with
   | None -> (host, port)
@@ -79,25 +76,11 @@ let resolve_home ~host ~port directory key =
     let dhost, dport = split_addr addr in
     with_client ~host:dhost ~port:dport (fun c ->
         match Net_client.call c Message.Dir_get with
-        | Message.Dir_state { entries; _ } ->
-          let table = table_of_key key in
-          let component =
-            match String.index_opt key '|' with
-            | Some i -> String.sub key (i + 1) (String.length key - i - 1)
-            | None -> ""
-          in
-          let covers (e : Message.dir_entry) =
-            if String.equal e.de_table "*" then
-              String.compare e.de_lo component <= 0
-              && (e.de_hi = "" || String.compare component e.de_hi < 0)
-            else
-              String.equal e.de_table table
-              && String.compare e.de_lo key <= 0
-              && String.compare key e.de_hi < 0
-          in
-          (match List.find_opt covers entries with
-          | Some e -> split_addr e.de_home
-          | None -> (host, port))
+        | Message.Dir_state { epoch; entries } -> (
+          let dir = Directory.create () in
+          match Directory.install dir ~epoch:(max epoch 1) ~entries with
+          | Ok () -> Option.fold ~none:(host, port) ~some:split_addr (Directory.home_of dir ~key)
+          | Error _ -> (host, port))
         | Message.Error msg ->
           Printf.eprintf "error: directory: %s\n" msg;
           exit 1

@@ -108,22 +108,16 @@ let dir_seed_cmd =
              home explicitly.")
   in
   let run addr specs =
-    match Remote.routes_of_specs ~peers:[] specs with
+    match Remote.entries_of_specs ~peers:[] ~self_addr:"" specs with
     | Error msg -> fail msg
-    | Ok routes ->
-      let entries =
-        List.map
-          (fun (r : Remote.route) ->
-            match r.r_addr with
-            | None ->
-              fail
-                (Printf.sprintf "partition %s[%s,%s) names no home; add @HOST:PORT"
-                   r.r_table r.r_lo r.r_hi)
-            | Some home ->
-              { Message.de_table = r.r_table; de_lo = r.r_lo; de_hi = r.r_hi;
-                de_home = home; de_replicas = [] })
-          routes
-      in
+    | Ok entries ->
+      List.iter
+        (fun (e : Message.dir_entry) ->
+          if e.de_home = "" then
+            fail
+              (Printf.sprintf "partition %s[%s,%s) names no home; add @HOST:PORT" e.de_table
+                 e.de_lo e.de_hi))
+        entries;
       (match Directory.validate entries with
       | Error msg -> fail msg
       | Ok () -> ());

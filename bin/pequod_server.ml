@@ -257,57 +257,47 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
     1
   end
   else
-    match Remote.routes_of_specs ~peers partitions with
-    | Error msg ->
+    match
+      Net_server.create ~config ?metrics_every:metrics_dump ~port ~joins ~memory_limit ()
+    with
+    | t -> (
+      let self_addr = Printf.sprintf "%s:%d" advertise (Net_server.port t) in
+      (* Routing truth is always a partition directory. A follower's copy
+         stays at epoch 0 ("not yet synced") until its first poll of the
+         seed lands, and so does a seed with no specs, waiting for
+         pequod_ctl dir-seed. Every other server fixes its specs at epoch
+         1 — even none, which routes everything here. *)
+      let dir = Directory.create () in
+      let installed =
+        match Remote.entries_of_specs ~peers ~self_addr partitions with
+        | Error _ as e -> e
+        | Ok entries ->
+          if directory <> None || (dir_host && entries = []) then Ok ()
+          else Directory.install dir ~epoch:1 ~entries
+      in
+      match installed with
+      | Error msg ->
+        Logs.err (fun m -> m "%s" msg);
+        1
+      | Ok () ->
+        Net_server.set_directory t ?seed:directory ~hot_threshold ~dir ~self_addr ();
+        Net_server.add_ticker t
+          (Remote.attach ~server:t ~self_addr ~check_every:sub_check_every ?seed:directory
+             ~poll_every:dir_poll_every dir);
+        Logs.app (fun m ->
+            m "pequod-server listening on port %d with %d joins, directory epoch %d (%d \
+               entries%s)%s"
+              (Net_server.port t)
+              (List.length (Pequod_core.Server.joins (Net_server.engine t)))
+              (Directory.epoch dir)
+              (List.length (Directory.entries dir))
+              (match directory with Some s -> ", following " ^ s | None -> "")
+              durable);
+        Net_server.run t;
+        0)
+    | exception Failure msg ->
       Logs.err (fun m -> m "%s" msg);
       1
-    | Ok routes -> (
-      match
-        Net_server.create ~config ?metrics_every:metrics_dump ~port ~joins ~memory_limit ()
-      with
-      | t -> (
-        let self_addr = Printf.sprintf "%s:%d" advertise (Net_server.port t) in
-        (* Routing truth is always a partition directory. A follower's
-           copy stays at epoch 0 ("not yet synced") until its first poll
-           of the seed lands, and so does a seed with no specs, waiting
-           for pequod_ctl dir-seed. Every other server fixes its specs at
-           epoch 1 — even none, which routes everything here. *)
-        let dir = Directory.create () in
-        let installed =
-          if directory <> None || (dir_host && routes = []) then Ok ()
-          else
-            Directory.install dir ~epoch:1
-              ~entries:
-                (List.map
-                   (fun (r : Remote.route) ->
-                     { Message.de_table = r.r_table; de_lo = r.r_lo; de_hi = r.r_hi;
-                       de_home = Option.value r.r_addr ~default:self_addr;
-                       de_replicas = [] })
-                   routes)
-        in
-        match installed with
-        | Error msg ->
-          Logs.err (fun m -> m "%s" msg);
-          1
-        | Ok () ->
-          Net_server.set_directory t ?seed:directory ~hot_threshold ~dir ~self_addr ();
-          Net_server.add_ticker t
-            (Remote.attach ~server:t ~self_addr ~check_every:sub_check_every
-               (Remote.Directory { dir; seed = directory; poll_every = dir_poll_every }));
-          Logs.app (fun m ->
-              m "pequod-server listening on port %d with %d joins, directory epoch %d (%d \
-                 entries%s)%s"
-                (Net_server.port t)
-                (List.length (Pequod_core.Server.joins (Net_server.engine t)))
-                (Directory.epoch dir)
-                (List.length (Directory.entries dir))
-                (match directory with Some s -> ", following " ^ s | None -> "")
-                durable);
-          Net_server.run t;
-          0)
-      | exception Failure msg ->
-        Logs.err (fun m -> m "%s" msg);
-        1)
 
 let cmd =
   Cmd.v

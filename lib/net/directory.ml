@@ -1,6 +1,7 @@
 (* The partition directory (see directory.mli): epoch-stamped routing
    truth, held authoritatively by the seed and as follower copies
-   everywhere else. *)
+   everywhere else, or fixed at epoch 1 by [--partition] specs or the
+   shard layer. The only module that knows the wildcard rule. *)
 
 module Message = Pequod_proto.Message
 
@@ -35,13 +36,22 @@ let normalize entries =
   in
   go [] sorted
 
+(* A wildcard entry ([de_table = "*"]) partitions every table that no
+   specific entry names: its bounds are in component space, the part of
+   a key after "T|", with [""] as the open end on either side. *)
+let is_wildcard (e : entry) = String.equal e.Message.de_table "*"
+
+(* [x] sorts below [e]'s upper bound; a wildcard's [""] is open *)
+let below_hi (e : entry) x =
+  (is_wildcard e && e.Message.de_hi = "") || String.compare x e.Message.de_hi < 0
+
 let validate entries =
   let sorted = List.sort compare_entry entries in
   let rec go = function
     | [] -> Ok ()
     | (e : entry) :: rest ->
       if e.Message.de_table = "" then Error "directory entry with empty table"
-      else if String.compare e.Message.de_lo e.Message.de_hi >= 0 then
+      else if not (below_hi e e.Message.de_lo) then
         Error
           (Printf.sprintf "directory entry %s[%s,%s) is empty or inverted"
              e.Message.de_table e.Message.de_lo e.Message.de_hi)
@@ -53,7 +63,7 @@ let validate entries =
         match rest with
         | (n : entry) :: _
           when String.equal n.Message.de_table e.Message.de_table
-               && String.compare n.Message.de_lo e.Message.de_hi < 0 ->
+               && below_hi e n.Message.de_lo ->
           Error
             (Printf.sprintf "directory entries overlap in table %s at %s"
                e.Message.de_table n.Message.de_lo)
@@ -72,16 +82,66 @@ let install t ~epoch ~entries =
       t.entries <- normalize entries;
       Ok ()
 
+(* A wildcard's slice of [table] in key space. The open low end starts
+   at the bare key [table], whose component is empty. *)
+let instantiate table (e : entry) =
+  { e with
+    Message.de_table = table;
+    de_lo = (if e.Message.de_lo = "" then table else table ^ "|" ^ e.Message.de_lo);
+    de_hi = (if e.Message.de_hi = "" then table ^ "}" else table ^ "|" ^ e.Message.de_hi) }
+
+let for_table entries ~table =
+  match List.filter (fun (e : entry) -> String.equal e.Message.de_table table) entries with
+  | _ :: _ as specific -> specific
+  | [] ->
+    List.filter_map (fun e -> if is_wildcard e then Some (instantiate table e) else None) entries
+
+let overlaps (e : entry) ~lo ~hi =
+  String.compare e.Message.de_lo hi < 0 && String.compare lo e.Message.de_hi < 0
+
 let entry_of t ~key =
-  let table = Pequod_store.Store.table_name_of key in
   List.find_opt
-    (fun (e : entry) ->
-      String.equal e.Message.de_table table
-      && String.compare e.Message.de_lo key <= 0
-      && String.compare key e.Message.de_hi < 0)
-    t.entries
+    (fun (e : entry) -> String.compare e.Message.de_lo key <= 0 && below_hi e key)
+    (for_table t.entries ~table:(Pequod_store.Store.table_name_of key))
 
 let home_of t ~key = Option.map (fun (e : entry) -> e.Message.de_home) (entry_of t ~key)
+
+let cut entries ~lo ~hi =
+  let overlapping =
+    List.filter (overlaps ~lo ~hi) entries
+    |> List.sort (fun (a : entry) (b : entry) -> String.compare a.Message.de_lo b.Message.de_lo)
+  in
+  let pieces = ref [] in
+  let cursor = ref lo in
+  List.iter
+    (fun (e : entry) ->
+      if String.compare !cursor e.Message.de_lo < 0 then begin
+        pieces := (None, !cursor, e.Message.de_lo) :: !pieces;
+        cursor := e.Message.de_lo
+      end;
+      let phi = if String.compare hi e.Message.de_hi < 0 then hi else e.Message.de_hi in
+      if String.compare !cursor phi < 0 then begin
+        pieces := (Some e, !cursor, phi) :: !pieces;
+        cursor := phi
+      end)
+    overlapping;
+  if String.compare !cursor hi < 0 then pieces := (None, !cursor, hi) :: !pieces;
+  List.rev !pieces
+
+let segments entries ~lo ~hi =
+  let table = Pequod_store.Store.table_name_of lo in
+  let one_table =
+    String.compare (table ^ "|") lo <= 0 && String.compare hi (table ^ "}") <= 0
+  in
+  if one_table then `Cut (cut (for_table entries ~table) ~lo ~hi)
+  else if List.exists is_wildcard entries then
+    `Spread
+      (List.sort_uniq String.compare
+         (List.filter_map
+            (fun (e : entry) ->
+              if is_wildcard e || overlaps e ~lo ~hi then Some e.Message.de_home else None)
+            entries))
+  else `Cut (cut entries ~lo ~hi)
 
 let assign entries ~table ~lo ~hi ~home =
   if String.compare lo hi >= 0 then Error "empty migration range"

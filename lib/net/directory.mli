@@ -12,7 +12,16 @@
 
     Epoch 0 means "no directory yet": followers treat every range as
     unresolved until their first successful fetch, so a half-started
-    cluster defers reads instead of serving empty ranges as truth. *)
+    cluster defers reads instead of serving empty ranges as truth.
+
+    A {e wildcard} entry has [de_table = "*"] and covers the same slice
+    of every table that no specific entry names. Its bounds are in
+    component space — the part of a key after ["T|"] — with [""] as the
+    open end on either side (the low end takes the bare key [T] too).
+    The shard layer partitions the whole keyspace this way, one entry
+    per shard. A table named by any specific entry is governed only by
+    specific entries. This module is the only one that knows the rule:
+    everything else asks {!for_table}, {!entry_of} or {!segments}. *)
 
 type entry = Pequod_proto.Message.dir_entry
 
@@ -24,9 +33,10 @@ val create : unit -> t
 val epoch : t -> int
 val entries : t -> entry list
 
-(** Structural validity: ranges non-empty ([lo < hi]), homes non-empty
-    strings, and no two entries of the same table overlapping. Gaps are
-    allowed (an uncovered range simply stays unresolved at computes). *)
+(** Structural validity: ranges non-empty ([lo < hi], or a wildcard's
+    open [hi = ""]), homes non-empty strings, and no two entries of the
+    same table (or two wildcards) overlapping. Gaps are allowed (an
+    uncovered range simply stays unresolved at computes). *)
 val validate : entry list -> (unit, string) result
 
 (** Install a new version iff [epoch] is strictly newer than the
@@ -34,11 +44,36 @@ val validate : entry list -> (unit, string) result
     adjacent same-home same-replica ranges coalesced). *)
 val install : t -> epoch:int -> entries:entry list -> (unit, string) result
 
+(** Whether the entry is a wildcard ([de_table = "*"]). *)
+val is_wildcard : entry -> bool
+
+(** The entries governing [table], in key space: the specific entries
+    naming it if there are any, else every wildcard instantiated for it
+    (bounds [T|lo] .. [T|hi], open ends [T] and [T}]). *)
+val for_table : entry list -> table:string -> entry list
+
 (** The home of the range containing [key], if any entry covers it. *)
 val home_of : t -> key:string -> string option
 
-(** The entry covering [key], if any. *)
+(** The entry covering [key] (instantiated if it is a wildcard), if
+    any. *)
 val entry_of : t -> key:string -> entry option
+
+(** [[lo, hi)] cut in key order by the key-space [entries] it overlaps:
+    one piece per overlapping entry, clamped, and [None] pieces for the
+    gaps between them. The pieces cover the range exactly. *)
+val cut : entry list -> lo:string -> hi:string -> (entry option * string * string) list
+
+(** How a scan of [[lo, hi)] splits over the directory. A range inside
+    one table is [`Cut] by the entries governing that table. A range
+    that spans tables is [`Cut] by the specific entries it overlaps,
+    unless the directory has wildcards: a wildcard cannot be cut across
+    tables, so the range is [`Spread] over the distinct homes of every
+    wildcard and every overlapping entry, each to serve the whole range
+    from what it holds. *)
+val segments :
+  entry list -> lo:string -> hi:string ->
+  [ `Cut of (entry option * string * string) list | `Spread of string list ]
 
 (** A new entry list reassigning [table [lo,hi)] to [home] (the
     migration flip): overlapping entries are split around the range,

@@ -13,16 +13,17 @@
     and a wakeup pipe. Everything else — including {!step} — must be
     called from the owning domain.
 
-    In shard mode ({!set_router}) a request arriving on a connection
-    handed over by the acceptor is routed by key ownership: reads and
-    writes whose key belongs to a sibling shard are forwarded over the
-    sibling's own protocol port, scans and fetches are served locally
-    through the engine's resolver (which fetches+subscribes sibling
-    slices exactly like a compute server fetches from a home), and
-    [Add_join]/[Stats_full] fan out to every shard. Requests arriving on
-    this shard's own listener (sibling forwards, sibling fetches,
-    subscription pushes) are always applied locally — forwarding them
-    again could loop. *)
+    Every keyed request is routed by the partition directory
+    ({!set_directory}) before it enters the engine: a write whose home
+    is another server is forwarded there, a point read goes to a replica
+    or the home, and a scan is cut into segments served where they
+    live. A shard ({!set_shard}) is one more directory server: its
+    directory holds one wildcard entry per shard, homed at the sibling's
+    own port. A scan that spans tables cannot be cut by a wildcard, so
+    on a shard it is spread over every shard and the answers merged;
+    only requests the acceptor handed in spread, so a spread leg is
+    never spread again. [Add_join] and [Stats_full] from a client fan
+    out to every shard. *)
 
 module Server = Pequod_core.Server
 module Config = Pequod_core.Config
@@ -122,23 +123,17 @@ type stamp_wait = {
   mutable sw_fetch_failed : bool; (* refetch failed: owner unreachable, fail [Stale] *)
 }
 
-(* Shard routing, installed by the shard layer (see shard.ml). [rt_call]
-   and [rt_post] speak to sibling shard [i] over its own protocol port;
-   [rt_stats] aggregates Stats_full across every shard. *)
-type router = {
-  rt_self : int;
-  rt_owner : string -> int;
-  rt_route_scan : lo:string -> hi:string -> int option;
-      (* Some shard when the whole range lives in one slice; None =
-         scatter to every shard and merge *)
-  rt_call : int -> Message.request -> Message.response;
-  rt_post : int -> Message.request -> unit;
-  rt_siblings : int list;
-  rt_stats : unit -> (string * Obs.value) list;
-  rm_ops : Obs.Counter.t; (* shard.ops: requests handled by this shard *)
-  rm_client_ops : Obs.Counter.t; (* shard.client.ops: acceptor-handed requests *)
-  rm_forward_out : Obs.Counter.t; (* shard.forward.out: requests sent to siblings *)
-  rm_forward_in : Obs.Counter.t; (* shard.forward.in: forwards received *)
+(* Shard mode, installed by the shard layer (see shard.ml): this shard's
+   index into every shard's address, and the merge of every shard's
+   metrics that answers a client's [Stats_full] *)
+type shard = {
+  sh_self : int;
+  sh_addrs : string list;
+  sh_merge : (int * (string * Obs.value) list) list -> (string * Obs.value) list;
+  sm_ops : Obs.Counter.t; (* shard.ops: requests handled by this shard *)
+  sm_client_ops : Obs.Counter.t; (* shard.client.ops: acceptor-handed requests *)
+  sm_forward_out : Obs.Counter.t; (* shard.forward.out: requests sent to siblings *)
+  sm_forward_in : Obs.Counter.t; (* shard.forward.in: forwards received *)
 }
 
 (* One live range migration (§ docs/PARTITIONING.md): this server is the
@@ -204,7 +199,7 @@ type t = {
      services them freely; that is what lets a ring of mutually blocked
      shards finish each other's parked scans instead of deadlocking. *)
   mutable in_engine : bool;
-  mutable router : router option;
+  mutable shard : shard option;
   mutable dirst : dirstate option; (* directory mode (see [set_directory]) *)
   (* a zero-timeout nested [step], the [on_wait] of this server's
      blocking clients (see [on_wait]), bound on the first real step (it
@@ -309,7 +304,7 @@ let create ?config ?metrics_every ?backend ~port ~joins ~memory_limit () =
     wakeup_r; wakeup_w;
     stepping = false;
     in_engine = false;
-    router = None;
+    shard = None;
     dirst = None;
     nested_step = no_nested;
     persist;
@@ -377,18 +372,28 @@ let unwatch_fd t fd =
     handed the full missing set plus a completion callback. *)
 let set_fetcher t fetcher = t.fetcher <- Some fetcher
 
-(** Install shard routing (see shard.ml); call once, before serving. *)
-let set_router t ~self ~owner ~route_scan ~call ~post ~siblings ~stats =
+(** Make this server shard [self] of a shard-per-core process whose
+    shards listen at [addrs] (see shard.ml): the [shard.*] counters, the
+    fan-out of a client's [Add_join] and [Stats_full] ([merge] combines
+    the per-shard snapshots), and a fixed directory. Call once, after
+    {!set_directory}, before serving. *)
+let set_shard t ~self ~addrs ~merge =
   let obs = Server.obs t.engine in
-  t.router <-
+  t.shard <-
     Some
-      { rt_self = self; rt_owner = owner; rt_route_scan = route_scan;
-        rt_call = call; rt_post = post;
-        rt_siblings = siblings; rt_stats = stats;
-        rm_ops = Obs.counter obs "shard.ops";
-        rm_client_ops = Obs.counter obs "shard.client.ops";
-        rm_forward_out = Obs.counter obs "shard.forward.out";
-        rm_forward_in = Obs.counter obs "shard.forward.in" }
+      { sh_self = self; sh_addrs = addrs; sh_merge = merge;
+        sm_ops = Obs.counter obs "shard.ops";
+        sm_client_ops = Obs.counter obs "shard.client.ops";
+        sm_forward_out = Obs.counter obs "shard.forward.out";
+        sm_forward_in = Obs.counter obs "shard.forward.in" }
+
+(* Run [f] as an engine call: a step nested inside it (a blocking fetch
+   waiting on a peer) must not service fetcher sockets, whose
+   completions re-enter the engine. *)
+let in_engine t f =
+  let saved = t.in_engine in
+  t.in_engine <- true;
+  Fun.protect ~finally:(fun () -> t.in_engine <- saved) f
 
 (* hotspot detection: once per window, compare each owned range's read
    tally against the threshold; a hot range is counted and logged with
@@ -716,41 +721,36 @@ let split_by_home t pairs =
 
 let forward_call t ds dest req =
   Obs.Counter.incr ds.ds_m_redirect;
+  Option.iter (fun sh -> Obs.Counter.incr sh.sm_forward_out) t.shard;
   match Net_client.call (call_client t ds dest) req with
   | resp -> resp
   | exception Net_client.Net_error msg ->
     Message.Error (Printf.sprintf "home %s: %s" dest msg)
 
-(* Where should a read of [key] be served? [None]: locally — this
-   server is the home, a listed replica (whose copy is kept fresh by its
-   subscription), or the key is outside the directory (join outputs,
-   un-governed tables). Otherwise the ordered candidates to try: the
-   range's replicas, rotated by this server's identity so different
-   forwarders spread over them, with the home always last. *)
+(* Who should serve a read of entry [e]'s range? [None]: this server —
+   the home or a listed replica (whose copy its subscription keeps
+   fresh). Otherwise the ordered candidates to try: the replicas,
+   rotated by this server's identity so different forwarders spread over
+   them, with the home always last. *)
+let candidates ds (e : Message.dir_entry) =
+  if String.equal e.de_home ds.ds_self || List.mem ds.ds_self e.de_replicas then None
+  else
+    match e.de_replicas with
+    | [] -> Some [ e.de_home ]
+    | reps ->
+      let n = List.length reps in
+      let start = Hashtbl.hash ds.ds_self mod n in
+      Some (List.init n (fun i -> List.nth reps ((start + i) mod n)) @ [ e.de_home ])
+
+(* [None] also when the key is outside the directory (join outputs,
+   un-governed tables) or there is no directory epoch yet *)
 let read_candidates t key =
   match t.dirst with
-  | None -> None
-  | Some ds ->
-    if Directory.epoch ds.ds_dir = 0 then None
-    else (
-      match Directory.entry_of ds.ds_dir ~key with
-      | None -> None
-      | Some e ->
-        if
-          String.equal e.Message.de_home ds.ds_self
-          || List.mem ds.ds_self e.Message.de_replicas
-        then None
-        else
-          let cands =
-            match e.Message.de_replicas with
-            | [] -> [ e.Message.de_home ]
-            | reps ->
-              let n = List.length reps in
-              let start = Hashtbl.hash ds.ds_self mod n in
-              List.init n (fun i -> List.nth reps ((start + i) mod n))
-              @ [ e.Message.de_home ]
-          in
-          Some (ds, cands))
+  | Some ds when Directory.epoch ds.ds_dir > 0 -> (
+    match Directory.entry_of ds.ds_dir ~key with
+    | Some e -> Option.map (fun cands -> (ds, cands)) (candidates ds e)
+    | None -> None)
+  | _ -> None
 
 (* forward a read, falling through the candidate list (a dead or
    refusing replica costs one hop, not the answer). A [Stale] answer —
@@ -788,18 +788,22 @@ let tally_read t key =
       else if List.mem ds.ds_self e.Message.de_replicas then
         Obs.Counter.incr ds.ds_m_replica_reads)
 
-(* clamp a stamp demand vector to one scan segment: only the entries
-   intersecting [lo, hi), each cut down to the intersection *)
+(* clamp a stamp demand vector to one scan segment: entries of the
+   segment's own table are cut down to their intersection with [lo, hi)
+   or dropped; entries of other tables pass whole, since they may be the
+   sources of the join outputs the segment holds *)
 let clamp_min min ~lo ~hi =
+  let table = Pequod_store.Store.table_name_of lo in
   List.filter_map
-    (fun (table, dlo, dhi, s) ->
+    (fun ((dtable, dlo, dhi, s) as d) ->
       if String.compare dlo hi < 0 && String.compare lo dhi < 0 then
         Some
-          ( table,
+          ( dtable,
             (if String.compare lo dlo < 0 then dlo else lo),
             (if String.compare dhi hi < 0 then dhi else hi),
             s )
-      else None)
+      else if String.equal dtable table then None
+      else Some d)
     min
 
 (* Synchronously re-establish a demand: drop the unprovable copies,
@@ -824,70 +828,70 @@ let heal_demand t unmet min =
     unmet;
   Server.stamp_unsatisfied t.engine min
 
+(* merge two key-sorted pair lists, dropping duplicate keys (a fetched
+   copy on one shard duplicates the owner's pair; a join output is
+   computed identically on every shard that materialized it). Left
+   wins on ties, so the serving shard's freshly computed value is kept.
+   Of two lists whose keys do not interleave it is the concatenation. *)
+let merge_dedup a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], l | l, [] -> List.rev_append acc l
+    | ((ka, _) as x) :: a', ((kb, _) as y) :: b' ->
+      let c = String.compare ka kb in
+      if c < 0 then go (x :: acc) a' b
+      else if c > 0 then go (y :: acc) a b'
+      else go (x :: acc) a' b'
+  in
+  go [] a b
+
 (* A directory-routed scan is served piecewise: segments of [lo, hi)
    homed (or replicated) here scan the local engine, segments homed
    elsewhere forward a clamped [Scan] to a replica or the home, and
    gaps the directory does not cover (join outputs, un-governed tables)
-   stay local. [remote_segments] cuts the range in key order, or says
-   [None] when no segment is remote: the scan then takes the ordinary
-   local path, parking on a miss like any other. *)
-let remote_segments t ~lo ~hi =
+   stay local. A range spanning tables cannot be cut by wildcard
+   entries: with [scatter] it is spread instead, every wildcard home
+   serving the whole range from what it holds (the local leg first);
+   without, it is served here. [None] when no segment is remote: the
+   scan then takes the ordinary local path, parking on a miss like any
+   other. *)
+let remote_segments t ~scatter ~lo ~hi =
   match t.dirst with
-  | None -> None
-  | Some ds when Directory.epoch ds.ds_dir = 0 -> None
-  | Some ds ->
-  let table = Pequod_store.Store.table_name_of lo in
-  let overlapping =
-    List.filter
-      (fun (e : Message.dir_entry) ->
-        String.equal e.de_table table
-        && String.compare e.de_lo hi < 0
-        && String.compare lo e.de_hi < 0)
-      (Directory.entries ds.ds_dir)
-    (* directory entries are kept sorted by (table, lo) *)
-  in
-  let segments = ref [] in
-  let cursor = ref lo in
-  List.iter
-    (fun (e : Message.dir_entry) ->
-      if String.compare !cursor e.de_lo < 0 then begin
-        segments := (None, !cursor, e.de_lo) :: !segments;
-        cursor := e.de_lo
-      end;
-      let shi = if String.compare hi e.de_hi < 0 then hi else e.de_hi in
-      if String.compare !cursor shi < 0 then begin
-        let tgt =
-          match read_candidates t !cursor with
-          | None -> None
-          | Some (_, cands) -> Some cands
-        in
-        segments := (tgt, !cursor, shi) :: !segments;
-        cursor := shi
-      end)
-    overlapping;
-  if String.compare !cursor hi < 0 then segments := (None, !cursor, hi) :: !segments;
-  if List.for_all (fun (tgt, _, _) -> tgt = None) !segments then None
-  else Some (ds, List.rev !segments)
+  | Some ds when Directory.epoch ds.ds_dir > 0 -> (
+    let segs =
+      match Directory.segments (Directory.entries ds.ds_dir) ~lo ~hi with
+      | `Cut pieces ->
+        List.map (fun (e, slo, shi) -> (Option.bind e (candidates ds), slo, shi)) pieces
+      | `Spread homes when scatter ->
+        (None, lo, hi)
+        :: List.filter_map
+             (fun h -> if String.equal h ds.ds_self then None else Some (Some [ h ], lo, hi))
+             homes
+      | `Spread _ -> []
+    in
+    if List.for_all (fun (tgt, _, _) -> tgt = None) segs then None else Some (ds, segs))
+  | _ -> None
 
-(* Serve [remote_segments]' cut; segments come back in key order, so
-   concatenation is the ordered answer. Local segments have no parked
-   slot to wait in, so their misses fetch inline.
+(* Serve [remote_segments]' pieces and merge them in key order. Local
+   segments have no parked slot to wait in, so their misses fetch
+   inline.
 
-   [min] is a stamped read's demand vector ([] for plain scans): local
-   pieces below a demanded stamp heal synchronously ([heal_demand]),
-   and remote segments forward a clamped [Scan_at] so each candidate
-   enforces the demand on its own copy (a stale replica answers [Stale]
-   and [read_forward] falls through to the home). *)
+   [min] is a stamped read's demand vector ([] for plain scans): when a
+   segment is served here, local pieces below a demanded stamp heal
+   synchronously ([heal_demand]), and remote segments forward a clamped
+   [Scan_at] so each candidate enforces the demand on its own copy (a
+   stale replica answers [Stale] and [read_forward] falls through to the
+   home). *)
 let scan_segments t ds ~min segs =
   let still_unmet =
-    match min with
-    | [] -> []
-    | _ -> (
-      match Server.stamp_unsatisfied t.engine min with
-      | [] -> []
-      | unmet ->
-        Obs.Counter.incr t.m_stale_waits;
-        heal_demand t unmet min)
+    if min = [] || List.for_all (fun (tgt, _, _) -> tgt <> None) segs then []
+    else
+      in_engine t (fun () ->
+          match Server.stamp_unsatisfied t.engine min with
+          | [] -> []
+          | unmet ->
+            Obs.Counter.incr t.m_stale_waits;
+            heal_demand t unmet min)
   in
   match still_unmet with
   | _ :: _ as still ->
@@ -902,7 +906,9 @@ let scan_segments t ds ~min segs =
         (fun (tgt, slo, shi) ->
           match tgt with
           | None -> (
-            match Server.scan_result ~may_defer:false t.engine ~lo:slo ~hi:shi with
+            match
+              in_engine t (fun () -> Server.scan_result ~may_defer:false t.engine ~lo:slo ~hi:shi)
+            with
             | `Ok pairs -> pairs
             | `Missing ((mt, mlo, mhi) :: _) ->
               fail
@@ -935,7 +941,7 @@ let scan_segments t ds ~min segs =
     (match (!stale, !err) with
     | _ :: _, _ -> Message.Stale !stale
     | [], Some m -> Message.Error m
-    | [], None -> Message.Pairs (List.concat parts))
+    | [], None -> Message.Pairs (List.fold_left merge_dedup [] parts))
 
 (* start a [Migrate]: validate against the directory, then hand off to
    the per-step pump ([pump_migration]); the requesting connection is
@@ -1077,9 +1083,7 @@ let pump_stamp_waits t =
           let serve () =
             (* serving re-enters the engine (and may park on missing
                ranges): flag it like any request handler *)
-            let saved = t.in_engine in
-            t.in_engine <- true;
-            Fun.protect ~finally:(fun () -> t.in_engine <- saved) @@ fun () ->
+            in_engine t @@ fun () ->
             Obs.Histogram.observe t.m_stamp_wait (Obs.now_ns () - w.sw_t0);
             match w.sw_req with
             | Message.Get_at { key; _ } ->
@@ -1195,14 +1199,9 @@ let serve_stamped t client ~may_park req ~min =
 (* [None] for one-way requests: they produce no response frame.
    [may_park] marks call sites whose result is returned to [client]
    directly (so a scan may defer its response into a slot); composite
-   paths — the shard scatter merge — must get an immediate answer. *)
-let rec handle_local ?(may_park = false) t client req =
-  let saved = t.in_engine in
-  t.in_engine <- true;
-  Fun.protect ~finally:(fun () -> t.in_engine <- saved) @@ fun () ->
-  handle_local_engine ~may_park t client req
-
-and handle_local_engine ~may_park t client req =
+   paths — a piece of a segmented scan — must get an immediate answer. *)
+let handle_local ?(may_park = false) t client req =
+  in_engine t @@ fun () ->
   match req with
   | Message.Fetch { table; lo; hi; subscriber } -> (
     Obs.Counter.incr t.m_fetch_in;
@@ -1291,80 +1290,30 @@ and handle_local_engine ~may_park t client req =
     Obs.Counter.incr t.m_notify_in;
     List.iter (fun (k, v) -> buffer_notify t k v) items;
     None
-  | Message.Put (k, v) -> (
-    match forward_home t k with
-    | Some (ds, dest) -> Some (forward_call t ds dest req)
-    | None ->
-      let resp = Message.apply_to_server t.engine req in
-      buffer_notify t k (Some v);
-      Some resp)
-  | Message.Remove k -> (
-    match forward_home t k with
-    | Some (ds, dest) -> Some (forward_call t ds dest req)
-    | None ->
-      let resp = Message.apply_to_server t.engine req in
-      buffer_notify t k None;
-      Some resp)
-  | Message.Put_batch pairs -> (
-    match split_by_home t pairs with
-    | [] | [ (None, _) ] ->
-      let resp = Message.apply_to_server t.engine req in
-      List.iter (fun (k, v) -> buffer_notify t k (Some v)) pairs;
-      Some resp
-    | groups ->
-      let ds = Option.get t.dirst in
-      let err = ref None in
-      let vec = ref [] in
-      List.iter
-        (fun (target, sub) ->
-          match target with
-          | None ->
-            (match Message.apply_to_server t.engine (Message.Put_batch sub) with
-            | Message.Stamps s -> vec := s :: !vec
-            | _ -> ());
-            List.iter (fun (k, v) -> buffer_notify t k (Some v)) sub
-          | Some dest -> (
-            match forward_call t ds dest (Message.Put_batch sub) with
-            | Message.Stamps s -> vec := s :: !vec
-            | Message.Done -> ()
-            | Message.Error m -> if !err = None then err := Some m
-            | _ -> if !err = None then err := Some "unexpected forward response"))
-        groups;
-      Some
-        (match !err with
-        | None -> Message.Stamps (List.concat (List.rev !vec))
-        | Some m -> Message.Error m))
-  | Message.Get k -> (
-    tally_read t k;
-    match read_candidates t k with
-    | Some (ds, cands) -> Some (read_forward t ds cands req)
-    | None -> Some (Message.apply_to_server t.engine req))
+  | Message.Put (k, v) ->
+    let resp = Message.apply_to_server t.engine req in
+    buffer_notify t k (Some v);
+    Some resp
+  | Message.Remove k ->
+    let resp = Message.apply_to_server t.engine req in
+    buffer_notify t k None;
+    Some resp
+  | Message.Put_batch pairs ->
+    let resp = Message.apply_to_server t.engine req in
+    List.iter (fun (k, v) -> buffer_notify t k (Some v)) pairs;
+    Some resp
   | Message.Scan { lo; hi } -> (
-    tally_read t lo;
-    match remote_segments t ~lo ~hi with
-    | Some (ds, segs) -> Some (scan_segments t ds ~min:[] segs)
-    | None -> (
-      match t.fetcher with
-      | Some _ when may_park -> (
-        match Server.scan_result t.engine ~lo ~hi with
-        | `Ok pairs -> Some (Message.Pairs pairs)
-        | `Missing ranges ->
-          park_scan t client ~lo ~hi ranges;
-          None
-        | exception e -> Some (Message.Error (Printexc.to_string e)))
-      | _ -> Some (Message.apply_to_server t.engine req)))
-  | Message.Get_at { key; min } -> (
-    Obs.Counter.incr t.m_session_reads;
-    tally_read t key;
-    match read_candidates t key with
-    | Some (ds, cands) -> Some (read_forward t ds cands req)
-    | None -> serve_stamped t client ~may_park req ~min)
-  | Message.Scan_at { lo; hi; min } -> (
-    Obs.Counter.incr t.m_session_reads;
-    tally_read t lo;
-    match remote_segments t ~lo ~hi with
-    | Some (ds, segs) -> Some (scan_segments t ds ~min segs)
-    | None -> serve_stamped t client ~may_park req ~min)
+    match t.fetcher with
+    | Some _ when may_park -> (
+      match Server.scan_result t.engine ~lo ~hi with
+      | `Ok pairs -> Some (Message.Pairs pairs)
+      | `Missing ranges ->
+        park_scan t client ~lo ~hi ranges;
+        None
+      | exception e -> Some (Message.Error (Printexc.to_string e)))
+    | _ -> Some (Message.apply_to_server t.engine req))
+  | Message.Get_at { min; _ } | Message.Scan_at { min; _ } ->
+    serve_stamped t client ~may_park req ~min
   | Message.Dir_get | Message.Dir_watch _ | Message.Dir_update _ -> (
     match t.dirst with
     | None -> Some (Message.Error "no partition directory on this server")
@@ -1389,282 +1338,110 @@ and handle_local_engine ~may_park t client req =
   | Message.Migrate { table; lo; hi; dest } -> start_migration t client ~table ~lo ~hi ~dest
   | req -> Some (Message.apply_to_server t.engine req)
 
-(* requests whose kind only reaches a shard's own listener as a sibling
-   forward (never as fetch/subscription/heartbeat traffic): the
-   conservation invariant sum(shard.forward.in) == sum(shard.forward.out)
-   across shards counts exactly these *)
-let forward_kind = function
-  | Message.Get _ | Message.Put _ | Message.Remove _ | Message.Put_batch _
-  | Message.Add_join _ | Message.Scan _ | Message.Get_at _ | Message.Scan_at _ ->
-    true
-  | _ -> false
+(* Route one keyed request by the partition directory, before entering
+   the engine: a write whose home is another server is forwarded there,
+   a point read goes to a replica or the home, and a scan is cut into
+   segments served where they live. Forwards block in nested steps with
+   no engine call on the stack, so this loop keeps servicing its fetcher
+   sockets meanwhile — a ring of shards forwarding into each other's
+   parked scans drains instead of deadlocking. [scatter]: see
+   [remote_segments]. *)
+let route t client ~scatter req =
+  match req with
+  | Message.Put (k, _) | Message.Remove k -> (
+    match forward_home t k with
+    | Some (ds, dest) -> Some (forward_call t ds dest req)
+    | None -> handle_local t client req)
+  | Message.Put_batch pairs -> (
+    match split_by_home t pairs with
+    | [] | [ (None, _) ] -> handle_local t client req
+    | groups ->
+      let ds = Option.get t.dirst in
+      let err = ref None in
+      let vec = ref [] in
+      List.iter
+        (fun (target, sub) ->
+          let sub = Message.Put_batch sub in
+          match
+            match target with
+            | None -> handle_local t client sub
+            | Some dest -> Some (forward_call t ds dest sub)
+          with
+          | Some (Message.Stamps s) -> vec := s :: !vec
+          | Some Message.Done | None -> ()
+          | Some (Message.Error m) -> if !err = None then err := Some m
+          | Some _ -> if !err = None then err := Some "unexpected forward response")
+        groups;
+      Some
+        (match !err with
+        | None -> Message.Stamps (List.concat (List.rev !vec))
+        | Some m -> Message.Error m))
+  | Message.Get key | Message.Get_at { key; _ } -> (
+    (match req with Message.Get_at _ -> Obs.Counter.incr t.m_session_reads | _ -> ());
+    tally_read t key;
+    match read_candidates t key with
+    | Some (ds, cands) -> Some (read_forward t ds cands req)
+    | None -> handle_local ~may_park:true t client req)
+  | Message.Scan { lo; hi } | Message.Scan_at { lo; hi; _ } -> (
+    let min = match req with Message.Scan_at { min; _ } -> min | _ -> [] in
+    if min <> [] then Obs.Counter.incr t.m_session_reads;
+    tally_read t lo;
+    match remote_segments t ~scatter ~lo ~hi with
+    | Some (ds, segs) -> Some (scan_segments t ds ~min segs)
+    | None -> handle_local ~may_park:true t client req)
+  | _ -> handle_local ~may_park:true t client req
 
-let sibling_error e =
-  match e with
-  | Net_client.Net_error msg -> Message.Error ("sibling shard: " ^ msg)
-  | e -> Message.Error (Printexc.to_string e)
+(* A shard routes like any directory server, with three differences. A
+   client's [Add_join] is installed on every shard, each materializing
+   the join for the slices its clients scan, and a client's [Stats_full]
+   merges every shard's registry. The directory is fixed. Only
+   acceptor-handed requests spread (see [remote_segments]); the keyed
+   requests and joins a sibling sends count as [shard.forward.in]. *)
+let dispatch_shard t sh client req =
+  Obs.Counter.incr sh.sm_ops;
+  if client.injected then Obs.Counter.incr sh.sm_client_ops;
+  let siblings = List.filteri (fun i _ -> i <> sh.sh_self) sh.sh_addrs in
+  match req with
+  | Message.Dir_update _ | Message.Migrate _ ->
+    Some (Message.Error "a shard's partition directory is fixed")
+  | Message.Add_join _ when client.injected -> (
+    match handle_local t client req with
+    | Some Message.Done ->
+      let ds = Option.get t.dirst in
+      Some
+        (List.fold_left
+           (fun acc addr ->
+             match (acc, forward_call t ds addr req) with
+             | Message.Done, Message.Done -> Message.Done
+             | Message.Done, (Message.Error _ as e) -> e
+             | Message.Done, _ -> Message.Error "unexpected forward response"
+             | e, _ -> e)
+           Message.Done siblings)
+    | other -> other)
+  | Message.Stats_full when client.injected ->
+    let ds = Option.get t.dirst in
+    let snapshot i addr =
+      if i = sh.sh_self then Server.metrics_snapshot t.engine
+      else
+        match Net_client.call (call_client t ds addr) Message.Stats_full with
+        | Message.Metrics m -> m
+        | _ -> []
+        | exception Net_client.Net_error msg ->
+          Log.warn (fun m -> m "stats from shard %d failed: %s" i msg);
+          []
+    in
+    Some (Message.Metrics (sh.sh_merge (List.mapi (fun i a -> (i, snapshot i a)) sh.sh_addrs)))
+  | Message.Get _ | Message.Put _ | Message.Remove _ | Message.Put_batch _ | Message.Scan _
+  | Message.Get_at _ | Message.Scan_at _ | Message.Add_join _
+    when not client.injected ->
+    Obs.Counter.incr sh.sm_forward_in;
+    route t client ~scatter:false req
+  | _ -> route t client ~scatter:client.injected req
 
-(* merge two key-sorted pair lists, dropping duplicate keys (a fetched
-   copy on one shard duplicates the owner's pair; a join output is
-   computed identically on every shard that materialized it). Left
-   wins on ties, so the serving shard's freshly computed value is kept. *)
-let merge_dedup a b =
-  let rec go acc a b =
-    match (a, b) with
-    | [], l | l, [] -> List.rev_append acc l
-    | ((ka, _) as x) :: a', ((kb, _) as y) :: b' ->
-      let c = String.compare ka kb in
-      if c < 0 then go (x :: acc) a' b
-      else if c > 0 then go (y :: acc) a b'
-      else go (x :: acc) a' b'
-  in
-  go [] a b
-
-(* Split [items] by owning shard, preserving per-owner order; returns the
-   groups in first-appearance order as (owner, items) pairs. *)
-let split_by_owner rt key_of items =
-  let groups : (int, 'a list) Hashtbl.t = Hashtbl.create 4 in
-  let order = ref [] in
-  List.iter
-    (fun item ->
-      let o = rt.rt_owner (key_of item) in
-      match Hashtbl.find_opt groups o with
-      | Some l -> Hashtbl.replace groups o (item :: l)
-      | None ->
-        order := o :: !order;
-        Hashtbl.add groups o [ item ])
-    items;
-  List.rev_map (fun o -> (o, List.rev (Hashtbl.find groups o))) !order
-
-(* route one decoded request: only acceptor-handed connections are
-   routed; everything arriving on this shard's own listener is local *)
 let dispatch t client req =
-  match t.router with
-  | None -> handle_local ~may_park:true t client req
-  | Some rt ->
-    Obs.Counter.incr rt.rm_ops;
-    if not client.injected then begin
-      if forward_kind req then Obs.Counter.incr rt.rm_forward_in;
-      (* a sibling forward is answered on this connection in pipeline
-         order like any direct client, so its scans may park too *)
-      handle_local ~may_park:true t client req
-    end
-    else begin
-      Obs.Counter.incr rt.rm_client_ops;
-      match req with
-      | Message.Get k | Message.Put (k, _) | Message.Remove k
-      | Message.Get_at { key = k; _ } ->
-        let o = rt.rt_owner k in
-        if o = rt.rt_self then handle_local t client req
-        else begin
-          Obs.Counter.incr rt.rm_forward_out;
-          match rt.rt_call o req with
-          | resp -> Some resp
-          | exception e -> Some (sibling_error e)
-        end
-      | Message.Notify_put (k, _) | Message.Notify_remove k ->
-        let o = rt.rt_owner k in
-        if o = rt.rt_self then handle_local t client req
-        else begin
-          (try rt.rt_post o req
-           with Net_client.Net_error msg ->
-             Log.warn (fun m -> m "notify forward to shard %d failed: %s" o msg));
-          None
-        end
-      | Message.Put_batch pairs ->
-        let err = ref None in
-        let vec = ref [] in
-        List.iter
-          (fun (o, sub) ->
-            if o = rt.rt_self then (
-              match handle_local t client (Message.Put_batch sub) with
-              | Some (Message.Stamps s) -> vec := s :: !vec
-              | _ -> ())
-            else begin
-              Obs.Counter.incr rt.rm_forward_out;
-              match rt.rt_call o (Message.Put_batch sub) with
-              | Message.Stamps s -> vec := s :: !vec
-              | Message.Done -> ()
-              | Message.Error m -> if !err = None then err := Some m
-              | _ -> if !err = None then err := Some "unexpected forward response"
-              | exception e -> (
-                if !err = None then
-                  match sibling_error e with
-                  | Message.Error m -> err := Some m
-                  | _ -> ())
-            end)
-          (split_by_owner rt fst pairs);
-        Some
-          (match !err with
-          | None -> Message.Stamps (List.concat (List.rev !vec))
-          | Some m -> Message.Error m)
-      | Message.Notify_batch { items; stamps } ->
-        (* items and stamp-trailer entries both split by owning shard;
-           a trailer entry with no items for its owner still travels
-           (as an item-less batch) so the promise is never dropped *)
-        let stamps_for o = List.filter (fun (_, slo, _, _) -> rt.rt_owner slo = o) stamps in
-        let groups = split_by_owner rt fst items in
-        let covered = List.map fst groups in
-        let extra =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun (_, slo, _, _) ->
-                 let o = rt.rt_owner slo in
-                 if List.mem o covered then None else Some o)
-               stamps)
-        in
-        let send o sub =
-          let msg = Message.Notify_batch { items = sub; stamps = stamps_for o } in
-          if o = rt.rt_self then ignore (handle_local t client msg)
-          else
-            try rt.rt_post o msg
-            with Net_client.Net_error msg ->
-              Log.warn (fun m -> m "notify forward to shard %d failed: %s" o msg)
-        in
-        List.iter (fun (o, sub) -> send o sub) groups;
-        List.iter (fun o -> send o []) extra;
-        None
-      | Message.Add_join _ -> (
-        (* install on every shard: each materializes the join for the
-           timeline slices its clients scan *)
-        match handle_local t client req with
-        | Some Message.Done ->
-          let err = ref None in
-          List.iter
-            (fun o ->
-              Obs.Counter.incr rt.rm_forward_out;
-              match rt.rt_call o req with
-              | Message.Done -> ()
-              | Message.Error m -> if !err = None then err := Some m
-              | _ -> if !err = None then err := Some "unexpected forward response"
-              | exception e -> (
-                if !err = None then
-                  match sibling_error e with
-                  | Message.Error m -> err := Some m
-                  | _ -> ()))
-            rt.rt_siblings;
-          Some (match !err with None -> Message.Done | Some m -> Message.Error m)
-        | other -> other)
-      | Message.Stats_full -> (
-        match rt.rt_stats () with
-        | metrics -> Some (Message.Metrics metrics)
-        | exception e -> Some (sibling_error e))
-      | Message.Scan { lo; hi } -> (
-        (* a range confined to one shard's slice is served entirely by
-           its owner: the join outputs it covers are computed there from
-           source slices that resolve through the engine's resolver
-           (fetch+subscribe), so the data arrives — and stays fresh —
-           over the same §2.4 path a compute server uses. A range that
-           spans slices (or tables) is scattered: every shard reports
-           the keys it holds — its owned slice of every table plus any
-           fetched copies and computed outputs — and the union, deduped
-           by key, is the full answer *)
-        match rt.rt_route_scan ~lo ~hi with
-        | Some o ->
-          if o = rt.rt_self then handle_local ~may_park:true t client req
-          else begin
-            Obs.Counter.incr rt.rm_forward_out;
-            match rt.rt_call o req with
-            | resp -> Some resp
-            | exception e -> Some (sibling_error e)
-          end
-        | None -> (
-          match handle_local t client req with
-          | Some (Message.Pairs local) ->
-            let err = ref None in
-            let remote =
-              List.map
-                (fun o ->
-                  Obs.Counter.incr rt.rm_forward_out;
-                  match rt.rt_call o req with
-                  | Message.Pairs ps -> ps
-                  | Message.Error m ->
-                    if !err = None then err := Some m;
-                    []
-                  | _ ->
-                    if !err = None then err := Some "unexpected scan response";
-                    []
-                  | exception e ->
-                    (if !err = None then
-                       match sibling_error e with
-                       | Message.Error m -> err := Some m
-                       | _ -> ());
-                    [])
-                rt.rt_siblings
-            in
-            (match !err with
-            | Some m -> Some (Message.Error m)
-            | None -> Some (Message.Pairs (List.fold_left merge_dedup local remote)))
-          | other -> other))
-      | Message.Scan_at { lo; hi; min } -> (
-        (* routed like [Scan]; each shard enforces the demand on its own
-           slice. The scatter's local leg heals synchronously (the merge
-           needs an immediate answer) and siblings answering [Stale]
-           make the whole scan [Stale]. *)
-        match rt.rt_route_scan ~lo ~hi with
-        | Some o ->
-          if o = rt.rt_self then handle_local ~may_park:true t client req
-          else begin
-            Obs.Counter.incr rt.rm_forward_out;
-            match rt.rt_call o req with
-            | resp -> Some resp
-            | exception e -> Some (sibling_error e)
-          end
-        | None -> (
-          let still_unmet =
-            match Server.stamp_unsatisfied t.engine min with
-            | [] -> []
-            | unmet ->
-              Obs.Counter.incr t.m_stale_waits;
-              heal_demand t unmet min
-          in
-          match still_unmet with
-          | _ :: _ as still ->
-            Obs.Counter.incr t.m_stale_errors;
-            Some (Message.Stale still)
-          | [] -> (
-          match handle_local t client (Message.Scan { lo; hi }) with
-          | Some (Message.Pairs local) ->
-            let err = ref None in
-            let stale = ref [] in
-            let remote =
-              List.map
-                (fun o ->
-                  Obs.Counter.incr rt.rm_forward_out;
-                  match rt.rt_call o req with
-                  | Message.Pairs ps -> ps
-                  | Message.Stale st ->
-                    stale := st @ !stale;
-                    []
-                  | Message.Error m ->
-                    if !err = None then err := Some m;
-                    []
-                  | _ ->
-                    if !err = None then err := Some "unexpected scan response";
-                    []
-                  | exception e ->
-                    (if !err = None then
-                       match sibling_error e with
-                       | Message.Error m -> err := Some m
-                       | _ -> ());
-                    [])
-                rt.rt_siblings
-            in
-            (match (!stale, !err) with
-            | _ :: _, _ -> Some (Message.Stale !stale)
-            | [], Some m -> Some (Message.Error m)
-            | [], None -> Some (Message.Pairs (List.fold_left merge_dedup local remote)))
-          | other -> other)))
-      | Message.Hello _ | Message.Fetch _ | Message.Sub_check _ ->
-        (* fetches and subscription checks are the intra-cluster
-           protocol itself: always against this shard's own slice *)
-        handle_local t client req
-      | Message.Dir_get | Message.Dir_watch _ | Message.Dir_update _
-      | Message.Migrate _ ->
-        (* the partition directory is a whole-process concern (and is
-           not enabled in sharded mode anyway) *)
-        handle_local t client req
-    end
+  match t.shard with
+  | None -> route t client ~scatter:false req
+  | Some sh -> dispatch_shard t sh client req
 
 (* one frame, decoded straight out of the receive buffer (no copy) *)
 let handle_frame t client buf ~off ~len =
@@ -2101,11 +1878,7 @@ let rec step ?(timeout = 1.0) t =
              blocked on a sibling forward must service them, or a ring
              of shards all waiting on each other's parked scans never
              completes any of them *)
-          if not t.in_engine then begin
-            t.in_engine <- true;
-            Fun.protect ~finally:(fun () -> t.in_engine <- false)
-              (fun () -> on_ready ~readable ~writable)
-          end
+          if not t.in_engine then in_engine t (fun () -> on_ready ~readable ~writable)
         | None -> (
           match Hashtbl.find_opt t.conns fd with
           | None -> () (* dropped earlier in this very event batch *)
@@ -2125,9 +1898,7 @@ let rec step ?(timeout = 1.0) t =
     (* tickers feed the engine (subscription heals, replica warming):
        like a request handler, they hold off fetch completions that
        would re-enter it from a nested step *)
-    t.in_engine <- true;
-    Fun.protect ~finally:(fun () -> t.in_engine <- false) (fun () ->
-        List.iter (fun f -> f ()) t.tickers);
+    in_engine t (fun () -> List.iter (fun f -> f ()) t.tickers);
     maybe_dump_metrics t
   end
 

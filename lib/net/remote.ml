@@ -10,16 +10,9 @@ let src = Logs.Src.create "pequod.remote"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type route = {
-  r_table : string;
-  r_lo : string;
-  r_hi : string;
-  r_addr : string option;
-}
-
 (* TABLE[:LO:HI][@HOST:PORT]; a bare TABLE covers the whole table,
    [T|, T}) in the repo's key order *)
-let parse_spec ~peers spec =
+let parse_spec ~peers ~self_addr spec =
   let body, addr =
     match String.index_opt spec '@' with
     | Some i ->
@@ -27,37 +20,38 @@ let parse_spec ~peers spec =
         Some (String.sub spec (i + 1) (String.length spec - i - 1)) )
     | None -> (spec, None)
   in
-  let addr =
+  let home =
     match (addr, peers) with
-    | Some a, _ -> Ok (Some a)
-    | None, [] -> Ok None (* no peers: this process is the home *)
-    | None, [ p ] -> Ok (Some p)
+    | Some a, _ -> Ok a
+    | None, [] -> Ok self_addr (* no peers: this process is the home *)
+    | None, [ p ] -> Ok p
     | None, _ :: _ :: _ ->
       Error
         (Printf.sprintf
            "partition %S: several --peer addresses; say which owns it with @HOST:PORT"
            spec)
   in
-  match addr with
+  let entry de_table de_lo de_hi de_home =
+    Ok { Message.de_table; de_lo; de_hi; de_home; de_replicas = [] }
+  in
+  match home with
   | Error _ as e -> e
-  | Ok r_addr -> (
+  | Ok home -> (
     match String.split_on_char ':' body with
-    (* "*" is the shard layer's wildcard, whose bounds are component
-       space (see [instantiate]); a spec's bounds are key space *)
+    (* "*" is the directory's wildcard, whose bounds are component
+       space; a spec's bounds are key space *)
     | "*" :: _ -> Error (Printf.sprintf "partition %S: \"*\" is not a table" spec)
-    | [ table ] when table <> "" ->
-      Ok { r_table = table; r_lo = table ^ "|"; r_hi = table ^ "}"; r_addr }
-    | [ table; lo; hi ] when table <> "" && String.compare lo hi < 0 ->
-      Ok { r_table = table; r_lo = lo; r_hi = hi; r_addr }
+    | [ table ] when table <> "" -> entry table (table ^ "|") (table ^ "}") home
+    | [ table; lo; hi ] when table <> "" && String.compare lo hi < 0 -> entry table lo hi home
     | _ -> Error (Printf.sprintf "partition %S: expected TABLE or TABLE:LO:HI" spec))
 
-let routes_of_specs ~peers specs =
+let entries_of_specs ~peers ~self_addr specs =
   List.fold_left
     (fun acc spec ->
-      match (acc, parse_spec ~peers spec) with
+      match (acc, parse_spec ~peers ~self_addr spec) with
       | (Error _ as e), _ -> e
       | _, (Error _ as e) -> e
-      | Ok rs, Ok r -> Ok (r :: rs))
+      | Ok es, Ok e -> Ok (e :: es))
     (Ok []) specs
   |> Result.map List.rev
 
@@ -112,76 +106,28 @@ let fetch_one ~engine ~client_for ~tracked ~m_fetch_out ~self_addr ~table ~lo ~h
     Log.warn (fun m -> m "fetch %s[%s,%s) from %s failed: %s" table lo hi addr msg);
     None
 
-(* Which routes serve a missing [lo, hi) of [table]?
-   [`Unrouted]: no route mentions the table — it is purely local.
-   [`Gap]: routes mention the table but leave part of the range
+(* Which entries serve a missing [lo, hi) of [table]?
+   [`Unrouted]: no entry governs the table — it is purely local.
+   [`Gap]: entries govern the table but leave part of the range
    uncovered — a partition misconfiguration; treating the gap as
    present-and-empty would silently serve wrong answers.
-   [`Fetch clamps]: the (route, clamp_lo, clamp_hi) fetches that cover
-   the range, one per overlapping remotely-owned route. *)
-(* A wildcard route ([r_table = "*"]) covers a slice of {e every} table:
-   its bounds live in component space (the part of the key after "T|"),
-   with [r_lo = ""] meaning the table's start and [r_hi = ""] its end.
-   The shard layer partitions the whole keyspace this way — one cut
-   vector, every table. Instantiating against a concrete table maps the
-   bounds back into key space. *)
-let instantiate table r =
-  if not (String.equal r.r_table "*") then r
-  else
-    { r with
-      r_table = table;
-      r_lo = table ^ "|" ^ r.r_lo;
-      r_hi = (if r.r_hi = "" then table ^ "}" else table ^ "|" ^ r.r_hi) }
-
-let plan ~routes ~table ~lo ~hi =
-  (* a table named by a specific route is governed only by specific
-     routes; wildcards partition the tables nothing else claims *)
-  let mine =
-    match List.filter (fun r -> String.equal r.r_table table) routes with
-    | _ :: _ as specific -> specific
-    | [] ->
-      List.filter_map
-        (fun r -> if String.equal r.r_table "*" then Some (instantiate table r) else None)
-        routes
-  in
-  if mine = [] then `Unrouted
-  else begin
-    let overlapping =
-      List.filter
-        (fun r -> String.compare r.r_lo hi < 0 && String.compare lo r.r_hi < 0)
-        mine
-      |> List.sort (fun a b -> String.compare a.r_lo b.r_lo)
-    in
-    let cursor = ref lo in
-    let gap = ref false in
-    List.iter
-      (fun r ->
-        if String.compare !cursor r.r_lo < 0 then gap := true;
-        if String.compare !cursor r.r_hi < 0 then cursor := r.r_hi)
-      overlapping;
-    if !gap || String.compare !cursor hi < 0 then `Gap
+   [`Fetch clamps]: the (entry, clamp_lo, clamp_hi) fetches that cover
+   the range, one per overlapping entry homed elsewhere. *)
+let plan ~self_addr ~entries ~table ~lo ~hi =
+  match Directory.for_table entries ~table with
+  | [] -> `Unrouted
+  | governing ->
+    let pieces = Directory.cut governing ~lo ~hi in
+    if List.exists (fun (e, _, _) -> e = None) pieces then `Gap
     else
       `Fetch
         (List.filter_map
-           (fun r ->
-             match r.r_addr with
-             | None -> None (* locally owned; already present *)
-             | Some _ ->
-               let flo = if String.compare lo r.r_lo < 0 then r.r_lo else lo in
-               let fhi = if String.compare hi r.r_hi < 0 then hi else r.r_hi in
-               Some (r, flo, fhi))
-           overlapping)
-  end
-
-(* directory entries -> routes, from one server's point of view: its
-   own ranges become local routes, everything else names the home *)
-let routes_of_entries ~self_addr entries =
-  List.map
-    (fun (e : Message.dir_entry) ->
-      { r_table = e.de_table; r_lo = e.de_lo; r_hi = e.de_hi;
-        r_addr =
-          (if String.equal e.de_home self_addr then None else Some e.de_home) })
-    entries
+           (function
+             | Some (e : Message.dir_entry), flo, fhi
+               when not (String.equal e.de_home self_addr) ->
+               Some (e, flo, fhi)
+             | _ -> None (* homed here; already present *))
+           pieces)
 
 (* The asynchronous fetch engine behind [Net_server]'s parked scans.
 
@@ -478,8 +424,8 @@ module Fetcher = struct
             match f.f_plan ~table ~lo ~hi with
             | `Fail -> `Fail
             | `Nothing ->
-              (* the routes moved under the scan (directory epoch, shard
-                 re-cut): nothing to fetch; the retry re-plans *)
+              (* the directory moved under the scan (a new epoch):
+                 nothing to fetch; the retry re-plans *)
               `Ok clamps
             | `Clamps cs -> `Ok (List.rev_append cs clamps)))
         (`Ok []) ranges
@@ -511,11 +457,7 @@ module Fetcher = struct
       List.iter (kick f) (List.rev !touched)
 end
 
-type source =
-  | Fixed of route list
-  | Directory of { dir : Directory.t; seed : string option; poll_every : float }
-
-let attach ~server ~self_addr ~check_every source =
+let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
   let engine = Net_server.engine server in
   let obs = Server.obs engine in
   let on_wait = Net_server.on_wait server in
@@ -528,11 +470,9 @@ let attach ~server ~self_addr ~check_every source =
      server's own Sub_check answer. *)
   let tracked : (string * string * string, string) Hashtbl.t = Hashtbl.create 16 in
   let fetch_one = fetch_one ~engine ~client_for ~tracked ~m_fetch_out ~self_addr in
-  (* the routes in force, the read replicas of each remotely homed range
-     (minus this server), and the directory epoch they reflect: 0 until
-     a follower first syncs, 1 for fixed routes *)
-  let routes = ref [] in
-  let replicas : (string * string * string, string list) Hashtbl.t = Hashtbl.create 8 in
+  (* the directory entries in force and the epoch they reflect: 0 until
+     a follower first syncs *)
+  let entries = ref [] in
   let applied = ref 0 in
   let plan ~table ~lo ~hi =
     (* a wildcard slice never claims a join-output table: each shard
@@ -544,26 +484,25 @@ let attach ~server ~self_addr ~check_every source =
         (fun spec -> String.equal (Pattern.table (Joinspec.output spec)) table)
         (Server.joins engine)
     in
-    let routes =
-      if sink then List.filter (fun r -> not (String.equal r.r_table "*")) !routes
-      else !routes
+    let entries =
+      if sink then List.filter (fun e -> not (Directory.is_wildcard e)) !entries
+      else !entries
     in
-    plan ~routes ~table ~lo ~hi
+    plan ~self_addr ~entries ~table ~lo ~hi
   in
-  (* who may serve a fetch under route [r]: its replicas, rotated by
+  (* who may serve a fetch under entry [e]: its replicas, rotated by
      this server's identity so readers spread over them, then the home *)
-  let candidates r =
-    let home = Option.get r.r_addr in
-    match Hashtbl.find_opt replicas (r.r_table, r.r_lo, r.r_hi) with
-    | None -> [ home ]
-    | Some reps ->
+  let candidates (e : Message.dir_entry) =
+    match List.filter (fun a -> not (String.equal a self_addr)) e.de_replicas with
+    | [] -> [ e.de_home ]
+    | reps ->
       let n = List.length reps in
       let start = Hashtbl.hash self_addr mod n in
-      List.init n (fun i -> List.nth reps ((start + i) mod n)) @ [ home ]
+      List.init n (fun i -> List.nth reps ((start + i) mod n)) @ [ e.de_home ]
   in
   (* one clamp's blocking fetch, falling through the candidates *)
-  let fetch_clamp (r, flo, fhi) =
-    List.find_map (fun addr -> fetch_one ~table:r.r_table ~lo:flo ~hi:fhi addr) (candidates r)
+  let fetch_clamp ((e : Message.dir_entry), flo, fhi) =
+    List.find_map (fun addr -> fetch_one ~table:e.de_table ~lo:flo ~hi:fhi addr) (candidates e)
   in
   let resolve ~table ~lo ~hi =
     if !applied = 0 then
@@ -598,13 +537,18 @@ let attach ~server ~self_addr ~check_every source =
         in
         fetch [] clamps
   in
-  (* A server that has synced and whose routes are all its own needs no
+  (* A server that has synced and whose entries are all its own needs no
      resolver, and keeping it off leaves its tables ungoverned — the
      authority for every stamp a session can hold, like a lone server.
      Once needed (a follower not yet synced, a remote range) it stays. *)
   let resolving = ref false in
   let govern () =
-    if (not !resolving) && (!applied = 0 || List.exists (fun r -> r.r_addr <> None) !routes)
+    if
+      (not !resolving)
+      && (!applied = 0
+         || List.exists
+              (fun (e : Message.dir_entry) -> not (String.equal e.de_home self_addr))
+              !entries)
     then begin
       resolving := true;
       Server.set_resolver engine resolve
@@ -618,7 +562,7 @@ let attach ~server ~self_addr ~check_every source =
           | `Unrouted | `Fetch [] -> `Nothing
           | `Gap -> `Fail
           | `Fetch clamps ->
-            `Clamps (List.map (fun (r, flo, fhi) -> (table, flo, fhi, candidates r)) clamps))
+            `Clamps (List.map (fun (e, flo, fhi) -> (table, flo, fhi, candidates e)) clamps))
   in
   Net_server.set_fetcher server (Fetcher.request fetcher);
   (* replica duty waiting to be established: (table, lo, hi, home)
@@ -639,21 +583,21 @@ let attach ~server ~self_addr ~check_every source =
   in
   (* owned ranges; a local wildcard slice has no concrete table to
      mark — it resolves as `Fetch with no remote clamps, i.e. Local *)
-  let owned_of rs =
+  let owned_of es =
     List.filter_map
-      (fun r ->
-        if r.r_addr = None && not (String.equal r.r_table "*") then
-          Some (r.r_table, r.r_lo, r.r_hi)
+      (fun (e : Message.dir_entry) ->
+        if String.equal e.de_home self_addr && not (Directory.is_wildcard e) then
+          Some (e.de_table, e.de_lo, e.de_hi)
         else None)
-      rs
+      es
   in
-  (* Bring this server in line with [new_routes] and the directory
-     [entries] behind them: adjust owned presence by diff, drop
-     subscriptions whose granting server the routes no longer name for
-     the range, and warm any range this server now replicates. *)
-  let apply ~epoch new_routes entries =
-    let old_owned = owned_of !routes in
-    let new_owned = owned_of new_routes in
+  (* Bring this server in line with the directory's [new_entries]:
+     adjust owned presence by diff, drop subscriptions whose granting
+     server the entries no longer name for the range, and warm any range
+     this server now replicates. *)
+  let apply ~epoch new_entries =
+    let old_owned = owned_of !entries in
+    let new_owned = owned_of new_entries in
     List.iter
       (fun ((table, lo, hi) as k) ->
         if not (List.mem k old_owned) then Server.mark_present engine ~table ~lo ~hi)
@@ -662,25 +606,18 @@ let attach ~server ~self_addr ~check_every source =
       (fun ((table, lo, hi) as k) ->
         if not (List.mem k new_owned) then Server.unmark_present engine ~table ~lo ~hi)
       old_owned;
-    Hashtbl.reset replicas;
-    List.iter
-      (fun (e : Message.dir_entry) ->
-        match List.filter (fun a -> not (String.equal a self_addr)) e.de_replicas with
-        | [] -> ()
-        | others -> Hashtbl.replace replicas (e.de_table, e.de_lo, e.de_hi) others)
-      entries;
-    routes := new_routes;
+    entries := new_entries;
     applied := epoch;
     govern ();
     Log.info (fun m ->
-        m "routes of epoch %d applied: %d routes, %d owned" epoch (List.length new_routes)
+        m "directory epoch %d applied: %d entries, %d owned" epoch (List.length new_entries)
           (List.length new_owned));
     let stale =
       Hashtbl.fold
         (fun ((table, lo, hi) as key) addr acc ->
           match plan ~table ~lo ~hi with
           | `Fetch clamps
-            when List.exists (fun (r, _, _) -> List.mem addr (candidates r)) clamps ->
+            when List.exists (fun (e, _, _) -> List.mem addr (candidates e)) clamps ->
             acc
           | _ -> key :: acc)
         tracked []
@@ -702,71 +639,57 @@ let attach ~server ~self_addr ~check_every source =
             && not (Hashtbl.mem tracked (e.de_table, e.de_lo, e.de_hi))
           then Some (e.de_table, e.de_lo, e.de_hi, e.de_home)
           else None)
-        entries;
+        new_entries;
     warm_replicas ()
   in
-  (* [poll]: ask the seed for a newer directory (rate-limited).
-     [sync]: apply the local copy's epoch if it moved — a poll, a pushed
-     [Dir_update] or a migration flip installed it. *)
-  let poll, sync =
-    match source with
-    | Fixed rs ->
-      apply ~epoch:1 rs [];
-      ((fun _ -> ()), fun () -> ())
-    | Directory { dir; seed; poll_every } ->
-      let m_dir_fetch = Obs.counter obs "dir.fetch" in
-      let m_epoch = Obs.gauge obs "dir.epoch" in
-      let sync () =
-        let epoch = Directory.epoch dir in
-        if epoch > !applied then begin
-          let entries = Directory.entries dir in
-          apply ~epoch (routes_of_entries ~self_addr entries) entries;
-          Obs.Gauge.set m_epoch epoch
+  let m_dir_fetch = Obs.counter obs "dir.fetch" in
+  let m_epoch = Obs.gauge obs "dir.epoch" in
+  (* apply the local copy's epoch if it moved — a poll, a pushed
+     [Dir_update] or a migration flip installed it *)
+  let sync () =
+    let epoch = Directory.epoch dir in
+    if epoch > !applied then begin
+      apply ~epoch (Directory.entries dir);
+      Obs.Gauge.set m_epoch epoch
+    end
+  in
+  (* ask the seed for a newer directory (rate-limited) *)
+  let poll =
+    match seed with
+    | None -> fun _ -> () (* installs land in [dir] directly *)
+    | Some seed_addr ->
+      (* a dedicated short-fuse client, so a dead seed costs the tick
+         half a second, not the full fetch retry budget *)
+      let host, port = host_port seed_addr in
+      let client =
+        Net_client.create ~obs ~on_wait ~host ~port
+          ~config:
+            { Net_client.connect_timeout = 0.5; call_timeout = 2.0; max_retries = 0;
+              backoff = 0.05 }
+          ()
+      in
+      let last_poll = ref neg_infinity in
+      fun now ->
+        if now -. !last_poll >= poll_every then begin
+          last_poll := now;
+          match Net_client.call client (Message.Dir_watch { epoch = Directory.epoch dir }) with
+          | Message.Dir_state { epoch; entries } -> (
+            Obs.Counter.incr m_dir_fetch;
+            (* a migration flip pushed to this server can race the poll:
+               an answer at-or-below the installed epoch is just old news *)
+            if epoch > Directory.epoch dir then
+              match Directory.install dir ~epoch ~entries with
+              | Ok () -> ()
+              | Error msg -> Log.warn (fun m -> m "directory update from seed rejected: %s" msg))
+          | Message.Done -> Obs.Counter.incr m_dir_fetch (* unchanged *)
+          | Message.Error msg -> Log.warn (fun m -> m "seed %s refused Dir_watch: %s" seed_addr msg)
+          | _ -> ()
+          | exception Net_client.Net_error msg ->
+            Log.debug (fun m -> m "directory seed %s unreachable: %s" seed_addr msg)
         end
-      in
-      let poll =
-        match seed with
-        | None -> fun _ -> () (* installs land in [dir] directly *)
-        | Some seed_addr ->
-          (* a dedicated short-fuse client, so a dead seed costs the
-             tick half a second, not the full fetch retry budget *)
-          let host, port = host_port seed_addr in
-          let client =
-            Net_client.create ~obs ~on_wait ~host ~port
-              ~config:
-                { Net_client.connect_timeout = 0.5; call_timeout = 2.0; max_retries = 0;
-                  backoff = 0.05 }
-              ()
-          in
-          let last_poll = ref neg_infinity in
-          fun now ->
-            if now -. !last_poll >= poll_every then begin
-              last_poll := now;
-              match
-                Net_client.call client (Message.Dir_watch { epoch = Directory.epoch dir })
-              with
-              | Message.Dir_state { epoch; entries } -> (
-                Obs.Counter.incr m_dir_fetch;
-                (* a migration flip pushed to this server can race the
-                   poll: an answer at-or-below the installed epoch is
-                   just old news *)
-                if epoch > Directory.epoch dir then
-                  match Directory.install dir ~epoch ~entries with
-                  | Ok () -> ()
-                  | Error msg ->
-                    Log.warn (fun m -> m "directory update from seed rejected: %s" msg))
-              | Message.Done -> Obs.Counter.incr m_dir_fetch (* unchanged *)
-              | Message.Error msg ->
-                Log.warn (fun m -> m "seed %s refused Dir_watch: %s" seed_addr msg)
-              | _ -> ()
-              | exception Net_client.Net_error msg ->
-                Log.debug (fun m -> m "directory seed %s unreachable: %s" seed_addr msg)
-            end
-      in
-      (poll, sync)
   in
   (* a range the heartbeat found dropped: re-plan it against the
-     current routes and refetch each clamp (feed_base reconciles the
+     current directory and refetch each clamp (feed_base reconciles the
      data, the Fetch re-subscribes); a clamp no candidate answers is
      un-marked present so the next scan goes back through the resolver *)
   let refetch (table, lo, hi) =

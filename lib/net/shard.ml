@@ -2,16 +2,18 @@
    engine shards, each a full single-threaded Net_server in its own
    domain with a disjoint slice of the keyspace.
 
-   There is no shared mutable cache state between shards. The keyspace
-   is cut once, in component space (the part of every key after "T|"),
-   so one cut vector partitions every base table the same way. Writes
-   and point reads that land on the wrong shard are forwarded to the
-   owner over the sibling's own protocol port; scans and fetches are
-   served where they arrive, pulling sibling-owned source slices through
-   the engine's ordinary resolver — the same §2.4 fetch+subscribe path a
-   compute server uses against a home server, so the data arrives once
-   and stays fresh by push. Join outputs are not partitioned: every
-   shard materializes the join ranges its own clients scan, from
+   There is no shared mutable cache state between shards. A shard is a
+   directory home whose address is in the same process: the keyspace is
+   cut once, in component space (the part of every key after "T|"), and
+   every shard holds the same fixed epoch-1 partition directory with one
+   wildcard entry per slice, homed at that shard's own port. Each shard
+   then routes exactly like any directory server (Net_server): writes
+   and point reads go to the home, scans are cut into slices served by
+   their homes, and join sources resolve through the engine's ordinary
+   resolver — the same §2.4 fetch+subscribe path a compute server uses
+   against a home server, so the data arrives once and stays fresh by
+   push. Join outputs are routed by the same slices, but never fetched:
+   each shard materializes the join ranges it serves from
    subscription-fresh sources.
 
    Deadlock-freedom: sibling calls are symmetric (A can fetch from B
@@ -30,7 +32,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type t = {
   servers : Net_server.t array;
-  sh_cuts : string array; (* shards-1 component-space cut points, ascending *)
   listener : Unix.file_descr; (* the public port all clients dial *)
   stopping : bool Atomic.t;
   mutable domains : unit Domain.t array;
@@ -38,7 +39,6 @@ type t = {
 }
 
 let shards t = Array.length t.servers
-let cuts t = Array.to_list t.sh_cuts
 let servers t = Array.to_list t.servers
 let engines t = List.map Net_server.engine (servers t)
 let shard_ports t = List.map Net_server.port (servers t)
@@ -48,38 +48,25 @@ let port t =
   | Unix.ADDR_INET (_, p) -> p
   | _ -> invalid_arg "Shard.port"
 
-(* the key's position in component space: everything after the first
-   '|'; keys without a component ("T}"-style bounds never reach here as
-   single keys) sort with the empty component, i.e. shard 0 *)
-let component key =
-  match String.index_opt key '|' with
-  | Some i -> String.sub key (i + 1) (String.length key - i - 1)
-  | None -> ""
-
-let owner_of_cuts sh_cuts key =
-  let c = component key in
-  let n = Array.length sh_cuts in
-  let i = ref 0 in
-  while !i < n && String.compare sh_cuts.(!i) c <= 0 do
-    incr i
-  done;
-  !i
-
-let owner t key = owner_of_cuts t.sh_cuts key
-
-(* Scan routing: a range whose bounds share one table prefix and whose
-   component span stays inside one shard's slice is served entirely by
-   that shard; anything wider (a whole-table scan, a cross-table scan)
-   is scattered to every shard and merged. [hi] is exclusive, so a span
-   ending exactly on the owner's upper cut still routes. *)
-let route_scan sh_cuts ~shards ~lo ~hi =
-  match (String.index_opt lo '|', String.index_opt hi '|') with
-  | Some i, Some j
-    when i = j && String.equal (String.sub lo 0 i) (String.sub hi 0 j) ->
-    let o = owner_of_cuts sh_cuts lo in
-    if o = shards - 1 || String.compare (component hi) sh_cuts.(o) <= 0 then Some o
-    else None
-  | _ -> None
+(* The shards' partition directory: fixed at epoch 1, one wildcard entry
+   per slice, [*[cut_{j-1}, cut_j) @ homes_j] with [""] at both open
+   ends. *)
+let directory ~cuts ~homes =
+  let n = List.length homes in
+  let bound j = if j = 0 || j = n then "" else List.nth cuts (j - 1) in
+  let dir = Directory.create () in
+  (match
+     Directory.install dir ~epoch:1
+       ~entries:
+         (List.mapi
+            (fun j home ->
+              { Message.de_table = "*"; de_lo = bound j; de_hi = bound (j + 1);
+                de_home = home; de_replicas = [] })
+            homes)
+   with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Shard.directory: " ^ msg));
+  dir
 
 (* Default cuts when none are given: evenly spaced over printable
    component space (two base-94 digits). Uniform only for uniformly
@@ -174,22 +161,14 @@ let create ?config ?backend ?metrics_every ?(sub_check_every = 2.0)
     ?(advertise = "127.0.0.1") ?cuts ~port ~joins ~memory_limit ~shards () =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
   let template = match config with Some c -> c | None -> Config.default () in
-  let sh_cuts =
-    match cuts with
-    | None -> Array.of_list (default_cuts shards)
-    | Some cs ->
-      let a = Array.of_list cs in
-      if Array.length a <> shards - 1 then
-        invalid_arg
-          (Printf.sprintf "Shard.create: %d shards need %d cuts, got %d" shards (shards - 1)
-             (Array.length a));
-      Array.iteri
-        (fun i c ->
-          if i > 0 && String.compare a.(i - 1) c >= 0 then
-            invalid_arg "Shard.create: cuts must be strictly increasing")
-        a;
-      a
-  in
+  let cuts = match cuts with None -> default_cuts shards | Some cs -> cs in
+  if List.length cuts <> shards - 1 then
+    invalid_arg
+      (Printf.sprintf "Shard.create: %d shards need %d cuts, got %d" shards (shards - 1)
+         (List.length cuts));
+  (* the directory validates the cuts (strictly increasing) before any
+     listener is bound *)
+  ignore (directory ~cuts ~homes:(List.init shards string_of_int));
   (match template.Config.persist with
   | Some p -> check_shard_marker p.Config.p_dir shards
   | None -> ());
@@ -203,58 +182,20 @@ let create ?config ?backend ?metrics_every ?(sub_check_every = 2.0)
         let metrics_every = if i = 0 then metrics_every else None in
         Net_server.create ~config ?metrics_every ?backend ~port:0 ~joins ~memory_limit ())
   in
-  let addr i = Printf.sprintf "%s:%d" advertise (Net_server.port servers.(i)) in
-  let slice j =
-    ( (if j = 0 then "" else sh_cuts.(j - 1)),
-      (if j = shards - 1 then "" else sh_cuts.(j)) )
+  let addrs =
+    List.init shards (fun i -> Printf.sprintf "%s:%d" advertise (Net_server.port servers.(i)))
   in
-  Array.iteri
-    (fun i srv ->
-      let engine = Net_server.engine srv in
-      if shards > 1 then begin
-        let routes =
-          List.init shards (fun j ->
-              let r_lo, r_hi = slice j in
-              { Remote.r_table = "*"; r_lo; r_hi;
-                r_addr = (if j = i then None else Some (addr j)) })
-        in
+  (* one shard is the whole keyspace: nothing to route *)
+  if shards > 1 then
+    Array.iteri
+      (fun i srv ->
+        let self_addr = List.nth addrs i in
+        let dir = directory ~cuts ~homes:addrs in
+        Net_server.set_directory srv ~dir ~self_addr ();
         Net_server.add_ticker srv
-          (Remote.attach ~server:srv ~self_addr:(addr i) ~check_every:sub_check_every
-             (Remote.Fixed routes));
-        (* forwarding clients, one per sibling, separate from the
-           resolver's fetch clients so a slow fetch never queues behind
-           point-write traffic; waits keep this shard's loop serving *)
-        let clients =
-          Array.init shards (fun j ->
-              if j = i then None
-              else
-                let h, p = (advertise, Net_server.port servers.(j)) in
-                Some
-                  (Net_client.create ~obs:(Server.obs engine)
-                     ~on_wait:(Net_server.on_wait srv) ~host:h ~port:p ()))
-        in
-        let client j =
-          match clients.(j) with Some c -> c | None -> invalid_arg "Shard: self call"
-        in
-        Net_server.set_router srv ~self:i
-          ~owner:(owner_of_cuts sh_cuts)
-          ~route_scan:(fun ~lo ~hi -> route_scan sh_cuts ~shards ~lo ~hi)
-          ~call:(fun j req -> Net_client.call (client j) req)
-          ~post:(fun j req -> Net_client.post (client j) req)
-          ~siblings:(List.filter (fun j -> j <> i) (List.init shards Fun.id))
-          ~stats:(fun () ->
-            merge_stats
-              (List.init shards (fun j ->
-                   if j = i then (j, Server.metrics_snapshot engine)
-                   else
-                     match Net_client.call (client j) Message.Stats_full with
-                     | Message.Metrics m -> (j, m)
-                     | _ -> (j, [])
-                     | exception Net_client.Net_error msg ->
-                       Log.warn (fun m -> m "stats from shard %d failed: %s" j msg);
-                       (j, []))))
-      end)
-    servers;
+          (Remote.attach ~server:srv ~self_addr ~check_every:sub_check_every dir);
+        Net_server.set_shard srv ~self:i ~addrs ~merge:merge_stats)
+      servers;
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
   (match Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_any, port)) with
@@ -264,7 +205,7 @@ let create ?config ?backend ?metrics_every ?(sub_check_every = 2.0)
     Array.iter Net_server.stop servers;
     raise e);
   Unix.listen listener 128;
-  { servers; sh_cuts; listener; stopping = Atomic.make false; domains = [||];
+  { servers; listener; stopping = Atomic.make false; domains = [||];
     acceptor = None }
 
 (* the acceptor: blocking accepts on the public port, connections dealt

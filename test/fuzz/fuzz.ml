@@ -34,6 +34,8 @@ module Persist = Pequod_persist.Persist
 module Oracle = Pequod_oracle.Oracle
 module Shard = Pequod_server_lib.Shard
 module Net_server = Pequod_server_lib.Net_server
+module Directory = Pequod_server_lib.Directory
+module Remote = Pequod_server_lib.Remote
 
 (* ------------------------------------------------------------------ *)
 (* Seed derivation                                                     *)
@@ -407,7 +409,7 @@ type variant = {
   va_shards : int;
       (** 0 = off; k >= 2 models the shard-per-core server: k engines,
           each owning a component-space slice of every base table (the
-          same cut semantics as [Shard.owner_of_cuts]), writes routed to
+          wildcard directory [Shard.directory] builds), writes routed to
           the owner and forwarded to subscribed siblings, sink tables
           computed by whichever engine serves the scan from fetched,
           subscription-fresh source slices *)
@@ -575,26 +577,34 @@ let run_case scenario variant ops =
   in
   (* shard mode: [va_shards] sibling engines each own a disjoint
      component-space slice of every table — the shard layer's wildcard
-     routes, modelled in-process and synchronously. Each engine's
-     resolver serves missing source ranges from the sibling stores,
-     clamped to each sibling's slice; a range inside the engine's own
-     slice — and any join-output table, which every shard recomputes
-     from subscription-fresh sources — is Local, which terminates the
-     recursion (sibling scans are always slice-clamped, so they resolve
-     Local on the sibling). Every resolved range is a subscription:
-     writes land on the owner and are forwarded to subscribed siblings,
-     modelling the Notify push. Uses the real [Shard.owner_of_cuts] and
-     [Shard.route_scan] so the fuzzer exercises the shipped routing. *)
+     directory, modelled in-process and synchronously, with engine [j]
+     homed at address ["j"]. Each engine's resolver plans missing source
+     ranges against the directory ([Remote.plan]) and serves them from
+     the sibling stores, clamped to each sibling's slice; a range inside
+     the engine's own slice — and any join-output table, which every
+     shard recomputes from subscription-fresh sources — is Local, which
+     terminates the recursion (sibling scans are always slice-clamped,
+     so they resolve Local on the sibling). Every resolved range is a
+     subscription: writes land on the home and are forwarded to
+     subscribed siblings, modelling the Notify push. Owners, scan cuts
+     and spreads come from the real [Directory] built by
+     [Shard.directory], so the fuzzer exercises the shipped routing. *)
   let shards_arr =
     if variant.va_shards < 2 then None
     else begin
       (* component-space cuts sized to the generators' vocabulary:
          users ann..dee, digit-led timestamps, voters x/y/z *)
-      let cuts =
-        match variant.va_shards with 2 -> [| "c" |] | _ -> [| "b"; "d" |]
-      in
-      Some (Array.init variant.va_shards (fun _ -> Server.create ~config ()), cuts)
+      let cuts = match variant.va_shards with 2 -> [ "c" ] | _ -> [ "b"; "d" ] in
+      let homes = List.init variant.va_shards string_of_int in
+      Some
+        ( Array.init variant.va_shards (fun _ -> Server.create ~config ()),
+          Shard.directory ~cuts ~homes )
     end
+  in
+  let owner dir k =
+    match Directory.home_of dir ~key:k with
+    | Some h -> int_of_string h
+    | None -> fail "shard directory does not cover %S" k
   in
   let shard_subs =
     match shards_arr with
@@ -608,12 +618,7 @@ let run_case scenario variant ops =
   in
   (match shards_arr with
   | None -> ()
-  | Some (arr, cuts) ->
-    let n = Array.length arr in
-    let slice_lo j table = if j = 0 then table ^ "|" else table ^ "|" ^ cuts.(j - 1) in
-    let slice_hi j table = if j = n - 1 then table ^ "}" else table ^ "|" ^ cuts.(j) in
-    let smax a b = if String.compare a b >= 0 then a else b in
-    let smin a b = if String.compare a b <= 0 then a else b in
+  | Some (arr, dir) ->
     Array.iteri
       (fun k _ ->
         Server.set_resolver arr.(k) (fun ~table ~lo ~hi ->
@@ -623,25 +628,22 @@ let run_case scenario variant ops =
                 (Server.joins arr.(k))
             in
             if sink then Server.Local
-            else if
-              String.compare (slice_lo k table) lo <= 0
-              && String.compare hi (slice_hi k table) <= 0
-            then Server.Local
-            else begin
-              shard_subs.(k) := (lo, hi) :: !(shard_subs.(k));
-              (* [Resolved] pairs are applied additively over the range,
-                 so the engine's own slice survives the feed *)
-              let pairs = ref [] in
-              for j = n - 1 downto 0 do
-                if j <> k then begin
-                  let clo = smax lo (slice_lo j table)
-                  and chi = smin hi (slice_hi j table) in
-                  if String.compare clo chi < 0 then
-                    pairs := Server.scan arr.(j) ~lo:clo ~hi:chi @ !pairs
-                end
-              done;
-              Server.Resolved !pairs
-            end))
+            else
+              match
+                Remote.plan ~self_addr:(string_of_int k) ~entries:(Directory.entries dir) ~table
+                  ~lo ~hi
+              with
+              | `Unrouted | `Fetch [] -> Server.Local
+              | `Gap -> fail "shard directory leaves a gap in %s[%S, %S)" table lo hi
+              | `Fetch clamps ->
+                shard_subs.(k) := (lo, hi) :: !(shard_subs.(k));
+                (* [Resolved] pairs are applied additively over the
+                   range, so the engine's own slice survives the feed *)
+                Server.Resolved
+                  (List.concat_map
+                     (fun ((e : Pequod_proto.Message.dir_entry), clo, chi) ->
+                       Server.scan arr.(int_of_string e.de_home) ~lo:clo ~hi:chi)
+                     clamps)))
       arr);
   let install_join text =
     let on_engine srv =
@@ -891,18 +893,28 @@ let run_case scenario variant ops =
   let scan_rr = ref 0 in
   let engine_scan lo hi =
     match shards_arr with
-    | Some (arr, cuts) -> (
+    | Some (arr, dir) -> (
       let n = Array.length arr in
-      (* mirror the net layer's dispatch: a single-slice range is served
-         entirely by its owner; anything wider is scattered — a rotating
-         shard serves first (so successive reads exercise different
-         fetch/subscription states), merged with every sibling's slice
-         through the shipped dedup *)
-      match Shard.route_scan cuts ~shards:n ~lo ~hi with
-      | Some o -> Server.scan arr.(o) ~lo ~hi
-      | None ->
-        let s = !scan_rr mod n in
-        incr scan_rr;
+      (* mirror the net layer's routing: a rotating shard receives the
+         scan (so successive reads exercise different fetch/subscription
+         states). A range inside one table is cut by the directory, each
+         slice served by its home; a range spanning tables is spread —
+         the receiving shard serves first, merged with every sibling's
+         answer through the shipped dedup *)
+      let s = !scan_rr mod n in
+      incr scan_rr;
+      match Directory.segments (Directory.entries dir) ~lo ~hi with
+      | `Cut pieces ->
+        List.concat_map
+          (fun (e, slo, shi) ->
+            let home =
+              match e with
+              | Some (e : Pequod_proto.Message.dir_entry) -> int_of_string e.de_home
+              | None -> s
+            in
+            Server.scan arr.(home) ~lo:slo ~hi:shi)
+          pieces
+      | `Spread _ ->
         let rec gather acc j =
           if j >= n then acc
           else if j = s then gather acc (j + 1)
@@ -994,8 +1006,8 @@ let run_case scenario variant ops =
     | Put (k, v) -> (
       guard_sink k;
       (match shards_arr with
-      | Some (arr, cuts) ->
-        let o = Shard.owner_of_cuts cuts k in
+      | Some (arr, dir) ->
+        let o = owner dir k in
         Server.put arr.(o) k v;
         Array.iteri
           (fun j eng -> if j <> o && shard_subscribed j k then Server.put eng k v)
@@ -1011,14 +1023,14 @@ let run_case scenario variant ops =
     | Put_batch pairs ->
       List.iter (fun (k, _) -> guard_sink k) pairs;
       (match shards_arr with
-      | Some (arr, cuts) ->
-        (* split like the net layer's dispatch: each shard sees, in
-           argument order, the pairs it owns plus those it subscribes to *)
+      | Some (arr, dir) ->
+        (* split like the net layer's routing: each shard sees, in
+           argument order, the pairs it homes plus those it subscribes to *)
         Array.iteri
           (fun j eng ->
             match
               List.filter
-                (fun (k, _) -> Shard.owner_of_cuts cuts k = j || shard_subscribed j k)
+                (fun (k, _) -> owner dir k = j || shard_subscribed j k)
                 pairs
             with
             | [] -> ()
@@ -1043,8 +1055,8 @@ let run_case scenario variant ops =
     | Remove k -> (
       guard_sink k;
       (match shards_arr with
-      | Some (arr, cuts) ->
-        let o = Shard.owner_of_cuts cuts k in
+      | Some (arr, dir) ->
+        let o = owner dir k in
         Server.remove arr.(o) k;
         Array.iteri
           (fun j eng -> if j <> o && shard_subscribed j k then Server.remove eng k)

@@ -5,6 +5,7 @@
 
 module Net_server = Pequod_server_lib.Net_server
 module Remote = Pequod_server_lib.Remote
+module Directory = Pequod_server_lib.Directory
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
@@ -19,6 +20,19 @@ let with_server ~joins f =
   Fun.protect ~finally:(fun () -> Net_server.stop t) (fun () -> f t)
 
 let addr_of t = Printf.sprintf "127.0.0.1:%d" (Net_server.port t)
+
+(* route [compute] by the epoch-1 directory [--partition specs] fix *)
+let attach_specs ?(peers = []) compute specs =
+  let self_addr = addr_of compute in
+  let dir = Directory.create () in
+  (match
+     Result.bind (Remote.entries_of_specs ~peers ~self_addr specs) (fun entries ->
+         Directory.install dir ~epoch:1 ~entries)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let _heal : unit -> unit = Remote.attach ~server:compute ~self_addr ~check_every:2.0 dir in
+  ()
 
 let connect t =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -82,15 +96,7 @@ let test_single_flight () =
   Server.mark_present h ~table:"p" ~lo:"p|" ~hi:"p}";
   Server.put h "s|ann|bob" "1";
   Server.put h "p|bob|0000000007" "hello";
-  let routes =
-    match Remote.routes_of_specs ~peers:[ addr_of home ] [ "s"; "p" ] with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  let _heal =
-    Remote.attach ~server:compute ~self_addr:(addr_of compute) ~check_every:2.0
-      (Remote.Fixed routes)
-  in
+  attach_specs ~peers:[ addr_of home ] compute [ "s"; "p" ];
   let fd = connect compute in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   let n = 5 in
@@ -119,18 +125,7 @@ let test_single_flight () =
 let test_park_failure () =
   with_server ~joins:[ timeline_join ] @@ fun compute ->
   (* port 9 on loopback: nothing listens; connect is refused at once *)
-  let routes =
-    match
-      Remote.routes_of_specs ~peers:[]
-        [ "s@127.0.0.1:9"; "p@127.0.0.1:9" ]
-    with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  let _heal =
-    Remote.attach ~server:compute ~self_addr:(addr_of compute) ~check_every:2.0
-      (Remote.Fixed routes)
-  in
+  attach_specs compute [ "s@127.0.0.1:9"; "p@127.0.0.1:9" ];
   let fd = connect compute in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   let servers = [ compute ] in
@@ -178,15 +173,7 @@ let run_transcript mode seed =
       let h = Net_server.engine home in
       Server.mark_present h ~table:"s" ~lo:"s|" ~hi:"s}";
       Server.mark_present h ~table:"p" ~lo:"p|" ~hi:"p}";
-      let routes =
-        match Remote.routes_of_specs ~peers:[ addr_of home ] [ "s"; "p" ] with
-        | Ok r -> r
-        | Error e -> Alcotest.fail e
-      in
-      let _heal =
-        Remote.attach ~server:compute ~self_addr:(addr_of compute) ~check_every:2.0
-          (Remote.Fixed routes)
-      in
+      attach_specs ~peers:[ addr_of home ] compute [ "s"; "p" ];
       home
   in
   let servers = [ compute; home ] in

@@ -4,6 +4,7 @@
 module Net_server = Pequod_server_lib.Net_server
 module Net_client = Pequod_server_lib.Net_client
 module Remote = Pequod_server_lib.Remote
+module Directory = Pequod_server_lib.Directory
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
@@ -281,42 +282,117 @@ let test_fetch_dedup () =
           | Message.Sub_ranges [] -> ()
           | _ -> Alcotest.fail "anonymous fetch must not subscribe"))
 
-(* Route-coverage planning: unrouted tables stay local, partial route
+let entry table lo hi home =
+  { Message.de_table = table; de_lo = lo; de_hi = hi; de_home = home; de_replicas = [] }
+
+let homes_of pieces =
+  List.map
+    (fun (e, lo, hi) ->
+      (Option.map (fun (e : Message.dir_entry) -> e.de_home) e, lo, hi))
+    pieces
+
+(* Route-coverage planning: unrouted tables stay local, partial
    coverage is a surfaced gap (never silently present-and-empty), and
-   fetch clamps carry only the remotely-owned intersections. *)
+   fetch clamps carry only the intersections homed elsewhere. *)
 let test_remote_plan () =
-  let route table lo hi addr = { Remote.r_table = table; r_lo = lo; r_hi = hi; r_addr = addr } in
-  (* "*" is the shard layer's component-space wildcard: a spec's
-     key-space bounds must never be read as one *)
-  List.iter
-    (fun spec ->
-      match Remote.routes_of_specs ~peers:[] [ "s"; spec ] with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "spec %S must be rejected" spec)
-    [ "*"; "*@127.0.0.1:1"; "*:a:b@127.0.0.1:1" ];
-  let split =
-    [ route "p" "p|" "p|m" (Some "h1:1"); route "p" "p|m" "p}" (Some "h2:1") ]
-  in
-  (match Remote.plan ~routes:split ~table:"q" ~lo:"q|" ~hi:"q}" with
+  let plan entries ~table ~lo ~hi = Remote.plan ~self_addr:"me:1" ~entries ~table ~lo ~hi in
+  let split = [ entry "p" "p|" "p|m" "h1:1"; entry "p" "p|m" "p}" "h2:1" ] in
+  (match plan split ~table:"q" ~lo:"q|" ~hi:"q}" with
   | `Unrouted -> ()
   | _ -> Alcotest.fail "unrouted table");
-  (match Remote.plan ~routes:split ~table:"p" ~lo:"p|a" ~hi:"p|z" with
-  | `Fetch [ (r1, "p|a", "p|m"); (r2, "p|m", "p|z") ]
-    when r1.Remote.r_addr = Some "h1:1" && r2.Remote.r_addr = Some "h2:1" ->
+  (match plan split ~table:"p" ~lo:"p|a" ~hi:"p|z" with
+  | `Fetch [ (e1, "p|a", "p|m"); (e2, "p|m", "p|z") ]
+    when e1.de_home = "h1:1" && e2.de_home = "h2:1" ->
     ()
   | _ -> Alcotest.fail "split fetch clamps");
-  let gappy = [ route "p" "p|" "p|m" (Some "h1:1"); route "p" "p|n" "p}" (Some "h2:1") ] in
-  (match Remote.plan ~routes:gappy ~table:"p" ~lo:"p|a" ~hi:"p|z" with
+  let gappy = [ entry "p" "p|" "p|m" "h1:1"; entry "p" "p|n" "p}" "h2:1" ] in
+  (match plan gappy ~table:"p" ~lo:"p|a" ~hi:"p|z" with
   | `Gap -> ()
   | _ -> Alcotest.fail "uncovered middle must be a gap");
-  (match Remote.plan ~routes:gappy ~table:"p" ~lo:"p|a" ~hi:"p|b" with
+  (match plan gappy ~table:"p" ~lo:"p|a" ~hi:"p|b" with
   | `Fetch [ (_, "p|a", "p|b") ] -> ()
   | _ -> Alcotest.fail "fully covered prefix");
-  (* a locally-owned route covers its part but yields no clamp *)
-  let mixed = [ route "p" "p|" "p|m" None; route "p" "p|m" "p}" (Some "h2:1") ] in
-  match Remote.plan ~routes:mixed ~table:"p" ~lo:"p|a" ~hi:"p|z" with
-  | `Fetch [ (r, "p|m", "p|z") ] when r.Remote.r_addr = Some "h2:1" -> ()
+  (* a locally homed entry covers its part but yields no clamp *)
+  let mixed = [ entry "p" "p|" "p|m" "me:1"; entry "p" "p|m" "p}" "h2:1" ] in
+  match plan mixed ~table:"p" ~lo:"p|a" ~hi:"p|z" with
+  | `Fetch [ (e, "p|m", "p|z") ] when e.de_home = "h2:1" -> ()
   | _ -> Alcotest.fail "local coverage must not be fetched"
+
+(* The wildcard rule, which only Directory knows: a "*" entry covers
+   the same component-space slice of every table, "" is an open end, and
+   a table any specific entry names is governed by specific entries
+   only. A range spanning tables cannot be cut by wildcards: it spreads
+   over their homes. *)
+let test_wildcard_directory () =
+  let wild lo hi home = entry "*" lo hi home in
+  let shards = [ wild "" "b" "a:1"; wild "b" "d" "b:1"; wild "d" "" "c:1" ] in
+  let install entries =
+    let dir = Directory.create () in
+    match Directory.install dir ~epoch:1 ~entries with
+    | Ok () -> dir
+    | Error msg -> Alcotest.failf "install: %s" msg
+  in
+  let dir = install shards in
+  List.iter
+    (fun (key, want) ->
+      match Directory.home_of dir ~key with
+      | Some h when h = want -> ()
+      | got ->
+        Alcotest.failf "home of %S: %s, want %s" key (Option.value got ~default:"none") want)
+    [ ("p|ann|1", "a:1"); ("s|bob|x", "b:1"); ("zz|eve", "c:1"); ("t|d", "c:1");
+      ("t|", "a:1"); ("q", "a:1") (* a bare key's component is empty *);
+      ("p|\xfe\xfe", "c:1") (* "" upper bound: open *) ];
+  (match Directory.for_table shards ~table:"p" with
+  | [ a; b; c ] ->
+    check_bool "instantiated in key space" true
+      ((a.de_lo, a.de_hi, b.de_lo, b.de_hi, c.de_lo, c.de_hi)
+       = ("p", "p|b", "p|b", "p|d", "p|d", "p}"))
+  | _ -> Alcotest.fail "one instantiated entry per wildcard");
+  (* a specific entry takes its table away from the wildcards, even
+     where it leaves a gap *)
+  let mixed = install (entry "p" "p|" "p|m" "x:1" :: shards) in
+  check_bool "specific entry governs" true (Directory.home_of mixed ~key:"p|zed" = None);
+  check_bool "specific entry homes" true (Directory.home_of mixed ~key:"p|ann" = Some "x:1");
+  check_bool "other tables stay wildcard" true (Directory.home_of mixed ~key:"s|zed" = Some "c:1");
+  (match Remote.plan ~self_addr:"b:1" ~entries:shards ~table:"p" ~lo:"p|a" ~hi:"p|e" with
+  | `Fetch [ (e1, "p|a", "p|b"); (e2, "p|d", "p|e") ]
+    when e1.de_home = "a:1" && e2.de_home = "c:1" ->
+    ()
+  | _ -> Alcotest.fail "wildcard fetch clamps");
+  (match Directory.segments shards ~lo:"p|a" ~hi:"p|c" with
+  | `Cut pieces ->
+    check_bool "one-table scan cut by slice" true
+      (homes_of pieces = [ (Some "a:1", "p|a", "p|b"); (Some "b:1", "p|b", "p|c") ])
+  | `Spread _ -> Alcotest.fail "a one-table scan must be cut");
+  (match Directory.segments shards ~lo:"p|" ~hi:"q}" with
+  | `Spread homes -> check_bool "spread homes" true (homes = [ "a:1"; "b:1"; "c:1" ])
+  | `Cut _ -> Alcotest.fail "a cross-table scan must spread over wildcards");
+  (match
+     Directory.segments [ entry "p" "p|" "p}" "A"; entry "q" "q|" "q}" "B" ] ~lo:"p|"
+       ~hi:"q}"
+   with
+  | `Cut pieces ->
+    check_bool "cross-table scan cut in key order" true
+      (homes_of pieces
+       = [ (Some "A", "p|", "p}"); (None, "p}", "q|"); (Some "B", "q|", "q}") ])
+  | `Spread _ -> Alcotest.fail "specific entries cut across tables");
+  List.iter
+    (fun (what, entries) ->
+      match Directory.validate entries with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "%s must be rejected" what)
+    [ ("overlapping wildcards", [ wild "" "c" "a:1"; wild "b" "" "b:1" ]);
+      ("a wildcard after an open end", [ wild "" "" "a:1"; wild "b" "c" "b:1" ]);
+      ("an inverted wildcard", [ wild "d" "b" "a:1" ]);
+      ("an empty wildcard", [ wild "b" "b" "a:1" ]) ];
+  (* "*" is the directory's wildcard: a spec's key-space bounds must
+     never be read as one *)
+  List.iter
+    (fun spec ->
+      match Remote.entries_of_specs ~peers:[] ~self_addr:"me:1" [ "s"; spec ] with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "spec %S must be rejected" spec)
+    [ "*"; "*@127.0.0.1:1"; "*:a:b@127.0.0.1:1" ]
 
 let () =
   Alcotest.run "net"
@@ -332,5 +408,9 @@ let () =
           Alcotest.test_case "push-mode client" `Quick test_push_mode_client;
           Alcotest.test_case "fetch dedup" `Quick test_fetch_dedup;
         ] );
-      ("routes", [ Alcotest.test_case "plan coverage" `Quick test_remote_plan ]);
+      ( "routes",
+        [
+          Alcotest.test_case "plan coverage" `Quick test_remote_plan;
+          Alcotest.test_case "wildcard directory" `Quick test_wildcard_directory;
+        ] );
     ]

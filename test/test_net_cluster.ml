@@ -804,6 +804,38 @@ let test_directory_heal () =
       | Error _ -> false);
   check_bool "loss detected and counted" true (counter_of compute "peer.sub.lost" >= 1)
 
+(* A scan spanning tables on a directory server is cut in key order by
+   every entry it overlaps, whatever the table: p is homed at the seed
+   A, q at the follower B, and [p|, q}) must return the rows of both
+   tables from either server. Cutting by the entries of the first
+   table only served q's rows from A's own (empty) store. *)
+let test_cross_table_scan () =
+  with_cluster @@ fun ~start ~client ->
+  let _, port_a = start [ "--port"; "0"; "--dir-host" ] in
+  let addr_a = Printf.sprintf "127.0.0.1:%d" port_a in
+  let _, port_b = start [ "--port"; "0"; "--directory"; addr_a ] in
+  let addr_b = Printf.sprintf "127.0.0.1:%d" port_b in
+  let a = client port_a in
+  let b = client port_b in
+  let entry table home =
+    { Message.de_table = table; de_lo = table ^ "|"; de_hi = table ^ "}"; de_home = home;
+      de_replicas = [] }
+  in
+  dir_update a ~epoch:1 [ entry "p" addr_a; entry "q" addr_b ];
+  poll ~timeout:10.0 ~what:"the follower to adopt the directory" (fun () ->
+      fst (dir_state b) = 1);
+  put_ok a "p|y" "1";
+  put_ok a "q|a" "2";
+  put_ok a "q|b" "3";
+  let want = [ ("p|y", "1"); ("q|a", "2"); ("q|b", "3") ] in
+  List.iter
+    (fun (name, c) ->
+      match scan_pairs c "p|" "q}" with
+      | Ok got when got = want -> ()
+      | Ok got -> Alcotest.failf "cross-table scan on %s: %d pairs, want 3" name (List.length got)
+      | Error msg -> Alcotest.failf "cross-table scan on %s failed: %s" name msg)
+    [ ("A", a); ("B", b) ]
+
 let () =
   Alcotest.run "net-cluster"
     [
@@ -815,6 +847,8 @@ let () =
             test_migration_crash_safety;
           Alcotest.test_case "replica warms, fails over" `Quick test_replica;
           Alcotest.test_case "heartbeat refetches lost sub" `Quick test_directory_heal;
+          Alcotest.test_case "cross-table scan reaches every home" `Quick
+            test_cross_table_scan;
         ] );
       ( "session",
         [

@@ -12,6 +12,7 @@
 module Shard = Pequod_server_lib.Shard
 module Net_server = Pequod_server_lib.Net_server
 module Net_client = Pequod_server_lib.Net_client
+module Session = Pequod_server_lib.Session
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
@@ -208,6 +209,66 @@ let test_cross_shard_freshness () =
         | got -> Alcotest.failf "push freshness: %d pairs" (List.length got)
       in
       wait2 ())
+
+(* A shard is a directory home whose address is in the same process:
+   the server answers Dir_get with one wildcard entry per shard at epoch
+   1, each homed at that shard's own port, and refuses to change it *)
+let test_shard_directory () =
+  with_shard_server ~cuts:[ "b"; "d" ] ~shards:3 (fun t client ->
+      (match Net_client.call client Message.Dir_get with
+      | Message.Dir_state { epoch = 1; entries } ->
+        let want =
+          List.map2
+            (fun (lo, hi) port -> ("*", lo, hi, Printf.sprintf "127.0.0.1:%d" port))
+            [ ("", "b"); ("b", "d"); ("d", "") ]
+            (Shard.shard_ports t)
+        in
+        let got =
+          List.map
+            (fun (e : Message.dir_entry) -> (e.de_table, e.de_lo, e.de_hi, e.de_home))
+            entries
+        in
+        check_bool "three wildcard entries naming the shard ports" true (got = want)
+      | _ -> Alcotest.fail "Dir_get must answer the epoch-1 directory");
+      (match
+         Net_client.call client (Message.Dir_update { epoch = 2; entries = [] })
+       with
+      | Message.Error _ -> ()
+      | _ -> Alcotest.fail "Dir_update on a shard must answer Error");
+      match
+        Net_client.call client
+          (Message.Migrate { table = "p"; lo = "p|"; hi = "p|b"; dest = "127.0.0.1:9" })
+      with
+      | Message.Error _ -> ()
+      | _ -> Alcotest.fail "Migrate on a shard must answer Error")
+
+(* Stamped reads routed between shards: after writes through the public
+   port, reads demanding the ack vector — a point read of a key a
+   sibling homes, a timeline homed on one sibling whose source another
+   homes, and a p| range spanning every slice — see the writes and
+   are never Stale *)
+let test_stamped_reads () =
+  with_shard_server ~cuts:[ "b"; "d" ] ~shards:3 (fun _ client ->
+      let session = Session.create client in
+      Session.put session "s|dee|ann" "1";
+      Session.put session "p|ann|0042" "hello";
+      Session.put session "p|cal|0007" "hi";
+      let min = Session.stamp session in
+      check_bool "acks carry stamps" true (min <> []);
+      let call req =
+        match Net_client.call client req with
+        | Message.Stale _ -> Alcotest.fail "stamped read answered Stale"
+        | Message.Error m -> Alcotest.failf "stamped read failed: %s" m
+        | resp -> resp
+      in
+      check_bool "Get_at on a sibling's key" true
+        (call (Message.Get_at { key = "p|cal|0007"; min }) = Message.Value (Some "hi"));
+      check_bool "Scan_at on a one-slice timeline" true
+        (call (Message.Scan_at { lo = "t|dee|"; hi = "t|dee}"; min })
+        = Message.Pairs [ ("t|dee|0042|ann", "hello") ]);
+      check_bool "Scan_at across slices" true
+        (call (Message.Scan_at { lo = "p|"; hi = "p}"; min })
+        = Message.Pairs [ ("p|ann|0042", "hello"); ("p|cal|0007", "hi") ]))
 
 (* ------------------------------------------------------------------ *)
 (* Codec torture: malformed byte streams must never crash or wedge the
@@ -461,6 +522,8 @@ let () =
           Alcotest.test_case "1-shard vs 3-shard transcript" `Quick
             test_transcript_equivalence;
           Alcotest.test_case "cross-shard freshness" `Quick test_cross_shard_freshness;
+          Alcotest.test_case "wildcard directory" `Quick test_shard_directory;
+          Alcotest.test_case "stamped reads across shards" `Quick test_stamped_reads;
         ] );
       ( "codec-torture",
         [
