@@ -33,7 +33,6 @@ module Remote = Pequod_server_lib.Remote
 module Shard = Pequod_server_lib.Shard
 module Directory = Pequod_server_lib.Directory
 module Config = Pequod_core.Config
-module Message = Pequod_proto.Message
 
 open Cmdliner
 

@@ -333,7 +333,7 @@ let hist_pooled metrics name =
         wavg (fun s -> s.Obs.Histogram.p99) )
 
 (* requests each shard's loop dispatched, off the sharded server's
-   merged Stats_full (shard.<i>.ops). A single shard runs no router and
+   merged Stats_full (shard.<i>.ops). A single shard routes nothing and
    publishes no shard.* split, so its whole net.rpcs is the one entry. *)
 let per_shard_ops metrics ~shards =
   if shards <= 0 then [||]

@@ -101,10 +101,19 @@ let overlaps (e : entry) ~lo ~hi =
 
 let entry_of t ~key =
   List.find_opt
-    (fun (e : entry) -> String.compare e.Message.de_lo key <= 0 && below_hi e key)
+    (fun (e : entry) ->
+      String.compare e.Message.de_lo key <= 0 && String.compare key e.Message.de_hi < 0)
     (for_table t.entries ~table:(Pequod_store.Store.table_name_of key))
 
 let home_of t ~key = Option.map (fun (e : entry) -> e.Message.de_home) (entry_of t ~key)
+
+let candidates ~self (e : entry) =
+  match List.filter (fun a -> not (String.equal a self)) e.Message.de_replicas with
+  | [] -> [ e.Message.de_home ]
+  | reps ->
+    let n = List.length reps in
+    let start = Hashtbl.hash self mod n in
+    List.init n (fun i -> List.nth reps ((start + i) mod n)) @ [ e.Message.de_home ]
 
 let cut entries ~lo ~hi =
   let overlapping =

@@ -59,6 +59,11 @@ val home_of : t -> key:string -> string option
     any. *)
 val entry_of : t -> key:string -> entry option
 
+(** Who may serve a read of [e]'s range, as seen from [self]: the
+    replicas other than [self], rotated by [self]'s identity so readers
+    spread over them, then the home. *)
+val candidates : self:string -> entry -> string list
+
 (** [[lo, hi)] cut in key order by the key-space [entries] it overlaps:
     one piece per overlapping entry, clamped, and [None] pieces for the
     gaps between them. The pieces cover the range exactly. *)

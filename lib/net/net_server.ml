@@ -729,18 +729,10 @@ let forward_call t ds dest req =
 
 (* Who should serve a read of entry [e]'s range? [None]: this server —
    the home or a listed replica (whose copy its subscription keeps
-   fresh). Otherwise the ordered candidates to try: the replicas,
-   rotated by this server's identity so different forwarders spread over
-   them, with the home always last. *)
+   fresh). Otherwise the ordered candidates to try, the home last. *)
 let candidates ds (e : Message.dir_entry) =
   if String.equal e.de_home ds.ds_self || List.mem ds.ds_self e.de_replicas then None
-  else
-    match e.de_replicas with
-    | [] -> Some [ e.de_home ]
-    | reps ->
-      let n = List.length reps in
-      let start = Hashtbl.hash ds.ds_self mod n in
-      Some (List.init n (fun i -> List.nth reps ((start + i) mod n)) @ [ e.de_home ])
+  else Some (Directory.candidates ~self:ds.ds_self e)
 
 (* [None] also when the key is outside the directory (join outputs,
    un-governed tables) or there is no directory epoch yet *)
@@ -850,19 +842,20 @@ let merge_dedup a b =
    elsewhere forward a clamped [Scan] to a replica or the home, and
    gaps the directory does not cover (join outputs, un-governed tables)
    stay local. A range spanning tables cannot be cut by wildcard
-   entries: with [scatter] it is spread instead, every wildcard home
-   serving the whole range from what it holds (the local leg first);
-   without, it is served here. [None] when no segment is remote: the
-   scan then takes the ordinary local path, parking on a miss like any
-   other. *)
-let remote_segments t ~scatter ~lo ~hi =
+   entries: a request the shard acceptor handed in ([spread]) is spread
+   instead, every wildcard home serving the whole range from what it
+   holds (the local leg first); any other — a spread leg among them —
+   is served here, so a leg is never spread again. [None] when no
+   segment is remote: the scan then takes the ordinary local path,
+   parking on a miss like any other. *)
+let remote_segments t ~spread ~lo ~hi =
   match t.dirst with
   | Some ds when Directory.epoch ds.ds_dir > 0 -> (
     let segs =
       match Directory.segments (Directory.entries ds.ds_dir) ~lo ~hi with
       | `Cut pieces ->
         List.map (fun (e, slo, shi) -> (Option.bind e (candidates ds), slo, shi)) pieces
-      | `Spread homes when scatter ->
+      | `Spread homes when spread ->
         (None, lo, hi)
         :: List.filter_map
              (fun h -> if String.equal h ds.ds_self then None else Some (Some [ h ], lo, hi))
@@ -1344,9 +1337,8 @@ let handle_local ?(may_park = false) t client req =
    segments served where they live. Forwards block in nested steps with
    no engine call on the stack, so this loop keeps servicing its fetcher
    sockets meanwhile — a ring of shards forwarding into each other's
-   parked scans drains instead of deadlocking. [scatter]: see
-   [remote_segments]. *)
-let route t client ~scatter req =
+   parked scans drains instead of deadlocking. *)
+let route t client req =
   match req with
   | Message.Put (k, _) | Message.Remove k -> (
     match forward_home t k with
@@ -1386,7 +1378,7 @@ let route t client ~scatter req =
     let min = match req with Message.Scan_at { min; _ } -> min | _ -> [] in
     if min <> [] then Obs.Counter.incr t.m_session_reads;
     tally_read t lo;
-    match remote_segments t ~scatter ~lo ~hi with
+    match remote_segments t ~spread:client.injected ~lo ~hi with
     | Some (ds, segs) -> Some (scan_segments t ds ~min segs)
     | None -> handle_local ~may_park:true t client req)
   | _ -> handle_local ~may_park:true t client req
@@ -1394,13 +1386,11 @@ let route t client ~scatter req =
 (* A shard routes like any directory server, with three differences. A
    client's [Add_join] is installed on every shard, each materializing
    the join for the slices its clients scan, and a client's [Stats_full]
-   merges every shard's registry. The directory is fixed. Only
-   acceptor-handed requests spread (see [remote_segments]); the keyed
+   merges every shard's registry. The directory is fixed. The keyed
    requests and joins a sibling sends count as [shard.forward.in]. *)
 let dispatch_shard t sh client req =
   Obs.Counter.incr sh.sm_ops;
   if client.injected then Obs.Counter.incr sh.sm_client_ops;
-  let siblings = List.filteri (fun i _ -> i <> sh.sh_self) sh.sh_addrs in
   match req with
   | Message.Dir_update _ | Message.Migrate _ ->
     Some (Message.Error "a shard's partition directory is fixed")
@@ -1416,7 +1406,8 @@ let dispatch_shard t sh client req =
              | Message.Done, (Message.Error _ as e) -> e
              | Message.Done, _ -> Message.Error "unexpected forward response"
              | e, _ -> e)
-           Message.Done siblings)
+           Message.Done
+           (List.filteri (fun i _ -> i <> sh.sh_self) sh.sh_addrs))
     | other -> other)
   | Message.Stats_full when client.injected ->
     let ds = Option.get t.dirst in
@@ -1435,12 +1426,12 @@ let dispatch_shard t sh client req =
   | Message.Get_at _ | Message.Scan_at _ | Message.Add_join _
     when not client.injected ->
     Obs.Counter.incr sh.sm_forward_in;
-    route t client ~scatter:false req
-  | _ -> route t client ~scatter:client.injected req
+    route t client req
+  | _ -> route t client req
 
 let dispatch t client req =
   match t.shard with
-  | None -> route t client ~scatter:false req
+  | None -> route t client req
   | Some sh -> dispatch_shard t sh client req
 
 (* one frame, decoded straight out of the receive buffer (no copy) *)

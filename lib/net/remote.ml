@@ -490,16 +490,7 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
     in
     plan ~self_addr ~entries ~table ~lo ~hi
   in
-  (* who may serve a fetch under entry [e]: its replicas, rotated by
-     this server's identity so readers spread over them, then the home *)
-  let candidates (e : Message.dir_entry) =
-    match List.filter (fun a -> not (String.equal a self_addr)) e.de_replicas with
-    | [] -> [ e.de_home ]
-    | reps ->
-      let n = List.length reps in
-      let start = Hashtbl.hash self_addr mod n in
-      List.init n (fun i -> List.nth reps ((start + i) mod n)) @ [ e.de_home ]
-  in
+  let candidates = Directory.candidates ~self:self_addr in
   (* one clamp's blocking fetch, falling through the candidates *)
   let fetch_clamp ((e : Message.dir_entry), flo, fhi) =
     List.find_map (fun addr -> fetch_one ~table:e.de_table ~lo:flo ~hi:fhi addr) (candidates e)

@@ -190,6 +190,7 @@ let create ?config ?backend ?metrics_every ?(sub_check_every = 2.0)
     Array.iteri
       (fun i srv ->
         let self_addr = List.nth addrs i in
+        (* a copy per shard: a directory is its owning domain's state *)
         let dir = directory ~cuts ~homes:addrs in
         Net_server.set_directory srv ~dir ~self_addr ();
         Net_server.add_ticker srv

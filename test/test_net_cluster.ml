@@ -807,8 +807,8 @@ let test_directory_heal () =
 (* A scan spanning tables on a directory server is cut in key order by
    every entry it overlaps, whatever the table: p is homed at the seed
    A, q at the follower B, and [p|, q}) must return the rows of both
-   tables from either server. Cutting by the entries of the first
-   table only served q's rows from A's own (empty) store. *)
+   tables from either server — a cut by the first table's entries
+   alone would serve q's rows from A's own, empty, store. *)
 let test_cross_table_scan () =
   with_cluster @@ fun ~start ~client ->
   let _, port_a = start [ "--port"; "0"; "--dir-host" ] in
