@@ -96,6 +96,8 @@ cluster-smoke:
 		|| { echo "FAIL: migrate run lacks keys_moved" >&2; exit 1; }
 	grep -Eq '"scan_parked": [1-9]' BENCH_cluster_migrate.json \
 		|| { echo "FAIL: no scans parked on the directory-routed compute" >&2; exit 1; }
+	grep -Eq '"probe_errors": 0[,}]' BENCH_cluster_migrate.json \
+		|| { echo "FAIL: handoff probes failed during the migration" >&2; exit 1; }
 	rm -f BENCH_cluster_migrate.json
 
 # CI smoke for the repository benchmark (perfbench/, BENCHMARK.json): a

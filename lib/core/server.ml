@@ -237,11 +237,6 @@ let create ?config () =
 let config t = t.config
 let obs t = t.obs
 
-(* True while a collect-mode scan is running: a resolver that fetches
-   asynchronously answers [Deferred] here (the miss set comes back via
-   [`Missing]) but must fall back to a blocking fetch outside it (updater
-   firings have no retry loop above them). *)
-let collecting t = t.deferred_acc <> None
 let counter t name = Obs.counter_value t.obs name
 let set_resolver t r = t.resolver <- Some r
 let set_mutation_hook t f = t.on_mutation <- Some f
@@ -463,10 +458,20 @@ and eager_check_apply t up cx b ~change =
   Obs.Counter.incr t.hot.eager_check;
   match change with
   | Update -> () (* check values are not interesting *)
-  | Insert ->
-    exec_sources t ~active:[] up.up_join ~bindings:b ~residual:cx.cx_residual
-      ~out_range:(cx.cx_cover.co_lo, cx.cx_cover.co_hi)
-      ~mode:(`Materialize cx.cx_cover) ~skip_source:up.up_source
+  | Insert -> (
+    try
+      exec_sources t ~active:[] up.up_join ~bindings:b ~residual:cx.cx_residual
+        ~out_range:(cx.cx_cover.co_lo, cx.cx_cover.co_hi)
+        ~mode:(`Materialize cx.cx_cover) ~skip_source:up.up_source
+    with Need_fetch _ ->
+      (* a source range is absent and its resolver deferred (an
+         asynchronous host fetches only for scans): give the cover up.
+         The next read recomputes it wholesale, collecting the miss. *)
+      let m = meta t (Pattern.table (Joinspec.output up.up_join.spec)) in
+      Range_map.update_range m.status ~lo:cx.cx_cover.co_lo ~hi:cx.cx_cover.co_hi
+        (fun _ _ stv ->
+          Option.iter (fun st -> st.state <- Invalid) stv;
+          stv))
   | Remove ->
     retract_binding t up.up_join b ~lo:cx.cx_cover.co_lo ~hi:cx.cx_cover.co_hi
 
@@ -1473,6 +1478,13 @@ let get t key =
   match scan t ~lo:key ~hi:(Strkey.key_after key) with
   | (k, v) :: _ when String.equal k key -> Some v
   | _ -> None
+
+let get_result t key =
+  Obs.Counter.incr t.hot.gets;
+  match scan_result t ~lo:key ~hi:(Strkey.key_after key) with
+  | `Ok ((k, v) :: _) when String.equal k key -> `Ok (Some v)
+  | `Ok _ -> `Ok None
+  | `Missing _ as m -> m
 
 let present_map m =
   match m.present with

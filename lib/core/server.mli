@@ -102,17 +102,17 @@ type scan_result =
     [may_defer] (default [true]) controls collect mode: with
     [~may_defer:false] a [Deferred] resolver answer aborts the scan at
     the first miss instead of being collected — for callers with no
-    retry loop above them, whose resolver should fetch inline (see
-    {!collecting}). *)
+    retry loop above them. A resolver with no inline fetch answers
+    [Deferred] everywhere; an eager-check updater that meets it gives
+    its cover up, so the output range turns invalid and the next read
+    recomputes it, collecting the miss. *)
 val scan_result :
   ?limit:int -> ?may_defer:bool -> t -> lo:string -> hi:string -> scan_result
 
-(** True while a collect-mode {!scan_result} is running. An
-    asynchronous resolver consults this to pick its answer: [Deferred]
-    inside a collect-mode scan (the host fetches the [`Missing] set as
-    one burst and retries), a blocking inline fetch everywhere else —
-    updater firings and {!scan}/{!get} have no retry loop above them. *)
-val collecting : t -> bool
+(** {!get} as a collect-mode scan of the one key: the value, or the base
+    ranges to fetch before retrying, as in {!scan_result}. *)
+val get_result :
+  t -> string -> [ `Ok of string option | `Missing of (string * string * string) list ]
 
 (** Thin convenience wrapper over {!scan_result} for callers that know
     every needed range is local or synchronously resolvable; fails on

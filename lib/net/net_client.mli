@@ -1,11 +1,14 @@
-(** Typed TCP client for the Pequod wire protocol: the one way out of
-    this process. Both user-facing tools ([pequod_cli]) and the
-    server-to-server layer ([Remote], the home-server push path) speak
-    through it, so connection management, the version handshake, retry
-    policy and timeouts live in exactly one place.
+(** Typed blocking TCP client for the Pequod wire protocol, for
+    processes that are not servers: [pequod_cli], [pequod_ctl], the load
+    harness and the repository benchmark. Connection management, the
+    version handshake, retry policy and timeouts live here. A running server
+    never uses it — a blocking call would stall its event loop — and
+    reaches its peers through {!Peer} instead; the one exception is a
+    directory follower's bootstrap poll, which runs before its loop
+    starts.
 
     A client is bound to one [host:port] and connects lazily: the first
-    {!call} (or {!post}/{!pipeline}) opens the socket and performs the
+    {!call} (or {!pipeline}) opens the socket and performs the
     [Hello]/[Welcome] protocol handshake. A connection lost to an I/O
     error or timeout is closed and re-established on the next call, with
     bounded, backed-off reconnect attempts ([net.client.retries]); a
@@ -34,32 +37,11 @@ type t
 
 (** A client for the server at [host:port]; no I/O happens until the
     first request. [obs] is the registry receiving the client's metrics
-    ([net.client.rpcs], [net.client.retries], [net.client.timeouts]) —
-    pass the engine's registry when the client serves an engine (the
-    [Remote] resolver does), omit it for standalone tools.
-
-    [handshake:false] creates a {e push-mode} client (the home-server
-    notify path): the [Hello] is pipelined and the [Welcome] never
-    awaited, so establishing the connection cannot block on the peer's
-    event loop — a home pushing to a subscriber that is itself blocked
-    in a synchronous [Fetch] back to it must not deadlock. The peer's
-    handshake answer is drained without blocking on each {!post}; a
-    rejection or version mismatch surfaces there as {!Net_error}.
-    Push-mode clients are {!post}-only: {!call} and {!pipeline} raise
-    [Invalid_argument].
-
-    [on_wait] runs repeatedly (every couple of milliseconds) while a
-    {!call} or {!pipeline} waits for its response, so an event-loop
-    owner can keep serving while blocked — a server passes a nested
-    step of its own loop here. The hook must not issue a request on
-    {e this} client's main connection; if re-entrant work does call back
-    into the same client, that inner exchange transparently runs on a
-    dedicated one-shot connection so response streams never interleave. *)
+    ([net.client.rpcs], [net.client.retries], [net.client.timeouts]);
+    omit it for a private one. *)
 val create :
   ?obs:Obs.t ->
   ?config:config ->
-  ?handshake:bool ->
-  ?on_wait:(unit -> unit) ->
   host:string ->
   port:int ->
   unit ->
@@ -71,13 +53,8 @@ val port : t -> int
 (** Send one request and wait for its response. [timeout] overrides
     [config.call_timeout]. Raises {!Net_error}; a request that timed out
     may still have been applied by the server (the connection is closed,
-    but the send happened). One-way requests are refused — use {!post}. *)
+    but the send happened). One-way requests are refused. *)
 val call : ?timeout:float -> t -> Pequod_proto.Message.request -> Pequod_proto.Message.response
-
-(** Send a one-way request (the [Notify_*] family): written to the
-    socket, no response expected or read. Raises {!Net_error} on
-    connection failure. *)
-val post : t -> Pequod_proto.Message.request -> unit
 
 (** Pipeline: write every request in one buffer flush, then read the
     responses in order. Equivalent to [List.map (call t)] but one
@@ -85,12 +62,6 @@ val post : t -> Pequod_proto.Message.request -> unit
     each response read. One-way requests are refused. *)
 val pipeline :
   ?timeout:float -> t -> Pequod_proto.Message.request list -> Pequod_proto.Message.response list
-
-(** The exact on-the-wire bytes (length-prefixed frame) {!call} and
-    {!pipeline} would write for [req]. For callers that drive their own
-    sockets — the asynchronous fetcher pipelines these on nonblocking
-    connections owned by the serving event loop. *)
-val encode_request_frame : Pequod_proto.Message.request -> string
 
 (** Is the underlying connection currently established? *)
 val connected : t -> bool

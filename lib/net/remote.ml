@@ -1,5 +1,6 @@
-(* Wires Net_client into a cache engine as its missing-range resolver:
-   the compute-server half of the §2.4 fetch/subscribe protocol. *)
+(* Routes a server's engine by its partition directory: the resolver,
+   the asynchronous fetcher and the maintenance tick — the
+   compute-server half of the §2.4 fetch/subscribe protocol. *)
 
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
@@ -63,49 +64,6 @@ let host_port addr =
     | None -> invalid_arg ("bad peer address: " ^ addr))
   | None -> invalid_arg ("bad peer address: " ^ addr)
 
-(* peer clients, one per owning address, created lazily and registered
-   in the engine's own metrics registry ([net.client.retries] etc.) *)
-let client_cache ~on_wait obs =
-  let cache : (string, Net_client.t) Hashtbl.t = Hashtbl.create 4 in
-  fun addr ->
-    match Hashtbl.find_opt cache addr with
-    | Some c -> c
-    | None ->
-      let chost, cport = host_port addr in
-      let c = Net_client.create ~obs ~on_wait ~host:chost ~port:cport () in
-      Hashtbl.add cache addr c;
-      c
-
-(* One blocking fetch+subscribe exchange: the §2.4 [Fetch] naming this
-   server as the subscriber, answered by a [Subscribed] snapshot. On
-   success the granted subscription is recorded in [tracked] (keyed by
-   the exact clamp, valued by the granting server) for the healing
-   heartbeat to audit. Shared by the blocking resolver, replica warming
-   and the heartbeat's refetch. *)
-let fetch_one ~engine ~client_for ~tracked ~m_fetch_out ~self_addr ~table ~lo ~hi addr =
-  Obs.Counter.incr m_fetch_out;
-  match
-    Net_client.call (client_for addr)
-      (Message.Fetch { table; lo; hi; subscriber = self_addr })
-  with
-  | Message.Subscribed { stamp; pairs } ->
-    Hashtbl.replace tracked (table, lo, hi) addr;
-    (* record the snapshot's version: stamped reads compare their demand
-       against it. Every feed path must go through this — the replica
-       warming path used to skip it, leaving a warmed replica unable to
-       detect (and heal) its own staleness under a stamped read. *)
-    if stamp > 0 then Server.set_range_stamp engine ~table ~lo ~hi stamp;
-    Some pairs
-  | Message.Error msg ->
-    Log.warn (fun m -> m "fetch %s[%s,%s) from %s refused: %s" table lo hi addr msg);
-    None
-  | _ ->
-    Log.warn (fun m -> m "fetch %s[%s,%s) from %s: unexpected response" table lo hi addr);
-    None
-  | exception Net_client.Net_error msg ->
-    Log.warn (fun m -> m "fetch %s[%s,%s) from %s failed: %s" table lo hi addr msg);
-    None
-
 (* Which entries serve a missing [lo, hi) of [table]?
    [`Unrouted]: no entry governs the table — it is purely local.
    [`Gap]: entries govern the table but leave part of the range
@@ -129,16 +87,12 @@ let plan ~self_addr ~entries ~table ~lo ~hi =
              | _ -> None (* homed here; already present *))
            pieces)
 
-(* The asynchronous fetch engine behind [Net_server]'s parked scans.
-
-   Where the blocking resolver holds the event loop hostage for one
-   round-trip per missing range, the fetcher owns its own nonblocking
-   peer sockets, driven by the serving loop itself
-   ([Net_server.watch_fd]): a parked scan's whole missing-range set is
-   planned into clamps and written as one pipelined burst per peer,
-   concurrently across peers. Responses are matched to fetches in
-   per-connection pipeline order (the wire has no request ids), fed
-   into the engine, and the scan retried once the full set has landed.
+(* The asynchronous fetch engine behind [Net_server]'s parked reads,
+   on top of the server's peer pool ({!Peer}): a parked read's whole
+   missing-range set is planned into clamps and sent as one pipelined
+   burst per peer, concurrently across peers. Each landed [Subscribed]
+   snapshot is fed into the engine and the read retried once the full
+   set has landed.
 
    Each clamp carries its candidate servers: the range's read replicas,
    then its home. A candidate that refuses, is down, or drops the
@@ -146,14 +100,10 @@ let plan ~self_addr ~entries ~table ~lo ~hi =
    once the home has failed too.
 
    Single-flight: an in-flight table keyed by the exact (table, lo, hi)
-   clamp means N concurrent parked scans missing the same range share
+   clamp means N concurrent parked reads missing the same range share
    one wire [Fetch] and one [feed_base]; the extra joins are counted in
-   [fetch.coalesced]. No [Hello] is sent on fetcher sockets — the
-   server answers frames without a handshake, and a [Welcome] would
-   desynchronise the response-order matching. *)
+   [fetch.coalesced]. *)
 module Fetcher = struct
-  module Frame = Pequod_proto.Frame
-
   type waiter = {
     mutable w_remaining : int; (* clamps not yet landed *)
     mutable w_failed : bool;
@@ -166,18 +116,8 @@ module Fetcher = struct
     mutable fl_waiters : waiter list;
   }
 
-  type peer = {
-    p_addr : string;
-    mutable p_fd : Unix.file_descr option;
-    mutable p_connecting : bool; (* nonblocking connect pending SO_ERROR *)
-    mutable p_decoder : Frame.decoder;
-    p_out : Buffer.t; (* encoded frames not yet written *)
-    p_flights : flight Queue.t; (* responses match heads in order *)
-    mutable p_down_until : float; (* reconnect backoff deadline *)
-  }
-
   type t = {
-    f_server : Net_server.t;
+    f_peers : Peer.t;
     f_engine : Server.t;
     f_self : string;
     (* missing range -> (table, clamp lo, clamp hi, candidates) fetches,
@@ -186,9 +126,7 @@ module Fetcher = struct
       table:string -> lo:string -> hi:string ->
       [ `Fail | `Nothing | `Clamps of (string * string * string * string list) list ];
     f_tracked : (string * string * string, string) Hashtbl.t;
-    f_peers : (string, peer) Hashtbl.t;
     f_inflight : (string * string * string, flight) Hashtbl.t;
-    f_buf : Bytes.t;
     m_fetch_out : Obs.Counter.t; (* peer.fetch.out *)
     m_coalesced : Obs.Counter.t; (* fetch.coalesced *)
     m_inflight : Obs.Gauge.t; (* fetch.inflight *)
@@ -197,29 +135,15 @@ module Fetcher = struct
   let create ~server ~self_addr ~plan ~tracked =
     let engine = Net_server.engine server in
     let obs = Server.obs engine in
-    { f_server = server;
+    { f_peers = Net_server.peers server;
       f_engine = engine;
       f_self = self_addr;
       f_plan = plan;
       f_tracked = tracked;
-      f_peers = Hashtbl.create 4;
       f_inflight = Hashtbl.create 16;
-      f_buf = Bytes.create 65_536;
       m_fetch_out = Obs.counter obs "peer.fetch.out";
       m_coalesced = Obs.counter obs "fetch.coalesced";
       m_inflight = Obs.gauge obs "fetch.inflight" }
-
-  let peer_of f addr =
-    match Hashtbl.find_opt f.f_peers addr with
-    | Some p -> p
-    | None ->
-      let p =
-        { p_addr = addr; p_fd = None; p_connecting = false;
-          p_decoder = Frame.decoder (); p_out = Buffer.create 256;
-          p_flights = Queue.create (); p_down_until = neg_infinity }
-      in
-      Hashtbl.add f.f_peers addr p;
-      p
 
   let complete_waiter w ~ok =
     if not ok then w.w_failed <- true;
@@ -236,184 +160,38 @@ module Fetcher = struct
     fl.fl_waiters <- [];
     List.iter (fun w -> complete_waiter w ~ok) ws
 
-  (* Queue [fl]'s [Fetch] on its next candidate, skipping candidates in
-     dead-peer backoff, and return that peer for flushing; with no
-     candidate left the flight fails. *)
-  let rec issue f fl now =
+  (* Send [fl]'s [Fetch] to its next candidate; a failure moves it on to
+     the one after, and with no candidate left the flight fails. *)
+  let rec issue f fl =
     match fl.fl_cands with
-    | [] ->
-      complete_flight f fl ~ok:false;
-      None
+    | [] -> complete_flight f fl ~ok:false
     | addr :: rest ->
       fl.fl_cands <- rest;
-      let peer = peer_of f addr in
-      if peer.p_fd = None && now < peer.p_down_until then issue f fl now
-      else begin
-        Obs.Counter.incr f.m_fetch_out;
-        Queue.add fl peer.p_flights;
-        let table, lo, hi = fl.fl_key in
-        Buffer.add_string peer.p_out
-          (Net_client.encode_request_frame
-             (Message.Fetch { table; lo; hi; subscriber = f.f_self }));
-        Some peer
-      end
-
-  let rec write_some fd data pos len =
-    if pos >= len then pos
-    else
-      match Unix.write_substring fd data pos (len - pos) with
-      | n -> write_some fd data (pos + n) len
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_some fd data pos len
-      | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> pos
-
-  let sockaddr_of addr =
-    let host, port = host_port addr in
-    let inet =
-      match Unix.inet_addr_of_string host with
-      | a -> a
-      | exception _ -> (
-        match (Unix.gethostbyname host).Unix.h_addr_list with
-        | [||] -> raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host))
-        | addrs -> addrs.(0)
-        | exception Not_found ->
-          raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host)))
-    in
-    Unix.ADDR_INET (inet, port)
-
-  (* a candidate failed [fl]: hand it to the next one *)
-  let rec retry f fl =
-    match issue f fl (Unix.gettimeofday ()) with
-    | Some peer -> kick f peer
-    | None -> ()
-
-  (* connect if needed, then push the whole pipeline out in as few
-     writes as the socket allows *)
-  and kick f peer =
-    ensure_connected f peer;
-    flush_peer f peer
-
-  (* Tear a peer connection down: every fetch still in its pipeline
-     moves on to its next candidate (or fails, and its parked scans
-     answer Error), and the peer sits out a short backoff so a dead
-     server is one failed [connect] per half second, not per scan. *)
-  and fail_peer f peer msg =
-    if not (Queue.is_empty peer.p_flights) then
-      Log.warn (fun m ->
-          m "peer %s: %s; re-routing %d in-flight fetches" peer.p_addr msg
-            (Queue.length peer.p_flights));
-    (match peer.p_fd with
-    | Some fd ->
-      peer.p_fd <- None;
-      Net_server.unwatch_fd f.f_server fd;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-    | None -> ());
-    peer.p_connecting <- false;
-    peer.p_decoder <- Frame.decoder ();
-    Buffer.clear peer.p_out;
-    peer.p_down_until <- Unix.gettimeofday () +. 0.5;
-    let flights = List.of_seq (Queue.to_seq peer.p_flights) in
-    Queue.clear peer.p_flights;
-    List.iter (retry f) flights
-
-  (* Nonblocking flush; write interest stays on exactly while bytes
-     remain buffered (a level-triggered poller would spin otherwise). *)
-  and flush_peer f peer =
-    match peer.p_fd with
-    | None -> ()
-    | Some _ when peer.p_connecting -> ()
-    | Some fd -> (
-      let data = Buffer.contents peer.p_out in
-      Buffer.clear peer.p_out;
-      let len = String.length data in
-      match write_some fd data 0 len with
-      | pos ->
-        if pos < len then begin
-          Buffer.add_substring peer.p_out data pos (len - pos);
-          Net_server.watch_interest f.f_server fd ~read:true ~write:true
-        end
-        else Net_server.watch_interest f.f_server fd ~read:true ~write:false
-      | exception Unix.Unix_error (err, _, _) ->
-        fail_peer f peer ("write: " ^ Unix.error_message err))
-
-  (* one response frame = the head of this peer's pipeline *)
-  and handle_frame f peer frame =
-    match Queue.take_opt peer.p_flights with
-    | None -> fail_peer f peer "unexpected frame with no fetch in flight"
-    | Some fl -> (
+      Obs.Counter.incr f.m_fetch_out;
       let table, lo, hi = fl.fl_key in
-      let failed why =
-        Log.warn (fun m -> m "fetch %s[%s,%s) from %s %s" table lo hi peer.p_addr why);
-        retry f fl
-      in
-      match Message.decode_response frame with
-      | Message.Subscribed { stamp; pairs } ->
-        Hashtbl.replace f.f_tracked fl.fl_key peer.p_addr;
-        Server.feed_base f.f_engine ~table ~lo ~hi pairs;
-        if stamp > 0 then Server.set_range_stamp f.f_engine ~table ~lo ~hi stamp;
-        complete_flight f fl ~ok:true
-      | Message.Error msg -> failed ("refused: " ^ msg)
-      | _ -> failed "answered unexpectedly"
-      | exception Message.Protocol_error msg -> failed ("broke protocol: " ^ msg))
+      Peer.call f.f_peers addr (Message.Fetch { table; lo; hi; subscriber = f.f_self })
+        (fun reply ->
+          let failed why =
+            Log.warn (fun m -> m "fetch %s[%s,%s) from %s %s" table lo hi addr why);
+            issue f fl
+          in
+          match reply with
+          | Ok (Message.Subscribed { stamp; pairs }) ->
+            Hashtbl.replace f.f_tracked fl.fl_key addr;
+            Server.feed_base f.f_engine ~table ~lo ~hi pairs;
+            (* record the snapshot's version: stamped reads compare
+               their demand against it, on replicas as on computes *)
+            if stamp > 0 then Server.set_range_stamp f.f_engine ~table ~lo ~hi stamp;
+            complete_flight f fl ~ok:true
+          | Ok (Message.Error msg) -> failed ("refused: " ^ msg)
+          | Ok _ -> failed "answered unexpectedly"
+          | Error msg -> failed ("failed: " ^ msg))
 
-  and read_peer f peer fd =
-    match Unix.read fd f.f_buf 0 (Bytes.length f.f_buf) with
-    | 0 -> fail_peer f peer "connection closed"
-    | n ->
-      List.iter
-        (fun frame ->
-          (* a completion may tear this peer down re-entrantly (its own
-             parked-scan retry failing it); later frames are then stale *)
-          if peer.p_fd = Some fd then handle_frame f peer frame)
-        (Frame.feed peer.p_decoder (Bytes.sub_string f.f_buf 0 n))
-    | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.EINTR), _, _)
-      -> ()
-    | exception Unix.Unix_error (err, _, _) ->
-      fail_peer f peer ("read: " ^ Unix.error_message err)
-
-  and peer_ready f peer fd ~readable ~writable =
-    if peer.p_fd = Some fd then begin
-      if writable then
-        if peer.p_connecting then (
-          match Unix.getsockopt_error fd with
-          | Some err -> fail_peer f peer ("connect: " ^ Unix.error_message err)
-          | None ->
-            peer.p_connecting <- false;
-            (try Unix.setsockopt fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            flush_peer f peer)
-        else flush_peer f peer;
-      if readable && peer.p_fd = Some fd then read_peer f peer fd
-    end
-
-  and ensure_connected f peer =
-    if peer.p_fd = None then begin
-      match
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try Unix.set_nonblock fd
-         with e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e);
-        (fd, (try Unix.connect fd (sockaddr_of peer.p_addr); false with
-              | Unix.Unix_error (Unix.EINPROGRESS, _, _) -> true
-              | e -> (try Unix.close fd with Unix.Unix_error _ -> ()); raise e))
-      with
-      | fd, pending ->
-        if not pending then
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        peer.p_fd <- Some fd;
-        peer.p_connecting <- pending;
-        peer.p_decoder <- Frame.decoder ();
-        (* while the connect is pending, write-ready signals its outcome
-           (SO_ERROR) *)
-        Net_server.watch_fd f.f_server fd ~read:true ~write:pending
-          ~on_ready:(fun ~readable ~writable -> peer_ready f peer fd ~readable ~writable)
-      | exception Unix.Unix_error (err, _, _) ->
-        fail_peer f peer ("connect: " ^ Unix.error_message err)
-    end
-
-  (* The [Net_server.set_fetcher] entry point: issue one parked scan's
-     whole missing-range set, calling [k ~ok] once every clamp has
-     landed (or failed on every candidate). Completion may run
-     synchronously — every candidate in dead-peer backoff — or later
-     from [peer_ready]; the caller handles both. *)
+  (* The [Net_server.set_fetcher] entry point: fetch a whole missing-range
+     set, calling [k ~ok] once every clamp has landed (or failed on every
+     candidate). Completion may run synchronously — every candidate in
+     dead-peer backoff — or later from the peer pool; callers handle
+     both. *)
   let request f ranges k =
     let planned =
       List.fold_left
@@ -424,7 +202,7 @@ module Fetcher = struct
             match f.f_plan ~table ~lo ~hi with
             | `Fail -> `Fail
             | `Nothing ->
-              (* the directory moved under the scan (a new epoch):
+              (* the directory moved under the read (a new epoch):
                  nothing to fetch; the retry re-plans *)
               `Ok clamps
             | `Clamps cs -> `Ok (List.rev_append cs clamps)))
@@ -434,9 +212,7 @@ module Fetcher = struct
     | `Fail -> k ~ok:false
     | `Ok [] -> k ~ok:true
     | `Ok clamps ->
-      let now = Unix.gettimeofday () in
       let waiter = { w_remaining = List.length clamps; w_failed = false; w_k = k } in
-      let touched = ref [] in
       List.iter
         (fun (table, flo, fhi, cands) ->
           let key = (table, flo, fhi) in
@@ -445,31 +221,24 @@ module Fetcher = struct
             (* single-flight: share the wire fetch already under way *)
             Obs.Counter.incr f.m_coalesced;
             fl.fl_waiters <- waiter :: fl.fl_waiters
-          | None -> (
+          | None ->
             let fl = { fl_key = key; fl_cands = cands; fl_waiters = [ waiter ] } in
             Hashtbl.replace f.f_inflight key fl;
             Obs.Gauge.set f.m_inflight (Hashtbl.length f.f_inflight);
-            match issue f fl now with
-            | Some peer -> if not (List.memq peer !touched) then touched := peer :: !touched
-            | None -> ()))
-        clamps;
-      (* one burst per touched peer *)
-      List.iter (kick f) (List.rev !touched)
+            issue f fl)
+        (List.rev clamps)
 end
 
 let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
   let engine = Net_server.engine server in
   let obs = Server.obs engine in
-  let on_wait = Net_server.on_wait server in
-  let client_for = client_cache ~on_wait obs in
-  let m_fetch_out = Obs.counter obs "peer.fetch.out" in
+  let peers = Net_server.peers server in
   let m_sub_lost = Obs.counter obs "peer.sub.lost" in
   (* live subscriptions this server believes it holds: exactly the
      (table, clamp) ranges whose Fetch was granted, keyed to the server
      that granted them. The healing heartbeat audits this against that
      server's own Sub_check answer. *)
   let tracked : (string * string * string, string) Hashtbl.t = Hashtbl.create 16 in
-  let fetch_one = fetch_one ~engine ~client_for ~tracked ~m_fetch_out ~self_addr in
   (* the directory entries in force and the epoch they reflect: 0 until
      a follower first syncs *)
   let entries = ref [] in
@@ -491,10 +260,11 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
     plan ~self_addr ~entries ~table ~lo ~hi
   in
   let candidates = Directory.candidates ~self:self_addr in
-  (* one clamp's blocking fetch, falling through the candidates *)
-  let fetch_clamp ((e : Message.dir_entry), flo, fhi) =
-    List.find_map (fun addr -> fetch_one ~table:e.de_table ~lo:flo ~hi:fhi addr) (candidates e)
-  in
+  (* The resolver never fetches: a remote miss answers [Deferred]. Inside
+     a collect-mode scan the server parks the read and the fetcher issues
+     the whole missing set as one burst; an eager-check updater that
+     meets it gives its cover up, and the next read recomputes it and
+     parks. *)
   let resolve ~table ~lo ~hi =
     if !applied = 0 then
       (* no directory yet: resolving [Local] here would mark the range
@@ -505,28 +275,12 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
       | `Unrouted | `Fetch [] -> Server.Local
       | `Gap ->
         (* surface the misconfiguration instead of serving the gap as
-           present-and-empty: the scan reports the range missing *)
+           present-and-empty: the read reports the range missing *)
         Log.warn (fun m ->
             m "partition routes leave a gap inside %s[%s,%s); check the partition specs"
               table lo hi);
         Server.Deferred
-      | `Fetch _ when Server.collecting engine ->
-        (* a collect-mode scan: report the miss and keep collecting; the
-           server parks the scan and the fetcher issues the whole
-           missing set as one burst *)
-        Server.Deferred
-      | `Fetch clamps ->
-        (* a caller with no retry loop above it (an updater firing
-           inside a feed_base, a bare scan or get): fetch each clamp
-           inline; all must answer for the range to resolve *)
-        let rec fetch acc = function
-          | [] -> Server.Resolved (List.concat (List.rev acc))
-          | clamp :: rest -> (
-            match fetch_clamp clamp with
-            | Some pairs -> fetch (pairs :: acc) rest
-            | None -> Server.Deferred)
-        in
-        fetch [] clamps
+      | `Fetch _ -> Server.Deferred
   in
   (* A server that has synced and whose entries are all its own needs no
      resolver, and keeping it off leaves its tables ungoverned — the
@@ -556,21 +310,19 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
             `Clamps (List.map (fun (e, flo, fhi) -> (table, flo, fhi, candidates e)) clamps))
   in
   Net_server.set_fetcher server (Fetcher.request fetcher);
-  (* replica duty waiting to be established: (table, lo, hi, home)
-     ranges this server replicates but has not fetch+subscribed yet.
-     Retried every second until the home answers. *)
+  (* replica duty waiting to be established: ranges this server
+     replicates but has not fetch+subscribed yet. Retried every second
+     until a candidate answers. *)
   let warm_pending = ref [] in
   let warm_replicas () =
-    warm_pending :=
-      List.filter
-        (fun (table, lo, hi, home) ->
-          match fetch_one ~table ~lo ~hi home with
-          | Some pairs ->
-            Server.feed_base engine ~table ~lo ~hi pairs;
-            Log.info (fun m -> m "replicating %s[%s,%s) from %s" table lo hi home);
-            false
-          | None -> true)
-        !warm_pending
+    List.iter
+      (fun ((table, lo, hi) as range) ->
+        Fetcher.request fetcher [ range ] (fun ~ok ->
+            if ok && List.mem range !warm_pending then begin
+              warm_pending := List.filter (fun r -> r <> range) !warm_pending;
+              Log.info (fun m -> m "replicating %s[%s,%s)" table lo hi)
+            end))
+      !warm_pending
   in
   (* owned ranges; a local wildcard slice has no concrete table to
      mark — it resolves as `Fetch with no remote clamps, i.e. Local *)
@@ -617,18 +369,18 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
       (fun ((table, lo, hi) as key) ->
         Hashtbl.remove tracked key;
         (* the data moved out from under the subscription: forget the
-           presence; the next scan refetches from the current home *)
+           presence; the next read refetches from the current home *)
         Server.unmark_present engine ~table ~lo ~hi)
       stale;
-    (* replica duty: a direct fetch+subscribe from the home feeds the
-       copy in (base-table scans never resolve on their own) *)
+    (* replica duty: a fetch+subscribe feeds the copy in (base-table
+       scans never resolve on their own) *)
     warm_pending :=
       List.filter_map
         (fun (e : Message.dir_entry) ->
           if
             List.mem self_addr e.de_replicas
             && not (Hashtbl.mem tracked (e.de_table, e.de_lo, e.de_hi))
-          then Some (e.de_table, e.de_lo, e.de_hi, e.de_home)
+          then Some (e.de_table, e.de_lo, e.de_hi)
           else None)
         new_entries;
     warm_replicas ()
@@ -644,65 +396,73 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
       Obs.Gauge.set m_epoch epoch
     end
   in
-  (* ask the seed for a newer directory (rate-limited) *)
+  (* ask the seed for a newer directory (rate-limited, one poll at a
+     time) *)
   let poll =
     match seed with
     | None -> fun _ -> () (* installs land in [dir] directly *)
     | Some seed_addr ->
-      (* a dedicated short-fuse client, so a dead seed costs the tick
-         half a second, not the full fetch retry budget *)
-      let host, port = host_port seed_addr in
-      let client =
-        Net_client.create ~obs ~on_wait ~host ~port
-          ~config:
-            { Net_client.connect_timeout = 0.5; call_timeout = 2.0; max_retries = 0;
-              backoff = 0.05 }
-          ()
+      let answer = function
+        | Message.Dir_state { epoch; entries } -> (
+          Obs.Counter.incr m_dir_fetch;
+          (* a migration flip pushed to this server can race the poll:
+             an answer at-or-below the installed epoch is just old news *)
+          if epoch > Directory.epoch dir then
+            match Directory.install dir ~epoch ~entries with
+            | Ok () -> ()
+            | Error msg -> Log.warn (fun m -> m "directory update from seed rejected: %s" msg))
+        | Message.Done -> Obs.Counter.incr m_dir_fetch (* unchanged *)
+        | Message.Error msg -> Log.warn (fun m -> m "seed %s refused Dir_watch: %s" seed_addr msg)
+        | _ -> ()
       in
-      let last_poll = ref neg_infinity in
+      let unreachable msg =
+        Log.debug (fun m -> m "directory seed %s unreachable: %s" seed_addr msg)
+      in
+      (* the bootstrap poll: it runs before the serving loop starts, so a
+         short-fuse blocking client stalls nothing *)
+      (let host, port = host_port seed_addr in
+       let client =
+         Net_client.create ~host ~port
+           ~config:
+             { Net_client.connect_timeout = 0.5; call_timeout = 2.0; max_retries = 0;
+               backoff = 0.05 }
+           ()
+       in
+       (match Net_client.call client (Message.Dir_watch { epoch = Directory.epoch dir }) with
+       | resp -> answer resp
+       | exception Net_client.Net_error msg -> unreachable msg);
+       Net_client.close client);
+      let last_poll = ref (Unix.gettimeofday ()) in
+      let polling = ref false in
       fun now ->
-        if now -. !last_poll >= poll_every then begin
+        if (not !polling) && now -. !last_poll >= poll_every then begin
           last_poll := now;
-          match Net_client.call client (Message.Dir_watch { epoch = Directory.epoch dir }) with
-          | Message.Dir_state { epoch; entries } -> (
-            Obs.Counter.incr m_dir_fetch;
-            (* a migration flip pushed to this server can race the poll:
-               an answer at-or-below the installed epoch is just old news *)
-            if epoch > Directory.epoch dir then
-              match Directory.install dir ~epoch ~entries with
-              | Ok () -> ()
-              | Error msg -> Log.warn (fun m -> m "directory update from seed rejected: %s" msg))
-          | Message.Done -> Obs.Counter.incr m_dir_fetch (* unchanged *)
-          | Message.Error msg -> Log.warn (fun m -> m "seed %s refused Dir_watch: %s" seed_addr msg)
-          | _ -> ()
-          | exception Net_client.Net_error msg ->
-            Log.debug (fun m -> m "directory seed %s unreachable: %s" seed_addr msg)
+          polling := true;
+          Peer.call peers seed_addr (Message.Dir_watch { epoch = Directory.epoch dir })
+            (fun reply ->
+              polling := false;
+              match reply with Ok resp -> answer resp | Error msg -> unreachable msg)
         end
   in
-  (* a range the heartbeat found dropped: re-plan it against the
-     current directory and refetch each clamp (feed_base reconciles the
-     data, the Fetch re-subscribes); a clamp no candidate answers is
-     un-marked present so the next scan goes back through the resolver *)
-  let refetch (table, lo, hi) =
-    match plan ~table ~lo ~hi with
-    | `Unrouted | `Fetch [] -> () (* owned here now *)
-    | `Gap -> Server.unmark_present engine ~table ~lo ~hi
-    | `Fetch clamps ->
-      List.iter
-        (fun ((_, flo, fhi) as clamp) ->
-          match fetch_clamp clamp with
-          | Some pairs -> Server.feed_base engine ~table ~lo:flo ~hi:fhi pairs
-          | None -> Server.unmark_present engine ~table ~lo:flo ~hi:fhi)
-        clamps
+  (* a range the heartbeat found dropped: re-plan it against the current
+     directory and refetch it ([feed_base] reconciles the data, the
+     [Fetch] re-subscribes); a range no candidate answers is un-marked
+     present so the next read goes back through the resolver *)
+  let refetch ((table, lo, hi) as range) =
+    Fetcher.request fetcher [ range ] (fun ~ok ->
+        if not ok then Server.unmark_present engine ~table ~lo ~hi)
   in
   (* The healing heartbeat: every [check_every] seconds ask each server
      we hold subscriptions from which of them it still pushes, and
-     refetch every range it dropped (a failed push while we were
-     blocked or down, a restart, a migration). Without this, a dropped
-     subscription would freeze the fetched copy forever with no error. *)
+     refetch every range it dropped (a failed push, a restart, a
+     migration). Without this, a dropped subscription would freeze the
+     fetched copy forever with no error. *)
   let last_check = ref neg_infinity in
+  let checking = ref 0 in
   let heal now =
-    if Hashtbl.length tracked > 0 && now -. !last_check >= check_every then begin
+    if
+      Hashtbl.length tracked > 0 && !checking = 0 && now -. !last_check >= check_every
+    then begin
       last_check := now;
       let by_addr = Hashtbl.create 4 in
       Hashtbl.iter
@@ -712,36 +472,36 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
         tracked;
       Hashtbl.iter
         (fun addr keys ->
-          match
-            Net_client.call ~timeout:2.0 (client_for addr)
-              (Message.Sub_check { subscriber = self_addr })
-          with
-          | Message.Sub_ranges live ->
-            (* hash the answer: a compute tracks one range per fetched
-               timeline piece, so [keys] and [live] both grow with the
-               working set and a List.mem join is quadratic *)
-            let live_set = Hashtbl.create (1 + List.length live) in
-            List.iter (fun k -> Hashtbl.replace live_set k ()) live;
-            List.iter
-              (fun ((table, lo, hi) as key) ->
-                if not (Hashtbl.mem live_set key) then begin
-                  Obs.Counter.force_add m_sub_lost 1;
-                  Log.warn (fun m ->
-                      m "subscription %s[%s,%s) lost at %s; refetching" table lo hi addr);
-                  Hashtbl.remove tracked key;
-                  refetch key
-                end)
-              keys
-          | _ -> ()
-          | exception Net_client.Net_error _ ->
-            (* unreachable: scans surface it; the next heartbeat retries
-               once it returns *)
-            ())
+          incr checking;
+          Peer.call peers addr (Message.Sub_check { subscriber = self_addr }) (fun reply ->
+              decr checking;
+              match reply with
+              | Ok (Message.Sub_ranges live) ->
+                (* hash the answer: a compute tracks one range per fetched
+                   timeline piece, so [keys] and [live] both grow with the
+                   working set and a List.mem join is quadratic *)
+                let live_set = Hashtbl.create (1 + List.length live) in
+                List.iter (fun k -> Hashtbl.replace live_set k ()) live;
+                List.iter
+                  (fun ((table, lo, hi) as key) ->
+                    if
+                      (not (Hashtbl.mem live_set key))
+                      && Hashtbl.find_opt tracked key = Some addr
+                    then begin
+                      Obs.Counter.force_add m_sub_lost 1;
+                      Log.warn (fun m ->
+                          m "subscription %s[%s,%s) lost at %s; refetching" table lo hi addr);
+                      Hashtbl.remove tracked key;
+                      refetch key
+                    end)
+                  keys
+              | _ ->
+                (* unreachable: reads surface it; the next heartbeat
+                   retries once it returns *)
+                ()))
         by_addr
     end
   in
-  (* a follower's first poll doubles as its bootstrap fetch *)
-  poll (Unix.gettimeofday ());
   sync ();
   govern ();
   let last_warm = ref neg_infinity in

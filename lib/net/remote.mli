@@ -1,5 +1,6 @@
-(** Live distributed deployment (§2.4/§3.3): wires a {!Net_client} into
-    a cache engine as its missing-range resolver.
+(** Live distributed deployment (§2.4/§3.3): routes a server's cache
+    engine by its partition directory — the missing-range resolver, the
+    asynchronous fetcher and the maintenance tick.
 
     A server's partition directory says which peer is the {e home} of
     each base-table range. It is fixed at epoch 1 by [--partition] specs
@@ -11,17 +12,20 @@
     starts pushing [Notify_batch] frames for every later write in the
     range — the protocol the simulator models, between live processes.
 
-    A scan that misses parks instead of blocking the event loop: the
+    A read that misses parks instead of blocking the event loop: the
     fetcher issues its whole missing set as one pipelined burst per
-    peer, single-flighted across waiters. A fetch whose every candidate
-    (the range's replicas, then its home) fails answers the parked scan
-    [Error] instead of crashing; the next scan retries, so a respawned
-    peer heals the route. Resolver calls with no retry loop above them
-    fetch inline through blocking clients that keep the server's loop
-    turning ({!Net_server.on_wait}).
+    peer over the server's {!Peer} pool, single-flighted across waiters.
+    A fetch whose every candidate (the range's replicas, then its home)
+    fails answers the parked read [Error] instead of crashing; the next
+    read retries, so a respawned peer heals the route. The resolver
+    never fetches inline: outside a collect-mode scan a remote miss
+    answers [Deferred], and the only engine path that meets that — an
+    eager-check updater ([lazy_checks = false]) — invalidates its cover
+    so the next read recomputes it and parks.
 
     Subscriptions self-heal: the tick returned by {!attach} periodically
-    sends [Sub_check] to every server this one fetched from and compares
+    sends [Sub_check] (through the peer pool, never blocking) to every
+    server this one fetched from and compares
     the answer against the subscriptions it believes it holds. A range
     the server dropped (a failed push, a restart) is re-planned against
     the current directory and refetched — [feed_base] reconciles the data
@@ -62,7 +66,8 @@ val plan :
     [seed = None] means the directory is installed locally: a seed, a
     server whose [--partition] specs fixed it at epoch 1, or a shard.
     Otherwise the tick polls [seed] every [poll_every] seconds (default
-    1) and the first poll happens here.
+    1) through the peer pool; the first poll happens here, before the
+    serving loop starts, on a short-fuse blocking {!Net_client}.
 
     Every epoch change marks and un-marks owned ranges by diff, drops
     subscriptions whose granting server the directory no longer names,

@@ -16,11 +16,12 @@
    each shard materializes the join ranges it serves from
    subscription-fresh sources.
 
-   Deadlock-freedom: sibling calls are symmetric (A can fetch from B
-   while B forwards to A), so a shard never blocks dead on a sibling —
-   while waiting for a sibling's response it keeps serving its own
-   internal traffic through nested event-loop steps (the Net_client
-   [on_wait] hook; see Net_server.on_wait). *)
+   Deadlock freedom holds by construction: sibling traffic is symmetric
+   (A can fetch from B while B forwards to A), but no shard ever waits
+   on a sibling. Every forward, scan leg, fetch, push and fan-out leaves
+   through the shard's nonblocking peer pool (Peer) and answers through
+   a continuation into the request's in-order response slot, so a
+   shard's loop keeps turning whatever its siblings are doing. *)
 
 module Server = Pequod_core.Server
 module Config = Pequod_core.Config

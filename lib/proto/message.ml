@@ -513,10 +513,10 @@ let rec apply_to_server server req =
     Server.remove server k;
     Stamps (Server.stamps_for_keys server [ k ])
   | Scan { lo; hi } -> (
-    (* no retry loop above this call site (a piece of a segmented or
-       spread scan, a host with no parking): never enter collect
-       mode, so an installed async resolver fetches inline instead of
-       deferring to a parking continuation that does not exist here *)
+    (* no retry loop above this call site (a host with no parking):
+       never enter collect mode, so a resolver that can fetch inline
+       does, instead of deferring to a parking continuation that does
+       not exist here *)
     match Server.scan_result ~may_defer:false server ~lo ~hi with
     | `Ok pairs -> Pairs pairs
     | `Missing ranges ->

@@ -850,7 +850,7 @@ let run_case scenario variant ops =
       | fwd -> Queue.add (List.map fst fwd, List.concat_map snd fwd) push_q)
   in
   (* a fetched copy records the owner's stamp over the fetched range,
-     like [Remote.fetch_one] (the replica-warming fix); and because the
+     like [Remote.Fetcher] (the replica-warming fix); and because the
      home's connection is FIFO, a fetch response is ordered after every
      notify already emitted — so the queued push drains first *)
   let session_feed table mlo mhi =

@@ -48,10 +48,14 @@ let write_all fd s =
 
 (* write [reqs] as one pipelined burst, then step every server in
    [servers] until the same number of raw response frames arrived *)
-let pipeline_raw ~servers fd reqs =
+let rec pipeline_raw ~servers fd reqs =
   write_all fd
     (String.concat "" (List.map (fun r -> Frame.encode (Message.encode_request r)) reqs));
-  let want = List.length reqs in
+  await_frames ~servers fd (List.length reqs)
+
+(* step every server in [servers] until [want] raw response frames
+   arrived on [fd] *)
+and await_frames ~servers fd want =
   let decoder = Frame.decoder () in
   let buf = Bytes.create 65536 in
   let frames = ref [] in
@@ -236,6 +240,138 @@ let test_equivalence () =
         (List.combine reference remote))
     [ 1; 7; 42; 1234 ]
 
+(* ------------------------------------------------------------------ *)
+(* No step waits on a peer                                             *)
+
+let entry table home =
+  { Message.de_table = table; de_lo = table ^ "|"; de_hi = table ^ "}"; de_home = home;
+    de_replicas = [] }
+
+(* [a] routes by an epoch-1 directory homing p at [b] and s at itself;
+   [b] holds the same directory (it answers migration barriers) *)
+let with_pair ~backend f =
+  let make () = Net_server.create ~backend ~port:0 ~joins:[] ~memory_limit:None () in
+  let a = make () in
+  Fun.protect ~finally:(fun () -> Net_server.stop a) @@ fun () ->
+  let b = make () in
+  Fun.protect ~finally:(fun () -> Net_server.stop b) @@ fun () ->
+  let entries = [ entry "p" (addr_of b); entry "s" (addr_of a) ] in
+  let directory () =
+    let dir = Directory.create () in
+    (match Directory.install dir ~epoch:1 ~entries with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    dir
+  in
+  let dir_a = directory () in
+  Net_server.set_directory a ~dir:dir_a ~self_addr:(addr_of a) ();
+  Net_server.add_ticker a
+    (Remote.attach ~server:a ~self_addr:(addr_of a) ~check_every:2.0 dir_a);
+  Net_server.set_directory b ~dir:(directory ()) ~self_addr:(addr_of b) ();
+  Server.put (Net_server.engine b) "p|a|1" "x";
+  Server.put (Net_server.engine a) "s|a|1" "y";
+  f a b
+
+(* step [t] [n] times, failing if any single step takes over 50 ms *)
+let step_quickly t n =
+  for _ = 1 to n do
+    let t0 = Unix.gettimeofday () in
+    Net_server.step ~timeout:0.01 t;
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt > 0.05 then Alcotest.failf "a step took %.0f ms" (dt *. 1000.)
+  done
+
+(* the raw answers of [reqs] from one server holding all the data *)
+let single_answers reqs =
+  with_server ~joins:[] @@ fun s ->
+  Server.put (Net_server.engine s) "p|a|1" "x";
+  Server.put (Net_server.engine s) "s|a|1" "y";
+  let fd = connect s in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  pipeline_raw ~servers:[ s ] fd reqs
+
+(* A's directory homes p at B. While B is not stepped, one pipelined
+   connection to A carries a forwarded Put, a forwarded Get, a scan cut
+   into a remote and two local segments, and a local Get: every step of
+   A stays short. Once B runs, the answers arrive in pipeline order and
+   equal a single server's. *)
+let test_step_never_waits backend () =
+  with_pair ~backend @@ fun a b ->
+  let reqs =
+    [ Message.Put ("p|b|1", "z");
+      Message.Get "p|a|1";
+      Message.Scan { lo = "p|"; hi = "s}" };
+      Message.Get "s|a|1" ]
+  in
+  let fd = connect a in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  write_all fd
+    (String.concat "" (List.map (fun r -> Frame.encode (Message.encode_request r)) reqs));
+  step_quickly a 20;
+  check_bool "nothing answered out of order" true
+    (match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> true | _ -> false);
+  let frames = await_frames ~servers:[ a; b ] fd (List.length reqs) in
+  List.iteri
+    (fun i (got, want) ->
+      if not (String.equal got want) then
+        Alcotest.failf "answer %d differs from the single server's" i)
+    (List.combine frames (single_answers reqs));
+  check_bool "forwarded" true (counter a "migrate.redirects" >= 3)
+
+(* A Migrate to an unstepped B leaves A serving another connection: a
+   read answers within one step. During the flip a write to the moving
+   range waits in its slot; once B runs, the migration completes, the
+   write lands at the new home, and reads of the moved range reach it. *)
+let test_migrate_never_waits backend () =
+  with_pair ~backend @@ fun a b ->
+  let ctl = connect a and reader = connect a in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close ctl;
+      Unix.close reader)
+  @@ fun () ->
+  write_all ctl
+    (Frame.encode
+       (Message.encode_request
+          (Message.Migrate { table = "s"; lo = "s|"; hi = "s}"; dest = addr_of b })));
+  step_quickly a 5;
+  write_all reader (Frame.encode (Message.encode_request (Message.Get "s|a|1")));
+  step_quickly a 1;
+  (match Unix.select [ reader ] [] [] 0.5 with
+  | [ _ ], _, _ -> (
+    let buf = Bytes.create 4096 in
+    let n = Unix.read reader buf 0 4096 in
+    match Frame.feed (Frame.decoder ()) (Bytes.sub_string buf 0 n) with
+    | [ frame ] ->
+      check_bool "read served during the copy" true
+        (Message.decode_response frame = Message.Value (Some "y"))
+    | _ -> Alcotest.fail "one answer")
+  | _ -> Alcotest.fail "the read waited on the migration");
+  (* let B apply the copy and answer its barrier: A starts the flip and
+     holds writes to the moving range until B has taken it over *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Server.get (Net_server.engine b) "s|a|1" <> Some "y" do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the copy never landed";
+    Net_server.step ~timeout:0.01 b
+  done;
+  step_quickly a 5;
+  write_all reader (Frame.encode (Message.encode_request (Message.Put ("s|a|2", "w"))));
+  step_quickly a 5;
+  check_bool "a write to the moving range waits for the flip" true
+    (match Unix.select [ reader ] [] [] 0.0 with [], _, _ -> true | _ -> false);
+  (match Message.decode_response (List.hd (await_frames ~servers:[ a; b ] ctl 1)) with
+  | Message.Pairs stats ->
+    check_bool "one key moved" true (List.assoc_opt "keys_moved" stats = Some "1")
+  | _ -> Alcotest.fail "migration failed");
+  (match Message.decode_response (List.hd (await_frames ~servers:[ a; b ] reader 1)) with
+  | Message.Stamps _ | Message.Done ->
+    check_bool "the held write reached the new home" true
+      (Server.get (Net_server.engine b) "s|a|2" = Some "w")
+  | _ -> Alcotest.fail "the held write failed");
+  match rpc ~servers:[ a; b ] reader (Message.Get "s|a|1") with
+  | Message.Value (Some "y") -> check_bool "moved" true (counter a "migrate.redirects" >= 1)
+  | _ -> Alcotest.fail "read after the migration"
+
 let () =
   Alcotest.run "async"
     [
@@ -245,4 +381,12 @@ let () =
           Alcotest.test_case "parked failure keeps order" `Quick test_park_failure;
           Alcotest.test_case "remote == single server" `Quick test_equivalence;
         ] );
+      ( "no-blocking",
+        List.concat_map
+          (fun (name, backend) ->
+            [ Alcotest.test_case ("step never waits on a peer, " ^ name) `Quick
+                (test_step_never_waits backend);
+              Alcotest.test_case ("migrate never waits on a peer, " ^ name) `Quick
+                (test_migrate_never_waits backend) ])
+          [ ("epoll", `Epoll); ("select", `Select) ] );
     ]

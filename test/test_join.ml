@@ -472,6 +472,35 @@ let test_deferred_resolver () =
   | `Missing _ -> Alcotest.fail "should be resolved now");
   Server.validate s
 
+(* An eager check (lazy_checks = false) that meets a deferred value
+   source must not fail the write that fired it: the asynchronous host
+   fetches only for scans, so the updater gives its cover up and the
+   next read recomputes it, reporting the miss. *)
+let test_eager_check_deferred () =
+  let config = Config.default () in
+  config.Config.lazy_checks <- false;
+  let s = make_twip ~config () in
+  Server.set_resolver s (fun ~table ~lo:_ ~hi:_ ->
+      if table = "p" then Server.Deferred else Server.Local);
+  let lo = "t|ann|" and hi = Strkey.prefix_upper "t|ann|" in
+  (* materialize the (empty) timeline: its check updater is now live *)
+  (match Server.scan_result s ~lo ~hi with
+  | `Ok [] -> ()
+  | _ -> Alcotest.fail "empty timeline");
+  subscribe s "ann" "bob";
+  Server.check_invariants s;
+  let table, plo, phi =
+    match Server.scan_result s ~lo ~hi with
+    | `Missing [ ((table, _, _) as r) ] when table = "p" -> r
+    | `Missing _ | `Ok _ -> Alcotest.fail "the timeline must report the missing posts"
+  in
+  Server.check_invariants s;
+  Server.feed_base s ~table ~lo:plo ~hi:phi [ ("p|bob|0100", "hello") ];
+  (match Server.scan_result s ~lo ~hi with
+  | `Ok pairs -> check_pairs "joined after the feed" [ ("t|ann|0100|bob", "hello") ] pairs
+  | `Missing _ -> Alcotest.fail "should be resolved now");
+  Server.check_invariants s
+
 (* ------------------------------------------------------------------ *)
 (* Ambiguity (§3)                                                      *)
 
@@ -730,6 +759,8 @@ let () =
         [
           Alcotest.test_case "sync" `Quick test_sync_resolver;
           Alcotest.test_case "deferred" `Quick test_deferred_resolver;
+          Alcotest.test_case "eager check meets a deferred source" `Quick
+            test_eager_check_deferred;
         ] );
       ( "properties",
         qsuite

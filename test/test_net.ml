@@ -218,35 +218,43 @@ let test_put_batch_pipelined () =
           | Message.Pairs [ ("t|ann|0000000100|bob", "a"); ("t|ann|0000000200|bob", "b") ] -> ()
           | _ -> Alcotest.fail "timeline after pipelined batches"))
 
-(* A push-mode client (handshake:false) never blocks on the Welcome:
-   its posts are applied while call/pipeline are rejected outright. The
-   server's own notification pushes rely on this to stay deadlock-free. *)
-let test_push_mode_client () =
+(* A home pushing to a subscriber whose port refuses connections never
+   stalls its loop on it: every step after a write in the subscribed
+   range stays short, the failed push drops the subscriber, and its
+   Sub_check heartbeat then lists nothing (so a subscriber that is in
+   fact alive refetches instead of serving a frozen copy). *)
+let test_refused_subscriber () =
   with_server ~joins:[] (fun t ->
-      let client =
-        Net_client.create ~handshake:false ~host:"127.0.0.1" ~port:(Net_server.port t) ()
-      in
+      let fd = connect t in
       Fun.protect
-        ~finally:(fun () -> Net_client.close client)
+        ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          (match Net_client.call client (Message.Get "k|a") with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.fail "call on a push-mode client must be rejected");
-          (match Net_client.pipeline client [ Message.Get "k|a" ] with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.fail "pipeline on a push-mode client must be rejected");
-          let posted k v =
-            Net_client.post client (Message.Notify_put (k, v));
-            let deadline = Unix.gettimeofday () +. 5.0 in
-            while Server.get (Net_server.engine t) k <> Some v do
-              if Unix.gettimeofday () > deadline then Alcotest.failf "push of %s not applied" k;
-              Net_server.step ~timeout:0.01 t
-            done
-          in
-          posted "k|a" "pushed";
-          (* the second post opportunistically drains the buffered
-             Welcome; the connection keeps working *)
-          posted "k|b" "again"))
+          (* port 9 on loopback: nothing listens; connect is refused *)
+          let subscriber = "127.0.0.1:9" in
+          check_bool "seed put" true (is_ack (rpc t fd (Message.Put ("p|a|1", "v"))));
+          (match rpc t fd (Message.Fetch { table = "p"; lo = "p|"; hi = "p}"; subscriber }) with
+          | Message.Subscribed _ -> ()
+          | _ -> Alcotest.fail "fetch");
+          let wire = Frame.encode (Message.encode_request (Message.Put ("p|a|2", "w"))) in
+          ignore (Unix.write_substring fd wire 0 (String.length wire));
+          let slowest = ref 0. in
+          for _ = 1 to 20 do
+            let t0 = Unix.gettimeofday () in
+            Net_server.step ~timeout:0.01 t;
+            slowest := Float.max !slowest (Unix.gettimeofday () -. t0)
+          done;
+          if !slowest > 0.05 then Alcotest.failf "a step took %.0f ms" (!slowest *. 1000.);
+          let buf = Bytes.create 4096 in
+          (match Unix.select [ fd ] [] [] 1.0 with
+          | [ _ ], _, _ -> (
+            match Frame.feed (Frame.decoder ()) (Bytes.sub_string buf 0 (Unix.read fd buf 0 4096)) with
+            | frame :: _ -> check_bool "write acked" true (is_ack (Message.decode_response frame))
+            | [] -> Alcotest.fail "no whole write ack")
+          | _ -> Alcotest.fail "no write ack");
+          match rpc t fd (Message.Sub_check { subscriber }) with
+          | Message.Sub_ranges [] -> ()
+          | Message.Sub_ranges _ -> Alcotest.fail "the refused subscriber is still listed"
+          | _ -> Alcotest.fail "sub_check response"))
 
 (* Refetching the same range as the same subscriber must reuse the live
    subscription entry, not stack a duplicate (finding: unbounded subs
@@ -405,7 +413,7 @@ let () =
           Alcotest.test_case "two clients" `Quick test_two_clients;
           Alcotest.test_case "garbage input" `Quick test_garbage_input;
           Alcotest.test_case "put_batch pipelined" `Quick test_put_batch_pipelined;
-          Alcotest.test_case "push-mode client" `Quick test_push_mode_client;
+          Alcotest.test_case "refused subscriber dropped" `Quick test_refused_subscriber;
           Alcotest.test_case "fetch dedup" `Quick test_fetch_dedup;
         ] );
       ( "routes",
