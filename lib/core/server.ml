@@ -1480,7 +1480,6 @@ let get t key =
   | _ -> None
 
 let get_result t key =
-  Obs.Counter.incr t.hot.gets;
   match scan_result t ~lo:key ~hi:(Strkey.key_after key) with
   | `Ok ((k, v) :: _) when String.equal k key -> `Ok (Some v)
   | `Ok _ -> `Ok None

@@ -110,7 +110,9 @@ val scan_result :
   ?limit:int -> ?may_defer:bool -> t -> lo:string -> hi:string -> scan_result
 
 (** {!get} as a collect-mode scan of the one key: the value, or the base
-    ranges to fetch before retrying, as in {!scan_result}. *)
+    ranges to fetch before retrying, as in {!scan_result}. Unlike {!get}
+    it does not count [op.get]: a parked get calls it once per retry, so
+    its caller counts the get once. *)
 val get_result :
   t -> string -> [ `Ok of string option | `Missing of (string * string * string) list ]
 

@@ -183,6 +183,7 @@ type t = {
      once all of them completed. [None]: no routes, so no read misses. *)
   mutable fetcher : ((string * string * string) list -> (ok:bool -> unit) -> unit) option;
   m_scan_parked : Obs.Counter.t; (* scan.parked *)
+  m_get : Obs.Counter.t; (* op.get: once per local Get, not per retry *)
   m_fetch_wait : Obs.Histogram.t; (* resolver.fetch.wait_ns *)
   (* stamped reads parked for freshness, re-checked once per step *)
   mutable stamp_waits : stamp_wait list;
@@ -282,6 +283,7 @@ let create ?config ?metrics_every ?backend ~port ~joins ~memory_limit () =
     tickers = [];
     fetcher = None;
     m_scan_parked = Obs.counter obs "scan.parked";
+    m_get = Obs.counter obs "op.get";
     m_fetch_wait = Obs.histogram obs "resolver.fetch.wait_ns";
     stamp_waits = [];
     m_session_reads = Obs.counter obs "session.reads";
@@ -595,11 +597,12 @@ let split_by_home t pairs =
     List.rev_map (fun tgt -> (tgt, List.rev (Hashtbl.find groups tgt))) !order
 
 (* send [req] to [dest] and answer [k] with its response; a failed peer
-   answers [Error] *)
+   answers [Error]. Forwards ride the [Parked] lane: the receiver may
+   park them on its own fetches, or hold a write behind a flip. *)
 let forward t ds dest req k =
   Obs.Counter.incr ds.ds_m_redirect;
   Option.iter (fun sh -> Obs.Counter.incr sh.sm_forward_out) t.shard;
-  Peer.call t.peers dest req (function
+  Peer.call t.peers Peer.Parked dest req (function
     | Ok resp -> k resp
     | Error msg -> k (Message.Error (Printf.sprintf "home %s: %s" dest msg)))
 
@@ -774,6 +777,7 @@ let local_scan t ~lo ~hi k =
     k
 
 let local_get t key k =
+  Obs.Counter.incr t.m_get;
   serve_read t
     (fun () ->
       match Server.get_result t.engine key with
@@ -912,10 +916,12 @@ let in_moving mg key = String.compare mg.mg_lo key <= 0 && String.compare key mg
 (* Hold a write that [touches] the range a migration is flipping (it is
    handed the range's membership test): [retry] re-routes it once the
    flip installs (it then forwards to the new home) or fails (it then
-   applies here). [false]: not held. *)
-let hold t touches retry =
+   applies here); if the retry raises, [k] answers [Error]. [false]: not
+   held. *)
+let hold t touches k retry =
   match t.dirst with
   | Some { ds_mig = Some ({ mg_flipping = true; _ } as mg); _ } when touches (in_moving mg) ->
+    let retry () = try retry () with e -> k (Message.Error (Printexc.to_string e)) in
     mg.mg_held <- retry :: mg.mg_held;
     true
   | _ -> false
@@ -938,23 +944,26 @@ let fail_migration ds mg msg =
   end_migration ds mg;
   mg.mg_reply (Message.Error msg)
 
-(* [k resp] for [req] sent to [addr]; a peer failure or an [Error]
-   answer fails the migration *)
-let mig_call t ds mg addr req k =
-  Peer.call t.peers addr req (fun reply ->
+(* [k resp] for [req] sent to [addr] on [lane]; a peer failure, an
+   [Error] answer or a raise in [k] fails the migration *)
+let mig_call t ds mg lane addr req k =
+  Peer.call t.peers lane addr req (fun reply ->
       match reply with
       | Ok (Message.Error msg) | Error msg ->
         fail_migration ds mg (if String.equal addr mg.mg_dest then msg else "seed: " ^ msg)
-      | Ok resp -> ( try k resp with Mig_fail msg -> fail_migration ds mg msg))
+      | Ok resp -> (
+        try k resp with
+        | Mig_fail msg -> fail_migration ds mg msg
+        | e -> fail_migration ds mg (Printexc.to_string e)))
 
-(* any locally-handled call answered by the destination proves every
-   frame posted before it on the connection has been applied (frames are
+(* any locally-handled call answered by the destination on the [Prompt]
+   lane proves every frame posted before it has been applied (frames are
    processed in order per connection). Dir_get is answered from the
    destination's own directory copy and never forwarded — a [Get] for a
    key in the moving range would bounce straight back here, because the
    destination still routes the range to this server until the flip. *)
 let mig_barrier t ds mg k =
-  mig_call t ds mg mg.mg_dest Message.Dir_get (function
+  mig_call t ds mg Peer.Prompt mg.mg_dest Message.Dir_get (function
     | Message.Dir_state _ -> k ()
     | _ -> raise (Mig_fail "unexpected barrier response"))
 
@@ -1064,12 +1073,27 @@ let flip_migration t ds mg =
           ("delta_replayed", string_of_int mg.mg_deltas);
           ("epoch", string_of_int epoch') ]
     in
-    (* the held writes stay held until the new home has taken the
-       range over: forwarded any earlier, they could reach it before its
-       [Dir_update] and bounce back here *)
+    (* All on the [Parked] lane, in this order: the new home applies the
+       [Dir_update] before the forwards this server now sends it for the
+       range, and before the handoff [Fetch]es, which it would refuse
+       while it still named this server as the home. The held writes
+       stay held until every one has answered: forwarded any earlier,
+       they could reach it before its [Dir_update] and bounce back here.
+       The range has flipped already, so a failure is logged, not fatal:
+       a subscriber whose handoff failed heals through its Sub_check. *)
+    let warn reply =
+      match reply with
+      | Ok (Message.Error msg) | Error msg ->
+        Log.warn (fun m ->
+            m "migration of %s[%s,%s): handing over to %s: %s" table lo hi dest msg)
+      | Ok _ -> ()
+    in
     gather
       (List.map
-         (fun req k -> Peer.call t.peers dest req (fun _ -> k Message.Done))
+         (fun req k ->
+           Peer.call t.peers Peer.Parked dest req (fun reply ->
+               warn reply;
+               k Message.Done))
          (Message.Dir_update { epoch = epoch'; entries = entries' } :: handoff))
       (fun _ ->
         Log.app (fun m ->
@@ -1086,10 +1110,12 @@ let flip_migration t ds mg =
         let entries' = assign (Directory.entries ds.ds_dir) in
         installed (Directory.epoch ds.ds_dir + 1) entries'
       | Some seed ->
-        mig_call t ds mg seed Message.Dir_get (function
+        mig_call t ds mg Peer.Prompt seed Message.Dir_get (function
           | Message.Dir_state { epoch; entries } ->
             let entries' = assign entries in
-            mig_call t ds mg seed
+            (* [Parked], with forwards: one sent to the seed after it
+               finds the seed on the new epoch *)
+            mig_call t ds mg Peer.Parked seed
               (Message.Dir_update { epoch = epoch + 1; entries = entries' })
               (function
                 | Message.Done -> installed (epoch + 1) entries'
@@ -1285,7 +1311,7 @@ let handle_local t req =
 let rec route t client req k =
   match req with
   | Message.Put (key, _) | Message.Remove key ->
-    if not (hold t (fun inside -> inside key) (fun () -> route t client req k)) then (
+    if not (hold t (fun inside -> inside key) k (fun () -> route t client req k)) then (
       match forward_home t key with
       | Some (ds, dest) -> forward t ds dest req k
       | None -> k (handle_local t req))
@@ -1294,6 +1320,7 @@ let rec route t client req k =
       not
         (hold t
            (fun inside -> List.exists (fun (key, _) -> inside key) pairs)
+           k
            (fun () -> route t client req k))
     then (
       match split_by_home t pairs with
@@ -1375,7 +1402,7 @@ let dispatch_shard t sh client req k =
          (fun i addr k ->
            if i = sh.sh_self then k (Message.Metrics (Server.metrics_snapshot t.engine))
            else
-             Peer.call t.peers addr Message.Stats_full (function
+             Peer.call t.peers Peer.Prompt addr Message.Stats_full (function
                | Ok (Message.Metrics _ as m) -> k m
                | Ok _ -> k (Message.Metrics [])
                | Error msg ->
@@ -1414,15 +1441,19 @@ let handle_frame t client buf ~off ~len =
   | req -> (
     (* per-kind RPC tally; pequod's whole evaluation counts messages *)
     Obs.Counter.incr t.m_rpc_kind.(Message.request_kind_index req);
+    (* the first answer wins: a continuation that raised after [k] ran
+       may be answered [Error] again by whoever caught it *)
     let slot = ref None and now = ref None in
     let k resp =
-      match !slot with Some s -> fill_slot t client s resp | None -> now := Some resp
+      match !slot with
+      | Some s -> if s.sl_wire = None then fill_slot t client s resp
+      | None -> if !now = None then now := Some resp
     in
     (try
        match t.shard with
        | None -> route t client req k
        | Some sh -> dispatch_shard t sh client req k
-     with e -> if !now = None then now := Some (Message.Error (Printexc.to_string e)));
+     with e -> k (Message.Error (Printexc.to_string e)));
     (* what this request sent out leaves now, so peers work on it
        while this loop decodes the rest of the batch *)
     Peer.flush t.peers;

@@ -1,5 +1,6 @@
 (* A server's one outbound path: nonblocking peer connections, one per
-   address, driven by the owning server's poller. See peer.mli. *)
+   address and lane, driven by the owning server's poller. See
+   peer.mli. *)
 
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
@@ -18,6 +19,8 @@ let backoff = 0.5
 
 type reply = (Message.response, string) result
 
+type lane = Prompt | Parked
+
 type conn = {
   addr : string;
   mutable fd : Unix.file_descr option;
@@ -34,7 +37,7 @@ type conn = {
 
 type t = {
   poller : Poller.t;
-  conns : (string * bool, conn) Hashtbl.t; (* (address, parking lane) *)
+  conns : (string * lane, conn) Hashtbl.t;
   by_fd : (Unix.file_descr, conn) Hashtbl.t;
   mutable dirty : conn list;
   buf : Bytes.t;
@@ -51,24 +54,8 @@ let create ~poller ~obs ~on_lost =
     m_posts = Obs.counter obs "peer.posts";
     m_failed = Obs.counter obs "peer.failed" }
 
-(* A request its receiver may answer only after waiting on a third
-   party (a forwarded read parks on its fetches; a forwarded write may
-   be held by a migration flip) rides a second connection to the same
-   address. Sharing one would queue a fetch's answer behind such a
-   parked request — whose own fetch may be waiting on this very server —
-   and wedge the pair. Every other request is answered within the step
-   that reads it, so its connection never waits on anything. A
-   [Dir_update] rides with the forwards: a forward sent after it must
-   find its receiver already on the new epoch, or it could bounce back
-   here and queue behind itself. *)
-let parks = function
-  | Message.Get _ | Message.Get_at _ | Message.Scan _ | Message.Scan_at _ | Message.Put _
-  | Message.Remove _ | Message.Put_batch _ | Message.Migrate _ | Message.Dir_update _ ->
-    true
-  | _ -> false
-
-let conn_of t addr req =
-  let key = (addr, parks req) in
+let conn_of t lane addr =
+  let key = (addr, lane) in
   match Hashtbl.find_opt t.conns key with
   | Some c -> c
   | None ->
@@ -80,7 +67,9 @@ let conn_of t addr req =
     Hashtbl.add t.conns key c;
     c
 
-(* a continuation that raises must not take the serving loop down *)
+(* a continuation that raises must not take the serving loop down. The
+   server's continuations turn their own failures into answers; what
+   reaches here is a bug, and is logged *)
 let invoke k r =
   try k r
   with e -> Log.err (fun m -> m "peer continuation raised: %s" (Printexc.to_string e))
@@ -176,8 +165,8 @@ let enqueue t c req =
     t.dirty <- c :: t.dirty
   end
 
-let call t addr req k =
-  let c = conn_of t addr req in
+let call t lane addr req k =
+  let c = conn_of t lane addr in
   if usable t c then begin
     Obs.Counter.incr t.m_calls;
     Queue.add (Unix.gettimeofday (), k) c.calls;
@@ -186,7 +175,7 @@ let call t addr req k =
   else invoke k (Error "unreachable")
 
 let post t addr req =
-  let c = conn_of t addr req in
+  let c = conn_of t Prompt addr in
   if usable t c then begin
     Obs.Counter.incr t.m_posts;
     c.posted <- true;

@@ -8,15 +8,11 @@
     per-connection FIFO order. No [Hello] is sent — a server answers
     frames without a handshake, and a [Welcome] would desynchronise the
     matching. A receiver answers its connection's requests in order, so
-    a request that may park there (a forwarded read or write) would hold
-    up every answer behind it: those ride a second connection to the
-    same address, with [Dir_update] (a forward sent after it must find
-    its receiver on the new epoch). Fetches, heartbeats, directory reads
-    and one-way frames ({!post}) ride the first, whose requests are
-    always answered within the step that reads them. Deadlock freedom
-    follows: a parked request waits only on that first kind. A call's
-    answer on the first connection proves every frame posted before it
-    to the same address was applied.
+    each address has two connections, one per {!lane}: a request that
+    may park at its receiver would hold up every answer behind it. The
+    caller picks the lane; the pool knows nothing of message kinds. An
+    answer to a call proves every frame sent before it on the same lane
+    was applied; one-way frames ({!post}) ride [Prompt].
 
     A connection fails on a refused or broken socket, an unexpected
     frame, or when its oldest outstanding call (or a pending connect)
@@ -33,16 +29,26 @@ type t
 
 type reply = (Pequod_proto.Message.response, string) result
 
+(** [Prompt]: requests the receiver answers within the step that reads
+    them (fetches, heartbeats, directory reads, barriers). [Parked]:
+    requests the receiver may answer only after waiting on a third party
+    (a forwarded read parks on its fetches, a forwarded write may be
+    held by a migration flip). Keeping them apart means a [Prompt]
+    answer never queues behind a parked request — whose own fetch may be
+    waiting on the sender — so the pair cannot wedge. *)
+type lane = Prompt | Parked
+
 (** A pool registering its sockets with [poller]. [on_lost addr] runs
     when one-way frames to [addr] may have been lost: their connection
     failed, or a {!post} found the peer in backoff. *)
 val create : poller:Poller.t -> obs:Obs.t -> on_lost:(string -> unit) -> t
 
-(** [call t addr req k]: send [req] to [addr] ([host:port]) and run [k]
-    with its response, or with [Error why] if the connection fails
-    first. [k] runs from a later {!ready} or {!tick} — or at once, before
+(** [call t lane addr req k]: send [req] to [addr] ([host:port]) on
+    [lane] and run [k] with its response, or with [Error why] if the
+    connection fails first. [k] runs from a later {!ready} or {!tick} — or at once, before
     [call] returns, when the peer is in backoff or cannot be dialled. *)
-val call : t -> string -> Pequod_proto.Message.request -> (reply -> unit) -> unit
+val call :
+  t -> lane -> string -> Pequod_proto.Message.request -> (reply -> unit) -> unit
 
 (** Send a one-way request (the [Notify_*] family); no response. *)
 val post : t -> string -> Pequod_proto.Message.request -> unit

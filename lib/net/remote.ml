@@ -169,7 +169,8 @@ module Fetcher = struct
       fl.fl_cands <- rest;
       Obs.Counter.incr f.m_fetch_out;
       let table, lo, hi = fl.fl_key in
-      Peer.call f.f_peers addr (Message.Fetch { table; lo; hi; subscriber = f.f_self })
+      Peer.call f.f_peers Peer.Prompt addr
+        (Message.Fetch { table; lo; hi; subscriber = f.f_self })
         (fun reply ->
           let failed why =
             Log.warn (fun m -> m "fetch %s[%s,%s) from %s %s" table lo hi addr why);
@@ -438,7 +439,8 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
         if (not !polling) && now -. !last_poll >= poll_every then begin
           last_poll := now;
           polling := true;
-          Peer.call peers seed_addr (Message.Dir_watch { epoch = Directory.epoch dir })
+          Peer.call peers Peer.Prompt seed_addr
+            (Message.Dir_watch { epoch = Directory.epoch dir })
             (fun reply ->
               polling := false;
               match reply with Ok resp -> answer resp | Error msg -> unreachable msg)
@@ -473,7 +475,8 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
       Hashtbl.iter
         (fun addr keys ->
           incr checking;
-          Peer.call peers addr (Message.Sub_check { subscriber = self_addr }) (fun reply ->
+          Peer.call peers Peer.Prompt addr (Message.Sub_check { subscriber = self_addr })
+            (fun reply ->
               decr checking;
               match reply with
               | Ok (Message.Sub_ranges live) ->

@@ -372,6 +372,46 @@ let test_migrate_never_waits backend () =
   | Message.Value (Some "y") -> check_bool "moved" true (counter a "migrate.redirects" >= 1)
   | _ -> Alcotest.fail "read after the migration"
 
+(* A compute C subscribed to A's s range keeps getting pushes after the
+   range migrates to B: the flip hands C's subscription over, so B's
+   Sub_check lists it and a write at B reaches C with no heal round. *)
+let test_migrate_hands_subscribers_over () =
+  with_pair ~backend:`Epoll @@ fun a b ->
+  with_server ~joins:[ timeline_join ] @@ fun c ->
+  attach_specs ~peers:[ addr_of a; addr_of b ] c
+    [ Printf.sprintf "s@%s" (addr_of a); Printf.sprintf "p@%s" (addr_of b) ];
+  let servers = [ a; b; c ] in
+  let cfd = connect c and afd = connect a and bfd = connect b in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close [ cfd; afd; bfd ])
+  @@ fun () ->
+  (match rpc ~servers cfd (Message.Scan { lo = "t|a|"; hi = "t|a}" }) with
+  | Message.Pairs _ -> ()
+  | _ -> Alcotest.fail "timeline scan");
+  let subscribed fd =
+    match rpc ~servers fd (Message.Sub_check { subscriber = addr_of c }) with
+    | Message.Sub_ranges ranges -> List.exists (fun (table, _, _) -> table = "s") ranges
+    | _ -> Alcotest.fail "Sub_check"
+  in
+  check_bool "C subscribed at A" true (subscribed afd);
+  (match
+     rpc ~servers afd (Message.Migrate { table = "s"; lo = "s|"; hi = "s}"; dest = addr_of b })
+   with
+  | Message.Pairs _ -> ()
+  | _ -> Alcotest.fail "migration failed");
+  check_bool "C's subscription moved to B" true (subscribed bfd);
+  check_bool "and left A" false (subscribed afd);
+  let pushed = counter c "peer.notify.in" in
+  (match rpc ~servers bfd (Message.Put ("s|a|2", "z")) with
+  | Message.Done | Message.Stamps _ -> ()
+  | _ -> Alcotest.fail "put at the new home");
+  settle servers;
+  check_bool "the write at B is pushed to C" true (counter c "peer.notify.in" > pushed);
+  check_bool "C holds the pushed key" true
+    (match Server.scan_result (Net_server.engine c) ~lo:"s|a|" ~hi:"s|a}" with
+    | `Ok pairs -> List.assoc_opt "s|a|2" pairs = Some "z"
+    | `Missing _ -> false)
+
 let () =
   Alcotest.run "async"
     [
@@ -389,4 +429,7 @@ let () =
               Alcotest.test_case ("migrate never waits on a peer, " ^ name) `Quick
                 (test_migrate_never_waits backend) ])
           [ ("epoll", `Epoll); ("select", `Select) ] );
+      ( "migration",
+        [ Alcotest.test_case "migration hands subscribers over" `Quick
+            test_migrate_hands_subscribers_over ] );
     ]
