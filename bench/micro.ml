@@ -9,6 +9,7 @@ open Toolkit
 
 module Rbtree = Pequod_store.Rbtree
 module Interval_map = Pequod_store.Interval_map
+module Range_map = Pequod_store.Range_map
 module Pattern = Pequod_pattern.Pattern
 module Message = Pequod_proto.Message
 
@@ -228,6 +229,41 @@ let batch_tests =
     bench_put_sparse ~name:"server put batched (sparse, 10k updaters)" ~batched:true sparse;
   ]
 
+(* The join-status shape: one piece per materialized timeline, with
+   gaps between them (30k pieces, about what a 300k-op replay leaves). *)
+let npieces = 30_000
+let piece_lo i = Printf.sprintf "t|u%05d|" i
+let piece_hi i = Printf.sprintf "t|u%05d}" i
+
+let make_range_map () =
+  let rm = Range_map.create () in
+  for i = 0 to npieces - 1 do
+    Range_map.set rm ~lo:(piece_lo i) ~hi:(piece_hi i) i
+  done;
+  rm
+
+let probe_keys = Array.init 1024 (fun i -> Printf.sprintf "t|u%05d|%010d" (i * 29 mod npieces) i)
+
+let bench_range_map_find =
+  let rm = make_range_map () in
+  let i = ref 0 in
+  Test.make ~name:"range_map find (30k pieces)"
+    (Staged.stage (fun () ->
+         i := (!i + 1) land 1023;
+         ignore (Range_map.find rm probe_keys.(!i))))
+
+(* a logged write splits one piece in three; applying the log heals it *)
+let bench_range_map_split_heal =
+  let rm = make_range_map () in
+  let i = ref 0 in
+  Test.make ~name:"range_map update_range split+heal (30k pieces)"
+    (Staged.stage (fun () ->
+         i := (!i + 7919) mod npieces;
+         let lo = piece_lo !i ^ "0000000100" and hi = piece_lo !i ^ "0000000200" in
+         Range_map.update_range rm ~lo ~hi (fun _ _ v -> Option.map (fun v -> -v) v);
+         Range_map.update_range rm ~lo ~hi (fun _ _ v -> Option.map (fun v -> -v) v);
+         Range_map.coalesce rm ~lo ~hi ~eq:Int.equal))
+
 let all_tests =
   [
     bench_rbtree_insert;
@@ -239,6 +275,8 @@ let all_tests =
     bench_table_get_subtables;
     bench_table_get_flat;
     bench_interval_stab;
+    bench_range_map_find;
+    bench_range_map_split_heal;
     bench_pattern_match;
     bench_codec_roundtrip;
   ]

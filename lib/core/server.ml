@@ -16,7 +16,8 @@
       base ranges from a backing database or a remote home server; an
       asynchronous resolver makes [scan_nb] return the set of ranges to
       fetch so the host can fetch them in parallel and retry (the restart
-      behaviour: completed covers stay valid and are not recomputed);
+      behaviour: completed covers stay valid, and a region is probed for
+      absent sources before it is materialized, so it is built once);
     - LRU eviction of computed ranges under a memory limit (§2.5).
 
     The store itself is schema-free; bookkeeping lives beside the data:
@@ -55,7 +56,8 @@ type log_entry = {
 type st_state =
   | Valid of { expires : float option } (* snapshot joins carry an expiry *)
   | Invalid (* complete invalidation: recompute from scratch *)
-  | Pending of log_entry list (* partial invalidation, newest first *)
+  | Pending of { log : log_entry list; len : int }
+      (* partial invalidation, newest first; [len] entries *)
 
 type status = { mutable state : st_state }
 
@@ -152,6 +154,7 @@ type metrics = {
   combined : Obs.Counter.t; (* updater.combined *)
   installed : Obs.Counter.t; (* updater.installed *)
   exec_runs : Obs.Counter.t; (* exec.run *)
+  probes : Obs.Counter.t; (* exec.probe *)
   resolver_fetch : Obs.Counter.t; (* resolver.fetch *)
   resolver_deferred : Obs.Counter.t; (* resolver.deferred *)
   recomputes : Obs.Counter.t; (* exec.recompute_region *)
@@ -180,6 +183,7 @@ let make_metrics obs =
     combined = Obs.counter obs "updater.combined";
     installed = Obs.counter obs "updater.installed";
     exec_runs = Obs.counter obs "exec.run";
+    probes = Obs.counter obs "exec.probe";
     resolver_fetch = Obs.counter obs "resolver.fetch";
     resolver_deferred = Obs.counter obs "resolver.deferred";
     recomputes = Obs.counter obs "exec.recompute_region";
@@ -362,8 +366,9 @@ let coalesce_valid m ~lo ~hi =
       | _ -> false)
 
 (* High-water mark of the collect-mode deferral list: a region whose
-   execution recorded new misses must not be marked Valid, or output
-   computed from absent sources would freeze as fresh. *)
+   probe recorded new misses is not built, and one whose execution did
+   is not marked Valid, or output computed from absent sources would
+   freeze as fresh. *)
 let deferred_mark t = match t.deferred_acc with Some acc -> List.length !acc | None -> 0
 
 let rec apply_put ?hint ?(shared = false) t key data =
@@ -498,9 +503,9 @@ and invalidate_apply t up cx b key ~change =
           | None -> None (* unknown: nothing materialized to invalidate *)
           | Some st ->
             (match st.state with
-            | Valid _ -> st.state <- Pending [ entry ]
-            | Pending log when List.length log >= limit -> st.state <- Invalid
-            | Pending log -> st.state <- Pending (entry :: log)
+            | Valid _ -> st.state <- Pending { log = [ entry ]; len = 1 }
+            | Pending { len; _ } when len >= limit -> st.state <- Invalid
+            | Pending { log; len } -> st.state <- Pending { log = entry :: log; len = len + 1 }
             | Invalid -> ());
             Some st)
   end
@@ -643,13 +648,18 @@ and install_updater t join ~source_idx ~kind ~slo ~shi ~cx =
 
 (* The nested-loop executor (Figs 3 and 5). [skip_source] marks a source
    already bound by the caller (log application / eager check insert).
-   [mode] is [`Materialize cover] (install results, updaters, hints) or
-   [`Collect acc] (pull joins: just produce pairs). *)
+   [mode] is [`Materialize cover] (install results, updaters, hints),
+   [`Collect acc] (pull joins: just produce pairs) or [`Probe]: make every
+   source range the join reads ready, and nothing else. A probe installs
+   no updater, emits no output, and stops at the last source it must
+   make ready instead of reading its keys, which bind no further source. *)
 and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_source =
-  Obs.Counter.incr t.hot.exec_runs;
+  let probe = match mode with `Probe -> true | `Materialize _ | `Collect _ -> false in
+  Obs.Counter.incr (if probe then t.hot.probes else t.hot.exec_runs);
   let spec = join.spec in
   let sources = source_array spec in
   let nsources = Array.length sources in
+  let last = if skip_source = nsources - 1 then nsources - 2 else nsources - 1 in
   let vs_idx = Joinspec.value_source_index spec in
   let vop = Joinspec.value_op spec in
   let out = Joinspec.output spec in
@@ -674,7 +684,8 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
         | None -> (
           match mode with
           | `Materialize _ -> copy_buf := (okey, value) :: !copy_buf
-          | `Collect acc -> acc := (okey, value) :: !acc)
+          | `Collect acc -> acc := (okey, value) :: !acc
+          | `Probe -> ())
       end
   in
   let rec loop i b value =
@@ -704,15 +715,16 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
              in
              install_updater t join ~source_idx:i ~kind ~slo:ilo ~shi:ihi
                ~cx:{ cx_bindings = b; cx_residual = residual; cx_cover = cover }
-           | `Collect _ -> ());
+           | `Collect _ | `Probe -> ());
         (* safe to iterate live: emissions are buffered until the loop
            finishes, so no store mutation happens during iteration *)
-        Store.iter_range t.store ~lo:slo ~hi:shi (fun k cell ->
-            match Pattern.match_key src.Joinspec.pattern k ~bindings:b with
-            | Some b' ->
-              let value = if i = vs_idx then Some cell.data else value in
-              loop (i + 1) b' value
-            | None -> ())
+        if not (probe && i = last) then
+          Store.iter_range t.store ~lo:slo ~hi:shi (fun k cell ->
+              match Pattern.match_key src.Joinspec.pattern k ~bindings:b with
+              | Some b' ->
+                let value = if i = vs_idx then Some cell.data else value in
+                loop (i + 1) b' value
+              | None -> ())
       end
     end
   in
@@ -734,7 +746,8 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
         | Some v -> (
           match mode with
           | `Materialize cover -> put_output t cover okey v ~shared:false
-          | `Collect acc -> acc := (okey, v) :: !acc)
+          | `Collect acc -> acc := (okey, v) :: !acc
+          | `Probe -> ())
         | None -> ())
       (List.sort compare groups)
 
@@ -832,7 +845,7 @@ and validate_range t ~active ~lo ~hi =
                 | Some { state = Valid { expires = None } } -> touch_covers t involved
                 | Some { state = Valid { expires = Some e } } when now t < e ->
                   touch_covers t involved
-                | Some { state = Pending log } ->
+                | Some { state = Pending { log; _ } } ->
                   (* re-read state: an earlier piece's work may have changed it *)
                   apply_log t ~active m ~plo ~phi (List.rev log)
                 | Some { state = Valid _ } (* expired snapshot *)
@@ -855,9 +868,11 @@ and touch_covers t involved =
 
 (* Recompute a region from scratch: expand to whole covers, tear them
    down, clear their outputs, re-execute every overlapping join, and mark
-   the region valid. *)
+   the region valid. In collect mode the joins are probed first: when a
+   source range is absent the misses are recorded and the region is left
+   as it was, so a cold region is materialized once, by the retry that
+   finds every source present, instead of once per fetch wave. *)
 and recompute_region t ~active m table ~plo ~phi =
-  Obs.Counter.incr t.hot.recomputes;
   let dmark = deferred_mark t in
   let t0 = Obs.tick () in
   (* expand to cover boundaries (fixpoint) so updater teardown is whole *)
@@ -896,7 +911,31 @@ and recompute_region t ~active m table ~plo ~phi =
       if List.mem j.jid active then
         raise (Join_cycle (Printf.sprintf "cyclic evaluation through %s" (Joinspec.to_string j.spec))))
     involved;
-  (* teardown existing covers in the region *)
+  (* each join's cover within the region *)
+  let spans =
+    List.filter_map
+      (fun (j, b0, residual) ->
+        let clo, chi = Pattern.containing_range (Joinspec.output j.spec) ~bindings:b0 ~residual in
+        Option.map (fun span -> (j, b0, residual, span)) (Strkey.range_inter (clo, chi) (lo, hi)))
+      involved
+  in
+  if Option.is_some t.deferred_acc then
+    List.iter
+      (fun (j, b0, residual, out_range) ->
+        exec_sources t ~active:(j.jid :: active) j ~bindings:b0 ~residual ~out_range ~mode:`Probe
+          ~skip_source:(-1))
+      spans;
+  if deferred_mark t = dmark then begin
+    Obs.Counter.incr t.hot.recomputes;
+    rebuild_region t ~active m ~lo ~hi involved spans;
+    Obs.trace t.obs ~kind:"recompute" ~table ~lo ~hi ~dur_ns:(Obs.tock t0) ()
+  end
+
+(* [recompute_region]'s rebuild, once its probe (if any) found every
+   source present: tear down the region's covers, drop their outputs,
+   execute each join over its span, and mark the region Valid. *)
+and rebuild_region t ~active m ~lo ~hi involved spans =
+  let dmark = deferred_mark t in
   List.iter (fun (j, _, _) -> teardown_covers t j ~lo ~hi) involved;
   (* drop stale outputs of the involved joins *)
   List.iter
@@ -909,43 +948,37 @@ and recompute_region t ~active m table ~plo ~phi =
       in
       List.iter (fun k -> apply_remove t k) doomed)
     involved;
-  (* re-execute each join over its cover within the region *)
   let expiry = ref None in
   List.iter
-    (fun (j, b0, residual) ->
-      let out = Joinspec.output j.spec in
-      let clo, chi = Pattern.containing_range out ~bindings:b0 ~residual in
-      match Strkey.range_inter (clo, chi) (lo, hi) with
-      | None -> ()
-      | Some (covlo, covhi) ->
-        let cover =
-          { co_join = j; co_lo = covlo; co_hi = covhi; co_handles = [];
-            co_installed = Hashtbl.create 16; co_handle_keys = Hashtbl.create 16;
-            co_hint = None; co_lru = None }
-        in
-        (try
-           exec_sources t ~active:(j.jid :: active) j ~bindings:b0 ~residual
-             ~out_range:(covlo, covhi) ~mode:(`Materialize cover) ~skip_source:(-1)
-         with e ->
-           (* roll back the partial execution's updaters *)
-           List.iter (fun h -> remove_handle t cover h) cover.co_handles;
-           cover.co_handles <- [];
-           raise e);
-        Range_map.set (covers_of t j.jid) ~lo:covlo ~hi:covhi cover;
-        cover.co_lru <- Some (Lru.add t.lru cover);
-        (match Joinspec.maintenance j.spec with
-        | Joinspec.Snapshot secs ->
-          let e = now t +. secs in
-          expiry := Some (match !expiry with Some e0 -> Float.min e0 e | None -> e)
-        | Joinspec.Push | Joinspec.Pull -> ()))
-    involved;
-  (* a clean region is fresh; one that deferred stays not-Valid so the
-     post-fetch retry recomputes it (completed covers remain, §3.3) *)
+    (fun (j, b0, residual, (covlo, covhi)) ->
+      let cover =
+        { co_join = j; co_lo = covlo; co_hi = covhi; co_handles = [];
+          co_installed = Hashtbl.create 16; co_handle_keys = Hashtbl.create 16;
+          co_hint = None; co_lru = None }
+      in
+      (try
+         exec_sources t ~active:(j.jid :: active) j ~bindings:b0 ~residual
+           ~out_range:(covlo, covhi) ~mode:(`Materialize cover) ~skip_source:(-1)
+       with e ->
+         (* roll back the partial execution's updaters *)
+         List.iter (fun h -> remove_handle t cover h) cover.co_handles;
+         cover.co_handles <- [];
+         raise e);
+      Range_map.set (covers_of t j.jid) ~lo:covlo ~hi:covhi cover;
+      cover.co_lru <- Some (Lru.add t.lru cover);
+      match Joinspec.maintenance j.spec with
+      | Joinspec.Snapshot secs ->
+        let e = now t +. secs in
+        expiry := Some (match !expiry with Some e0 -> Float.min e0 e | None -> e)
+      | Joinspec.Push | Joinspec.Pull -> ())
+    spans;
+  (* should the rebuild still meet a miss its probe did not, the region
+     stays not-Valid for the retry: output computed from absent sources
+     must not freeze as fresh *)
   if deferred_mark t = dmark then begin
     Range_map.set m.status ~lo ~hi { state = Valid { expires = !expiry } };
     coalesce_valid m ~lo ~hi
-  end;
-  Obs.trace t.obs ~kind:"recompute" ~table ~lo ~hi ~dur_ns:(Obs.tock t0) ()
+  end
 
 (* Release one cover's stake in an updater entry: combined updaters
    (§3.2) carry contexts from several covers, so only this cover's
@@ -973,71 +1006,78 @@ and teardown_covers t j ~lo ~hi =
 
 (* Apply a partial-invalidation log to one status piece (§3.2): each
    logged check-source change is joined against the other sources,
-   restricted to the piece. *)
+   restricted to the piece. In collect mode the logged inserts are probed
+   first, as in [recompute_region]: on a miss the piece keeps its
+   [Pending] log, to be applied once the fetch lands. *)
 and apply_log t ~active m ~plo ~phi entries =
-  Obs.Counter.incr t.hot.apply_logs;
   let dmark = deferred_mark t in
-  List.iter
-    (fun e ->
-      let join = e.le_join in
-      let src = (source_array join.spec).(e.le_source) in
-      match Pattern.match_key src.Joinspec.pattern e.le_key ~bindings:e.le_bindings with
-      | None -> ()
-      | Some b -> (
-        match e.le_change with
-        | Update -> ()
-        | Insert -> (
-          (* find the cover this piece belongs to *)
-          match Range_map.find (covers_of t join.jid) plo with
-          | Some (_, _, cover) ->
-            let olo = Strkey.max_str plo cover.co_lo and ohi = Strkey.min_str phi cover.co_hi in
-            if String.compare olo ohi < 0 then begin
-              (* derive the slot set from the piece itself so source scans
-                 are narrowed to exactly the queried range — the essence of
-                 partial invalidation: "only those tweets strictly required
-                 by queries" (§3.2) *)
-              match
-                Pattern.bind_range (Joinspec.output join.spec) ~lo:olo ~hi:ohi
-                  ~nslots:(Joinspec.nslots join.spec)
-              with
-              | None -> ()
-              | Some (b0, residual_piece) -> (
-                match merge_bindings b b0 with
-                | None -> () (* the logged binding cannot output in this piece *)
-                | Some merged ->
-                  exec_sources t ~active join ~bindings:merged ~residual:residual_piece
-                    ~out_range:(olo, ohi) ~mode:(`Materialize cover) ~skip_source:e.le_source)
-            end
-          | None ->
-            (* cover vanished (evicted): recompute wholesale *)
-            recompute_region t ~active m (Pattern.table (Joinspec.output join.spec)) ~plo ~phi)
-        | Remove ->
-          (* retract outputs of this binding, restricted to the piece *)
-          let out = Joinspec.output join.spec in
-          let olo, ohi = Pattern.containing_range out ~bindings:b ~residual:e.le_residual in
-          ignore out;
-          let olo = Strkey.max_str olo plo and ohi = Strkey.min_str ohi phi in
-          if String.compare olo ohi < 0 then retract_binding t join b ~lo:olo ~hi:ohi))
-    entries;
+  if Option.is_some t.deferred_acc then
+    List.iter (replay_entry t ~active m ~plo ~phi ~probe:true) entries;
   if deferred_mark t = dmark then begin
+    Obs.Counter.incr t.hot.apply_logs;
+    List.iter (replay_entry t ~active m ~plo ~phi ~probe:false) entries;
+    (* an evicted cover's recompute may still defer: the log is then
+       partly consumed, so the retry recomputes the piece wholesale *)
+    let clean = deferred_mark t = dmark in
     Range_map.update_range m.status ~lo:plo ~hi:phi (fun _ _ stv ->
-        match stv with
-        | Some st ->
-          (match st.state with Pending _ -> st.state <- Valid { expires = None } | _ -> ());
-          Some st
-        | None -> None);
-    coalesce_valid m ~lo:plo ~hi:phi
+        Option.iter
+          (fun st ->
+            match st.state with
+            | Pending _ -> st.state <- (if clean then Valid { expires = None } else Invalid)
+            | Valid _ | Invalid -> ())
+          stv;
+        stv);
+    if clean then coalesce_valid m ~lo:plo ~hi:phi
   end
-  else
-    (* the log was replayed against absent sources: downgrade to Invalid
-       so the retry recomputes wholesale instead of re-playing a log we
-       have already consumed *)
-    Range_map.update_range m.status ~lo:plo ~hi:phi (fun _ _ stv ->
-        match stv with
-        | Some st ->
-          (match st.state with Pending _ -> st.state <- Invalid | _ -> ());
-          Some st
-        | None -> None)
+
+(* One logged change, restricted to piece [\[plo, phi)]. A [~probe] run
+   only makes the sources of a logged insert ready. *)
+and replay_entry t ~active m ~plo ~phi ~probe e =
+  let join = e.le_join in
+  let src = (source_array join.spec).(e.le_source) in
+  match Pattern.match_key src.Joinspec.pattern e.le_key ~bindings:e.le_bindings with
+  | None -> ()
+  | Some b -> (
+    match e.le_change with
+    | Update -> ()
+    | Insert -> (
+      (* find the cover this piece belongs to *)
+      match Range_map.find (covers_of t join.jid) plo with
+      | Some (_, _, cover) ->
+        let olo = Strkey.max_str plo cover.co_lo and ohi = Strkey.min_str phi cover.co_hi in
+        if String.compare olo ohi < 0 then begin
+          (* derive the slot set from the piece itself so source scans
+             are narrowed to exactly the queried range — the essence of
+             partial invalidation: "only those tweets strictly required
+             by queries" (§3.2) *)
+          match
+            Pattern.bind_range (Joinspec.output join.spec) ~lo:olo ~hi:ohi
+              ~nslots:(Joinspec.nslots join.spec)
+          with
+          | None -> ()
+          | Some (b0, residual_piece) -> (
+            match merge_bindings b b0 with
+            | None -> () (* the logged binding cannot output in this piece *)
+            | Some merged ->
+              exec_sources t ~active join ~bindings:merged ~residual:residual_piece
+                ~out_range:(olo, ohi)
+                ~mode:(if probe then `Probe else `Materialize cover)
+                ~skip_source:e.le_source)
+        end
+      | None ->
+        (* cover vanished (evicted): recompute wholesale, which probes
+           for itself *)
+        if not probe then
+          recompute_region t ~active m (Pattern.table (Joinspec.output join.spec)) ~plo ~phi)
+    | Remove ->
+      (* retract outputs of this binding, restricted to the piece *)
+      if not probe then begin
+        let olo, ohi =
+          Pattern.containing_range (Joinspec.output join.spec) ~bindings:b ~residual:e.le_residual
+        in
+        let olo = Strkey.max_str olo plo and ohi = Strkey.min_str ohi phi in
+        if String.compare olo ohi < 0 then retract_binding t join b ~lo:olo ~hi:ohi
+      end)
 
 (* LRU eviction of computed covers under memory pressure (§2.5). *)
 and maybe_evict t =
@@ -1368,28 +1408,38 @@ let warm_fast_path t ~lo ~hi =
       && (match expires with None -> true | Some e -> now t < e)
     | _ -> false)
 
-(** Non-blocking scan for asynchronous deployments: either the results, or
-    the base ranges that must be fetched before retrying (§3.3). One pass
-    collects every missing range it can see (a check join fans out over
-    all bound value ranges at once) and completed covers stay valid, so
-    the retry never recomputes finished work. With [~may_defer:false] the
-    scan never enters collect mode: a [Deferred] resolver answer aborts at
-    the first miss, for callers with no retry loop above them. *)
 (* first [n] elements of [l] (all of [l] when shorter) *)
 let rec take n l =
   match l with x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> []
 
+let trace_scan t ~lo ~hi d =
+  Obs.trace t.obs ~kind:"scan" ~table:(Store.table_name_of lo) ~lo ~hi ~dur_ns:d ()
+
+(** Non-blocking scan for asynchronous deployments: either the results, or
+    the base ranges that must be fetched before retrying (§3.3). One pass
+    collects every missing range it can see (a check join fans out over
+    all bound value ranges at once). A join may still need one attempt
+    per fetch wave (fetched check rows name the value ranges to fetch
+    next), but a region whose probe finds a miss is left untouched, so it
+    materializes once, on the attempt that finds every source present,
+    and no cover built from absent data is torn down by the retry. With
+    [~may_defer:false] the scan never enters collect mode: a [Deferred]
+    resolver answer aborts at the first miss, for callers with no retry
+    loop above them. *)
 let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
   Obs.Counter.incr t.hot.scans;
   let t0 = Obs.tick () in
   (* duration/size recording and tracing, skipped entirely when recording
-     is off (the [List.length] below must not run on the disabled path) *)
-  let finish pairs =
+     is off (the [List.length] below must not run on the disabled path).
+     Warm hits leave no trace event: the ring keeps the scans that did
+     engine work or parked, and a hit allocates no event holding its
+     bounds. *)
+  let finish ~warm pairs =
     if !Obs.enabled then begin
       let d = Obs.tock t0 in
       Obs.Histogram.observe t.hot.scan_ns d;
       Obs.Histogram.observe t.hot.scan_pairs (List.length pairs);
-      Obs.trace t.obs ~kind:"scan" ~table:(Store.table_name_of lo) ~lo ~hi ~dur_ns:d ()
+      if not warm then trace_scan t ~lo ~hi d
     end;
     `Ok pairs
   in
@@ -1410,7 +1460,7 @@ let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
   in
   if warm_fast_path t ~lo ~hi then begin
     Obs.Counter.incr t.hot.scans_fast;
-    finish (bounded_stored ())
+    finish ~warm:true (bounded_stored ())
   end
   else begin
     (* collect mode: resolver misses accumulate here instead of aborting
@@ -1419,6 +1469,10 @@ let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
        than assumed-None for re-entrancy (a resolver or hook that scans). *)
     let saved = t.deferred_acc in
     let acc = ref [] in
+    let missing ranges =
+      if !Obs.enabled then trace_scan t ~lo ~hi (Obs.tock t0);
+      `Missing ranges
+    in
     if may_defer then t.deferred_acc <- Some acc;
     match
       Fun.protect ~finally:(fun () -> t.deferred_acc <- saved) (fun () ->
@@ -1430,7 +1484,7 @@ let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
       (* first-discovery order, deduplicated: the same gap can surface
          once per join source that reads it *)
       let seen = Hashtbl.create 8 in
-      `Missing
+      missing
         (List.filter
            (fun r ->
              if Hashtbl.mem seen r then false
@@ -1457,8 +1511,8 @@ let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
       (* evict only after the response is assembled: a cover computed for
          this very scan must not vanish under the read *)
       maybe_evict t;
-      finish merged
-    | exception Need_fetch (table, flo, fhi) -> `Missing [ (table, flo, fhi) ]
+      finish ~warm:false merged
+    | exception Need_fetch (table, flo, fhi) -> missing [ (table, flo, fhi) ]
   end
 
 (** Ordered scan of [\[lo, hi)], computing and freshening any overlapping

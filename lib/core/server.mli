@@ -84,8 +84,10 @@ val get : t -> string -> string option
     check join fans out over all bound value ranges at once), in
     first-discovery order without duplicates, so an asynchronous host
     can issue the whole set as one fetch burst. Completed covers stay
-    valid across retries (§3.3 restart behaviour), so a retry never
-    recomputes finished work — though a retry may surface ranges that
+    valid across retries (§3.3 restart behaviour), and a region or log
+    is probed for absent sources before anything is built, so a region
+    that misses is left untouched and materializes once, on the retry
+    that finds all its sources. A retry may still surface ranges that
     were unreachable before the first feed (a check source gates which
     value ranges are scanned). *)
 type scan_result =

@@ -1,7 +1,8 @@
 (** Disjoint cover of key space by half-open ranges carrying values — the
     join status structure (§3.2). Absence of coverage is the implicit
     Unknown state. Values may be mutable; [dup] (given at creation) gives
-    split pieces their own value. *)
+    split pieces their own value. Pieces are nodes of a mutable red-black
+    tree, updated in place. *)
 
 type 'a t
 
@@ -17,7 +18,8 @@ val find : 'a t -> string -> (string * string * 'a) option
     O(log n + matches). *)
 val overlapping : 'a t -> lo:string -> hi:string -> (string * string * 'a) list
 
-(** Consecutive pieces exactly covering [\[lo, hi)]; [None] marks gaps. *)
+(** Consecutive pieces exactly covering [\[lo, hi)]; [None] marks gaps.
+    The callback must not modify the map. *)
 val iter_cover : 'a t -> lo:string -> hi:string -> (string -> string -> 'a option -> unit) -> unit
 
 (** Remove all coverage of [\[lo, hi)], trimming straddling ranges. *)
@@ -32,9 +34,11 @@ val update_range :
   'a t -> lo:string -> hi:string -> (string -> string -> 'a option -> 'a option) -> unit
 
 (** Merge runs of adjacent ranges with [eq]-equal values around
-    [\[lo, hi)] (fights split/heal fragmentation). *)
+    [\[lo, hi)]: from the piece ending at or containing [lo] to the one
+    starting at [hi] (fights split/heal fragmentation). *)
 val coalesce : 'a t -> lo:string -> hi:string -> eq:('a -> 'a -> bool) -> unit
 
+(** The callback must not modify the map. *)
 val iter : 'a t -> (string -> string -> 'a -> unit) -> unit
 val to_list : 'a t -> (string * string * 'a) list
 

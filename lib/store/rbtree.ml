@@ -81,6 +81,22 @@ let lower_bound t k =
   in
   go t.root None
 
+(* Descent for [floor]: [best] is the deepest node seen with key <= [k]
+   ([nil] when none). Top-level so a lookup allocates no closure. *)
+let rec floor_from nil k x best =
+  if x == nil then best
+  else if String.compare x.key k <= 0 then floor_from nil k x.right x
+  else floor_from nil k x.left best
+
+(** Last node with key <= the argument, in one O(log n) descent. *)
+let floor t k =
+  let n = floor_from t.nil k t.root t.nil in
+  if n == t.nil then None else Some n
+
+(** Give a live node a new key in place. The caller guarantees the key
+    still sorts strictly between the node's neighbours. *)
+let rekey node k = node.key <- k
+
 let left_rotate t x =
   let y = x.right in
   x.right <- y.left;

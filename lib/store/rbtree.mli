@@ -41,6 +41,13 @@ val find : 'v t -> string -> 'v node option
 (** First node with key >= the argument. *)
 val lower_bound : 'v t -> string -> 'v node option
 
+(** Last node with key <= the argument. *)
+val floor : 'v t -> string -> 'v node option
+
+(** Change a node's key in place without rebalancing; the new key must
+    sort strictly between the node's predecessor and successor. *)
+val rekey : 'v node -> string -> unit
+
 (** Insert or overwrite in place; returns the node and the previous value
     ([None] when freshly inserted). *)
 val insert : 'v t -> string -> 'v -> 'v node * 'v option

@@ -412,6 +412,98 @@ let test_migrate_hands_subscribers_over () =
     | `Ok pairs -> List.assoc_opt "s|a|2" pairs = Some "z"
     | `Missing _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Cold timelines over a deferring resolver, in process                 *)
+
+(* The §3.3 fetch-and-retry loop without sockets: [compute]'s resolver
+   defers every base range it lacks, and each [`Missing] answer is
+   served from [home] through [feed_base] before the scan retries. *)
+let cold_engine () =
+  let compute = Server.create () in
+  Server.add_join_exn compute timeline_join;
+  Server.set_resolver compute (fun ~table:_ ~lo:_ ~hi:_ -> Server.Deferred);
+  compute
+
+let scan_through ~home compute ~lo ~hi =
+  let rec go attempts =
+    if attempts > 8 then Alcotest.fail "scan never resolved";
+    match Server.scan_result compute ~lo ~hi with
+    | `Ok pairs -> pairs
+    | `Missing ranges ->
+      List.iter
+        (fun (table, flo, fhi) ->
+          Server.feed_base compute ~table ~lo:flo ~hi:fhi (Server.scan home ~lo:flo ~hi:fhi))
+        ranges;
+      go (attempts + 1)
+  in
+  go 0
+
+(* Materializing cold timelines must build each one once: a retry that
+   still misses leaves the region alone instead of building a cover from
+   absent rows, so no updater fires into a doomed cover and no output is
+   torn down. Results match an engine holding every row locally. *)
+let test_cold_timelines_materialize_once () =
+  let users = 300 in
+  let home = Server.create () and local = Server.create () in
+  Server.add_join_exn local timeline_join;
+  let rng = Test_util.rng_of 17 0 in
+  let user i = Printf.sprintf "u%03d" i in
+  let base = ref [] in
+  for i = 0 to users - 1 do
+    for _ = 1 to Rng.int rng 6 do
+      base := (Printf.sprintf "s|%s|%s" (user i) (user (Rng.int rng users)), "1") :: !base
+    done;
+    for _ = 1 to Rng.int rng 4 do
+      base := (Printf.sprintf "p|%s|%s" (user i) (Test_util.tm (Rng.int rng 10_000)), user i)
+              :: !base
+    done
+  done;
+  Server.put_batch home !base;
+  Server.put_batch local !base;
+  let compute = cold_engine () in
+  let before = Server.stats_snapshot compute in
+  let delta name = Server.counter compute name - List.assoc name before in
+  let timelines scan =
+    List.init users (fun i ->
+        scan ~lo:(Printf.sprintf "t|%s|" (user i)) ~hi:(Printf.sprintf "t|%s}" (user i)))
+  in
+  Alcotest.(check (list (list (pair string string))))
+    "timelines match all-local" (timelines (Server.scan local))
+    (timelines (scan_through ~home compute));
+  Server.check_invariants compute;
+  Test_util.check_int "no output torn down" 0 (delta "store.remove");
+  Test_util.check_int "no updater fired" 0 (delta "updater.run");
+  Test_util.check_int "one materializing run per timeline" users (delta "exec.run");
+  Test_util.check_int "one recompute per timeline" users (delta "exec.recompute_region");
+  check_bool "misses were probed" true (delta "exec.probe" > users)
+
+(* A logged subscription whose poster's posts are absent: the miss keeps
+   the piece's Pending log, and once the posts land the log is applied
+   as is, with no wholesale recompute. *)
+let test_pending_log_survives_miss () =
+  let home = Server.create () in
+  Server.put_batch home [ ("p|bob|0001", "b1"); ("p|liz|0002", "l2"); ("s|ann|bob", "1") ];
+  let compute = cold_engine () in
+  let lo = "t|ann|" and hi = "t|ann}" in
+  Test_util.check_pairs "warm timeline" [ ("t|ann|0001|bob", "b1") ]
+    (scan_through ~home compute ~lo ~hi);
+  (* the home pushes ann's new subscription *)
+  Server.put home "s|ann|liz" "1";
+  Server.put_batch compute [ ("s|ann|liz", "1") ];
+  let before = Server.stats_snapshot compute in
+  let delta name = Server.counter compute name - List.assoc name before in
+  (match Server.scan_result compute ~lo ~hi with
+  | `Missing [ ("p", "p|liz|", "p|liz}") ] -> ()
+  | `Missing _ | `Ok _ -> Alcotest.fail "the scan must miss liz's posts");
+  Test_util.check_int "log kept through the miss" 0 (delta "exec.apply_log");
+  Test_util.check_pairs "after the feed"
+    [ ("t|ann|0001|bob", "b1"); ("t|ann|0002|liz", "l2") ]
+    (scan_through ~home compute ~lo ~hi);
+  Test_util.check_int "log applied once" 1 (delta "exec.apply_log");
+  Test_util.check_int "no recompute" 0 (delta "exec.recompute_region");
+  Test_util.check_int "nothing torn down" 0 (delta "store.remove");
+  Server.check_invariants compute
+
 let () =
   Alcotest.run "async"
     [
@@ -429,6 +521,11 @@ let () =
               Alcotest.test_case ("migrate never waits on a peer, " ^ name) `Quick
                 (test_migrate_never_waits backend) ])
           [ ("epoll", `Epoll); ("select", `Select) ] );
+      ( "cold-path",
+        [ Alcotest.test_case "cold timelines materialize once" `Quick
+            test_cold_timelines_materialize_once;
+          Alcotest.test_case "pending log survives a miss" `Quick
+            test_pending_log_survives_miss ] );
       ( "migration",
         [ Alcotest.test_case "migration hands subscribers over" `Quick
             test_migrate_hands_subscribers_over ] );

@@ -425,6 +425,127 @@ let test_rmap_dup_on_split () =
     check_int "right unaffected" 1 !right
   | _ -> Alcotest.fail "expected two pieces")
 
+(* Seeded random op sequences against a sorted-list reference of
+   [(lo, hi, content)] pieces. Map values are [int ref]s duplicated on
+   split, so a remainder that shared its value with the piece an
+   [update_range] callback mutates would show the mutation and diverge
+   from the reference; distinct pieces must also hold distinct refs. *)
+let test_rmap_model () =
+  let clear l ~lo ~hi =
+    if String.compare lo hi >= 0 then l
+    else
+      List.concat_map
+        (fun (a, b, c) ->
+          if String.compare b lo <= 0 || String.compare a hi >= 0 then [ (a, b, c) ]
+          else
+            (if String.compare a lo < 0 then [ (a, lo, c) ] else [])
+            @ if String.compare hi b < 0 then [ (hi, b, c) ] else [])
+        l
+  in
+  let sorted l = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) l in
+  let cover l ~lo ~hi =
+    let cursor = ref lo and out = ref [] in
+    List.iter
+      (fun (a, b, c) ->
+        let a' = Strkey.max_str a lo and b' = Strkey.min_str b hi in
+        if String.compare a' b' < 0 then begin
+          if String.compare !cursor a' < 0 then out := (!cursor, a', None) :: !out;
+          out := (a', b', Some c) :: !out;
+          cursor := b'
+        end)
+      l;
+    if String.compare !cursor hi < 0 then out := (!cursor, hi, None) :: !out;
+    List.rev !out
+  in
+  let coalesce l ~lo ~hi =
+    let start =
+      List.fold_left (fun acc (a, _, _) -> if String.compare a lo < 0 then a else acc) lo l
+    in
+    let rec go = function
+      | (a, b, c) :: (a2, b2, c2) :: rest
+        when String.compare start a <= 0 && String.compare a2 hi <= 0 && String.equal b a2
+             && c = c2 ->
+        go ((a, b2, c) :: rest)
+      | p :: rest -> p :: go rest
+      | [] -> []
+    in
+    go l
+  in
+  (* the callback's decision depends only on the piece and the op *)
+  let decide l k = Hashtbl.hash (l, k) mod 3 in
+  let key rng = Printf.sprintf "%02d" (Rng.int rng 16) in
+  for seed = 1 to 200 do
+    let rng = Test_util.rng_of 23 seed in
+    let rm = Range_map.create ~dup:(fun r -> ref !r) () in
+    let model = ref [] in
+    let contents () = List.map (fun (a, b, r) -> (a, b, !r)) (Range_map.to_list rm) in
+    let opt r = Option.map ( ! ) r in
+    for step = 1 to 60 do
+      let a = key rng and b = key rng in
+      let what = Printf.sprintf "seed %d step %d" seed step in
+      (match Rng.int rng 7 with
+      | 0 when String.compare a b < 0 ->
+        Range_map.set rm ~lo:a ~hi:b (ref step);
+        model := sorted ((a, b, step) :: clear !model ~lo:a ~hi:b)
+      | 0 | 1 ->
+        Range_map.clear_range rm ~lo:a ~hi:b;
+        model := clear !model ~lo:a ~hi:b
+      | 2 ->
+        let seen = ref [] in
+        Range_map.update_range rm ~lo:a ~hi:b (fun l h v ->
+            seen := (l, h, opt v) :: !seen;
+            match (v, decide l step) with
+            | Some r, 0 ->
+              r := !r + 100;
+              Some r
+            | Some _, 1 | None, 0 -> None
+            | _ -> Some (ref step));
+        let pieces = cover !model ~lo:a ~hi:b in
+        Alcotest.(check (list (triple string string (option int))))
+          (what ^ ": update_range callbacks") pieces (List.rev !seen);
+        let rewritten =
+          List.filter_map
+            (fun (l, h, c) ->
+              match (c, decide l step) with
+              | Some c, 0 -> Some (l, h, c + 100)
+              | Some _, 1 | None, 0 -> None
+              | _ -> Some (l, h, step))
+            pieces
+        in
+        model := sorted (rewritten @ clear !model ~lo:a ~hi:b)
+      | 3 ->
+        Range_map.coalesce rm ~lo:a ~hi:b ~eq:(fun x y -> !x = !y);
+        model := coalesce !model ~lo:a ~hi:b
+      | 4 ->
+        let got = Option.map (fun (l, h, r) -> (l, h, !r)) (Range_map.find rm a) in
+        let want =
+          List.find_opt
+            (fun (l, h, _) -> String.compare l a <= 0 && String.compare a h < 0)
+            !model
+        in
+        Alcotest.(check (option (triple string string int))) (what ^ ": find") want got
+      | 5 ->
+        Alcotest.(check (list (triple string string int)))
+          (what ^ ": overlapping")
+          (List.filter
+             (fun (l, h, _) ->
+               String.compare a b < 0 && String.compare l b < 0 && String.compare a h < 0)
+             !model)
+          (List.map (fun (l, h, r) -> (l, h, !r)) (Range_map.overlapping rm ~lo:a ~hi:b))
+      | _ ->
+        let got = ref [] in
+        Range_map.iter_cover rm ~lo:a ~hi:b (fun l h v -> got := (l, h, opt v) :: !got);
+        Alcotest.(check (list (triple string string (option int))))
+          (what ^ ": iter_cover") (cover !model ~lo:a ~hi:b) (List.rev !got));
+      Range_map.validate rm;
+      Alcotest.(check (list (triple string string int))) (what ^ ": pieces") !model (contents ());
+      check_int (what ^ ": cardinal") (List.length !model) (Range_map.cardinal rm);
+      let refs = List.map (fun (_, _, r) -> r) (Range_map.to_list rm) in
+      check_bool (what ^ ": no shared values") true
+        (List.for_all (fun r -> List.length (List.filter (( == ) r) refs) = 1) refs)
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Table and Store                                                     *)
 
@@ -679,6 +800,7 @@ let () =
           Alcotest.test_case "clear range" `Quick test_rmap_clear_range;
           Alcotest.test_case "update range" `Quick test_rmap_update_range;
           Alcotest.test_case "dup on split" `Quick test_rmap_dup_on_split;
+          Alcotest.test_case "seeded model" `Quick test_rmap_model;
         ] );
       ("range_map-props", qsuite [ prop_rmap_model ]);
       ( "table",
