@@ -264,6 +264,47 @@ let bench_range_map_split_heal =
          Range_map.update_range rm ~lo ~hi (fun _ _ v -> Option.map (fun v -> -v) v);
          Range_map.coalesce rm ~lo ~hi ~eq:Int.equal))
 
+(* Cover bookkeeping: 1k readers, each following 8 of 64 posters that
+   have one post each. A run scans every timeline under a zero memory
+   limit, so each scan materializes one cover (9 entries, one context
+   each: the previous reader's cover, and its entries, are gone) and
+   the eviction after it tears the cover down again. *)
+let cover_readers = 1_000
+let covers_case = "materialize + tear down 1k timeline covers"
+
+let cover_engine () =
+  let config = Pequod_core.Config.default () in
+  config.Pequod_core.Config.memory_limit <- Some 0;
+  let s = Engine.create ~config () in
+  Engine.add_join_exn s
+    "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>";
+  for p = 0 to 63 do
+    Engine.put s (Printf.sprintf "p|p%02d|%010d" p 1) "post"
+  done;
+  for u = 0 to cover_readers - 1 do
+    for k = 0 to 7 do
+      Engine.put s (Printf.sprintf "s|u%04d|p%02d" u (((u * 7) + (k * 8)) mod 64)) "1"
+    done
+  done;
+  s
+
+let cover_ranges =
+  Array.init cover_readers (fun u -> (Printf.sprintf "t|u%04d|" u, Printf.sprintf "t|u%04d}" u))
+
+let run_covers s = Array.iter (fun (lo, hi) -> ignore (Engine.scan s ~lo ~hi)) cover_ranges
+
+let bench_covers =
+  let s = cover_engine () in
+  Test.make ~name:covers_case (Staged.stage (fun () -> run_covers s))
+
+(* minor-heap words one cover's materialization and teardown allocate *)
+let cover_minor_words () =
+  let s = cover_engine () in
+  run_covers s;
+  let w0 = Gc.minor_words () in
+  run_covers s;
+  (Gc.minor_words () -. w0) /. float_of_int cover_readers
+
 let all_tests =
   [
     bench_rbtree_insert;
@@ -277,6 +318,7 @@ let all_tests =
     bench_interval_stab;
     bench_range_map_find;
     bench_range_map_split_heal;
+    bench_covers;
     bench_pattern_match;
     bench_codec_roundtrip;
   ]
@@ -340,18 +382,22 @@ let registry_snapshot () =
 
 (* ratios worth tracking as first-class numbers, recomputed from the
    measured results so the JSON carries the claim, not just the inputs *)
-let derived_of results =
+let derived_of ~cover_words results =
   let find name = match List.assoc_opt name results with Some (Some v) -> Some v | _ -> None in
-  match (find put_seq_10k_sorted, find put_batch_10k_sorted) with
+  (match (find put_seq_10k_sorted, find put_batch_10k_sorted) with
   | Some seq, Some batch when batch > 0.0 ->
     [ ("put_batch 10k sorted speedup", seq /. batch) ]
-  | _ -> []
+  | _ -> [])
+  @ (match find covers_case with
+    | Some ns -> [ ("cover materialize+teardown ns/cover", ns /. float_of_int cover_readers) ]
+    | None -> [])
+  @ [ ("cover materialize+teardown minor words/cover", cover_words) ]
 
 (* provenance stamping (commit + ISO date + derived entries) is shared
    with BENCH_cluster.json through Benchstamp, so the files cannot
    drift in schema *)
-let write_json ~path ?registry results =
-  Benchstamp.write_file ~path ~benchmark:"micro" ~derived:(derived_of results)
+let write_json ~path ?registry ~cover_words results =
+  Benchstamp.write_file ~path ~benchmark:"micro" ~derived:(derived_of ~cover_words results)
     ([ ("unit", Benchstamp.String "ns/run");
        ( "results",
          Benchstamp.Obj
@@ -373,6 +419,12 @@ let run_and_print () =
         [ name; (match est with Some v -> Tablefmt.fmt_float ~decimals:1 v | None -> "n/a") ])
     results;
   Tablefmt.print tbl;
+  let cover_words = cover_minor_words () in
+  (match List.assoc_opt covers_case results with
+  | Some (Some ns) ->
+    Printf.printf "covers: %.0f ns and %.0f minor words per cover materialized and torn down\n"
+      (ns /. float_of_int cover_readers) cover_words
+  | _ -> ());
   let json = "BENCH_micro.json" in
-  write_json ~path:json ~registry:(registry_snapshot ()) results;
+  write_json ~path:json ~registry:(registry_snapshot ()) ~cover_words results;
   Printf.printf "(wrote %s)\n" json

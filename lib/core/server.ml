@@ -62,38 +62,40 @@ type st_state =
 type status = { mutable state : st_state }
 
 (* A cover is one materialized execution of one join over one output
-   range: it owns the updaters installed during that execution, the
-   output hint, and an LRU slot for eviction. *)
+   range: it owns the updater contexts installed during that execution,
+   the output hint, and an LRU slot for eviction. *)
 type cover = {
   co_join : join;
   co_lo : string;
   co_hi : string;
-  mutable co_handles : updater Interval_map.handle list;
-  co_installed : (string, unit) Hashtbl.t; (* dedup of (entry, context) installs *)
-  co_handle_keys : (string, updater Interval_map.handle) Hashtbl.t;
-  (* entry keys already in co_handles, with the handle registered *)
+  mutable co_contexts : context list; (* newest first *)
   mutable co_hint : cell Table.handle option;
   mutable co_lru : cover Lru.entry option;
 }
 
+(* One entry of a table's updater tree: the (join, source, kind) it
+   serves over its range, and the contexts each write runs. Combining
+   (§3.2) puts the contexts of every cover installing that range on one
+   entry; the entry goes with its last context. *)
 and updater = {
   up_join : join;
   up_source : int;
   up_kind : [ `Eager | `Invalidate ];
-  mutable up_contexts : context list;
+  mutable up_contexts : context list; (* newest first *)
 }
 
+(* One cover's stake in one entry: the bindings a write must match. A
+   context sits in exactly two lists, its entry's and its cover's. *)
 and context = {
   cx_bindings : string option array;
   cx_residual : Pattern.residual option;
   cx_cover : cover;
+  cx_entry : updater Interval_map.handle;
 }
 
 type tbl_meta = {
   status : status Range_map.t;
   updaters : updater Interval_map.t;
-  (* O(1) updater-combining lookup: "jid/src/kind/lo/hi" -> entry *)
-  combine_index : (string, updater Interval_map.handle) Hashtbl.t;
   mutable present : unit Range_map.t option; (* Some when a resolver governs this table *)
   (* the subset of [present] installed by [mark_present] (home-partition
      ownership). Only these ranges are durable: resolver-fetched presence
@@ -207,6 +209,8 @@ type t = {
   covers : (int, cover Range_map.t) Hashtbl.t; (* join id -> disjoint covers *)
   lru : cover Lru.t;
   mutable value_bytes : int;
+  mutable entries : int; (* live updater entries, all tables (updater.entries) *)
+  mutable contexts : int; (* live updater contexts (updater.contexts) *)
   mutable next_jid : int;
   mutable resolver : resolver option;
   mutable on_mutation : (mutation -> unit) option; (* durability hook *)
@@ -232,6 +236,8 @@ let create ?config () =
     covers = Hashtbl.create 16;
     lru = Lru.create ();
     value_bytes = 0;
+    entries = 0;
+    contexts = 0;
     next_jid = 0;
     resolver = None;
     on_mutation = None;
@@ -253,7 +259,6 @@ let meta t name =
   | None ->
     let m = { status = Range_map.create ~dup:(fun st -> { state = st.state }) ();
               updaters = Interval_map.create ();
-              combine_index = Hashtbl.create 64;
               present = None;
               owned = None;
               stamps = None }
@@ -370,6 +375,53 @@ let coalesce_valid m ~lo ~hi =
    is not marked Valid, or output computed from absent sources would
    freeze as fresh. *)
 let deferred_mark t = match t.deferred_acc with Some acc -> List.length !acc | None -> 0
+
+(* The live entries serving [source_idx] of [join] with [kind] over
+   exactly [\[slo, shi)]: at most one under combining. *)
+let entries_for m join ~source_idx ~kind ~slo ~shi =
+  List.filter
+    (fun e ->
+      let up = Interval_map.handle_data e in
+      up.up_join.jid = join.jid && up.up_source = source_idx && up.up_kind = kind)
+    (Interval_map.exact m.updaters ~lo:slo ~hi:shi)
+
+(* Does [cover] hold a context with [bindings] on one of [entries]? Such
+   a context sits in both the cover's list and its entry's, so the two
+   are walked in lockstep and the shorter bounds the scan: a cover with
+   thousands of sources pays for the entry's few contexts, a popular
+   entry for the cover's few. *)
+let holds_context cover entries bindings =
+  let rec go mine theirs rest =
+    match (mine, theirs) with
+    | [], _ -> false
+    | _, [] -> (
+      match rest with
+      | e :: rest -> go mine (Interval_map.handle_data e).up_contexts rest
+      | [] -> false)
+    | a :: mine, b :: theirs ->
+      (List.memq a.cx_entry entries && a.cx_bindings = bindings)
+      || (b.cx_cover == cover && b.cx_bindings = bindings)
+      || go mine theirs rest
+  in
+  go cover.co_contexts [] entries
+
+(* Unlink [cx] from its entry, deleting the entry with its last context;
+   the caller unlinks it from its cover. *)
+let detach_context t cx =
+  let up = Interval_map.handle_data cx.cx_entry in
+  up.up_contexts <- List.filter (fun c -> c != cx) up.up_contexts;
+  t.contexts <- t.contexts - 1;
+  if up.up_contexts = [] then begin
+    let src = (source_array up.up_join.spec).(up.up_source) in
+    Interval_map.remove (meta t (Pattern.table src.Joinspec.pattern)).updaters cx.cx_entry;
+    t.entries <- t.entries - 1
+  end
+
+(* Release every context of a cover being torn down, evicted or rolled
+   back: a combined entry keeps the other covers' contexts. *)
+let release_cover t cover =
+  List.iter (detach_context t) cover.co_contexts;
+  cover.co_contexts <- []
 
 let rec apply_put ?hint ?(shared = false) t key data =
   Obs.Counter.incr t.hot.puts;
@@ -529,43 +581,25 @@ and retract_binding t join b ~lo ~hi =
     let vs = Joinspec.value_source join.spec in
     let slo, shi = Pattern.containing_range vs.Joinspec.pattern ~bindings:b ~residual:None in
     let m = meta t (Pattern.table vs.Joinspec.pattern) in
-    let stale = ref [] in
+    let vs_idx = Joinspec.value_source_index join.spec in
+    let doomed = ref [] in
     Interval_map.iter_overlapping m.updaters ~lo:slo ~hi:shi (fun e ->
         let up = Interval_map.handle_data e in
-        if up.up_join.jid = join.jid && up.up_source = Joinspec.value_source_index join.spec
-        then begin
-          let elo, ehi = Interval_map.handle_range e in
-          let ckey =
-            combine_key join ~source_idx:up.up_source ~kind:up.up_kind ~slo:elo ~shi:ehi
-          in
-          let keep cx =
-            let doomed =
-              bindings_subsume ~sub:b ~sup:cx.cx_bindings
-              && Strkey.range_overlaps (cx.cx_cover.co_lo, cx.cx_cover.co_hi) (lo, hi)
-            in
-            if doomed then
-              (* allow a later heal to reinstall this binding *)
-              Hashtbl.remove cx.cx_cover.co_installed
-                (install_fingerprint ~ckey ~bindings:cx.cx_bindings);
-            not doomed
-          in
-          up.up_contexts <- List.filter keep up.up_contexts;
-          if up.up_contexts = [] then stale := e :: !stale
-        end);
-    List.iter (fun e -> delete_updater_entry t m e) !stale
+        if up.up_join.jid = join.jid && up.up_source = vs_idx then
+          List.iter
+            (fun cx ->
+              if
+                bindings_subsume ~sub:b ~sup:cx.cx_bindings
+                && Strkey.range_overlaps (cx.cx_cover.co_lo, cx.cx_cover.co_hi) (lo, hi)
+              then doomed := cx :: !doomed)
+            up.up_contexts);
+    (* gone from the cover too, so a later heal installs it again *)
+    List.iter
+      (fun cx ->
+        detach_context t cx;
+        cx.cx_cover.co_contexts <- List.filter (fun c -> c != cx) cx.cx_cover.co_contexts)
+      !doomed
   end
-
-(* unlink an updater entry from both the interval tree and the combine
-   index (which must never point at a removed entry) *)
-and delete_updater_entry t m e =
-  ignore t;
-  Interval_map.remove m.updaters e;
-  let up = Interval_map.handle_data e in
-  let slo, shi = Interval_map.handle_range e in
-  let ckey = combine_key up.up_join ~source_idx:up.up_source ~kind:up.up_kind ~slo ~shi in
-  match Hashtbl.find_opt m.combine_index ckey with
-  | Some e' when e' == e -> Hashtbl.remove m.combine_index ckey
-  | _ -> ()
 
 and put_output t cover okey data ~shared =
   let hint = if t.config.Config.output_hints then cover.co_hint else None in
@@ -591,58 +625,32 @@ and recompute_aggregate t join cx b okey =
   | Some v -> put_output t cx.cx_cover okey v ~shared:false
   | None -> apply_remove t okey
 
-and install_fingerprint ~ckey ~bindings =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf ckey;
-  Array.iter
-    (fun v ->
-      Buffer.add_char buf '\x01';
-      match v with Some x -> Buffer.add_string buf x | None -> ())
-    bindings;
-  Buffer.contents buf
-
 (* Install (or combine, §3.2) an updater for [source_idx] of [join] over
-   source range [slo, shi), maintaining [cover]. *)
-and combine_key join ~source_idx ~kind ~slo ~shi =
-  String.concat "/"
-    [ string_of_int join.jid; string_of_int source_idx;
-      (match kind with `Eager -> "e" | `Invalidate -> "i"); slo; shi ]
-
-and install_updater t join ~source_idx ~kind ~slo ~shi ~cx =
+   source range [slo, shi), maintaining [cover] under [bindings]. One
+   context per (cover, entry, bindings): repeated lazy heals of the same
+   subscription add nothing. *)
+and install_updater t join ~source_idx ~kind ~slo ~shi ~bindings ~residual ~cover =
   if String.compare slo shi < 0 then begin
-    let cover = cx.cx_cover in
-    let ckey = combine_key join ~source_idx ~kind ~slo ~shi in
-    (* one context per (entry, cover, binding): repeated lazy heals of the
-       same subscription must not accumulate duplicates *)
-    let fp = install_fingerprint ~ckey ~bindings:cx.cx_bindings in
-    if not (Hashtbl.mem cover.co_installed fp) then begin
-      Hashtbl.replace cover.co_installed fp ();
-      let src = (source_array join.spec).(source_idx) in
-      let m = meta t (Pattern.table src.Joinspec.pattern) in
-      let existing =
-        if t.config.Config.combine_updaters then Hashtbl.find_opt m.combine_index ckey else None
-      in
-      let register e =
-        (* co_handle_keys maps entry key -> handle: if the entry was
-           re-created since, register the fresh handle too *)
-        match Hashtbl.find_opt cover.co_handle_keys ckey with
-        | Some e' when e' == e -> ()
+    let src = (source_array join.spec).(source_idx) in
+    let m = meta t (Pattern.table src.Joinspec.pattern) in
+    let entries = entries_for m join ~source_idx ~kind ~slo ~shi in
+    if not (holds_context cover entries bindings) then begin
+      let e =
+        match entries with
+        | e :: _ when t.config.Config.combine_updaters ->
+          Obs.Counter.incr t.hot.combined;
+          e
         | _ ->
-          Hashtbl.replace cover.co_handle_keys ckey e;
-          cover.co_handles <- e :: cover.co_handles
+          Obs.Counter.incr t.hot.installed;
+          t.entries <- t.entries + 1;
+          Interval_map.add m.updaters ~lo:slo ~hi:shi
+            { up_join = join; up_source = source_idx; up_kind = kind; up_contexts = [] }
       in
-      match existing with
-      | Some e ->
-        Obs.Counter.incr t.hot.combined;
-        let up = Interval_map.handle_data e in
-        up.up_contexts <- cx :: up.up_contexts;
-        register e
-      | None ->
-        Obs.Counter.incr t.hot.installed;
-        let up = { up_join = join; up_source = source_idx; up_kind = kind; up_contexts = [ cx ] } in
-        let e = Interval_map.add m.updaters ~lo:slo ~hi:shi up in
-        if t.config.Config.combine_updaters then Hashtbl.replace m.combine_index ckey e;
-        register e
+      let cx = { cx_bindings = bindings; cx_residual = residual; cx_cover = cover; cx_entry = e } in
+      let up = Interval_map.handle_data e in
+      up.up_contexts <- cx :: up.up_contexts;
+      cover.co_contexts <- cx :: cover.co_contexts;
+      t.contexts <- t.contexts + 1
     end
   end
 
@@ -713,8 +721,8 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
                if residual = None then (slo, shi)
                else Pattern.containing_range src.Joinspec.pattern ~bindings:b ~residual:None
              in
-             install_updater t join ~source_idx:i ~kind ~slo:ilo ~shi:ihi
-               ~cx:{ cx_bindings = b; cx_residual = residual; cx_cover = cover }
+             install_updater t join ~source_idx:i ~kind ~slo:ilo ~shi:ihi ~bindings:b ~residual
+               ~cover
            | `Collect _ | `Probe -> ());
         (* safe to iterate live: emissions are buffered until the loop
            finishes, so no store mutation happens during iteration *)
@@ -952,17 +960,15 @@ and rebuild_region t ~active m ~lo ~hi involved spans =
   List.iter
     (fun (j, b0, residual, (covlo, covhi)) ->
       let cover =
-        { co_join = j; co_lo = covlo; co_hi = covhi; co_handles = [];
-          co_installed = Hashtbl.create 16; co_handle_keys = Hashtbl.create 16;
-          co_hint = None; co_lru = None }
+        { co_join = j; co_lo = covlo; co_hi = covhi; co_contexts = []; co_hint = None;
+          co_lru = None }
       in
       (try
          exec_sources t ~active:(j.jid :: active) j ~bindings:b0 ~residual
            ~out_range:(covlo, covhi) ~mode:(`Materialize cover) ~skip_source:(-1)
        with e ->
          (* roll back the partial execution's updaters *)
-         List.iter (fun h -> remove_handle t cover h) cover.co_handles;
-         cover.co_handles <- [];
+         release_cover t cover;
          raise e);
       Range_map.set (covers_of t j.jid) ~lo:covlo ~hi:covhi cover;
       cover.co_lru <- Some (Lru.add t.lru cover);
@@ -980,29 +986,14 @@ and rebuild_region t ~active m ~lo ~hi involved spans =
     coalesce_valid m ~lo ~hi
   end
 
-(* Release one cover's stake in an updater entry: combined updaters
-   (§3.2) carry contexts from several covers, so only this cover's
-   contexts go; the entry disappears when its last context does. *)
-and remove_handle t cover h =
-  let up = Interval_map.handle_data h in
-  up.up_contexts <- List.filter (fun cx -> cx.cx_cover != cover) up.up_contexts;
-  if up.up_contexts = [] then begin
-    let src = (source_array up.up_join.spec).(up.up_source) in
-    let m = meta t (Pattern.table src.Joinspec.pattern) in
-    delete_updater_entry t m h
-  end
-
 and teardown_covers t j ~lo ~hi =
   let cm = covers_of t j.jid in
-  let doomed = List.map (fun (_, _, c) -> c) (Range_map.overlapping cm ~lo ~hi) in
-  let doomed = ref doomed in
   List.iter
-    (fun c ->
-      List.iter (fun h -> remove_handle t c h) c.co_handles;
-      c.co_handles <- [];
+    (fun (_, _, c) ->
+      release_cover t c;
       (match c.co_lru with Some e -> Lru.remove t.lru e | None -> ());
       Range_map.clear_range cm ~lo:c.co_lo ~hi:c.co_hi)
-    !doomed
+    (Range_map.overlapping cm ~lo ~hi)
 
 (* Apply a partial-invalidation log to one status piece (§3.2): each
    logged check-source change is joined against the other sources,
@@ -1100,8 +1091,7 @@ and evict_cover t c =
   Obs.trace t.obs ~kind:"evict"
     ~table:(Pattern.table (Joinspec.output j.spec))
     ~lo:c.co_lo ~hi:c.co_hi ();
-  List.iter (fun h -> remove_handle t c h) c.co_handles;
-  c.co_handles <- [];
+  release_cover t c;
   Range_map.clear_range (covers_of t j.jid) ~lo:c.co_lo ~hi:c.co_hi;
   (* remove this join's outputs and forget the range's freshness *)
   let out = Joinspec.output j.spec in
@@ -1655,6 +1645,8 @@ let sync_registry t =
   g "store.size" (size t);
   g "store.tables" (List.length (Store.tables t.store));
   g "lru.covers" (Lru.length t.lru);
+  g "updater.entries" t.entries;
+  g "updater.contexts" t.contexts;
   let s = Store.stats_totals t.store in
   let c name v = Obs.Counter.set (Obs.counter t.obs name) v in
   c "table.lookups" s.Table.lookups;
@@ -1672,14 +1664,71 @@ let stats_snapshot t =
   sync_registry t;
   Obs.int_snapshot t.obs
 
+(* The cover/updater bookkeeping: every context sits in its entry's list
+   and its live cover's, once; every entry has a context and is found by
+   its own (join, source, kind, range), alone under combining; no cover
+   holds two contexts with the same entry and equal bindings; and the
+   running counts agree. Walking both sides, with the cover side free of
+   duplicates, contained in the entry side and as long, proves the two
+   sides hold the same contexts. *)
+let check_updaters t =
+  let fail fmt = Printf.ksprintf (fun s -> failwith ("Server.check_invariants: " ^ s)) fmt in
+  let entries = ref 0 and contexts = ref 0 in
+  Hashtbl.iter
+    (fun table m ->
+      Interval_map.iter m.updaters (fun e ->
+          incr entries;
+          let up = Interval_map.handle_data e in
+          let slo, shi = Interval_map.handle_range e in
+          if up.up_contexts = [] then fail "entry %s [%s, %s) has no context" table slo shi;
+          let twins =
+            entries_for m up.up_join ~source_idx:up.up_source ~kind:up.up_kind ~slo ~shi
+          in
+          if not (List.memq e twins) then fail "entry %s [%s, %s) not found by its key" table slo shi;
+          (match twins with
+          | _ :: _ :: _ when t.config.Config.combine_updaters ->
+            fail "combinable entries over %s [%s, %s)" table slo shi
+          | _ -> ());
+          List.iter
+            (fun cx ->
+              incr contexts;
+              if cx.cx_entry != e then fail "context on %s [%s, %s) names another entry" table slo shi)
+            up.up_contexts))
+    t.meta;
+  let held = ref 0 in
+  Hashtbl.iter
+    (fun _ cm ->
+      Range_map.iter cm (fun lo hi c ->
+          if not (String.equal lo c.co_lo && String.equal hi c.co_hi) then
+            fail "cover [%s, %s) filed under [%s, %s)" c.co_lo c.co_hi lo hi;
+          let seen = Hashtbl.create 8 in
+          List.iter
+            (fun cx ->
+              incr held;
+              if cx.cx_cover != c then fail "cover [%s, %s) lists a foreign context" lo hi;
+              if not (List.memq cx (Interval_map.handle_data cx.cx_entry).up_contexts) then
+                fail "context of cover [%s, %s) is missing from its entry" lo hi;
+              let prev = Option.value (Hashtbl.find_opt seen cx.cx_bindings) ~default:[] in
+              if List.memq cx.cx_entry prev then
+                fail "cover [%s, %s) holds a duplicate context" lo hi;
+              Hashtbl.replace seen cx.cx_bindings (cx.cx_entry :: prev))
+            c.co_contexts))
+    t.covers;
+  if !held <> !contexts then
+    fail "covers hold %d contexts, updater entries %d" !held !contexts;
+  if !entries <> t.entries || !contexts <> t.contexts then
+    fail "running counts %d entries, %d contexts; walk found %d, %d" t.entries t.contexts
+      !entries !contexts
+
 (** Whole-engine invariant checks, cheap enough to run after every
     operation of a model-based test: every store-layer structure
     revalidates (red-black trees, range maps, interval trees), including
-    the §3.3 present-range bookkeeping, and every memory ledger must
-    agree with a fresh walk of the resident pairs — the value-bytes
-    ledger and each table's key-bytes/pair-count ledger (the figures
-    {!memory_bytes}, and therefore [--stats], report). Raises [Failure]
-    on the first violation. *)
+    the §3.3 present-range bookkeeping; the cover/updater bookkeeping is
+    consistent (each context in its entry's and its cover's list, once);
+    and every memory ledger must agree with a fresh walk of the resident
+    pairs — the value-bytes ledger and each table's key-bytes/pair-count
+    ledger (the figures {!memory_bytes}, and therefore [--stats],
+    report). Raises [Failure] on the first violation. *)
 let check_invariants t =
   Store.validate t.store;
   Hashtbl.iter
@@ -1691,6 +1740,7 @@ let check_invariants t =
       match m.owned with Some o -> Range_map.validate o | None -> ())
     t.meta;
   Hashtbl.iter (fun _ cm -> Range_map.validate cm) t.covers;
+  check_updaters t;
   let resident = ref 0 in
   List.iter
     (fun tbl ->

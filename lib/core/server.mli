@@ -247,9 +247,13 @@ val present_ranges : t -> (string * string * string) list
 val join_texts : t -> string list
 
 (** Whole-engine invariant checks: store-layer [validate]s on every
-    table (trees, range maps, interval trees, present-range maps) plus
-    the value-bytes ledger. Cheap enough that model-based tests run it
-    after every operation; raises [Failure] on the first violation. *)
+    table (trees, range maps, interval trees, present-range maps), the
+    cover/updater bookkeeping (every context in exactly one live entry
+    and in its cover's list, no entry without a context, no duplicate
+    context in a cover, the [updater.entries]/[updater.contexts] counts
+    exact) and the memory ledgers. Cheap enough that model-based tests
+    run it after every operation; raises [Failure] on the first
+    violation. *)
 val check_invariants : t -> unit
 
 (** Historical name for {!check_invariants}. *)

@@ -150,6 +150,19 @@ let iter_overlapping t ~lo ~hi f =
     go t.root
   end
 
+(** [exact t ~lo ~hi] is every entry whose interval is exactly
+    [\[lo, hi)], newest first: one descent to the bucket of [lo]. *)
+let exact t ~lo ~hi =
+  let rec go = function
+    | Leaf -> []
+    | Node n ->
+      let c = String.compare lo n.lo in
+      if c < 0 then go n.l
+      else if c > 0 then go n.r
+      else List.filter (fun e -> String.equal e.hi hi) n.entries
+  in
+  go t.root
+
 let iter t f =
   let rec go = function
     | Leaf -> ()

@@ -24,6 +24,10 @@ val stab : 'a t -> string -> ('a handle -> unit) -> unit
 (** Every entry whose interval intersects [\[lo, hi)]. *)
 val iter_overlapping : 'a t -> lo:string -> hi:string -> ('a handle -> unit) -> unit
 
+(** Every entry whose interval is exactly [\[lo, hi)], newest first:
+    one descent to the node bucketing [lo]. *)
+val exact : 'a t -> lo:string -> hi:string -> 'a handle list
+
 val iter : 'a t -> ('a handle -> unit) -> unit
 val to_list : 'a t -> 'a handle list
 

@@ -290,6 +290,69 @@ let test_fetch_dedup () =
           | Message.Sub_ranges [] -> ()
           | _ -> Alcotest.fail "anonymous fetch must not subscribe"))
 
+(* A home sends a write's push in the same handler that answers the
+   write, right behind the ack, not at the end of the loop step: once
+   the writer can read its ack, the subscriber's socket already holds
+   the Notify_batch. A raw listening socket stands in for the
+   subscriber, and the test runs only the server's read handler for the
+   write, so nothing later in the step can send the push. *)
+let test_push_with_ack () =
+  with_server ~joins:[] (fun t ->
+      let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen listener 4;
+      let subscriber =
+        match Unix.getsockname listener with
+        | Unix.ADDR_INET (_, port) -> Printf.sprintf "127.0.0.1:%d" port
+        | Unix.ADDR_UNIX _ -> assert false
+      in
+      let fd = connect t in
+      let sub = ref None in
+      Fun.protect
+        ~finally:(fun () ->
+          Option.iter Unix.close !sub;
+          Unix.close fd;
+          Unix.close listener)
+        (fun () ->
+          let readable fd = match Unix.select [ fd ] [] [] 0.0 with [ _ ], _, _ -> true | _ -> false in
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          let pump_until cond =
+            while not (cond ()) do
+              if Unix.gettimeofday () > deadline then failwith "timeout";
+              Net_server.step ~timeout:0.01 t
+            done
+          in
+          (match rpc t fd (Message.Fetch { table = "p"; lo = "p|"; hi = "p}"; subscriber }) with
+          | Message.Subscribed _ -> ()
+          | _ -> Alcotest.fail "subscribe");
+          (* a first write opens the home's connection to the subscriber *)
+          check_bool "first write" true (is_ack (rpc t fd (Message.Put ("p|a|1", "v1"))));
+          pump_until (fun () -> readable listener);
+          let s, _ = Unix.accept listener in
+          sub := Some s;
+          let decoder = Frame.decoder () and buf = Bytes.create 65536 in
+          let pushes () =
+            let n = Unix.read s buf 0 (Bytes.length buf) in
+            List.map Message.decode_request (Frame.feed decoder (Bytes.sub_string buf 0 n))
+          in
+          pump_until (fun () -> readable s);
+          ignore (pushes ());
+          (* the second write: the read handler alone must send both *)
+          let wire = Frame.encode (Message.encode_request (Message.Put ("p|a|2", "v2"))) in
+          ignore (Unix.write_substring fd wire 0 (String.length wire));
+          let client =
+            match Hashtbl.fold (fun _ c acc -> c :: acc) t.Net_server.conns [] with
+            | [ c ] -> c
+            | _ -> Alcotest.fail "expected one client connection"
+          in
+          ignore (Unix.select [ client.Net_server.fd ] [] [] 5.0);
+          Net_server.handle_readable t client;
+          check_bool "the ack is readable" true (readable fd);
+          check_bool "the push is already readable" true (readable s);
+          match pushes () with
+          | [ Message.Notify_batch { items = [ ("p|a|2", Some "v2") ]; _ } ] -> ()
+          | _ -> Alcotest.fail "expected one Notify_batch carrying the write"))
+
 let entry table lo hi home =
   { Message.de_table = table; de_lo = lo; de_hi = hi; de_home = home; de_replicas = [] }
 
@@ -415,6 +478,7 @@ let () =
           Alcotest.test_case "put_batch pipelined" `Quick test_put_batch_pipelined;
           Alcotest.test_case "refused subscriber dropped" `Quick test_refused_subscriber;
           Alcotest.test_case "fetch dedup" `Quick test_fetch_dedup;
+          Alcotest.test_case "push leaves with the ack" `Quick test_push_with_ack;
         ] );
       ( "routes",
         [

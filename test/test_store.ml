@@ -298,7 +298,12 @@ let prop_imap_overlap =
             if Strkey.range_overlaps (lo, hi) (qlo, qhi) then Some i else None)
           !naive
       in
-      List.sort compare !got = List.sort compare expect)
+      (* and the entries over exactly the query range, newest first *)
+      let exact = List.map Interval_map.handle_data (Interval_map.exact im ~lo:qlo ~hi:qhi) in
+      let expect_exact =
+        List.filter_map (fun (lo, hi, i) -> if lo = qlo && hi = qhi then Some i else None) !naive
+      in
+      List.sort compare !got = List.sort compare expect && exact = expect_exact)
 
 (* removal under load keeps the tree consistent *)
 let prop_imap_remove =
