@@ -42,9 +42,9 @@ let stale_exit unmet =
   exit stale_exit_code
 
 (* all traffic goes through the typed client: connection management,
-   the protocol handshake, timeouts, and retries live there, not here *)
-let with_client ~host ~port f =
-  let client = Net_client.create ~host ~port () in
+   the protocol handshake and timeouts live there, not here *)
+let with_client addr f =
+  let client = Net_client.create addr in
   Fun.protect
     ~finally:(fun () -> Net_client.close client)
     (fun () ->
@@ -53,44 +53,30 @@ let with_client ~host ~port f =
         Printf.eprintf "error: %s\n" msg;
         exit 1)
 
-let split_addr addr =
-  match String.rindex_opt addr ':' with
-  | Some i ->
-    (try
-       ( String.sub addr 0 i,
-         int_of_string (String.sub addr (i + 1) (String.length addr - i - 1)) )
-     with Failure _ ->
-       Printf.eprintf "error: bad address %s (want HOST:PORT)\n" addr;
-       exit 2)
-  | None ->
-    Printf.eprintf "error: bad address %s (want HOST:PORT)\n" addr;
-    exit 2
-
 (* --directory: ask the partition directory who owns [key] and connect
    there, by the same lookup servers route with. Falls back to
    --host/--port when no entry covers the key. *)
 let resolve_home ~host ~port directory key =
+  let fallback = Printf.sprintf "%s:%d" host port in
   match directory with
-  | None -> (host, port)
+  | None -> fallback
   | Some addr ->
-    let dhost, dport = split_addr addr in
-    with_client ~host:dhost ~port:dport (fun c ->
+    with_client addr (fun c ->
         match Net_client.call c Message.Dir_get with
         | Message.Dir_state { epoch; entries } -> (
           let dir = Directory.create () in
           match Directory.install dir ~epoch:(max epoch 1) ~entries with
-          | Ok () -> Option.fold ~none:(host, port) ~some:split_addr (Directory.home_of dir ~key)
-          | Error _ -> (host, port))
+          | Ok () -> Option.value (Directory.home_of dir ~key) ~default:fallback
+          | Error _ -> fallback)
         | Message.Error msg ->
           Printf.eprintf "error: directory: %s\n" msg;
           exit 1
-        | _ -> (host, port))
+        | _ -> fallback)
 
 (* keyed commands run in a session: --at-least entries seed the demand
    vector, write acks grow it, and [Stale] becomes a typed failure *)
 let with_session ~host ~port ~directory ~at_least ~key f =
-  let host, port = resolve_home ~host ~port directory key in
-  with_client ~host ~port (fun client ->
+  with_client (resolve_home ~host ~port directory key) (fun client ->
       let session = Session.create client in
       Session.with_at_least session at_least;
       try f session with Session.Stale unmet -> stale_exit unmet)
@@ -189,7 +175,8 @@ let at_least =
            answers older data.")
 
 let run_command host port req =
-  with_client ~host ~port (fun client -> print_response (Net_client.call client req));
+  with_client (Printf.sprintf "%s:%d" host port) (fun client ->
+      print_response (Net_client.call client req));
   0
 
 let key_arg n doc = Arg.(required & pos n (some string) None & info [] ~docv:"KEY" ~doc)

@@ -15,34 +15,15 @@ module Net_client = Pequod_server_lib.Net_client
 module Directory = Pequod_server_lib.Directory
 module Remote = Pequod_server_lib.Remote
 
-let split_addr addr =
-  match String.rindex_opt addr ':' with
-  | None -> Error (Printf.sprintf "bad address %S (expected HOST:PORT)" addr)
-  | Some i -> (
-    match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1)) with
-    | None -> Error (Printf.sprintf "bad address %S (expected HOST:PORT)" addr)
-    | Some port -> Ok (String.sub addr 0 i, port))
-
 let with_client ?(call_timeout = 10.0) addr f =
-  match split_addr addr with
-  | Error msg ->
-    Printf.eprintf "error: %s\n" msg;
-    exit 1
-  | Ok (host, port) ->
-    let client =
-      Net_client.create
-        ~config:
-          { Net_client.connect_timeout = 2.0; call_timeout; max_retries = 1;
-            backoff = 0.1 }
-        ~host ~port ()
-    in
-    Fun.protect
-      ~finally:(fun () -> Net_client.close client)
-      (fun () ->
-        try f client
-        with Net_client.Net_error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1)
+  let client = Net_client.create ~config:{ connect_timeout = 2.0; call_timeout } addr in
+  Fun.protect
+    ~finally:(fun () -> Net_client.close client)
+    (fun () ->
+      try f client
+      with Net_client.Net_error msg ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 1)
 
 let fail msg =
   Printf.eprintf "error: %s\n" msg;

@@ -72,13 +72,7 @@ let effective_ops cfg =
     | _ -> cfg.ops)
   | None -> cfg.ops
 
-let client_of ?obs ?config addr =
-  match String.rindex_opt addr ':' with
-  | Some i ->
-    Net_client.create ?obs ?config ~host:(String.sub addr 0 i)
-      ~port:(int_of_string (String.sub addr (i + 1) (String.length addr - i - 1)))
-      ()
-  | None -> invalid_arg ("bad server address " ^ addr)
+let client_of ?obs ?config addr = Net_client.create ?obs ?config addr
 
 (* ------------------------------------------------------------------ *)
 (* Preload                                                             *)
@@ -193,12 +187,12 @@ let run_migration ~(topo : Spawn.topology) =
   let source = topo.home_addrs.(0) and dest = topo.home_addrs.(1) in
   let obs = Obs.create () in
   let errors = ref 0 in
-  let probec = client_of source in
+  let probec =
+    client_of ~config:{ Net_client.default_config with call_timeout = 5.0 } source
+  in
   let probe hist =
     let t0 = Unix.gettimeofday () in
-    (match
-       Net_client.call ~timeout:5.0 probec (Message.Scan { lo = probe_lo; hi = probe_hi })
-     with
+    (match Net_client.call probec (Message.Scan { lo = probe_lo; hi = probe_hi }) with
     | Message.Pairs _ ->
       Obs.Histogram.observe hist (int_of_float ((Unix.gettimeofday () -. t0) *. 1_000_000.))
     | _ -> incr errors

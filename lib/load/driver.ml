@@ -85,16 +85,10 @@ let run cfg ~(topo : Spawn.topology) ~graph obs =
     Workload.stream ~rng ~graph ~active_fraction:cfg.w_active
       ~first_time:(base_time + cfg.w_index) ~time_stride:cfg.w_nworkers ()
   in
-  let client_of addr =
-    match String.rindex_opt addr ':' with
-    | Some i ->
-      Net_client.create ~obs ~host:(String.sub addr 0 i)
-        ~port:(int_of_string (String.sub addr (i + 1) (String.length addr - i - 1)))
-        ()
-    | None -> invalid_arg ("bad server address " ^ addr)
-  in
   (* destination table: homes first, computes after *)
-  let clients = Array.map client_of (Array.append topo.home_addrs topo.compute_addrs) in
+  let clients =
+    Array.map (Net_client.create ~obs) (Array.append topo.home_addrs topo.compute_addrs)
+  in
   let ndests = Array.length clients in
   let hists = Array.map (Obs.histogram obs) classes in
   let ops_done = Obs.counter obs "load.ops" in
@@ -267,7 +261,7 @@ let run cfg ~(topo : Spawn.topology) ~graph obs =
             meta responses
         | exception Net_client.Net_error _ ->
           (* connection-level loss: the ops got no answer; the client
-             reconnects with backoff on the next round *)
+             dials again on the next round *)
           Obs.Counter.add failed (List.length reqs))
     done
   done;

@@ -181,14 +181,6 @@ let start ?server_exe ?memory_limit ?(shards = 0) ?(directory = false) ~nusers ~
     { topology; procs = !procs }
   end
   else if directory then begin
-    let client_of addr =
-      match String.rindex_opt addr ':' with
-      | Some i ->
-        Net_client.create ~host:(String.sub addr 0 i)
-          ~port:(int_of_string (String.sub addr (i + 1) (String.length addr - i - 1)))
-          ()
-      | None -> invalid_arg ("bad server address " ^ addr)
-    in
     (* the seed boots first (epoch 0), the remaining homes follow it *)
     let seed_addr = Printf.sprintf "127.0.0.1:%d" (boot [ "--port"; "0"; "--dir-host" ]) in
     let home_addrs =
@@ -199,7 +191,7 @@ let start ?server_exe ?memory_limit ?(shards = 0) ?(directory = false) ~nusers ~
     in
     (* push the placement as epoch 1 *)
     let entries = directory_entries ~nusers ~home_addrs in
-    let seedc = client_of seed_addr in
+    let seedc = Net_client.create seed_addr in
     (match Net_client.call seedc (Message.Dir_update { epoch = 1; entries }) with
     | Message.Done -> ()
     | Message.Error msg -> failwith ("directory seeding failed: " ^ msg)
@@ -219,7 +211,7 @@ let start ?server_exe ?memory_limit ?(shards = 0) ?(directory = false) ~nusers ~
     (* preloading before the placement converges would freeze ranges at
        the wrong home; block until every server reports epoch >= 1 *)
     let wait_epoch addr =
-      let c = client_of addr in
+      let c = Net_client.create addr in
       let deadline = Unix.gettimeofday () +. 20.0 in
       let rec go () =
         let epoch =

@@ -1,71 +1,56 @@
 (** Typed blocking TCP client for the Pequod wire protocol, for
     processes that are not servers: [pequod_cli], [pequod_ctl], the load
-    harness and the repository benchmark. Connection management, the
-    version handshake, retry policy and timeouts live here. A running server
-    never uses it — a blocking call would stall its event loop — and
-    reaches its peers through {!Peer} instead; the one exception is a
-    directory follower's bootstrap poll, which runs before its loop
-    starts.
+    harness and the repository benchmark. A running server never uses it
+    — a blocking call would stall its event loop — and reaches its peers
+    through {!Peer} directly; the one exception is a directory
+    follower's bootstrap poll, which runs before its loop starts.
 
-    A client is bound to one [host:port] and connects lazily: the first
-    {!call} (or {!pipeline}) opens the socket and performs the
-    [Hello]/[Welcome] protocol handshake. A connection lost to an I/O
-    error or timeout is closed and re-established on the next call, with
-    bounded, backed-off reconnect attempts ([net.client.retries]); a
-    protocol version mismatch is permanent and never retried.
+    The client is a blocking loop over a private {!Poller} and {!Peer}
+    pool: socket I/O, framing, connect and response matching all live in
+    {!Peer}. A client is bound to one [host:port] and connects lazily:
+    the first {!call} (or {!pipeline}) on a new connection is the
+    [Hello]/[Welcome] handshake, and a protocol version mismatch raises
+    at once. There is no retry loop: a failed connect, a broken
+    connection or a missed deadline fails that request with its cause
+    and drops the connection, and the next request dials again at once.
 
-    Not thread-safe: one client, one caller (the servers are
-    single-threaded event loops, as is the CLI). *)
+    Not thread-safe: one client, one caller. *)
 
-(** Any client-visible failure: connect/retry exhaustion, handshake
+(** Any client-visible failure: a refused or failed connect, handshake
     rejection, request timeout, I/O error, or an undecodable response.
     The connection is already closed when this is raised; a later call
-    reconnects. *)
+    reconnects. A timeout's message contains ["timed out"]. *)
 exception Net_error of string
 
 type config = {
-  connect_timeout : float;  (** seconds to wait for one TCP connect *)
-  call_timeout : float;  (** default per-request response deadline, seconds *)
-  max_retries : int;  (** reconnect attempts after the first failure *)
-  backoff : float;  (** initial reconnect delay, seconds; doubles per retry *)
+  connect_timeout : float;  (** seconds to dial and complete the handshake *)
+  call_timeout : float;  (** seconds to wait for each response *)
 }
 
-(** 5s connect, 10s call, 3 retries, 50ms initial backoff. *)
+(** 5 s to connect, 10 s per response. *)
 val default_config : config
 
 type t
 
-(** A client for the server at [host:port]; no I/O happens until the
-    first request. [obs] is the registry receiving the client's metrics
-    ([net.client.rpcs], [net.client.retries], [net.client.timeouts]);
-    omit it for a private one. *)
-val create :
-  ?obs:Obs.t ->
-  ?config:config ->
-  host:string ->
-  port:int ->
-  unit ->
-  t
+(** A client for the server at [addr] ([host:port]); no I/O happens
+    until the first request. [obs] is the registry receiving the
+    client's metrics ([net.client.timeouts], and its pool's
+    [peer.calls] and [peer.failed]); omit it for a private one. *)
+val create : ?obs:Obs.t -> ?config:config -> string -> t
 
-val host : t -> string
-val port : t -> int
+(** Send one request and wait for its response: {!pipeline} of one.
+    Raises {!Net_error}; a request that timed out may still have been
+    applied by the server (the connection is closed, but the send
+    happened). One-way requests are refused. *)
+val call : t -> Pequod_proto.Message.request -> Pequod_proto.Message.response
 
-(** Send one request and wait for its response. [timeout] overrides
-    [config.call_timeout]. Raises {!Net_error}; a request that timed out
-    may still have been applied by the server (the connection is closed,
-    but the send happened). One-way requests are refused. *)
-val call : ?timeout:float -> t -> Pequod_proto.Message.request -> Pequod_proto.Message.response
-
-(** Pipeline: write every request in one buffer flush, then read the
-    responses in order. Equivalent to [List.map (call t)] but one
-    syscall out and no per-request round-trip wait. [timeout] bounds
-    each response read. One-way requests are refused. *)
+(** Pipeline: write every request in one flush, then wait for the
+    responses, returned in order. Each response has [call_timeout] from
+    the previous one (or from the flush) to arrive. One-way requests are
+    refused. *)
 val pipeline :
-  ?timeout:float -> t -> Pequod_proto.Message.request list -> Pequod_proto.Message.response list
+  t -> Pequod_proto.Message.request list -> Pequod_proto.Message.response list
 
-(** Is the underlying connection currently established? *)
-val connected : t -> bool
-
-(** Close the connection (idempotent). The client remains usable: the
-    next request reconnects. *)
+(** Close the connection and release the poller (idempotent). The
+    client remains usable: the next request reconnects. *)
 val close : t -> unit

@@ -31,6 +31,7 @@ type conn = {
   calls : (float * (reply -> unit)) Queue.t; (* responses match heads in order *)
   mutable posted : bool; (* one-way frames went out on this connection *)
   mutable down_until : float; (* reconnect backoff deadline *)
+  mutable why : string; (* the last failure, for calls refused in backoff *)
   mutable want_write : bool; (* current poller write interest *)
   mutable queued : bool; (* in the pool's flush list *)
 }
@@ -62,7 +63,7 @@ let conn_of t lane addr =
     let c =
       { addr; fd = None; connecting = false; since = 0.; decoder = Frame.decoder ();
         out = Outbuf.create (); calls = Queue.create (); posted = false;
-        down_until = neg_infinity; want_write = false; queued = false }
+        down_until = neg_infinity; why = ""; want_write = false; queued = false }
     in
     Hashtbl.add t.conns key c;
     c
@@ -109,6 +110,7 @@ let fail t c why =
     Log.warn (fun m -> m "peer %s: %s; failing %d outstanding calls" c.addr why
         (Queue.length c.calls));
   Obs.Counter.incr t.m_failed;
+  c.why <- why;
   (match c.fd with
   | Some fd ->
     c.fd <- None;
@@ -172,7 +174,7 @@ let call t lane addr req k =
     Queue.add (Unix.gettimeofday (), k) c.calls;
     enqueue t c req
   end
-  else invoke k (Error "unreachable")
+  else invoke k (Error ("unreachable: " ^ c.why))
 
 let post t addr req =
   let c = conn_of t Prompt addr in

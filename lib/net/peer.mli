@@ -5,9 +5,9 @@
     event-loop step ever blocks on a peer.
 
     The wire has no request ids, so responses are matched to calls in
-    per-connection FIFO order. No [Hello] is sent — a server answers
-    frames without a handshake, and a [Welcome] would desynchronise the
-    matching. A receiver answers its connection's requests in order, so
+    per-connection FIFO order. The pool never sends [Hello] itself: a
+    server answers frames without a handshake, and a caller that wants
+    one (the blocking {!Net_client}) makes it a call. A receiver answers its connection's requests in order, so
     each address has two connections, one per {!lane}: a request that
     may park at its receiver would hold up every answer behind it. The
     caller picks the lane; the pool knows nothing of message kinds. An
@@ -45,7 +45,8 @@ val create : poller:Poller.t -> obs:Obs.t -> on_lost:(string -> unit) -> t
 
 (** [call t lane addr req k]: send [req] to [addr] ([host:port]) on
     [lane] and run [k] with its response, or with [Error why] if the
-    connection fails first. [k] runs from a later {!ready} or {!tick} — or at once, before
+    connection fails first. A peer that cannot be dialled, or is in
+    backoff, answers [Error "unreachable: <last failure>"]. [k] runs from a later {!ready} or {!tick} — or at once, before
     [call] returns, when the peer is in backoff or cannot be dialled. *)
 val call :
   t -> lane -> string -> Pequod_proto.Message.request -> (reply -> unit) -> unit

@@ -56,14 +56,6 @@ let entries_of_specs ~peers ~self_addr specs =
     (Ok []) specs
   |> Result.map List.rev
 
-let host_port addr =
-  match String.rindex_opt addr ':' with
-  | Some i -> (
-    match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1)) with
-    | Some p -> (String.sub addr 0 i, p)
-    | None -> invalid_arg ("bad peer address: " ^ addr))
-  | None -> invalid_arg ("bad peer address: " ^ addr)
-
 (* Which entries serve a missing [lo, hi) of [table]?
    [`Unrouted]: no entry governs the table — it is purely local.
    [`Gap]: entries govern the table but leave part of the range
@@ -421,13 +413,8 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
       in
       (* the bootstrap poll: it runs before the serving loop starts, so a
          short-fuse blocking client stalls nothing *)
-      (let host, port = host_port seed_addr in
-       let client =
-         Net_client.create ~host ~port
-           ~config:
-             { Net_client.connect_timeout = 0.5; call_timeout = 2.0; max_retries = 0;
-               backoff = 0.05 }
-           ()
+      (let client =
+         Net_client.create ~config:{ connect_timeout = 0.5; call_timeout = 2.0 } seed_addr
        in
        (match Net_client.call client (Message.Dir_watch { epoch = Directory.epoch dir }) with
        | resp -> answer resp

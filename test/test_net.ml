@@ -1,5 +1,7 @@
 (* Integration tests for the network server: the select event loop is
-   driven manually with step(), with real TCP sockets in one process. *)
+   driven manually with step(), with real TCP sockets in one process.
+   The client group drives the blocking Net_client against fake
+   servers, each a raw socket served from its own domain. *)
 
 module Net_server = Pequod_server_lib.Net_server
 module Net_client = Pequod_server_lib.Net_client
@@ -465,6 +467,189 @@ let test_wildcard_directory () =
       | Ok _ -> Alcotest.failf "spec %S must be rejected" spec)
     [ "*"; "*@127.0.0.1:1"; "*:a:b@127.0.0.1:1" ]
 
+(* ---- the blocking client, against fake servers ---- *)
+
+let write_all fd s =
+  let sent = ref 0 in
+  while !sent < String.length s do
+    sent := !sent + Unix.write_substring fd s !sent (String.length s - !sent)
+  done
+
+let listener () =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 16;
+  match Unix.getsockname lfd with
+  | Unix.ADDR_INET (_, port) -> (lfd, Printf.sprintf "127.0.0.1:%d" port)
+  | Unix.ADDR_UNIX _ -> assert false
+
+(* A fake server in its own domain: it accepts [conns] connections one
+   after another and runs [serve i recv send] on the i-th (from 1),
+   where [recv ()] is the connection's next request ([None] once the
+   client has closed it) and [send] answers. Joining the domain returns
+   the per-connection results, and re-raises a failed expectation. *)
+let fake_server ~conns serve =
+  let lfd, addr = listener () in
+  let domain =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Unix.close lfd)
+          (fun () ->
+            List.init conns (fun i ->
+                let fd, _ = Unix.accept lfd in
+                let decoder = Frame.decoder () and buf = Bytes.create 65536 in
+                let inbox = Queue.create () in
+                let rec recv () =
+                  match Queue.take_opt inbox with
+                  | Some frame -> Some (Message.decode_request frame)
+                  | None -> (
+                    match Unix.read fd buf 0 (Bytes.length buf) with
+                    | 0 -> None
+                    | n ->
+                      List.iter (fun f -> Queue.add f inbox)
+                        (Frame.feed decoder (Bytes.sub_string buf 0 n));
+                      recv ()
+                    | exception Unix.Unix_error _ -> None)
+                in
+                let send resp = write_all fd (Frame.encode (Message.encode_response resp)) in
+                Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> serve (i + 1) recv send))))
+  in
+  (addr, domain)
+
+let welcome recv send =
+  match recv () with
+  | Some (Message.Hello _) -> send (Message.Welcome { version = Message.protocol_version })
+  | _ -> failwith "fake server: expected Hello first"
+
+(* answer every request until the client closes; the count answered *)
+let echo recv send =
+  let rec go n =
+    match recv () with
+    | Some (Message.Get k) ->
+      send (Message.Value (Some k));
+      go (n + 1)
+    | Some _ ->
+      send Message.Done;
+      go (n + 1)
+    | None -> n
+  in
+  go 0
+
+let handshake_then_echo _ recv send =
+  welcome recv send;
+  echo recv send
+
+let net_error f =
+  match f () with
+  | _ -> Alcotest.fail "expected Net_error"
+  | exception Net_client.Net_error msg -> msg
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_client_dead_port () =
+  let lfd, addr = listener () in
+  Unix.close lfd;
+  let c = Net_client.create addr in
+  let t0 = Unix.gettimeofday () in
+  let msg = net_error (fun () -> Net_client.call c Message.Stats_full) in
+  let took = Unix.gettimeofday () -. t0 in
+  Net_client.close c;
+  if not (contains msg "refused") then Alcotest.failf "error %S does not name the refusal" msg;
+  if took >= 1.0 then Alcotest.failf "a refused connect took %.2f s" took
+
+(* a server that takes the connection but never answers: the handshake
+   waits out [connect_timeout], a request [call_timeout] *)
+let test_client_timeout () =
+  let obs = Obs.create () in
+  let config = { Net_client.connect_timeout = 0.3; call_timeout = 0.3 } in
+  let timed_out what f =
+    let t0 = Unix.gettimeofday () in
+    let msg = net_error f in
+    let took = Unix.gettimeofday () -. t0 in
+    if not (contains msg "timed out") then Alcotest.failf "%s: error %S" what msg;
+    if took < 0.25 || took > 1.5 then Alcotest.failf "%s timed out after %.2f s" what took
+  in
+  (* never accepted: the kernel completes the connect, Hello goes unanswered *)
+  let lfd, addr = listener () in
+  let c = Net_client.create ~obs ~config addr in
+  timed_out "handshake" (fun () -> Net_client.call c Message.Stats_full);
+  Unix.close lfd;
+  Alcotest.(check int) "one timeout" 1 (Obs.counter_value obs "net.client.timeouts");
+  let addr, server =
+    fake_server ~conns:1 (fun _ recv send ->
+        welcome recv send;
+        ignore (recv ());
+        ignore (recv ()))
+  in
+  let c = Net_client.create ~obs ~config addr in
+  timed_out "call" (fun () -> Net_client.call c (Message.Get "k"));
+  ignore (Domain.join server);
+  Alcotest.(check int) "two timeouts" 2 (Obs.counter_value obs "net.client.timeouts")
+
+let test_client_version_mismatch () =
+  let addr, server =
+    fake_server ~conns:1 (fun _ recv send ->
+        (match recv () with
+        | Some (Message.Hello _) ->
+          send (Message.Welcome { version = Message.protocol_version + 1 })
+        | _ -> failwith "expected Hello");
+        echo recv send)
+  in
+  let c = Net_client.create addr in
+  let msg = net_error (fun () -> Net_client.call c (Message.Get "k")) in
+  Net_client.close c;
+  if not (contains msg "handshake") then Alcotest.failf "error %S" msg;
+  match Domain.join server with
+  | [ 0 ] -> ()
+  | _ -> Alcotest.fail "a frame after Hello reached a server of another version"
+
+let test_client_reconnect () =
+  let addr, server =
+    fake_server ~conns:2 (fun i recv send ->
+        welcome recv send;
+        if i = 1 then ignore (recv ()) (* the request: hang up without answering *)
+        else ignore (echo recv send))
+  in
+  let c = Net_client.create addr in
+  ignore (net_error (fun () -> Net_client.call c (Message.Get "lost")));
+  (match Net_client.call c (Message.Get "k") with
+  | Message.Value (Some "k") -> ()
+  | _ -> Alcotest.fail "the call after a server-side close");
+  Net_client.close c;
+  ignore (Domain.join server)
+
+let test_client_pipeline_order () =
+  let addr, server = fake_server ~conns:1 handshake_then_echo in
+  let c = Net_client.create addr in
+  let keys = List.init 100 (Printf.sprintf "k%03d") in
+  let answers = Net_client.pipeline c (List.map (fun k -> Message.Get k) keys) in
+  Net_client.close c;
+  check_bool "in order" true (answers = List.map (fun k -> Message.Value (Some k)) keys);
+  Alcotest.(check (list int)) "one connection" [ 100 ] (Domain.join server)
+
+(* every create/call/close cycle gives back its sockets and, under
+   epoll, its poller's descriptor *)
+let test_client_no_fd_leak () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let cycles = 2_000 in
+    let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+    let addr, server = fake_server ~conns:cycles handshake_then_echo in
+    let before = fds () in
+    for _ = 1 to cycles do
+      let c = Net_client.create addr in
+      ignore (Net_client.call c (Message.Get "k"));
+      Net_client.close c
+    done;
+    check_bool "every connection served" true
+      (List.for_all (( = ) 1) (Domain.join server));
+    (* the fake server's listener is closed now *)
+    Alcotest.(check int) "open descriptors" (before - 1) (fds ())
+  end
+
 let () =
   Alcotest.run "net"
     [
@@ -484,5 +669,14 @@ let () =
         [
           Alcotest.test_case "plan coverage" `Quick test_remote_plan;
           Alcotest.test_case "wildcard directory" `Quick test_wildcard_directory;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "dead port" `Quick test_client_dead_port;
+          Alcotest.test_case "timeouts" `Quick test_client_timeout;
+          Alcotest.test_case "version mismatch" `Quick test_client_version_mismatch;
+          Alcotest.test_case "reconnect after a server close" `Quick test_client_reconnect;
+          Alcotest.test_case "pipeline order" `Quick test_client_pipeline_order;
+          Alcotest.test_case "no descriptor leak" `Quick test_client_no_fd_leak;
         ] );
     ]

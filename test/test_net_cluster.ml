@@ -128,7 +128,7 @@ let test_cluster () =
         (pid, port)
       in
       let client port =
-        let c = Net_client.create ~host:"127.0.0.1" ~port () in
+        let c = Net_client.create (Printf.sprintf "127.0.0.1:%d" port) in
         clients := c :: !clients;
         c
       in
@@ -258,7 +258,7 @@ let test_migrate_then_verify () =
         (pid, port)
       in
       let client port =
-        let c = Net_client.create ~host:"127.0.0.1" ~port () in
+        let c = Net_client.create (Printf.sprintf "127.0.0.1:%d" port) in
         clients := c :: !clients;
         c
       in
@@ -339,7 +339,7 @@ let test_migration_crash_safety () =
         (pid, port)
       in
       let client port =
-        let c = Net_client.create ~host:"127.0.0.1" ~port () in
+        let c = Net_client.create (Printf.sprintf "127.0.0.1:%d" port) in
         clients := c :: !clients;
         c
       in
@@ -374,7 +374,7 @@ let test_migration_crash_safety () =
       let mig_pid = Unix.fork () in
       if mig_pid = 0 then begin
         (try
-           let c = Net_client.create ~host:"127.0.0.1" ~port:port_a () in
+           let c = Net_client.create (Printf.sprintf "127.0.0.1:%d" port_a) in
            ignore
              (Net_client.call c
                 (Message.Migrate
@@ -439,7 +439,7 @@ let test_session_read_your_writes () =
         (pid, port)
       in
       let client port =
-        let c = Net_client.create ~host:"127.0.0.1" ~port () in
+        let c = Net_client.create (Printf.sprintf "127.0.0.1:%d" port) in
         clients := c :: !clients;
         c
       in
@@ -520,7 +520,7 @@ let test_session_across_migration () =
         (pid, port)
       in
       let client port =
-        let c = Net_client.create ~host:"127.0.0.1" ~port () in
+        let c = Net_client.create (Printf.sprintf "127.0.0.1:%d" port) in
         clients := c :: !clients;
         c
       in
@@ -604,7 +604,7 @@ let test_session_stale_on_dead_owner () =
         (pid, port)
       in
       let client port =
-        let c = Net_client.create ~host:"127.0.0.1" ~port () in
+        let c = Net_client.create (Printf.sprintf "127.0.0.1:%d" port) in
         clients := c :: !clients;
         c
       in
@@ -698,7 +698,7 @@ let with_cluster f =
         (pid, read_port out)
       in
       let client port =
-        let c = Net_client.create ~host:"127.0.0.1" ~port () in
+        let c = Net_client.create (Printf.sprintf "127.0.0.1:%d" port) in
         clients := c :: !clients;
         c
       in

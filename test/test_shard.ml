@@ -120,7 +120,7 @@ let with_shard_server ?cuts ~shards f =
     Shard.create ?cuts ~port:0 ~joins:[ timeline_join ] ~memory_limit:None ~shards ()
   in
   Shard.start t;
-  let client = Net_client.create ~host:"127.0.0.1" ~port:(Shard.port t) () in
+  let client = Net_client.create (Printf.sprintf "127.0.0.1:%d" (Shard.port t)) in
   Fun.protect
     ~finally:(fun () ->
       Net_client.close client;
