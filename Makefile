@@ -98,6 +98,8 @@ cluster-smoke:
 		|| { echo "FAIL: no scans parked on the directory-routed compute" >&2; exit 1; }
 	grep -Eq '"probe_errors": 0[,}]' BENCH_cluster_migrate.json \
 		|| { echo "FAIL: handoff probes failed during the migration" >&2; exit 1; }
+	grep -Eq '"errors": 0[,}]' BENCH_cluster_migrate.json \
+		|| { echo "FAIL: failed ops during the migration" >&2; exit 1; }
 	rm -f BENCH_cluster_migrate.json
 
 # CI smoke for the repository benchmark (perfbench/, BENCHMARK.json): a

@@ -181,16 +181,6 @@ let dir_poll_every =
     & info [ "dir-poll-every" ] ~docv:"SECONDS"
         ~doc:"Seconds between directory polls to the seed (followers only).")
 
-let hot_threshold =
-  Arg.(
-    value & opt float 0.
-    & info [ "hot-threshold" ] ~docv:"READS_PER_SEC"
-        ~doc:
-          "Directory mode: flag an owned range as a hotspot when its read rate crosses \
-           $(docv) (measured over 5-second windows), counting it in $(b,hotspot.detected) \
-           and logging the $(b,pequod_ctl replicate) command that would stand up a read \
-           replica. 0 disables detection.")
-
 let sub_check_every =
   Arg.(
     value & opt float 2.0
@@ -202,7 +192,7 @@ let sub_check_every =
 
 let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_max_bytes
     metrics_dump verbose peers partitions advertise sub_check_every shards shard_cuts
-    dir_host directory dir_poll_every hot_threshold =
+    dir_host directory dir_poll_every =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ());
   (* Warning, not App: Some App would filter out Logs.err itself, and a
@@ -279,10 +269,8 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
         Logs.err (fun m -> m "%s" msg);
         1
       | Ok () ->
-        Net_server.set_directory t ?seed:directory ~hot_threshold ~dir ~self_addr ();
-        Net_server.add_ticker t
-          (Remote.attach ~server:t ~self_addr ~check_every:sub_check_every ?seed:directory
-             ~poll_every:dir_poll_every dir);
+        Remote.attach ~server:t ~self_addr ~check_every:sub_check_every ?seed:directory
+          ~poll_every:dir_poll_every dir;
         Logs.app (fun m ->
             m "pequod-server listening on port %d with %d joins, directory epoch %d (%d \
                entries%s)%s"
@@ -305,6 +293,6 @@ let cmd =
       const main $ port $ joins $ memory_limit $ data_dir $ sync_mode $ sync_interval
       $ snapshot_every $ wal_max_bytes $ metrics_dump $ verbose $ peers $ partitions
       $ advertise $ sub_check_every $ shards $ shard_cuts $ dir_host $ directory
-      $ dir_poll_every $ hot_threshold)
+      $ dir_poll_every)
 
 let () = if not !Sys.interactive then exit (Cmd.eval' cmd)

@@ -99,13 +99,18 @@ let for_table entries ~table =
 let overlaps (e : entry) ~lo ~hi =
   String.compare e.Message.de_lo hi < 0 && String.compare lo e.Message.de_hi < 0
 
-let entry_of t ~key =
+let intersect ~lo ~hi (lo', hi') =
+  let l = if String.compare lo lo' < 0 then lo' else lo in
+  let h = if String.compare hi' hi < 0 then hi' else hi in
+  if String.compare l h < 0 then Some (l, h) else None
+
+let find entries ~key =
   List.find_opt
     (fun (e : entry) ->
       String.compare e.Message.de_lo key <= 0 && String.compare key e.Message.de_hi < 0)
-    (for_table t.entries ~table:(Pequod_store.Store.table_name_of key))
+    (for_table entries ~table:(Pequod_store.Store.table_name_of key))
 
-let home_of t ~key = Option.map (fun (e : entry) -> e.Message.de_home) (entry_of t ~key)
+let home_of t ~key = Option.map (fun (e : entry) -> e.Message.de_home) (find t.entries ~key)
 
 let candidates ~self (e : entry) =
   match List.filter (fun a -> not (String.equal a self)) e.Message.de_replicas with
@@ -128,11 +133,11 @@ let cut entries ~lo ~hi =
         pieces := (None, !cursor, e.Message.de_lo) :: !pieces;
         cursor := e.Message.de_lo
       end;
-      let phi = if String.compare hi e.Message.de_hi < 0 then hi else e.Message.de_hi in
-      if String.compare !cursor phi < 0 then begin
-        pieces := (Some e, !cursor, phi) :: !pieces;
+      match intersect ~lo:!cursor ~hi (e.Message.de_lo, e.Message.de_hi) with
+      | Some (plo, phi) ->
+        pieces := (Some e, plo, phi) :: !pieces;
         cursor := phi
-      end)
+      | None -> ())
     overlapping;
   if String.compare !cursor hi < 0 then pieces := (None, !cursor, hi) :: !pieces;
   List.rev !pieces
@@ -152,16 +157,61 @@ let segments entries ~lo ~hi =
             entries))
   else `Cut (cut entries ~lo ~hi)
 
+type route = Local | Replica | Forward of string list
+
+let route_of ~self (e : entry) =
+  if String.equal e.Message.de_home self then Local
+  else if List.mem self e.Message.de_replicas then Replica
+  else Forward (candidates ~self e)
+
+let write_home entries ~self ~key =
+  match find entries ~key with
+  | Some e when not (String.equal e.Message.de_home self) -> Some e.Message.de_home
+  | _ -> None
+
+let read_route entries ~self ~key =
+  match find entries ~key with Some e -> route_of ~self e | None -> Local
+
+let scan_route entries ~self ~spread ~lo ~hi =
+  match segments entries ~lo ~hi with
+  | `Cut pieces ->
+    List.map
+      (fun (e, slo, shi) ->
+        ((match e with Some e -> route_of ~self e | None -> Local), slo, shi))
+      pieces
+  | `Spread homes when spread ->
+    (Local, lo, hi)
+    :: List.filter_map
+         (fun h -> if String.equal h self then None else Some (Forward [ h ], lo, hi))
+         homes
+  | `Spread _ -> [ (Local, lo, hi) ]
+
+let plan ~self ~outputs entries ~table ~lo ~hi =
+  let entries =
+    if List.mem table outputs then List.filter (fun e -> not (is_wildcard e)) entries
+    else entries
+  in
+  match for_table entries ~table with
+  | [] -> `Unrouted
+  | governing ->
+    let pieces = cut governing ~lo ~hi in
+    if List.exists (fun (e, _, _) -> e = None) pieces then `Gap
+    else
+      `Fetch
+        (List.filter_map
+           (function
+             | Some (e : entry), flo, fhi when not (String.equal e.Message.de_home self) ->
+               Some (e, flo, fhi)
+             | _ -> None)
+           pieces)
+
 let assign entries ~table ~lo ~hi ~home =
   if String.compare lo hi >= 0 then Error "empty migration range"
   else if home = "" then Error "empty destination address"
   else begin
     let overlapping, others =
       List.partition
-        (fun (e : entry) ->
-          String.equal e.Message.de_table table
-          && String.compare e.Message.de_lo hi < 0
-          && String.compare lo e.Message.de_hi < 0)
+        (fun (e : entry) -> String.equal e.Message.de_table table && overlaps e ~lo ~hi)
         entries
     in
     let overlapping = List.sort compare_entry overlapping in
@@ -217,11 +267,7 @@ let add_replica entries ~table ~lo ~hi ~addr =
     let entries' =
       List.map
         (fun (e : entry) ->
-          if
-            String.equal e.Message.de_table table
-            && String.compare e.Message.de_lo hi < 0
-            && String.compare lo e.Message.de_hi < 0
-          then begin
+          if String.equal e.Message.de_table table && overlaps e ~lo ~hi then begin
             touched := true;
             if String.equal e.Message.de_home addr then begin
               conflict := true;

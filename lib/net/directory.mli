@@ -20,8 +20,13 @@
     open end on either side (the low end takes the bare key [T] too).
     The shard layer partitions the whole keyspace this way, one entry
     per shard. A table named by any specific entry is governed only by
-    specific entries. This module is the only one that knows the rule:
-    everything else asks {!for_table}, {!entry_of} or {!segments}. *)
+    specific entries. This module is the only one that knows the rule.
+
+    It is also the only one that decides who serves a key: every
+    routing question a server asks ({!write_home}, {!read_route},
+    {!scan_route}, {!plan}) is a pure function of the entries and the
+    asking server's own address. An empty directory (epoch 0) answers
+    "local" to all of them. *)
 
 type entry = Pequod_proto.Message.dir_entry
 
@@ -55,30 +60,62 @@ val for_table : entry list -> table:string -> entry list
 (** The home of the range containing [key], if any entry covers it. *)
 val home_of : t -> key:string -> string option
 
-(** The entry covering [key] (instantiated if it is a wildcard), if
-    any. *)
-val entry_of : t -> key:string -> entry option
-
 (** Who may serve a read of [e]'s range, as seen from [self]: the
     replicas other than [self], rotated by [self]'s identity so readers
     spread over them, then the home. *)
 val candidates : self:string -> entry -> string list
 
-(** [[lo, hi)] cut in key order by the key-space [entries] it overlaps:
-    one piece per overlapping entry, clamped, and [None] pieces for the
-    gaps between them. The pieces cover the range exactly. *)
-val cut : entry list -> lo:string -> hi:string -> (entry option * string * string) list
+(** [[lo, hi)] intersected with [(lo', hi')], when not empty. *)
+val intersect : lo:string -> hi:string -> string * string -> (string * string) option
 
 (** How a scan of [[lo, hi)] splits over the directory. A range inside
-    one table is [`Cut] by the entries governing that table. A range
-    that spans tables is [`Cut] by the specific entries it overlaps,
-    unless the directory has wildcards: a wildcard cannot be cut across
-    tables, so the range is [`Spread] over the distinct homes of every
-    wildcard and every overlapping entry, each to serve the whole range
-    from what it holds. *)
+    one table is [`Cut] in key order by the entries governing that
+    table: one piece per overlapping entry, clamped, and [None] pieces
+    for the gaps between them. A range that spans tables is [`Cut] by
+    the specific entries it overlaps, unless the directory has
+    wildcards: a wildcard cannot be cut across tables, so the range is
+    [`Spread] over the distinct homes of every wildcard and every
+    overlapping entry, each to serve the whole range from what it
+    holds. *)
 val segments :
   entry list -> lo:string -> hi:string ->
   [ `Cut of (entry option * string * string) list | `Spread of string list ]
+
+(** Who serves a read, as seen from [self]: [Local] when [self] is the
+    home or no entry covers the key (join outputs, ungoverned tables),
+    [Replica] when [self] replicates it (its subscription keeps the copy
+    fresh), else [Forward] to the {!candidates}, the home last. *)
+type route = Local | Replica | Forward of string list
+
+(** Where a write of [key] must be applied: [Some home] when the
+    entries name another server, [None] when it applies at [self]. *)
+val write_home : entry list -> self:string -> key:string -> string option
+
+(** Who serves a point read of [key]. *)
+val read_route : entry list -> self:string -> key:string -> route
+
+(** A scan of [[lo, hi)] as routed pieces covering it in key order
+    (see {!segments}); a gap is [Local]. A [`Spread] range is served by
+    [self] first and forwarded whole to every other home when [spread]
+    (a request the shard acceptor handed in), and wholly [Local]
+    otherwise, so a spread leg is never spread again. *)
+val scan_route :
+  entry list -> self:string -> spread:bool -> lo:string -> hi:string ->
+  (route * string * string) list
+
+(** How a missing [\[lo, hi)] of [table] is fetched, seen from [self].
+    [`Unrouted]: no entry governs the table, so it is purely local.
+    [`Gap]: entries govern the table but leave part of the range
+    uncovered, a misconfiguration surfaced instead of being served as
+    present-and-empty. [`Fetch clamps]: one clamp per overlapping entry
+    homed elsewhere; [[]] when every one is [self]'s. A wildcard never
+    governs a table in [outputs] (the join-output tables): each server
+    recomputes its outputs from subscription-fresh sources, and a
+    fetched copy would freeze, because join-derived writes are never
+    pushed. *)
+val plan :
+  self:string -> outputs:string list -> entry list -> table:string -> lo:string ->
+  hi:string -> [ `Unrouted | `Gap | `Fetch of (entry * string * string) list ]
 
 (** A new entry list reassigning [table [lo,hi)] to [home] (the
     migration flip): overlapping entries are split around the range,

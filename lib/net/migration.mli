@@ -1,0 +1,57 @@
+(** Live range migration: this server, the source home of
+    [table [lo,hi)], hands the range to [dest] without stopping writes.
+
+    A migration moves through three phases. [Copying]: the next
+    {!pump} posts up to 64 chunks of the range to the destination as
+    [Notify_batch] frames. [Awaiting_barrier]: a [Dir_get] barrier
+    follows the chunks, and the pump waits for its answer; the last
+    barrier starts the flip. [Flipping]: the captured write delta and
+    the range's stamps are replayed, a second barrier proves them
+    applied, the new directory is installed (through the seed when
+    there is one), and the destination gets its [Dir_update] and the
+    subscriber handoff. Writes to the range are captured while copying
+    and held while flipping; the flip releases them once it ends, and a
+    failure at any point leaves the directory unchanged.
+
+    A migration talks to peers through the server's {!Peer} pool, never
+    blocking. Counters: [migrate.keys_moved], [migrate.delta_replayed]. *)
+
+type phase = Copying | Awaiting_barrier | Flipping
+
+(** What a migration needs of its server. *)
+type env = {
+  peers : Peer.t;
+  engine : Pequod_core.Server.t;
+  dir : Directory.t;
+  self : string; (** this server's advertised address *)
+  seed : string option; (** the directory seed; [None]: [dir] is authoritative *)
+  subs : (string, string Pequod_store.Interval_map.t) Hashtbl.t;
+      (** the server's subscriptions: table -> subscriber per range *)
+}
+
+type t
+
+(** Validate a [Migrate] against the directory and start copying; the
+    server then calls {!pump} once per step. [reply] answers the
+    [Migrate] when the migration ends, right after [on_end], which must
+    make the server forget it. *)
+val start :
+  env -> table:string -> lo:string -> hi:string -> dest:string -> on_end:(unit -> unit) ->
+  (Pequod_proto.Message.response -> unit) -> (t, string) result
+
+val phase : t -> phase
+
+(** Record a write applied at this server; one inside the range joins
+    the delta. *)
+val capture : t -> string -> string option -> unit
+
+(** [hold mg touches k retry]: while flipping, hold a write that
+    [touches] the range ([touches] is handed its membership test).
+    [retry] re-routes it once the migration ends; if it raises, [k]
+    answers [Error]. [false]: not held. *)
+val hold :
+  t -> ((string -> bool) -> bool) -> (Pequod_proto.Message.response -> unit) ->
+  (unit -> unit) -> bool
+
+(** One step's copying, when [Copying]; nothing otherwise. *)
+val pump : t -> unit

@@ -14,10 +14,13 @@
     called from the owning domain.
 
     Every keyed request is routed by the partition directory
-    ({!set_directory}) before it enters the engine: a write whose home
-    is another server is forwarded there, a point read goes to a replica
-    or the home, and a scan is cut into segments served where they
-    live. A shard ({!set_shard}) is one more directory server: its
+    ({!set_directory}, installed by [Remote.attach]) before it enters
+    the engine: a write whose home is another server is forwarded there,
+    a point read goes to a replica or the home, and a scan is cut into
+    segments served where they live. Each of those decisions is a pure
+    {!Directory} function; this module only carries them out. A
+    [Migrate] hands a range to another server through {!Migration}. A
+    shard ({!set_shard}) is one more directory server: its
     directory holds one wildcard entry per shard, homed at the sibling's
     own port. A scan that spans tables cannot be cut by a wildcard, so
     on a shard it is spread over every shard and the answers merged;
@@ -89,49 +92,6 @@ type shard = {
   sm_forward_in : Obs.Counter.t; (* shard.forward.in: forwards received *)
 }
 
-(* One live range migration (§ docs/PARTITIONING.md): this server is the
-   source home handing [mg_table [mg_lo,mg_hi)] to [mg_dest]. The copy
-   posts a bounded batch of chunks per event-loop step and then waits
-   for a barrier; writes landing in the range during the copy are
-   captured in [mg_delta]. Once the copy is done the flip holds every
-   write to the range, replays the delta and flips the directory epoch,
-   so the destination never becomes the home of a range it only half
-   holds. *)
-type migration = {
-  mg_table : string;
-  mg_lo : string;
-  mg_hi : string;
-  mg_dest : string;
-  mutable mg_cursor : string; (* next key to copy *)
-  mutable mg_delta : (string * string option) list; (* captured writes, newest first *)
-  mutable mg_keys : int;
-  mutable mg_deltas : int;
-  mutable mg_waiting : bool; (* a barrier or the flip is outstanding: the pump waits *)
-  mutable mg_flipping : bool; (* the copy is done: writes to the range are held *)
-  mutable mg_held : (unit -> unit) list; (* held writes' retries, newest first *)
-  mg_reply : Message.response -> unit; (* answers the Migrate request *)
-}
-
-(* Directory-mode state, installed by [set_directory]: this server's
-   copy of the partition directory (authoritative when [ds_seed] is
-   [None]), plus the migration driver and hotspot read tallies. *)
-type dirstate = {
-  ds_dir : Directory.t;
-  ds_self : string; (* this server's advertised host:port *)
-  ds_seed : string option; (* the seed's address; None: this IS the seed *)
-  ds_hot_threshold : float; (* reads/s per owned range; 0 disables detection *)
-  ds_hot_every : float; (* detection window, seconds *)
-  mutable ds_hot_last : float;
-  ds_reads : (string * string * string, int ref) Hashtbl.t; (* per-owned-range tallies *)
-  mutable ds_mig : migration option; (* at most one migration at a time *)
-  ds_m_epoch : Obs.Gauge.t; (* dir.epoch *)
-  ds_m_keys : Obs.Counter.t; (* migrate.keys_moved *)
-  ds_m_delta : Obs.Counter.t; (* migrate.delta_replayed *)
-  ds_m_redirect : Obs.Counter.t; (* migrate.redirects *)
-  ds_m_replica_reads : Obs.Counter.t; (* replica.reads *)
-  ds_m_hot : Obs.Counter.t; (* hotspot.detected *)
-}
-
 type t = {
   engine : Server.t;
   listener : Unix.file_descr;
@@ -139,6 +99,7 @@ type t = {
   conns : (Unix.file_descr, client) Hashtbl.t;
   rbuf : Bytes.t; (* receive buffer; frames are decoded straight out of it *)
   shutdown : bool Atomic.t;
+  mutable stopped : bool; (* [stop] released every resource *)
   (* cross-domain handoff: the shard acceptor enqueues accepted fds and
      wakes the loop through the pipe *)
   inj_mu : Mutex.t;
@@ -146,7 +107,12 @@ type t = {
   wakeup_r : Unix.file_descr;
   wakeup_w : Unix.file_descr;
   mutable shard : shard option;
-  mutable dirst : dirstate option; (* directory mode (see [set_directory]) *)
+  (* routing truth, installed by [set_directory]; until then empty
+     (epoch 0), which routes every key here *)
+  mutable dir : Directory.t;
+  mutable self : string; (* this server's advertised host:port *)
+  mutable seed : string option; (* the seed's address; None: [dir] is authoritative *)
+  mutable migration : Migration.t option; (* at most one at a time *)
   persist : Persist.t option; (* durability manager, when --data-dir is set *)
   (* home-server subscriptions (§2.4): source table -> subscriber
      callback address per fetched range. Installed by [Fetch], stabbed
@@ -171,12 +137,13 @@ type t = {
   m_notify_out : Obs.Counter.t; (* peer.notify.out *)
   m_queue_depth : Obs.Gauge.t; (* shard.queue.depth *)
   m_conns : Obs.Gauge.t; (* shard.conns *)
+  m_redirect : Obs.Counter.t; (* migrate.redirects: requests forwarded by the directory *)
+  m_replica_reads : Obs.Counter.t; (* replica.reads *)
   metrics_every : float option; (* --metrics-dump period *)
   mutable next_dump : float;
-  (* background work run once per event-loop iteration (after I/O), e.g.
-     the Remote subscription-healing heartbeat; each callback rate-limits
-     itself *)
-  mutable tickers : (unit -> unit) list;
+  (* the Remote maintenance tick (directory sync, subscription healing),
+     run once per event-loop iteration after I/O; it rate-limits itself *)
+  mutable tick : unit -> unit;
   (* asynchronous fetch engine, installed by [Remote.attach]: given the
      full missing-range set of a parked read, it issues every fetch
      (batched per peer, single-flighted across waiters) and calls back
@@ -256,11 +223,15 @@ let create ?config ?metrics_every ?backend ~port ~joins ~memory_limit () =
     conns = Hashtbl.create 16;
     rbuf = Bytes.create 65_536;
     shutdown = Atomic.make false;
+    stopped = false;
     inj_mu = Mutex.create ();
     inj_q = Queue.create ();
     wakeup_r; wakeup_w;
     shard = None;
-    dirst = None;
+    dir = Directory.create ();
+    self = "";
+    seed = None;
+    migration = None;
     persist;
     subs;
     peers = Peer.create ~poller ~obs ~on_lost:(drop_subscriber subs);
@@ -277,10 +248,12 @@ let create ?config ?metrics_every ?backend ~port ~joins ~memory_limit () =
     m_notify_out = Obs.counter obs "peer.notify.out";
     m_queue_depth = Obs.gauge obs "shard.queue.depth";
     m_conns = Obs.gauge obs "shard.conns";
+    m_redirect = Obs.counter obs "migrate.redirects";
+    m_replica_reads = Obs.counter obs "replica.reads";
     metrics_every;
     next_dump =
       (match metrics_every with Some s -> Unix.gettimeofday () +. s | None -> infinity);
-    tickers = [];
+    tick = ignore;
     fetcher = None;
     m_scan_parked = Obs.counter obs "scan.parked";
     m_get = Obs.counter obs "op.get";
@@ -299,20 +272,25 @@ let poller_backend t = Poller.backend t.poller
     sends another one goes through it. *)
 let peers t = t.peers
 
-(** Register background work to run once per {!step} (after I/O); the
-    callback is responsible for its own rate limiting. *)
-let add_ticker t f = t.tickers <- t.tickers @ [ f ]
-
-(** Install the asynchronous fetch engine (see [Remote.attach]): reads
-    missing base ranges park instead of failing, and [fetcher] is handed
-    the full missing set plus a completion callback. *)
-let set_fetcher t fetcher = t.fetcher <- Some fetcher
+(** Route this server by the partition directory [dir], its copy:
+    authoritative when [seed] is [None] (a [--dir-host] seed, a server
+    whose [--partition] specs fixed it at epoch 1, a shard), a follower
+    copy polled from [seed] otherwise. Reads missing base ranges park,
+    and [fetcher] is handed the full missing set plus a completion
+    callback; [tick] runs once per {!step}, after I/O, and rate-limits
+    itself. [Remote.attach] calls this, once, before serving. *)
+let set_directory t ?seed ~dir ~self_addr ~fetcher ~tick () =
+  t.dir <- dir;
+  t.self <- self_addr;
+  t.seed <- seed;
+  t.fetcher <- Some fetcher;
+  t.tick <- tick
 
 (** Make this server shard [self] of a shard-per-core process whose
     shards listen at [addrs] (see shard.ml): the [shard.*] counters, the
     fan-out of a client's [Add_join] and [Stats_full] ([merge] combines
     the per-shard snapshots), and a fixed directory. Call once, after
-    {!set_directory}, before serving. *)
+    [Remote.attach], before serving. *)
 let set_shard t ~self ~addrs ~merge =
   let obs = Server.obs t.engine in
   t.shard <-
@@ -322,63 +300,6 @@ let set_shard t ~self ~addrs ~merge =
         sm_client_ops = Obs.counter obs "shard.client.ops";
         sm_forward_out = Obs.counter obs "shard.forward.out";
         sm_forward_in = Obs.counter obs "shard.forward.in" }
-
-(* hotspot detection: once per window, compare each owned range's read
-   tally against the threshold; a hot range is counted and logged with
-   the pequod_ctl command that would replicate it. Replication itself
-   stays an operator decision — the directory is shared cluster state. *)
-let hotspot_tick _t ds () =
-  if ds.ds_hot_threshold > 0. then begin
-    let now = Unix.gettimeofday () in
-    let dt = now -. ds.ds_hot_last in
-    if dt >= ds.ds_hot_every then begin
-      ds.ds_hot_last <- now;
-      Hashtbl.iter
-        (fun (table, lo, hi) r ->
-          let rate = float_of_int !r /. dt in
-          if rate >= ds.ds_hot_threshold then begin
-            Obs.Counter.incr ds.ds_m_hot;
-            Log.warn (fun m ->
-                m
-                  "hot range %s[%s,%s): %.0f reads/s (threshold %.0f); consider: \
-                   pequod_ctl replicate %s %s %s %s REPLICA_ADDR"
-                  table lo hi rate ds.ds_hot_threshold
-                  (Option.value ds.ds_seed ~default:ds.ds_self)
-                  table lo hi)
-          end;
-          r := 0)
-        ds.ds_reads
-    end
-  end
-
-(** Install this server's partition directory: [dir] is its copy —
-    authoritative when [seed] is [None] (a [--dir-host] seed, or a
-    server whose [--partition] specs fixed it at epoch 1), a follower
-    copy polled from [seed] otherwise. Enables serving
-    [Dir_get]/[Dir_watch]/[Dir_update], the [Migrate] driver,
-    forwarding of reads and writes whose directory home is another
-    server, and hotspot detection over the per-owned-range read tallies
-    ([hot_threshold] reads/s over [hot_check_every]-second windows; 0
-    disables). Call once, before serving; pair it with {!Remote.attach}
-    on the same [dir]. *)
-let set_directory t ?seed ?(hot_threshold = 0.) ?(hot_check_every = 5.0) ~dir ~self_addr
-    () =
-  let obs = Server.obs t.engine in
-  let ds =
-    { ds_dir = dir; ds_self = self_addr; ds_seed = seed;
-      ds_hot_threshold = hot_threshold; ds_hot_every = hot_check_every;
-      ds_hot_last = Unix.gettimeofday ();
-      ds_reads = Hashtbl.create 16; ds_mig = None;
-      ds_m_epoch = Obs.gauge obs "dir.epoch";
-      ds_m_keys = Obs.counter obs "migrate.keys_moved";
-      ds_m_delta = Obs.counter obs "migrate.delta_replayed";
-      ds_m_redirect = Obs.counter obs "migrate.redirects";
-      ds_m_replica_reads = Obs.counter obs "replica.reads";
-      ds_m_hot = Obs.counter obs "hotspot.detected" }
-  in
-  Obs.Gauge.set ds.ds_m_epoch (Directory.epoch dir);
-  t.dirst <- Some ds;
-  add_ticker t (hotspot_tick t ds)
 
 (** The port actually bound (useful with [~port:0]). *)
 let port t =
@@ -485,14 +406,7 @@ let subs_for t table =
 (* queue one update for every subscriber whose fetched range contains
    [key]; flushed once per read batch *)
 let buffer_notify t key value_opt =
-  (* a write applied while this server is mid-migration of a range
-     containing [key] is part of the handoff delta: the snapshot chunk
-     covering it may already have been copied *)
-  (match t.dirst with
-  | Some { ds_mig = Some mg; _ }
-    when String.compare mg.mg_lo key <= 0 && String.compare key mg.mg_hi < 0 ->
-    mg.mg_delta <- (key, value_opt) :: mg.mg_delta
-  | _ -> ());
+  Option.iter (fun mg -> Migration.capture mg key value_opt) t.migration;
   if Hashtbl.length t.subs > 0 then
     match Hashtbl.find_opt t.subs (Pequod_store.Store.table_name_of key) with
     | None -> ()
@@ -559,105 +473,58 @@ let flush_notifications t =
     order
 
 (* ------------------------------------------------------------------ *)
-(* Directory mode: forwarding, read tallies                            *)
+(* Directory routing: carrying out {!Directory}'s decisions             *)
 
-(* Where must a client write for [key] be applied? [Some (ds, home)]
-   when the directory names another server: after a migration flips a
-   range away from this server, stale-routed writers keep sending here —
-   forwarding (rather than applying to the no-longer-authoritative local
-   copy) is what keeps the handoff divergence-free. *)
-let forward_home t key =
-  match t.dirst with
-  | None -> None
-  | Some ds ->
-    if Directory.epoch ds.ds_dir = 0 then None (* no directory yet; apply locally *)
-    else (
-      match Directory.home_of ds.ds_dir ~key with
-      | Some h when not (String.equal h ds.ds_self) -> Some (ds, h)
-      | _ -> None)
+let entries t = Directory.entries t.dir
 
 (* Split a Put_batch by directory home, preserving per-target order;
-   [None] is the local group. A server with no directory (or no epoch
-   yet) yields one local group, so the static path pays one list cell. *)
+   [None] is the local group. After a migration flips a range away from
+   this server, stale-routed writers keep sending here: forwarding
+   (rather than applying to the no-longer-authoritative local copy) is
+   what keeps the handoff divergence-free. *)
 let split_by_home t pairs =
-  match t.dirst with
-  | None -> [ (None, pairs) ]
-  | Some _ ->
-    let groups : (string option, (string * string) list) Hashtbl.t = Hashtbl.create 4 in
-    let order = ref [] in
-    List.iter
-      (fun ((k, _) as p) ->
-        let tgt = Option.map (fun (_, h) -> h) (forward_home t k) in
-        match Hashtbl.find_opt groups tgt with
-        | Some l -> Hashtbl.replace groups tgt (p :: l)
-        | None ->
-          order := tgt :: !order;
-          Hashtbl.add groups tgt [ p ])
-      pairs;
-    List.rev_map (fun tgt -> (tgt, List.rev (Hashtbl.find groups tgt))) !order
+  let groups : (string option, (string * string) list) Hashtbl.t = Hashtbl.create 4 in
+  let order = ref [] in
+  List.iter
+    (fun ((key, _) as p) ->
+      let tgt = Directory.write_home (entries t) ~self:t.self ~key in
+      match Hashtbl.find_opt groups tgt with
+      | Some l -> Hashtbl.replace groups tgt (p :: l)
+      | None ->
+        order := tgt :: !order;
+        Hashtbl.add groups tgt [ p ])
+    pairs;
+  List.rev_map (fun tgt -> (tgt, List.rev (Hashtbl.find groups tgt))) !order
 
 (* send [req] to [dest] and answer [k] with its response; a failed peer
    answers [Error]. Forwards ride the [Parked] lane: the receiver may
    park them on its own fetches, or hold a write behind a flip. *)
-let forward t ds dest req k =
-  Obs.Counter.incr ds.ds_m_redirect;
+let forward t dest req k =
+  Obs.Counter.incr t.m_redirect;
   Option.iter (fun sh -> Obs.Counter.incr sh.sm_forward_out) t.shard;
   Peer.call t.peers Peer.Parked dest req (function
     | Ok resp -> k resp
     | Error msg -> k (Message.Error (Printf.sprintf "home %s: %s" dest msg)))
-
-(* Who should serve a read of entry [e]'s range? [None]: this server —
-   the home or a listed replica (whose copy its subscription keeps
-   fresh). Otherwise the ordered candidates to try, the home last. *)
-let candidates ds (e : Message.dir_entry) =
-  if String.equal e.de_home ds.ds_self || List.mem ds.ds_self e.de_replicas then None
-  else Some (Directory.candidates ~self:ds.ds_self e)
-
-(* [None] also when the key is outside the directory (join outputs,
-   un-governed tables) or there is no directory epoch yet *)
-let read_candidates t key =
-  match t.dirst with
-  | Some ds when Directory.epoch ds.ds_dir > 0 -> (
-    match Directory.entry_of ds.ds_dir ~key with
-    | Some e -> Option.map (fun cands -> (ds, cands)) (candidates ds e)
-    | None -> None)
-  | _ -> None
 
 (* forward a read, falling through the candidate list (a dead or
    refusing replica costs one hop, not the answer). A [Stale] answer —
    a replica whose copy has not caught up to a stamped read's demand —
    also falls through: the home, always last, is authoritative and can
    never be stale. *)
-let read_forward t ds cands req k =
+let read_forward t cands req k =
   let rec go = function
     | [] -> k (Message.Error "no reachable server for the range")
-    | [ addr ] -> forward t ds addr req k
+    | [ addr ] -> forward t addr req k
     | addr :: rest ->
-      forward t ds addr req (function
+      forward t addr req (function
         | Message.Error _ | Message.Stale _ -> go rest
         | resp -> k resp)
   in
   go cands
 
-(* read tallies for hotspot detection (owned ranges) and the
-   replica.reads counter (ranges this server replicates) *)
-let tally_read t key =
-  match t.dirst with
-  | None -> ()
-  | Some ds -> (
-    match Directory.entry_of ds.ds_dir ~key with
-    | None -> ()
-    | Some e ->
-      if String.equal e.Message.de_home ds.ds_self then begin
-        if ds.ds_hot_threshold > 0. then begin
-          let k = (e.Message.de_table, e.Message.de_lo, e.Message.de_hi) in
-          match Hashtbl.find_opt ds.ds_reads k with
-          | Some r -> incr r
-          | None -> Hashtbl.add ds.ds_reads k (ref 1)
-        end
-      end
-      else if List.mem ds.ds_self e.Message.de_replicas then
-        Obs.Counter.incr ds.ds_m_replica_reads)
+let count_replica t = function
+  | Directory.Replica -> Obs.Counter.incr t.m_replica_reads
+  | Directory.Local | Directory.Forward _ -> ()
 
 (* clamp a stamp demand vector to one scan segment: entries of the
    segment's own table are cut down to their intersection with [lo, hi)
@@ -667,14 +534,9 @@ let clamp_min min ~lo ~hi =
   let table = Pequod_store.Store.table_name_of lo in
   List.filter_map
     (fun ((dtable, dlo, dhi, s) as d) ->
-      if String.compare dlo hi < 0 && String.compare lo dhi < 0 then
-        Some
-          ( dtable,
-            (if String.compare lo dlo < 0 then dlo else lo),
-            (if String.compare dhi hi < 0 then dhi else hi),
-            s )
-      else if String.equal dtable table then None
-      else Some d)
+      match Directory.intersect ~lo ~hi (dlo, dhi) with
+      | Some (l, h) -> Some (dtable, l, h, s)
+      | None -> if String.equal dtable table then None else Some d)
     min
 
 (* merge two key-sorted pair lists, dropping duplicate keys (a fetched
@@ -693,33 +555,6 @@ let merge_dedup a b =
       else go (x :: acc) a' b'
   in
   go [] a b
-
-(* A directory-routed scan is served piecewise: segments of [lo, hi)
-   homed (or replicated) here scan the local engine, segments homed
-   elsewhere forward a clamped [Scan] to a replica or the home, and
-   gaps the directory does not cover (join outputs, un-governed tables)
-   stay local. A range spanning tables cannot be cut by wildcard
-   entries: a request the shard acceptor handed in ([spread]) is spread
-   instead, every wildcard home serving the whole range from what it
-   holds (the local leg first); any other — a spread leg among them —
-   is served here, so a leg is never spread again. [None] when no
-   segment is remote: the scan then takes the ordinary local path. *)
-let remote_segments t ~spread ~lo ~hi =
-  match t.dirst with
-  | Some ds when Directory.epoch ds.ds_dir > 0 -> (
-    let segs =
-      match Directory.segments (Directory.entries ds.ds_dir) ~lo ~hi with
-      | `Cut pieces ->
-        List.map (fun (e, slo, shi) -> (Option.bind e (candidates ds), slo, shi)) pieces
-      | `Spread homes when spread ->
-        (None, lo, hi)
-        :: List.filter_map
-             (fun h -> if String.equal h ds.ds_self then None else Some (Some [ h ], lo, hi))
-             homes
-      | `Spread _ -> []
-    in
-    if List.for_all (fun (tgt, _, _) -> tgt = None) segs then None else Some (ds, segs))
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Local reads: a miss parks, never blocks the loop                    *)
@@ -867,20 +702,23 @@ let serve_stamped t client ~min ~read k =
         sw_refetched = false; sw_fetching = false; sw_fetch_failed = false }
       :: t.stamp_waits
 
+(* a local scan; a stamped one ([min] not []) waits for its demand first *)
+let local_read t client ~min ~lo ~hi k =
+  let read = local_scan t ~lo ~hi in
+  if min = [] then read k else serve_stamped t client ~min ~read k
+
 (* Serve [Scan]/[Scan_at] pieces all at once and merge them in key order
-   when the last answers. Local pieces are ordinary local reads (a
-   stamped one waits for its demand first); remote pieces forward a
-   [Scan_at] clamped to the piece, so each candidate enforces the demand
-   on its own copy (a stale replica answers [Stale] and [read_forward]
-   falls through to the home). [min] is [] for plain scans. *)
-let scan_segments t client ds ~min segs k =
-  let leg (tgt, slo, shi) k =
-    match tgt with
-    | None ->
-      let read = local_scan t ~lo:slo ~hi:shi in
-      if min = [] then read k else serve_stamped t client ~min ~read k
-    | Some cands ->
-      read_forward t ds cands
+   when the last answers. Local pieces are ordinary local reads; remote
+   pieces forward a [Scan_at] clamped to the piece, so each candidate
+   enforces the demand on its own copy (a stale replica answers [Stale]
+   and [read_forward] falls through to the home). *)
+
+let scan_segments t client ~min segs k =
+  let leg (route, slo, shi) k =
+    match route with
+    | Directory.Local | Directory.Replica -> local_read t client ~min ~lo:slo ~hi:shi k
+    | Directory.Forward cands ->
+      read_forward t cands
         (match clamp_min min ~lo:slo ~hi:shi with
         | [] -> Message.Scan { lo = slo; hi = shi }
         | m -> Message.Scan_at { lo = slo; hi = shi; min = m })
@@ -904,285 +742,6 @@ let scan_segments t client ds ~min segs k =
         | [], None -> Message.Pairs (List.fold_left merge_dedup [] (List.rev parts))))
 
 (* ------------------------------------------------------------------ *)
-(* Migration: the copy pump and the flip                               *)
-
-exception Mig_fail of string
-
-let mig_chunk = 512 (* keys per posted snapshot batch *)
-let mig_chunks_per_step = 64
-
-let in_moving mg key = String.compare mg.mg_lo key <= 0 && String.compare key mg.mg_hi < 0
-
-(* Hold a write that [touches] the range a migration is flipping (it is
-   handed the range's membership test): [retry] re-routes it once the
-   flip installs (it then forwards to the new home) or fails (it then
-   applies here); if the retry raises, [k] answers [Error]. [false]: not
-   held. *)
-let hold t touches k retry =
-  match t.dirst with
-  | Some { ds_mig = Some ({ mg_flipping = true; _ } as mg); _ } when touches (in_moving mg) ->
-    let retry () = try retry () with e -> k (Message.Error (Printexc.to_string e)) in
-    mg.mg_held <- retry :: mg.mg_held;
-    true
-  | _ -> false
-
-(* the migration is over: release the held writes, which re-route by
-   the directory as it now stands (forwarded to the new home after an
-   install, applied here after a failure) *)
-let end_migration ds mg =
-  ds.ds_mig <- None;
-  let held = List.rev mg.mg_held in
-  mg.mg_held <- [];
-  List.iter (fun retry -> retry ()) held
-
-let fail_migration ds mg msg =
-  Log.err (fun m ->
-      m
-        "migration of %s[%s,%s) to %s failed after %d keys: %s (directory unchanged; re-run \
-         the migration)"
-        mg.mg_table mg.mg_lo mg.mg_hi mg.mg_dest mg.mg_keys msg);
-  end_migration ds mg;
-  mg.mg_reply (Message.Error msg)
-
-(* [k resp] for [req] sent to [addr] on [lane]; a peer failure, an
-   [Error] answer or a raise in [k] fails the migration *)
-let mig_call t ds mg lane addr req k =
-  Peer.call t.peers lane addr req (fun reply ->
-      match reply with
-      | Ok (Message.Error msg) | Error msg ->
-        fail_migration ds mg (if String.equal addr mg.mg_dest then msg else "seed: " ^ msg)
-      | Ok resp -> (
-        try k resp with
-        | Mig_fail msg -> fail_migration ds mg msg
-        | e -> fail_migration ds mg (Printexc.to_string e)))
-
-(* any locally-handled call answered by the destination on the [Prompt]
-   lane proves every frame posted before it has been applied (frames are
-   processed in order per connection). Dir_get is answered from the
-   destination's own directory copy and never forwarded — a [Get] for a
-   key in the moving range would bounce straight back here, because the
-   destination still routes the range to this server until the flip. *)
-let mig_barrier t ds mg k =
-  mig_call t ds mg Peer.Prompt mg.mg_dest Message.Dir_get (function
-    | Message.Dir_state _ -> k ()
-    | _ -> raise (Mig_fail "unexpected barrier response"))
-
-(* post [items] ((key, Some v | None) in write order) to the destination
-   as Notify_batch frames. Notify — not Put — so the receiver applies
-   them locally instead of re-forwarding through its own directory
-   (which still names this server as the range's home until the flip). *)
-let mig_feed t mg items =
-  let rec chunks = function
-    | [] -> ()
-    | items ->
-      let rec take n acc = function
-        | rest when n = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | x :: rest -> take (n - 1) (x :: acc) rest
-      in
-      let batch, rest = take 1024 [] items in
-      Peer.post t.peers mg.mg_dest (Message.Notify_batch { items = batch; stamps = [] });
-      chunks rest
-  in
-  chunks items
-
-(* The copy is done: flip the range to the destination, one answer at a
-   time — delta and stamp trailer, a barrier, the new directory (from
-   the seed, when there is one), the local install, then the
-   destination's [Dir_update] and the subscriber handoff. Writes to the
-   range are held from the first link to the last; everything else keeps
-   being served. *)
-let flip_migration t ds mg =
-  let { mg_table = table; mg_lo = lo; mg_hi = hi; mg_dest = dest; _ } = mg in
-  mg.mg_flipping <- true;
-  (* 1. the write delta captured during the copy; held writes cannot
-     add to it any more *)
-  let items = List.rev mg.mg_delta in
-  mg.mg_delta <- [];
-  mg.mg_deltas <- mg.mg_deltas + List.length items;
-  Obs.Counter.add ds.ds_m_delta (List.length items);
-  mig_feed t mg items;
-  (* hand the range's version stamps over before the flip: the new
-     home's counter must continue where this one stops, or a session's
-     acked stamp could exceed anything the new home ever issues *)
-  let stamp_trailer =
-    List.filter_map
-      (fun (tb, slo, shi, s) ->
-        if String.equal tb table && String.compare slo hi < 0 && String.compare lo shi < 0
-        then
-          Some
-            ( tb,
-              (if String.compare slo lo < 0 then lo else slo),
-              (if String.compare hi shi < 0 then hi else shi),
-              s )
-        else None)
-      (Server.stamp_ranges t.engine)
-  in
-  if stamp_trailer <> [] then
-    Peer.post t.peers dest (Message.Notify_batch { items = []; stamps = stamp_trailer });
-  let assign entries =
-    match Directory.assign entries ~table ~lo ~hi ~home:dest with
-    | Ok e -> e
-    | Error msg -> raise (Mig_fail msg)
-  in
-  (* 3. (after 2., the barrier and the seed's new directory, below) from
-     this epoch on the cluster routes the range to [dest]. The
-     directory is only ever updated after the destination holds the
-     complete range, so a migration failing at any earlier point leaves
-     the epoch — and reads — exactly where they were. *)
-  let installed epoch' entries' =
-    (match Directory.install ds.ds_dir ~epoch:epoch' ~entries:entries' with
-    | Ok () -> Obs.Gauge.set ds.ds_m_epoch epoch'
-    | Error msg -> if ds.ds_seed = None then raise (Mig_fail msg));
-    (* this server no longer owns the range; its own resolver (on the
-       flipped routes) fetches it from the new home on demand *)
-    Server.unmark_present t.engine ~table ~lo ~hi;
-    (* 4. tell the new home directly — its poll would learn the flip
-       anyway; this closes the window where it still routes the range
-       back here — and hand our subscribers over: the new home installs
-       each one through the ordinary Fetch path (naming the subscriber's
-       own callback address), so pushes keep flowing without waiting for
-       each subscriber's Sub_check heal round to notice *)
-    let handoff =
-      match Hashtbl.find_opt t.subs table with
-      | None -> []
-      | Some im ->
-        let handles = ref [] in
-        Interval_map.iter_overlapping im ~lo ~hi (fun h -> handles := h :: !handles);
-        List.filter_map
-          (fun h ->
-            let slo, shi = Interval_map.handle_range h in
-            let addr = Interval_map.handle_data h in
-            (* entries fully inside the moved range are dropped (their
-               subscriber hears from the new home now); a straddling
-               entry keeps serving its unmoved part — its moved part can
-               never fire again, because writes there no longer apply
-               locally *)
-            if String.compare lo slo <= 0 && String.compare shi hi <= 0 then
-              Interval_map.remove im h;
-            if String.equal addr dest then None
-            else
-              let clo = if String.compare lo slo < 0 then slo else lo in
-              let chi = if String.compare shi hi < 0 then shi else hi in
-              Some (Message.Fetch { table; lo = clo; hi = chi; subscriber = addr }))
-          !handles
-    in
-    let result =
-      Message.Pairs
-        [ ("keys_moved", string_of_int mg.mg_keys);
-          ("delta_replayed", string_of_int mg.mg_deltas);
-          ("epoch", string_of_int epoch') ]
-    in
-    (* All on the [Parked] lane, in this order: the new home applies the
-       [Dir_update] before the forwards this server now sends it for the
-       range, and before the handoff [Fetch]es, which it would refuse
-       while it still named this server as the home. The held writes
-       stay held until every one has answered: forwarded any earlier,
-       they could reach it before its [Dir_update] and bounce back here.
-       The range has flipped already, so a failure is logged, not fatal:
-       a subscriber whose handoff failed heals through its Sub_check. *)
-    let warn reply =
-      match reply with
-      | Ok (Message.Error msg) | Error msg ->
-        Log.warn (fun m ->
-            m "migration of %s[%s,%s): handing over to %s: %s" table lo hi dest msg)
-      | Ok _ -> ()
-    in
-    gather
-      (List.map
-         (fun req k ->
-           Peer.call t.peers Peer.Parked dest req (fun reply ->
-               warn reply;
-               k Message.Done))
-         (Message.Dir_update { epoch = epoch'; entries = entries' } :: handoff))
-      (fun _ ->
-        Log.app (fun m ->
-            m "migration of %s[%s,%s) to %s complete: %d keys, %d delta writes" table lo hi
-              dest mg.mg_keys mg.mg_deltas);
-        end_migration ds mg;
-        mg.mg_reply result)
-  in
-  (* 2. the barrier proves the destination applied the delta; then the
-     new directory: assigned here, or at the seed when there is one *)
-  mig_barrier t ds mg (fun () ->
-      match ds.ds_seed with
-      | None ->
-        let entries' = assign (Directory.entries ds.ds_dir) in
-        installed (Directory.epoch ds.ds_dir + 1) entries'
-      | Some seed ->
-        mig_call t ds mg Peer.Prompt seed Message.Dir_get (function
-          | Message.Dir_state { epoch; entries } ->
-            let entries' = assign entries in
-            (* [Parked], with forwards: one sent to the seed after it
-               finds the seed on the new epoch *)
-            mig_call t ds mg Peer.Parked seed
-              (Message.Dir_update { epoch = epoch + 1; entries = entries' })
-              (function
-                | Message.Done -> installed (epoch + 1) entries'
-                | _ -> raise (Mig_fail "seed: unexpected Dir_update response"))
-          | _ -> raise (Mig_fail "seed: unexpected Dir_get response")))
-
-(* one step's worth of copying: up to [mig_chunks_per_step] chunks
-   posted to the destination, then a barrier the pump waits on; the
-   last barrier starts the flip *)
-let pump_migration t =
-  match t.dirst with
-  | Some ({ ds_mig = Some mg; _ } as ds) when not mg.mg_waiting -> (
-    try
-      let copied_all = ref false in
-      let budget = ref mig_chunks_per_step in
-      while (not !copied_all) && !budget > 0 do
-        decr budget;
-        match Server.scan_result ~limit:mig_chunk t.engine ~lo:mg.mg_cursor ~hi:mg.mg_hi with
-        | `Missing _ -> raise (Mig_fail "this server does not hold the range")
-        | `Ok pairs ->
-          let n = List.length pairs in
-          if n > 0 then begin
-            mig_feed t mg (List.map (fun (k, v) -> (k, Some v)) pairs);
-            mg.mg_keys <- mg.mg_keys + n;
-            Obs.Counter.add ds.ds_m_keys n
-          end;
-          if n = mig_chunk then mg.mg_cursor <- fst (List.nth pairs (n - 1)) ^ "\x00"
-          else copied_all := true
-      done;
-      mg.mg_waiting <- true;
-      mig_barrier t ds mg (fun () ->
-          if !copied_all then flip_migration t ds mg else mg.mg_waiting <- false)
-    with Mig_fail msg -> fail_migration ds mg msg)
-  | _ -> ()
-
-(* start a [Migrate]: validate against the directory, then hand off to
-   the per-step pump ([pump_migration]); [k] answers when the handoff
-   completes (or fails) *)
-let start_migration t ~table ~lo ~hi ~dest k =
-  match t.dirst with
-  | None -> k (Message.Error "no partition directory on this server")
-  | Some ds ->
-    if ds.ds_mig <> None then k (Message.Error "a migration is already in progress")
-    else if Directory.epoch ds.ds_dir = 0 then
-      k (Message.Error "no directory epoch yet; seed the directory first")
-    else if String.equal dest ds.ds_self then k (Message.Error "destination is this server")
-    else begin
-      (* dry-run the flip now so a doomed migration fails before any
-         data moves: the range must be fully covered, by one home *)
-      match Directory.assign (Directory.entries ds.ds_dir) ~table ~lo ~hi ~home:dest with
-      | Error msg -> k (Message.Error msg)
-      | Ok _ ->
-        if not (Directory.home_of ds.ds_dir ~key:lo = Some ds.ds_self) then
-          k
-            (Message.Error
-               (Printf.sprintf "this server is not the home of %s[%s,%s)" table lo hi))
-        else begin
-          Log.app (fun m -> m "migrating %s[%s,%s) to %s" table lo hi dest);
-          ds.ds_mig <-
-            Some
-              { mg_table = table; mg_lo = lo; mg_hi = hi; mg_dest = dest; mg_cursor = lo;
-                mg_delta = []; mg_keys = 0; mg_deltas = 0; mg_waiting = false;
-                mg_flipping = false; mg_held = []; mg_reply = k }
-        end
-    end
-
-(* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
 
 (* One-way requests: applied, never answered. *)
@@ -1203,28 +762,18 @@ let handle_local t req =
   match req with
   | Message.Fetch { table; lo; hi; subscriber } -> (
     Obs.Counter.incr t.m_fetch_in;
-    tally_read t lo;
-    match
-      (* directory mode: refuse to grant a subscription on a range the
-         directory homes elsewhere (unless this server replicates it —
-         a replica's copy is subscription-fresh, so middleman serving
-         is sound). A post-migration straggler fetching from the old
-         home gets an error and replans off its refreshed directory,
-         instead of a frozen snapshot. *)
-      match t.dirst with
-      | Some ds when Directory.epoch ds.ds_dir > 0 -> (
-        match Directory.entry_of ds.ds_dir ~key:lo with
-        | Some e
-          when (not (String.equal e.Message.de_home ds.ds_self))
-               && not (List.mem ds.ds_self e.Message.de_replicas) ->
-          Some e.Message.de_home
-        | _ -> None)
-      | _ -> None
-    with
-    | Some home ->
+    (* refuse to grant a subscription on a range the directory routes
+       elsewhere (a replica's copy is subscription-fresh, so it may
+       serve). A post-migration straggler fetching from the old home
+       gets an error and replans off its refreshed directory, instead of
+       a frozen snapshot. *)
+    match Directory.read_route (entries t) ~self:t.self ~key:lo with
+    | Directory.Forward cands ->
       Message.Error
-        (Printf.sprintf "not the home for %s[%s,%s) (directory names %s)" table lo hi home)
-    | None -> (
+        (Printf.sprintf "not the home for %s[%s,%s) (directory routes it to %s)" table lo hi
+           (String.concat ", " cands))
+    | route -> (
+    count_replica t route;
     (* refetches of the same range by the same subscriber (eviction
        pressure, subscription healing) are idempotent on the subs
        table: an identical live entry is reused, never duplicated,
@@ -1281,26 +830,16 @@ let handle_local t req =
     let resp = Message.apply_to_server t.engine req in
     List.iter (fun (k, v) -> buffer_notify t k (Some v)) pairs;
     resp
-  | Message.Dir_get | Message.Dir_watch _ | Message.Dir_update _ -> (
-    match t.dirst with
-    | None -> Message.Error "no partition directory on this server"
-    | Some ds -> (
-      let state () =
-        Message.Dir_state
-          { epoch = Directory.epoch ds.ds_dir; entries = Directory.entries ds.ds_dir }
-      in
-      match req with
-      | Message.Dir_watch { epoch } ->
-        if Directory.epoch ds.ds_dir > epoch then state () else Message.Done
-      | Message.Dir_update { epoch; entries } -> (
-        match Directory.install ds.ds_dir ~epoch ~entries with
-        | Ok () ->
-          Obs.Gauge.set ds.ds_m_epoch epoch;
-          Log.info (fun m ->
-              m "directory updated to epoch %d (%d entries)" epoch (List.length entries));
-          Message.Done
-        | Error msg -> Message.Error msg)
-      | _ -> state ()))
+  | Message.Dir_watch { epoch } when Directory.epoch t.dir <= epoch -> Message.Done
+  | Message.Dir_get | Message.Dir_watch _ ->
+    Message.Dir_state { epoch = Directory.epoch t.dir; entries = entries t }
+  | Message.Dir_update { epoch; entries } -> (
+    match Directory.install t.dir ~epoch ~entries with
+    | Ok () ->
+      Log.info (fun m ->
+          m "directory updated to epoch %d (%d entries)" epoch (List.length entries));
+      Message.Done
+    | Error msg -> Message.Error msg)
   | req -> Message.apply_to_server t.engine req
 
 (* Route one keyed request by the partition directory, before entering
@@ -1309,31 +848,29 @@ let handle_local t req =
    segments served where they live. [k] receives the answer — within
    this call, or later from a peer's answer or a fetch's landing. *)
 let rec route t client req k =
+  let held touches =
+    match t.migration with
+    | Some mg -> Migration.hold mg touches k (fun () -> route t client req k)
+    | None -> false
+  in
   match req with
   | Message.Put (key, _) | Message.Remove key ->
-    if not (hold t (fun inside -> inside key) k (fun () -> route t client req k)) then (
-      match forward_home t key with
-      | Some (ds, dest) -> forward t ds dest req k
+    if not (held (fun inside -> inside key)) then (
+      match Directory.write_home (entries t) ~self:t.self ~key with
+      | Some dest -> forward t dest req k
       | None -> k (handle_local t req))
   | Message.Put_batch pairs ->
-    if
-      not
-        (hold t
-           (fun inside -> List.exists (fun (key, _) -> inside key) pairs)
-           k
-           (fun () -> route t client req k))
-    then (
+    if not (held (fun inside -> List.exists (fun (key, _) -> inside key) pairs)) then (
       match split_by_home t pairs with
       | [] | [ (None, _) ] -> k (handle_local t req)
       | groups ->
-        let ds = Option.get t.dirst in
         gather
           (List.map
              (fun (target, sub) k ->
                let sub = Message.Put_batch sub in
                match target with
                | None -> k (handle_local t sub)
-               | Some dest -> forward t ds dest sub k)
+               | Some dest -> forward t dest sub k)
              groups)
           (fun resps ->
             let err = ref None and vec = ref [] in
@@ -1350,21 +887,35 @@ let rec route t client req k =
               | Some m -> Message.Error m)))
   | Message.Get key | Message.Get_at { key; _ } -> (
     (match req with Message.Get_at _ -> Obs.Counter.incr t.m_session_reads | _ -> ());
-    tally_read t key;
-    match (read_candidates t key, req) with
-    | Some (ds, cands), _ -> read_forward t ds cands req k
-    | None, Message.Get_at { min; _ } -> serve_stamped t client ~min ~read:(local_get t key) k
-    | None, _ -> local_get t key k)
-  | Message.Scan { lo; hi } | Message.Scan_at { lo; hi; _ } -> (
+    match Directory.read_route (entries t) ~self:t.self ~key with
+    | Directory.Forward cands -> read_forward t cands req k
+    | route -> (
+      count_replica t route;
+      match req with
+      | Message.Get_at { min; _ } -> serve_stamped t client ~min ~read:(local_get t key) k
+      | _ -> local_get t key k))
+  | Message.Scan { lo; hi } | Message.Scan_at { lo; hi; _ } ->
     let min = match req with Message.Scan_at { min; _ } -> min | _ -> [] in
     if min <> [] then Obs.Counter.incr t.m_session_reads;
-    tally_read t lo;
-    match remote_segments t ~spread:client.injected ~lo ~hi with
-    | Some (ds, segs) -> scan_segments t client ds ~min segs k
-    | None ->
-      let read = local_scan t ~lo ~hi in
-      if min = [] then read k else serve_stamped t client ~min ~read k)
-  | Message.Migrate { table; lo; hi; dest } -> start_migration t ~table ~lo ~hi ~dest k
+    let segs = Directory.scan_route (entries t) ~self:t.self ~spread:client.injected ~lo ~hi in
+    if List.exists (fun (route, _, _) -> route = Directory.Replica) segs then
+      Obs.Counter.incr t.m_replica_reads;
+    if List.exists (function Directory.Forward _, _, _ -> true | _ -> false) segs then
+      scan_segments t client ~min segs k
+    else local_read t client ~min ~lo ~hi k
+  | Message.Migrate { table; lo; hi; dest } -> (
+    let env =
+      { Migration.peers = t.peers; engine = t.engine; dir = t.dir; self = t.self;
+        seed = t.seed; subs = t.subs }
+    in
+    match t.migration with
+    | Some _ -> k (Message.Error "a migration is already in progress")
+    | None -> (
+      match
+        Migration.start env ~table ~lo ~hi ~dest ~on_end:(fun () -> t.migration <- None) k
+      with
+      | Ok mg -> t.migration <- Some mg
+      | Error msg -> k (Message.Error msg)))
   | _ -> k (handle_local t req)
 
 (* A shard routes like any directory server, with three differences. A
@@ -1381,10 +932,9 @@ let dispatch_shard t sh client req k =
   | Message.Add_join _ when client.injected -> (
     match handle_local t req with
     | Message.Done ->
-      let ds = Option.get t.dirst in
       gather
         (List.filteri (fun i _ -> i <> sh.sh_self) sh.sh_addrs
-        |> List.map (fun addr -> forward t ds addr req))
+        |> List.map (fun addr -> forward t addr req))
         (fun resps ->
           k
             (List.fold_left
@@ -1575,14 +1125,16 @@ let maybe_dump_metrics t =
 
 (** One iteration of the event loop: wait up to [timeout] seconds for
     readiness, then accept/read/write whatever is ready, run the pumps
-    and tickers, and send the iteration's outbound requests as one burst
-    per peer. Never waits on a peer: an answer that needs one arrives in
-    a later step. *)
+    and the Remote tick, and send the iteration's outbound requests as
+    one burst per peer. Never waits on a peer: an answer that needs one
+    arrives in a later step. *)
 let step ?(timeout = 1.0) t =
   Peer.flush t.peers;
   let timeout =
     (* a live copy wants the pump back promptly, idle or not *)
-    match t.dirst with Some { ds_mig = Some { mg_waiting = false; _ }; _ } -> 0.0 | _ -> timeout
+    match t.migration with
+    | Some mg when Migration.phase mg = Migration.Copying -> 0.0
+    | _ -> timeout
   in
   let timeout =
     (* so do parked stamped reads: their refetch/deadline clocks tick
@@ -1604,10 +1156,10 @@ let step ?(timeout = 1.0) t =
     events;
   drain_injected t;
   Peer.tick t.peers;
-  pump_migration t;
+  Option.iter Migration.pump t.migration;
   pump_stamp_waits t;
   Option.iter Persist.tick t.persist;
-  List.iter (fun f -> f ()) t.tickers;
+  t.tick ();
   flush_notifications t;
   Peer.flush t.peers;
   maybe_dump_metrics t
@@ -1621,18 +1173,21 @@ let run t =
 (** Close the listener, every client and peer connection, and (after a
     final log sync) the durability manager. Must be called from the
     owning domain (after {!request_stop} + join when the loop runs
-    elsewhere). *)
+    elsewhere). Idempotent. *)
 let stop t =
-  Atomic.set t.shutdown true;
-  Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
-  Hashtbl.reset t.conns;
-  Peer.close t.peers;
-  Option.iter Persist.close t.persist;
-  Poller.close t.poller;
-  (try Unix.close t.wakeup_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.wakeup_w with Unix.Unix_error _ -> ());
-  Mutex.lock t.inj_mu;
-  Queue.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.inj_q;
-  Queue.clear t.inj_q;
-  Mutex.unlock t.inj_mu;
-  try Unix.close t.listener with Unix.Unix_error _ -> ()
+  if not t.stopped then begin
+    t.stopped <- true;
+    Atomic.set t.shutdown true;
+    Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
+    Hashtbl.reset t.conns;
+    Peer.close t.peers;
+    Option.iter Persist.close t.persist;
+    Poller.close t.poller;
+    (try Unix.close t.wakeup_r with Unix.Unix_error _ -> ());
+    (try Unix.close t.wakeup_w with Unix.Unix_error _ -> ());
+    Mutex.lock t.inj_mu;
+    Queue.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.inj_q;
+    Queue.clear t.inj_q;
+    Mutex.unlock t.inj_mu;
+    try Unix.close t.listener with Unix.Unix_error _ -> ()
+  end

@@ -4,7 +4,6 @@
 
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
-module Pattern = Pequod_pattern.Pattern
 module Joinspec = Pequod_pattern.Joinspec
 
 let src = Logs.Src.create "pequod.remote"
@@ -55,29 +54,6 @@ let entries_of_specs ~peers ~self_addr specs =
       | Ok es, Ok e -> Ok (e :: es))
     (Ok []) specs
   |> Result.map List.rev
-
-(* Which entries serve a missing [lo, hi) of [table]?
-   [`Unrouted]: no entry governs the table — it is purely local.
-   [`Gap]: entries govern the table but leave part of the range
-   uncovered — a partition misconfiguration; treating the gap as
-   present-and-empty would silently serve wrong answers.
-   [`Fetch clamps]: the (entry, clamp_lo, clamp_hi) fetches that cover
-   the range, one per overlapping entry homed elsewhere. *)
-let plan ~self_addr ~entries ~table ~lo ~hi =
-  match Directory.for_table entries ~table with
-  | [] -> `Unrouted
-  | governing ->
-    let pieces = Directory.cut governing ~lo ~hi in
-    if List.exists (fun (e, _, _) -> e = None) pieces then `Gap
-    else
-      `Fetch
-        (List.filter_map
-           (function
-             | Some (e : Message.dir_entry), flo, fhi
-               when not (String.equal e.de_home self_addr) ->
-               Some (e, flo, fhi)
-             | _ -> None (* homed here; already present *))
-           pieces)
 
 (* The asynchronous fetch engine behind [Net_server]'s parked reads,
    on top of the server's peer pool ({!Peer}): a parked read's whole
@@ -180,11 +156,11 @@ module Fetcher = struct
           | Ok _ -> failed "answered unexpectedly"
           | Error msg -> failed ("failed: " ^ msg))
 
-  (* The [Net_server.set_fetcher] entry point: fetch a whole missing-range
-     set, calling [k ~ok] once every clamp has landed (or failed on every
-     candidate). Completion may run synchronously — every candidate in
-     dead-peer backoff — or later from the peer pool; callers handle
-     both. *)
+  (* The fetcher [Net_server.set_directory] installs: fetch a whole
+     missing-range set, calling [k ~ok] once every clamp has landed (or
+     failed on every candidate). Completion may run synchronously —
+     every candidate in dead-peer backoff — or later from the peer pool;
+     callers handle both. *)
   let request f ranges k =
     let planned =
       List.fold_left
@@ -237,20 +213,9 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
   let entries = ref [] in
   let applied = ref 0 in
   let plan ~table ~lo ~hi =
-    (* a wildcard slice never claims a join-output table: each shard
-       recomputes its outputs from subscription-fresh sources, and a
-       fetched copy would freeze, because join-derived writes are not
-       client-origin and are never pushed *)
-    let sink =
-      List.exists
-        (fun spec -> String.equal (Pattern.table (Joinspec.output spec)) table)
-        (Server.joins engine)
-    in
-    let entries =
-      if sink then List.filter (fun e -> not (Directory.is_wildcard e)) !entries
-      else !entries
-    in
-    plan ~self_addr ~entries ~table ~lo ~hi
+    Directory.plan ~self:self_addr
+      ~outputs:(List.map Joinspec.output_table (Server.joins engine))
+      !entries ~table ~lo ~hi
   in
   let candidates = Directory.candidates ~self:self_addr in
   (* The resolver never fetches: a remote miss answers [Deferred]. Inside
@@ -302,7 +267,6 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
           | `Fetch clamps ->
             `Clamps (List.map (fun (e, flo, fhi) -> (table, flo, fhi, candidates e)) clamps))
   in
-  Net_server.set_fetcher server (Fetcher.request fetcher);
   (* replica duty waiting to be established: ranges this server
      replicates but has not fetch+subscribed yet. Retried every second
      until a candidate answers. *)
@@ -495,7 +459,7 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
   sync ();
   govern ();
   let last_warm = ref neg_infinity in
-  fun () ->
+  let tick () =
     let now = Unix.gettimeofday () in
     poll now;
     sync ();
@@ -504,3 +468,6 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
       warm_replicas ()
     end;
     heal now
+  in
+  Net_server.set_directory server ?seed ~dir ~self_addr ~fetcher:(Fetcher.request fetcher)
+    ~tick ()

@@ -43,25 +43,11 @@ val entries_of_specs :
   peers:string list -> self_addr:string -> string list ->
   (Pequod_proto.Message.dir_entry list, string) result
 
-(** How a missing [\[lo, hi)] of [table] maps onto directory [entries],
-    seen from [self_addr]. [`Unrouted]: no entry governs the table — it
-    is purely local. [`Gap]: entries govern the table but leave part of
-    the range uncovered — a partition misconfiguration, surfaced as
-    [Deferred] rather than silently served as present-and-empty.
-    [`Fetch clamps]: the per-entry clamps to fetch (entries homed
-    elsewhere only — an empty list means every overlapping entry is
-    local, so the range resolves [Local]). Wildcards are instantiated
-    against [table] by {!Directory.for_table}. Exposed for tests. *)
-val plan :
-  self_addr:string ->
-  entries:Pequod_proto.Message.dir_entry list ->
-  table:string -> lo:string -> hi:string ->
-  [ `Unrouted | `Gap | `Fetch of (Pequod_proto.Message.dir_entry * string * string) list ]
-
-(** Route [server]'s engine by the partition directory [dir] — the
-    resolver and the asynchronous fetcher — and return the maintenance
-    tick: run it from the serving loop ({!Net_server.add_ticker}). Share
-    [dir] with {!Net_server.set_directory}. Call once, before serving.
+(** Route [server] by the partition directory [dir]: install [dir] as
+    the server's routing truth ({!Net_server.set_directory}), the
+    resolver and the asynchronous fetcher, and register the maintenance
+    tick, which the server runs once per step. Call once, before
+    serving.
 
     [seed = None] means the directory is installed locally: a seed, a
     server whose [--partition] specs fixed it at epoch 1, or a shard.
@@ -72,9 +58,10 @@ val plan :
     Every epoch change marks and un-marks owned ranges by diff, drops
     subscriptions whose granting server the directory no longer names,
     and warms the ranges this server replicates (fetch+subscribe from
-    the home). A wildcard entry never claims a table an installed join
-    outputs into. The tick polls the seed ([dir.fetch], [dir.epoch]) and
-    heals subscriptions every [check_every] seconds ([peer.sub.lost]).
+    the home). Missing ranges are planned by {!Directory.plan}, with the
+    installed joins' output tables. The tick polls the seed
+    ([dir.fetch], [dir.epoch]) and heals subscriptions every
+    [check_every] seconds ([peer.sub.lost]).
     Parked scans report [scan.parked], [fetch.coalesced],
     [fetch.inflight] and [resolver.fetch.wait_ns].
 
@@ -84,4 +71,4 @@ val plan :
     one — on replicas exactly as on computes. *)
 val attach :
   server:Net_server.t -> self_addr:string -> check_every:float -> ?seed:string ->
-  ?poll_every:float -> Directory.t -> unit -> unit
+  ?poll_every:float -> Directory.t -> unit

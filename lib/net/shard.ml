@@ -193,9 +193,7 @@ let create ?config ?backend ?metrics_every ?(sub_check_every = 2.0)
         let self_addr = List.nth addrs i in
         (* a copy per shard: a directory is its owning domain's state *)
         let dir = directory ~cuts ~homes:addrs in
-        Net_server.set_directory srv ~dir ~self_addr ();
-        Net_server.add_ticker srv
-          (Remote.attach ~server:srv ~self_addr ~check_every:sub_check_every dir);
+        Remote.attach ~server:srv ~self_addr ~check_every:sub_check_every dir;
         Net_server.set_shard srv ~self:i ~addrs ~merge:merge_stats)
       servers;
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

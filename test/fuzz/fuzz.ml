@@ -579,7 +579,7 @@ let run_case scenario variant ops =
      component-space slice of every table — the shard layer's wildcard
      directory, modelled in-process and synchronously, with engine [j]
      homed at address ["j"]. Each engine's resolver plans missing source
-     ranges against the directory ([Remote.plan]) and serves them from
+     ranges against the directory ([Directory.plan]) and serves them from
      the sibling stores, clamped to each sibling's slice; a range inside
      the engine's own slice — and any join-output table, which every
      shard recomputes from subscription-fresh sources — is Local, which
@@ -622,28 +622,22 @@ let run_case scenario variant ops =
     Array.iteri
       (fun k _ ->
         Server.set_resolver arr.(k) (fun ~table ~lo ~hi ->
-            let sink =
-              List.exists
-                (fun sp -> Pequod_pattern.Joinspec.output_table sp = table)
-                (Server.joins arr.(k))
-            in
-            if sink then Server.Local
-            else
-              match
-                Remote.plan ~self_addr:(string_of_int k) ~entries:(Directory.entries dir) ~table
-                  ~lo ~hi
-              with
-              | `Unrouted | `Fetch [] -> Server.Local
-              | `Gap -> fail "shard directory leaves a gap in %s[%S, %S)" table lo hi
-              | `Fetch clamps ->
-                shard_subs.(k) := (lo, hi) :: !(shard_subs.(k));
-                (* [Resolved] pairs are applied additively over the
-                   range, so the engine's own slice survives the feed *)
-                Server.Resolved
-                  (List.concat_map
-                     (fun ((e : Pequod_proto.Message.dir_entry), clo, chi) ->
-                       Server.scan arr.(int_of_string e.de_home) ~lo:clo ~hi:chi)
-                     clamps)))
+            match
+              Directory.plan ~self:(string_of_int k)
+                ~outputs:(List.map Pequod_pattern.Joinspec.output_table (Server.joins arr.(k)))
+                (Directory.entries dir) ~table ~lo ~hi
+            with
+            | `Unrouted | `Fetch [] -> Server.Local
+            | `Gap -> fail "shard directory leaves a gap in %s[%S, %S)" table lo hi
+            | `Fetch clamps ->
+              shard_subs.(k) := (lo, hi) :: !(shard_subs.(k));
+              (* [Resolved] pairs are applied additively over the
+                 range, so the engine's own slice survives the feed *)
+              Server.Resolved
+                (List.concat_map
+                   (fun ((e : Pequod_proto.Message.dir_entry), clo, chi) ->
+                     Server.scan arr.(int_of_string e.de_home) ~lo:clo ~hi:chi)
+                   clamps)))
       arr);
   let install_join text =
     let on_engine srv =
@@ -895,33 +889,24 @@ let run_case scenario variant ops =
     match shards_arr with
     | Some (arr, dir) -> (
       let n = Array.length arr in
-      (* mirror the net layer's routing: a rotating shard receives the
-         scan (so successive reads exercise different fetch/subscription
-         states). A range inside one table is cut by the directory, each
-         slice served by its home; a range spanning tables is spread —
-         the receiving shard serves first, merged with every sibling's
-         answer through the shipped dedup *)
+      (* the net layer's routing: a rotating shard receives the scan
+         (so successive reads exercise different fetch/subscription
+         states) as a client request, and [Directory.scan_route] splits
+         it; each piece is served where it is routed, and the answers
+         merge in piece order through the shipped dedup *)
       let s = !scan_rr mod n in
       incr scan_rr;
-      match Directory.segments (Directory.entries dir) ~lo ~hi with
-      | `Cut pieces ->
-        List.concat_map
-          (fun (e, slo, shi) ->
-            let home =
-              match e with
-              | Some (e : Pequod_proto.Message.dir_entry) -> int_of_string e.de_home
-              | None -> s
-            in
-            Server.scan arr.(home) ~lo:slo ~hi:shi)
-          pieces
-      | `Spread _ ->
-        let rec gather acc j =
-          if j >= n then acc
-          else if j = s then gather acc (j + 1)
-          else
-            gather (Net_server.merge_dedup acc (Server.scan arr.(j) ~lo ~hi)) (j + 1)
-        in
-        gather (Server.scan arr.(s) ~lo ~hi) 0)
+      List.fold_left
+        (fun acc (route, slo, shi) ->
+          let j =
+            match route with
+            | Directory.Forward (home :: _) -> int_of_string home
+            | _ -> s
+          in
+          Net_server.merge_dedup acc (Server.scan arr.(j) ~lo:slo ~hi:shi))
+        []
+        (Directory.scan_route (Directory.entries dir) ~self:(string_of_int s) ~spread:true ~lo
+           ~hi))
     | None -> (
     match homes with
     | None -> Server.scan !server ~lo ~hi

@@ -6,6 +6,7 @@
 module Net_server = Pequod_server_lib.Net_server
 module Remote = Pequod_server_lib.Remote
 module Directory = Pequod_server_lib.Directory
+module Migration = Pequod_server_lib.Migration
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
@@ -21,18 +22,19 @@ let with_server ~joins f =
 
 let addr_of t = Printf.sprintf "127.0.0.1:%d" (Net_server.port t)
 
-(* route [compute] by the epoch-1 directory [--partition specs] fix *)
-let attach_specs ?(peers = []) compute specs =
-  let self_addr = addr_of compute in
+(* route [t] by an epoch-1 directory of [entries] *)
+let attach_entries t entries =
   let dir = Directory.create () in
-  (match
-     Result.bind (Remote.entries_of_specs ~peers ~self_addr specs) (fun entries ->
-         Directory.install dir ~epoch:1 ~entries)
-   with
+  (match Directory.install dir ~epoch:1 ~entries with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  let _heal : unit -> unit = Remote.attach ~server:compute ~self_addr ~check_every:2.0 dir in
-  ()
+  Remote.attach ~server:t ~self_addr:(addr_of t) ~check_every:2.0 dir
+
+(* route [compute] by the epoch-1 directory [--partition specs] fix *)
+let attach_specs ?(peers = []) compute specs =
+  match Remote.entries_of_specs ~peers ~self_addr:(addr_of compute) specs with
+  | Ok entries -> attach_entries compute entries
+  | Error e -> Alcotest.fail e
 
 let connect t =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -256,18 +258,8 @@ let with_pair ~backend f =
   let b = make () in
   Fun.protect ~finally:(fun () -> Net_server.stop b) @@ fun () ->
   let entries = [ entry "p" (addr_of b); entry "s" (addr_of a) ] in
-  let directory () =
-    let dir = Directory.create () in
-    (match Directory.install dir ~epoch:1 ~entries with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail e);
-    dir
-  in
-  let dir_a = directory () in
-  Net_server.set_directory a ~dir:dir_a ~self_addr:(addr_of a) ();
-  Net_server.add_ticker a
-    (Remote.attach ~server:a ~self_addr:(addr_of a) ~check_every:2.0 dir_a);
-  Net_server.set_directory b ~dir:(directory ()) ~self_addr:(addr_of b) ();
+  attach_entries a entries;
+  attach_entries b entries;
   Server.put (Net_server.engine b) "p|a|1" "x";
   Server.put (Net_server.engine a) "s|a|1" "y";
   f a b
@@ -413,6 +405,90 @@ let test_migrate_hands_subscribers_over () =
     | `Missing _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Migration phases, pinned by leaving the destination unstepped       *)
+
+let phase t = Option.map Migration.phase t.Net_server.migration
+let send fd reqs =
+  write_all fd
+    (String.concat "" (List.map (fun r -> Frame.encode (Message.encode_request r)) reqs))
+let migrate_s dest = Message.Migrate { table = "s"; lo = "s|"; hi = "s}"; dest = addr_of dest }
+
+(* Start [a]'s migration of s to [b] on [ctl] and step both until [a] is
+   flipping: [b] has applied the copy and answered its barrier, and has
+   not yet seen the flip's own barrier. *)
+let migrate_to_flip a b ctl =
+  send ctl [ migrate_s b ];
+  step_quickly a 2;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while phase a <> Some Migration.Flipping do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "the flip never started";
+    Net_server.step ~timeout:0.01 b;
+    Net_server.step ~timeout:0.01 a
+  done
+
+(* A write riding the Migrate's own burst is applied while A copies: it
+   is captured and replayed to B as delta. *)
+let test_copy_write_replayed () =
+  with_pair ~backend:`Epoll @@ fun a b ->
+  let ctl = connect a in
+  Fun.protect ~finally:(fun () -> Unix.close ctl) @@ fun () ->
+  send ctl [ migrate_s b; Message.Put ("s|a|2", "w") ];
+  step_quickly a 2;
+  check_bool "pinned on B's barrier" true (phase a = Some Migration.Awaiting_barrier);
+  match List.map Message.decode_response (await_frames ~servers:[ a; b ] ctl 2) with
+  | [ Message.Pairs _; (Message.Done | Message.Stamps _) ] ->
+    check_bool "replayed as delta" true (counter a "migrate.delta_replayed" >= 1);
+    check_bool "B holds the write" true (Server.get (Net_server.engine b) "s|a|2" = Some "w")
+  | _ -> Alcotest.fail "the migration or the write failed"
+
+(* While A flips, B's directory still names A: a Dir_watch to B answers
+   the old epoch until A installs the new one and tells B. *)
+let test_flip_keeps_old_epoch () =
+  with_pair ~backend:`Epoll @@ fun a b ->
+  let ctl = connect a and bfd = connect b in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close [ ctl; bfd ]) @@ fun () ->
+  migrate_to_flip a b ctl;
+  let watched () =
+    match rpc ~servers:[ b ] bfd (Message.Dir_watch { epoch = 0 }) with
+    | Message.Dir_state { epoch; _ } -> epoch
+    | _ -> Alcotest.fail "Dir_watch"
+  in
+  check_bool "B answers the old epoch" true (watched () = 1);
+  check_bool "A is still flipping" true (phase a = Some Migration.Flipping);
+  (match Message.decode_response (List.hd (await_frames ~servers:[ a; b ] ctl 1)) with
+  | Message.Pairs stats -> check_bool "epoch 2" true (List.assoc_opt "epoch" stats = Some "2")
+  | _ -> Alcotest.fail "migration failed");
+  check_bool "then the new one" true (watched () = 2)
+
+(* B stops once its copy landed, while A flips: the Migrate answers
+   Error, the write A held applies at A, A's epoch stays, and a new
+   Migrate to a fresh server C succeeds. *)
+let test_flip_destination_lost () =
+  with_pair ~backend:`Epoll @@ fun a b ->
+  with_server ~joins:[] @@ fun c ->
+  attach_entries c (Directory.entries a.Net_server.dir);
+  let ctl = connect a and writer = connect a in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close [ ctl; writer ]) @@ fun () ->
+  migrate_to_flip a b ctl;
+  send writer [ Message.Put ("s|a|2", "w") ];
+  step_quickly a 3;
+  check_bool "the write is held" true
+    (match Unix.select [ writer ] [] [] 0.0 with [], _, _ -> true | _ -> false);
+  Net_server.stop b;
+  (match Message.decode_response (List.hd (await_frames ~servers:[ a ] ctl 1)) with
+  | Message.Error _ -> ()
+  | _ -> Alcotest.fail "the Migrate must fail");
+  (match Message.decode_response (List.hd (await_frames ~servers:[ a ] writer 1)) with
+  | Message.Done | Message.Stamps _ -> ()
+  | _ -> Alcotest.fail "the held write failed");
+  check_bool "applied at A" true (Server.get (Net_server.engine a) "s|a|2" = Some "w");
+  check_bool "A's epoch unchanged" true (Directory.epoch a.Net_server.dir = 1);
+  match rpc ~servers:[ a; c ] ctl (migrate_s c) with
+  | Message.Pairs stats ->
+    check_bool "both keys moved to C" true (List.assoc_opt "keys_moved" stats = Some "2")
+  | _ -> Alcotest.fail "the migration to C failed"
+
+(* ------------------------------------------------------------------ *)
 (* Cold timelines over a deferring resolver, in process                 *)
 
 (* The §3.3 fetch-and-retry loop without sockets: [compute]'s resolver
@@ -528,5 +604,11 @@ let () =
             test_pending_log_survives_miss ] );
       ( "migration",
         [ Alcotest.test_case "migration hands subscribers over" `Quick
-            test_migrate_hands_subscribers_over ] );
+            test_migrate_hands_subscribers_over;
+          Alcotest.test_case "a write while copying is replayed" `Quick
+            test_copy_write_replayed;
+          Alcotest.test_case "Dir_watch while flipping sees the old epoch" `Quick
+            test_flip_keeps_old_epoch;
+          Alcotest.test_case "destination lost while flipping" `Quick
+            test_flip_destination_lost ] );
     ]

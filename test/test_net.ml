@@ -368,7 +368,7 @@ let homes_of pieces =
    coverage is a surfaced gap (never silently present-and-empty), and
    fetch clamps carry only the intersections homed elsewhere. *)
 let test_remote_plan () =
-  let plan entries ~table ~lo ~hi = Remote.plan ~self_addr:"me:1" ~entries ~table ~lo ~hi in
+  let plan entries ~table ~lo ~hi = Directory.plan ~self:"me:1" ~outputs:[] entries ~table ~lo ~hi in
   let split = [ entry "p" "p|" "p|m" "h1:1"; entry "p" "p|m" "p}" "h2:1" ] in
   (match plan split ~table:"q" ~lo:"q|" ~hi:"q}" with
   | `Unrouted -> ()
@@ -427,7 +427,7 @@ let test_wildcard_directory () =
   check_bool "specific entry governs" true (Directory.home_of mixed ~key:"p|zed" = None);
   check_bool "specific entry homes" true (Directory.home_of mixed ~key:"p|ann" = Some "x:1");
   check_bool "other tables stay wildcard" true (Directory.home_of mixed ~key:"s|zed" = Some "c:1");
-  (match Remote.plan ~self_addr:"b:1" ~entries:shards ~table:"p" ~lo:"p|a" ~hi:"p|e" with
+  (match Directory.plan ~self:"b:1" ~outputs:[] shards ~table:"p" ~lo:"p|a" ~hi:"p|e" with
   | `Fetch [ (e1, "p|a", "p|b"); (e2, "p|d", "p|e") ]
     when e1.de_home = "a:1" && e2.de_home = "c:1" ->
     ()
@@ -466,6 +466,90 @@ let test_wildcard_directory () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "spec %S must be rejected" spec)
     [ "*"; "*@127.0.0.1:1"; "*:a:b@127.0.0.1:1" ]
+
+(* Every "who serves this key" decision, one row per entry shape, as
+   seen from me:1: where a write applies, who serves a point read, how a
+   scan is pieced, and what a miss in the scan's first table fetches. *)
+type route_case = {
+  rc_name : string;
+  rc_entries : Message.dir_entry list;
+  rc_outputs : string list; (* join-output tables *)
+  rc_key : string;
+  rc_write : string option;
+  rc_read : string;
+  rc_scan : string * string * bool; (* lo, hi, spread *)
+  rc_pieces : string list;
+  rc_plan : string;
+}
+
+let test_routing_decisions () =
+  let self = "me:1" in
+  let slices = [ entry "*" "" "m" self; entry "*" "m" "" "h2:1" ] in
+  let show = function
+    | Directory.Local -> "local"
+    | Directory.Replica -> "replica"
+    | Directory.Forward cands -> "forward " ^ String.concat "," cands
+  in
+  let show_plan = function
+    | `Unrouted -> "unrouted"
+    | `Gap -> "gap"
+    | `Fetch clamps ->
+      String.concat " "
+        ("fetch"
+        :: List.map
+             (fun ((e : Message.dir_entry), lo, hi) -> Printf.sprintf "%s[%s,%s)" e.de_home lo hi)
+             clamps)
+  in
+  let row ?(outputs = []) ?(spread = false) name entries ~key ~write ~read ~lo ~hi pieces plan =
+    { rc_name = name; rc_entries = entries; rc_outputs = outputs; rc_key = key;
+      rc_write = write; rc_read = read; rc_scan = (lo, hi, spread); rc_pieces = pieces;
+      rc_plan = plan }
+  in
+  List.iter
+    (fun rc ->
+      let lo, hi, spread = rc.rc_scan in
+      let table = Pequod_store.Store.table_name_of lo in
+      let hi' = if String.compare hi (table ^ "}") < 0 then hi else table ^ "}" in
+      let check what want got = Alcotest.(check string) (rc.rc_name ^ ": " ^ what) want got in
+      check "write" (Option.value rc.rc_write ~default:"here")
+        (Option.value (Directory.write_home rc.rc_entries ~self ~key:rc.rc_key) ~default:"here");
+      check "read" rc.rc_read (show (Directory.read_route rc.rc_entries ~self ~key:rc.rc_key));
+      check "scan" (String.concat "; " rc.rc_pieces)
+        (String.concat "; "
+           (List.map
+              (fun (route, l, h) -> Printf.sprintf "%s [%s,%s)" (show route) l h)
+              (Directory.scan_route rc.rc_entries ~self ~spread ~lo ~hi)));
+      check "plan" rc.rc_plan
+        (show_plan
+           (Directory.plan ~self ~outputs:rc.rc_outputs rc.rc_entries ~table ~lo ~hi:hi')))
+    [ row "homed here" [ entry "p" "p|" "p}" self ] ~key:"p|a" ~write:None ~read:"local"
+        ~lo:"p|a" ~hi:"p|z" [ "local [p|a,p|z)" ] "fetch";
+      row "homed elsewhere" [ entry "p" "p|" "p}" "h1:1" ] ~key:"p|a" ~write:(Some "h1:1")
+        ~read:"forward h1:1" ~lo:"p|a" ~hi:"p|z" [ "forward h1:1 [p|a,p|z)" ]
+        "fetch h1:1[p|a,p|z)";
+      row "replica here"
+        [ { (entry "p" "p|" "p}" "h1:1") with de_replicas = [ self; "r2:1" ] } ]
+        ~key:"p|a" ~write:(Some "h1:1") ~read:"replica" ~lo:"p|a" ~hi:"p|z"
+        [ "replica [p|a,p|z)" ] "fetch h1:1[p|a,p|z)";
+      row "another server's replica"
+        [ { (entry "p" "p|" "p}" "h1:1") with de_replicas = [ "r2:1" ] } ]
+        ~key:"p|a" ~write:(Some "h1:1") ~read:"forward r2:1,h1:1" ~lo:"p|a" ~hi:"p|z"
+        [ "forward r2:1,h1:1 [p|a,p|z)" ] "fetch h1:1[p|a,p|z)";
+      row "wildcard slices" slices ~key:"p|x" ~write:(Some "h2:1") ~read:"forward h2:1"
+        ~lo:"p|a" ~hi:"p|z"
+        [ "local [p|a,p|m)"; "forward h2:1 [p|m,p|z)" ] "fetch h2:1[p|m,p|z)";
+      row "a gap" [ entry "p" "p|" "p|m" "h1:1"; entry "p" "p|n" "p}" "h2:1" ] ~key:"p|m5"
+        ~write:None ~read:"local" ~lo:"p|a" ~hi:"p|z"
+        [ "forward h1:1 [p|a,p|m)"; "local [p|m,p|n)"; "forward h2:1 [p|n,p|z)" ] "gap";
+      row "cross-table, spread" ~spread:true slices ~key:"q|a" ~write:None ~read:"local"
+        ~lo:"p|" ~hi:"q}" [ "local [p|,q})"; "forward h2:1 [p|,q})" ] "fetch h2:1[p|m,p})";
+      row "cross-table, a spread leg" slices ~key:"q|a" ~write:None ~read:"local" ~lo:"p|"
+        ~hi:"q}" [ "local [p|,q})" ] "fetch h2:1[p|m,p})";
+      row "epoch 0" (Directory.entries (Directory.create ())) ~key:"p|a" ~write:None
+        ~read:"local" ~lo:"p|a" ~hi:"p|z" [ "local [p|a,p|z)" ] "unrouted";
+      row "join output under wildcards" ~outputs:[ "t" ] slices ~key:"t|x" ~write:(Some "h2:1")
+        ~read:"forward h2:1" ~lo:"t|a" ~hi:"t|z"
+        [ "local [t|a,t|m)"; "forward h2:1 [t|m,t|z)" ] "unrouted" ]
 
 (* ---- the blocking client, against fake servers ---- *)
 
@@ -669,6 +753,7 @@ let () =
         [
           Alcotest.test_case "plan coverage" `Quick test_remote_plan;
           Alcotest.test_case "wildcard directory" `Quick test_wildcard_directory;
+          Alcotest.test_case "routing decisions" `Quick test_routing_decisions;
         ] );
       ( "client",
         [
