@@ -89,7 +89,7 @@ let dir_seed_cmd =
              home explicitly.")
   in
   let run addr specs =
-    match Remote.entries_of_specs ~peers:[] ~self_addr:"" specs with
+    match Remote.entries_of_specs ~self_addr:"" specs with
     | Error msg -> fail msg
     | Ok entries ->
       List.iter

@@ -107,22 +107,14 @@ let metrics_dump =
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log client connections and joins.")
 
-let peers =
-  Arg.(
-    value & opt_all string []
-    & info [ "peer" ] ~docv:"HOST:PORT"
-        ~doc:
-          "A peer pequod-server (repeatable). A $(b,--partition) without an explicit owner \
-           is fetched from the single peer when exactly one is given.")
-
 let partitions =
   Arg.(
     value & opt_all string []
     & info [ "partition" ] ~docv:"TABLE[:LO:HI][@HOST:PORT]"
         ~doc:
           "Base-table partition route (repeatable). Bare $(b,TABLE) covers the whole table. \
-           With $(b,@HOST:PORT) (or a single $(b,--peer)) the range is owned by that home \
-           server and fetched+subscribed on first need; otherwise this process is its home. \
+           With $(b,@HOST:PORT) the range is owned by that home server and \
+           fetched+subscribed on first need; otherwise this process is its home. \
            The routes form this server's partition directory at epoch 1.")
 
 let advertise =
@@ -141,7 +133,7 @@ let shards =
           "Shard-per-core mode: run $(docv) shared-nothing engine shards, each in its own \
            domain with its own event loop and a disjoint slice of the keyspace, behind one \
            acceptor on --port. 0 (the default) runs the classic single-loop server. \
-           Incompatible with --partition/--peer.")
+           Incompatible with --partition.")
 
 let shard_cuts =
   Arg.(
@@ -191,7 +183,7 @@ let sub_check_every =
            should slow it down.")
 
 let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_max_bytes
-    metrics_dump verbose peers partitions advertise sub_check_every shards shard_cuts
+    metrics_dump verbose partitions advertise sub_check_every shards shard_cuts
     dir_host directory dir_poll_every =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -210,8 +202,8 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
     config.Config.persist <- Some p);
   let durable = match data_dir with Some dir -> " (durable in " ^ dir ^ ")" | None -> "" in
   if shards > 0 then begin
-    if partitions <> [] || peers <> [] then begin
-      Logs.err (fun m -> m "--shards is incompatible with --partition/--peer");
+    if partitions <> [] then begin
+      Logs.err (fun m -> m "--shards is incompatible with --partition");
       1
     end
     else if dir_host || directory <> None then begin
@@ -240,9 +232,9 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
     Logs.err (fun m -> m "--dir-host and --directory are mutually exclusive");
     1
   end
-  else if directory <> None && (partitions <> [] || peers <> []) then begin
+  else if directory <> None && partitions <> [] then begin
     Logs.err (fun m ->
-        m "--directory followers take all routes from the seed; drop --partition/--peer");
+        m "--directory followers take all routes from the seed; drop --partition");
     1
   end
   else
@@ -258,7 +250,7 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
          1 — even none, which routes everything here. *)
       let dir = Directory.create () in
       let installed =
-        match Remote.entries_of_specs ~peers ~self_addr partitions with
+        match Remote.entries_of_specs ~self_addr partitions with
         | Error _ as e -> e
         | Ok entries ->
           if directory <> None || (dir_host && entries = []) then Ok ()
@@ -291,7 +283,7 @@ let cmd =
     (Cmd.info "pequod-server" ~doc:"A Pequod cache server speaking the binary wire protocol")
     Term.(
       const main $ port $ joins $ memory_limit $ data_dir $ sync_mode $ sync_interval
-      $ snapshot_every $ wal_max_bytes $ metrics_dump $ verbose $ peers $ partitions
+      $ snapshot_every $ wal_max_bytes $ metrics_dump $ verbose $ partitions
       $ advertise $ sub_check_every $ shards $ shard_cuts $ dir_host $ directory
       $ dir_poll_every)
 

@@ -111,10 +111,10 @@ type tbl_meta = {
   mutable stamps : int Range_map.t option;
 }
 
-(* Resolver answers for a missing base range (§3.3). *)
+(* Resolver answers for a missing base range (§3.3). The host fetches a
+   deferred range itself and hands it in through [feed_base]. *)
 type resolve_result =
-  | Resolved of (string * string) list (* pairs now available *)
-  | Deferred (* fetch started; retry later *)
+  | Deferred (* fetch it; retry after [feed_base] *)
   | Local (* this table is not backed; treat as present *)
 
 type resolver = table:string -> lo:string -> hi:string -> resolve_result
@@ -157,7 +157,6 @@ type metrics = {
   installed : Obs.Counter.t; (* updater.installed *)
   exec_runs : Obs.Counter.t; (* exec.run *)
   probes : Obs.Counter.t; (* exec.probe *)
-  resolver_fetch : Obs.Counter.t; (* resolver.fetch *)
   resolver_deferred : Obs.Counter.t; (* resolver.deferred *)
   recomputes : Obs.Counter.t; (* exec.recompute_region *)
   apply_logs : Obs.Counter.t; (* exec.apply_log *)
@@ -186,7 +185,6 @@ let make_metrics obs =
     installed = Obs.counter obs "updater.installed";
     exec_runs = Obs.counter obs "exec.run";
     probes = Obs.counter obs "exec.probe";
-    resolver_fetch = Obs.counter obs "resolver.fetch";
     resolver_deferred = Obs.counter obs "resolver.deferred";
     recomputes = Obs.counter obs "exec.recompute_region";
     apply_logs = Obs.counter obs "exec.apply_log";
@@ -214,11 +212,11 @@ type t = {
   mutable next_jid : int;
   mutable resolver : resolver option;
   mutable on_mutation : (mutation -> unit) option; (* durability hook *)
-  (* When a scan runs in collect mode, every [Deferred] source range is
-     recorded here instead of aborting the scan at the first miss
-     ([Need_fetch]); the scan returns the full deduplicated set so an
-     asynchronous host can fetch all of it as one burst. [None] outside
-     collect mode (and in blocking deployments). *)
+  (* While a scan runs with a resolver installed (collect mode), every
+     [Deferred] source range is recorded here instead of aborting the
+     scan at the first miss ([Need_fetch]); the scan returns the full
+     deduplicated set so the host can fetch all of it as one burst.
+     [None] outside a scan and on a server with no resolver. *)
   mutable deferred_acc : (string * string * string) list ref option;
 }
 
@@ -793,10 +791,6 @@ and ensure_source_ready t ~active table ~lo ~hi =
            state: nothing is emitted to the durability hook, so recovery
            refetches (and re-subscribes) instead of serving a frozen copy *)
         | Local -> Range_map.set present ~lo:plo ~hi:phi ()
-        | Resolved pairs ->
-          Obs.Counter.incr t.hot.resolver_fetch;
-          Range_map.set present ~lo:plo ~hi:phi ();
-          List.iter (fun (k, v) -> ignore (apply_put t k v)) pairs
         | Deferred -> (
           Obs.Counter.incr t.hot.resolver_deferred;
           (* collect mode: record the miss and keep scanning so one pass
@@ -1412,11 +1406,10 @@ let trace_scan t ~lo ~hi d =
     per fetch wave (fetched check rows name the value ranges to fetch
     next), but a region whose probe finds a miss is left untouched, so it
     materializes once, on the attempt that finds every source present,
-    and no cover built from absent data is torn down by the retry. With
-    [~may_defer:false] the scan never enters collect mode: a [Deferred]
-    resolver answer aborts at the first miss, for callers with no retry
-    loop above them. *)
-let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
+    and no cover built from absent data is torn down by the retry.
+    Collect mode is on exactly when a resolver is installed: with none,
+    nothing can be missing, and the probe walks it adds would be wasted. *)
+let scan_result ?limit t ~lo ~hi =
   Obs.Counter.incr t.hot.scans;
   let t0 = Obs.tick () in
   (* duration/size recording and tracing, skipped entirely when recording
@@ -1463,7 +1456,7 @@ let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
       if !Obs.enabled then trace_scan t ~lo ~hi (Obs.tock t0);
       `Missing ranges
     in
-    if may_defer then t.deferred_acc <- Some acc;
+    if Option.is_some t.resolver then t.deferred_acc <- Some acc;
     match
       Fun.protect ~finally:(fun () -> t.deferred_acc <- saved) (fun () ->
           validate_range t ~active:[] ~lo ~hi;
@@ -1507,11 +1500,9 @@ let scan_result ?limit ?(may_defer = true) t ~lo ~hi =
 
 (** Ordered scan of [\[lo, hi)], computing and freshening any overlapping
     cache-join output first. Thin wrapper over {!scan_result} for callers
-    that know every needed range is local or synchronously resolvable. *)
+    that know every needed range is present. *)
 let scan ?limit t ~lo ~hi =
-  (* blocking wrapper: no retry loop above, so let a blocking-fallback
-     resolver fetch inline rather than collecting deferrals *)
-  match scan_result ?limit ~may_defer:false t ~lo ~hi with
+  match scan_result ?limit t ~lo ~hi with
   | `Ok pairs -> pairs
   | `Missing ((table, flo, fhi) :: _) ->
     failwith (Printf.sprintf "Pequod.scan: unresolved fetch %s [%s, %s)" table flo fhi)

@@ -16,11 +16,12 @@ module Joinspec = Pequod_pattern.Joinspec
 
 type t
 
-(** Resolver answers for a missing base range (§3.3). *)
+(** Resolver answers for a missing base range (§3.3). The engine never
+    fetches: the host fetches a [Deferred] range itself, hands it in
+    through {!feed_base} and retries the scan. *)
 type resolve_result =
-  | Resolved of (string * string) list  (** pairs now available *)
-  | Deferred  (** fetch started (or failed); retry later via {!scan_result} *)
-  | Local  (** this table is not backed; treat as present *)
+  | Deferred  (** the host must fetch it; {!scan_result} reports it [`Missing] *)
+  | Local  (** this range is not backed elsewhere; treat as present *)
 
 type resolver = table:string -> lo:string -> hi:string -> resolve_result
 
@@ -78,8 +79,8 @@ val remove : t -> string -> unit
 val get : t -> string -> string option
 
 (** Every scan produces one of these: the ordered pairs, or the base
-    ranges ([table, lo, hi] triples) that must be fetched — via
-    {!feed_base} or a retried resolver — before the scan can complete.
+    ranges ([table, lo, hi] triples) that must be fetched and fed in
+    through {!feed_base} before the scan can complete.
     One pass collects {e every} missing range it can currently see (a
     check join fans out over all bound value ranges at once), in
     first-discovery order without duplicates, so an asynchronous host
@@ -101,15 +102,12 @@ type scan_result =
     (maintenance of the range still runs in full, so freshness
     bookkeeping is identical with and without a limit).
 
-    [may_defer] (default [true]) controls collect mode: with
-    [~may_defer:false] a [Deferred] resolver answer aborts the scan at
-    the first miss instead of being collected — for callers with no
-    retry loop above them. A resolver with no inline fetch answers
-    [Deferred] everywhere; an eager-check updater that meets it gives
-    its cover up, so the output range turns invalid and the next read
-    recomputes it, collecting the miss. *)
-val scan_result :
-  ?limit:int -> ?may_defer:bool -> t -> lo:string -> hi:string -> scan_result
+    A scan collects misses exactly when a resolver is installed; with
+    none, every range is present and the result is always [`Ok]. Outside
+    a scan, an eager-check updater ([lazy_checks = false]) that meets a
+    [Deferred] source gives its cover up, so the output range turns
+    invalid and the next read recomputes it, collecting the miss. *)
+val scan_result : ?limit:int -> t -> lo:string -> hi:string -> scan_result
 
 (** {!get} as a collect-mode scan of the one key: the value, or the base
     ranges to fetch before retrying, as in {!scan_result}. Unlike {!get}
@@ -119,8 +117,8 @@ val get_result :
   t -> string -> [ `Ok of string option | `Missing of (string * string * string) list ]
 
 (** Thin convenience wrapper over {!scan_result} for callers that know
-    every needed range is local or synchronously resolvable; fails on
-    [`Missing]. [limit] as in {!scan_result}. *)
+    every needed range is present; fails on [`Missing]. [limit] as in
+    {!scan_result}. *)
 val scan : ?limit:int -> t -> lo:string -> hi:string -> (string * string) list
 
 (** Hook consulted when a base range is first needed (§3.3): a database

@@ -30,41 +30,24 @@ let chunk_bounds ~nusers ~nhomes = Array.init (nhomes + 1) (fun h -> h * nusers 
 let home_of topo u = min (topo.nhomes - 1) (u * topo.nhomes / topo.nusers)
 let compute_of topo u = u mod topo.ncomputes
 
-(** [--partition] specs for one compute server: each home's user slice
-    of tables [s] and [p]; the first slice opens at [T|] and the last
-    closes at [T}] so the routes cover the whole table (a gap would
-    surface as [Deferred] scans). *)
-let partition_specs ~nusers ~home_addrs =
-  let nhomes = Array.length home_addrs in
-  let chunk = chunk_bounds ~nusers ~nhomes in
-  List.concat_map
-    (fun table ->
-      List.init nhomes (fun h ->
-          let lo =
-            if h = 0 then table ^ "|" else table ^ "|" ^ Social_graph.user_name chunk.(h)
-          in
-          let hi =
-            if h = nhomes - 1 then table ^ "}"
-            else table ^ "|" ^ Social_graph.user_name chunk.(h + 1)
-          in
-          Printf.sprintf "%s:%s:%s@%s" table lo hi home_addrs.(h)))
-    [ "s"; "p" ]
-
-(** The same placement as {!partition_specs}, as partition-directory
-    entries for a directory-mode cluster (seeded at epoch 1). *)
+(** The placement as partition-directory entries: each home's user
+    slice of tables [s] and [p]. The first slice opens at [T|] and the
+    last closes at [T}], so the entries cover the whole table (a gap
+    would surface as [Deferred] scans). A flag-routed compute gets them
+    as [--partition] specs, a directory-mode cluster as its epoch-1
+    directory. *)
 let directory_entries ~nusers ~home_addrs =
   let nhomes = Array.length home_addrs in
   let chunk = chunk_bounds ~nusers ~nhomes in
+  let bound table h =
+    if h = 0 then table ^ "|"
+    else if h = nhomes then table ^ "}"
+    else table ^ "|" ^ Social_graph.user_name chunk.(h)
+  in
   List.concat_map
     (fun table ->
       List.init nhomes (fun h ->
-          { Message.de_table = table;
-            de_lo =
-              (if h = 0 then table ^ "|"
-               else table ^ "|" ^ Social_graph.user_name chunk.(h));
-            de_hi =
-              (if h = nhomes - 1 then table ^ "}"
-               else table ^ "|" ^ Social_graph.user_name chunk.(h + 1));
+          { Message.de_table = table; de_lo = bound table h; de_hi = bound table (h + 1);
             de_home = home_addrs.(h); de_replicas = [] }))
     [ "s"; "p" ]
 
@@ -150,7 +133,7 @@ let shard_cuts ~nusers ~shards =
     With [~directory:true] the cluster is directory-routed instead of
     flag-routed: home 0 boots as the seed ([--dir-host], epoch 0), the
     other homes and every compute join it as [--directory] followers,
-    the harness pushes the {!partition_specs} placement as a
+    the harness pushes the {!directory_entries} placement as a
     [Dir_update] at epoch 1, and [start] returns only once every server
     reports epoch >= 1 over [Dir_get] — so a following migration (see
     [Coord] [migrate_mid_run]) starts from a converged directory. *)
@@ -243,7 +226,12 @@ let start ?server_exe ?memory_limit ?(shards = 0) ?(directory = false) ~nusers ~
   let home_addrs =
     Array.init nhomes (fun _ -> Printf.sprintf "127.0.0.1:%d" (boot [ "--port"; "0" ]))
   in
-  let specs = partition_specs ~nusers ~home_addrs in
+  let specs =
+    List.map
+      (fun (e : Message.dir_entry) ->
+        Printf.sprintf "%s:%s:%s@%s" e.de_table e.de_lo e.de_hi e.de_home)
+      (directory_entries ~nusers ~home_addrs)
+  in
   let compute_addrs =
     Array.init ncomputes (fun _ ->
         let args =

@@ -749,8 +749,6 @@ let apply_oneway t req =
   ignore (Message.apply_to_server t.engine req);
   Obs.Counter.incr t.m_notify_in;
   match req with
-  | Message.Notify_put (k, v) -> buffer_notify t k (Some v)
-  | Message.Notify_remove k -> buffer_notify t k None
   | Message.Notify_batch { items; _ } ->
     (* [apply_to_server] applies the items and records the stamp
        trailer, so the freshness promise lands with the data *)

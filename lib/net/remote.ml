@@ -12,43 +12,27 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 (* TABLE[:LO:HI][@HOST:PORT]; a bare TABLE covers the whole table,
    [T|, T}) in the repo's key order *)
-let parse_spec ~peers ~self_addr spec =
-  let body, addr =
+let parse_spec ~self_addr spec =
+  let body, home =
     match String.index_opt spec '@' with
-    | Some i ->
-      ( String.sub spec 0 i,
-        Some (String.sub spec (i + 1) (String.length spec - i - 1)) )
-    | None -> (spec, None)
+    | Some i -> (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
+    | None -> (spec, self_addr) (* a bare spec: this process is the home *)
   in
-  let home =
-    match (addr, peers) with
-    | Some a, _ -> Ok a
-    | None, [] -> Ok self_addr (* no peers: this process is the home *)
-    | None, [ p ] -> Ok p
-    | None, _ :: _ :: _ ->
-      Error
-        (Printf.sprintf
-           "partition %S: several --peer addresses; say which owns it with @HOST:PORT"
-           spec)
+  let entry de_table de_lo de_hi =
+    Ok { Message.de_table; de_lo; de_hi; de_home = home; de_replicas = [] }
   in
-  let entry de_table de_lo de_hi de_home =
-    Ok { Message.de_table; de_lo; de_hi; de_home; de_replicas = [] }
-  in
-  match home with
-  | Error _ as e -> e
-  | Ok home -> (
-    match String.split_on_char ':' body with
-    (* "*" is the directory's wildcard, whose bounds are component
-       space; a spec's bounds are key space *)
-    | "*" :: _ -> Error (Printf.sprintf "partition %S: \"*\" is not a table" spec)
-    | [ table ] when table <> "" -> entry table (table ^ "|") (table ^ "}") home
-    | [ table; lo; hi ] when table <> "" && String.compare lo hi < 0 -> entry table lo hi home
-    | _ -> Error (Printf.sprintf "partition %S: expected TABLE or TABLE:LO:HI" spec))
+  match String.split_on_char ':' body with
+  (* "*" is the directory's wildcard, whose bounds are component space; a
+     spec's bounds are key space *)
+  | "*" :: _ -> Error (Printf.sprintf "partition %S: \"*\" is not a table" spec)
+  | [ table ] when table <> "" -> entry table (table ^ "|") (table ^ "}")
+  | [ table; lo; hi ] when table <> "" && String.compare lo hi < 0 -> entry table lo hi
+  | _ -> Error (Printf.sprintf "partition %S: expected TABLE or TABLE:LO:HI" spec)
 
-let entries_of_specs ~peers ~self_addr specs =
+let entries_of_specs ~self_addr specs =
   List.fold_left
     (fun acc spec ->
-      match (acc, parse_spec ~peers ~self_addr spec) with
+      match (acc, parse_spec ~self_addr spec) with
       | (Error _ as e), _ -> e
       | _, (Error _ as e) -> e
       | Ok es, Ok e -> Ok (e :: es))

@@ -34,13 +34,12 @@
     counted in [peer.sub.lost]. *)
 
 (** Parse [--partition] specs, [TABLE\[:LO:HI\]\[@HOST:PORT\]], into
-    directory entries, against the [--peer] list: an explicit
-    [@HOST:PORT] wins; a bare spec is homed at the single [--peer] when
-    exactly one is given, at [self_addr] when none is, and is an error
-    (ambiguous) with several. A bare [TABLE] covers the whole table.
-    ["*"] is an error: it is the directory's wildcard, not a table. *)
+    directory entries: a spec names its home with [@HOST:PORT], and a
+    bare one is homed at [self_addr]. A bare [TABLE] covers the whole
+    table. ["*"] is an error: it is the directory's wildcard, not a
+    table. *)
 val entries_of_specs :
-  peers:string list -> self_addr:string -> string list ->
+  self_addr:string -> string list ->
   (Pequod_proto.Message.dir_entry list, string) result
 
 (** Route [server] by the partition directory [dir]: install [dir] as

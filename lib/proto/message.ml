@@ -24,7 +24,10 @@
     [Get_at]/[Scan_at] carry a minimum-stamp demand and may be refused
     with [Stale]; [Subscribed] gains the fed range's stamp and
     [Notify_batch] a stamp trailer, so fetched copies know their
-    version. *)
+    version. Later, still v3: the single-key push tags [0x07] (put)
+    and [0x08] (remove) are retired like [0x09] — every push is a
+    [Notify_batch], and no v3 sender ever emitted them, so the version
+    did not change. *)
 let protocol_version = 3
 
 (** One row of the partition directory: [table] keys in [[lo,hi)] live
@@ -57,8 +60,6 @@ type request =
   | Fetch of { table : string; lo : string; hi : string; subscriber : string }
       (* [subscriber] is the callback address the home server pushes
          notifications to after granting the subscription *)
-  | Notify_put of string * string
-  | Notify_remove of string
   | Notify_batch of {
       items : (string * string option) list;
           (* subscription traffic coalesced per flush: [Some v] is a
@@ -120,8 +121,8 @@ type response =
     ([rpc.get], [rpc.scan], ...), indexed by {!request_kind_index}. *)
 let request_kinds =
   [| "hello"; "get"; "put"; "remove"; "put_batch"; "scan"; "add_join"; "fetch";
-     "notify_put"; "notify_remove"; "notify_batch"; "sub_check"; "stats_full";
-     "dir_get"; "dir_watch"; "dir_update"; "migrate"; "get_at"; "scan_at" |]
+     "notify_batch"; "sub_check"; "stats_full"; "dir_get"; "dir_watch"; "dir_update";
+     "migrate"; "get_at"; "scan_at" |]
 
 let request_kind_index = function
   | Hello _ -> 0
@@ -132,24 +133,22 @@ let request_kind_index = function
   | Scan _ -> 5
   | Add_join _ -> 6
   | Fetch _ -> 7
-  | Notify_put _ -> 8
-  | Notify_remove _ -> 9
-  | Notify_batch _ -> 10
-  | Sub_check _ -> 11
-  | Stats_full -> 12
-  | Dir_get -> 13
-  | Dir_watch _ -> 14
-  | Dir_update _ -> 15
-  | Migrate _ -> 16
-  | Get_at _ -> 17
-  | Scan_at _ -> 18
+  | Notify_batch _ -> 8
+  | Sub_check _ -> 9
+  | Stats_full -> 10
+  | Dir_get -> 11
+  | Dir_watch _ -> 12
+  | Dir_update _ -> 13
+  | Migrate _ -> 14
+  | Get_at _ -> 15
+  | Scan_at _ -> 16
 
 (** One-way requests are applied without sending a response frame.
     Subscription pushes must be one-way: a home server that waited for
     an acknowledgement could deadlock against a compute server blocked
     in a synchronous [Fetch] back to it. *)
 let is_oneway = function
-  | Notify_put _ | Notify_remove _ | Notify_batch _ -> true
+  | Notify_batch _ -> true
   | Hello _ | Get _ | Put _ | Remove _ | Put_batch _ | Scan _ | Add_join _
   | Fetch _ | Sub_check _ | Stats_full | Dir_get | Dir_watch _ | Dir_update _
   | Migrate _ | Get_at _ | Scan_at _ ->
@@ -157,12 +156,12 @@ let is_oneway = function
 
 exception Protocol_error = Codec.Decode_error
 
-let retired tag what =
+(* A reserved tag: decoding it fails loudly, naming what replaced it. *)
+let retired tag what ~use =
   raise
     (Protocol_error
-       (Printf.sprintf
-          "tag %#x (%s) was retired in protocol v%d; use stats_full" tag what
-          protocol_version))
+       (Printf.sprintf "tag %#x (%s) is retired in protocol v%d; use %s" tag what
+          protocol_version use))
 
 let put_dir_entries buf entries =
   Codec.put_varint buf (List.length entries);
@@ -232,13 +231,6 @@ let encode_request req =
     Codec.put_string buf lo;
     Codec.put_string buf hi;
     Codec.put_string buf subscriber
-  | Notify_put (k, v) ->
-    Buffer.add_char buf '\x07';
-    Codec.put_string buf k;
-    Codec.put_string buf v
-  | Notify_remove k ->
-    Buffer.add_char buf '\x08';
-    Codec.put_string buf k
   | Stats_full -> Buffer.add_char buf '\x0a'
   | Put_batch pairs ->
     Buffer.add_char buf '\x0b';
@@ -307,12 +299,9 @@ let decode_request_r r =
       let hi = Codec.get_string r in
       let subscriber = Codec.get_string r in
       Fetch { table; lo; hi; subscriber }
-    | 0x07 ->
-      let k = Codec.get_string r in
-      let v = Codec.get_string r in
-      Notify_put (k, v)
-    | 0x08 -> Notify_remove (Codec.get_string r)
-    | 0x09 -> retired 0x09 "stats"
+    | 0x07 -> retired 0x07 "notify_put" ~use:"notify_batch"
+    | 0x08 -> retired 0x08 "notify_remove" ~use:"notify_batch"
+    | 0x09 -> retired 0x09 "stats" ~use:"stats_full"
     | 0x0a -> Stats_full
     | 0x0b -> Put_batch (Codec.get_pair_list r)
     | 0x0c ->
@@ -437,7 +426,7 @@ let decode_response data =
     | 0x82 -> Value None
     | 0x83 -> Value (Some (Codec.get_string r))
     | 0x84 -> Pairs (Codec.get_pair_list r)
-    | 0x85 -> retired 0x85 "stat_list"
+    | 0x85 -> retired 0x85 "stat_list" ~use:"metrics"
     | 0x86 -> Error (Codec.get_string r)
     | 0x87 ->
       let n = Codec.get_varint r in
@@ -513,11 +502,9 @@ let rec apply_to_server server req =
     Server.remove server k;
     Stamps (Server.stamps_for_keys server [ k ])
   | Scan { lo; hi } -> (
-    (* no retry loop above this call site (a host with no parking):
-       never enter collect mode, so a resolver that can fetch inline
-       does, instead of deferring to a parking continuation that does
-       not exist here *)
-    match Server.scan_result ~may_defer:false server ~lo ~hi with
+    (* no retry loop above this call site (a host with no parking): a
+       missing range is an error *)
+    match Server.scan_result server ~lo ~hi with
     | `Ok pairs -> Pairs pairs
     | `Missing ranges ->
       let (t, mlo, mhi) = List.hd ranges in
@@ -531,12 +518,6 @@ let rec apply_to_server server req =
   | Put_batch pairs ->
     Server.put_batch server pairs;
     Stamps (Server.stamps_for_keys server (List.map fst pairs))
-  | Notify_put (k, v) ->
-    Server.put server k v;
-    Done
-  | Notify_remove k ->
-    Server.remove server k;
-    Done
   | Notify_batch { items; stamps } ->
     (* apply in source-write order; consecutive puts take the engine's
        batched path *)

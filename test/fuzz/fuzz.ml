@@ -11,11 +11,8 @@
       snapshot, the Newp page, ...);
     - a {e variant} fixes the engine configuration (each §3/§4
       optimization toggled, subtables, eviction pressure, durability
-      with crash-recovery, remote mode, where a second in-process
-      engine plays the home server behind the resolver, or migrate
-      mode, where two home engines sit behind a mutable range directory
-      and slices of the live keyspace are periodically live-migrated
-      between them mid-sequence);
+      with crash-recovery) and the {!cluster} shape: homes, computes or
+      shards wired together through the shipped partition directory;
     - the op sequence is derived from one root seed via {!derive_seed},
       so every run, failure, and shrink is reproducible byte-for-byte.
 
@@ -36,6 +33,8 @@ module Shard = Pequod_server_lib.Shard
 module Net_server = Pequod_server_lib.Net_server
 module Directory = Pequod_server_lib.Directory
 module Remote = Pequod_server_lib.Remote
+module Message = Pequod_proto.Message
+module Joinspec = Pequod_pattern.Joinspec
 
 (* ------------------------------------------------------------------ *)
 (* Seed derivation                                                     *)
@@ -391,53 +390,58 @@ let scenarios =
 
 type persist_kind = No_persist | Persist_always of { snapshot_every : int }
 
+(** How a variant wires its engines. Every shape is [n] engines,
+    addressed ["0"] .. ["n-1"], behind one shipped {!Directory.t}: a
+    write applies at its {!Directory.write_home} and is pushed to every
+    engine subscribed to its key, each resolver answers from
+    {!Directory.plan}, and every read is pieced by
+    {!Directory.scan_route} (see [run_case]). *)
+type cluster =
+  | Single  (** one engine, an empty directory and no resolver *)
+  | Remote
+      (** engine 0 homes every base table, engine 1 is the compute under
+          test (§3.3). A push to a subscriber is lost on a seeded
+          schedule; the compute forgets that subscription and, before
+          the next compared read, heals it by a refetch through
+          [feed_base], as [Remote]'s heartbeat does *)
+  | Session
+      (** remote wiring with a {e lagged} push: subscribed writes land
+          on the home at once but queue toward the compute with the
+          stamp trailer their ack carried, released in random prefixes,
+          so the compute's copies are genuinely stale between flushes.
+          Every write folds its ack into a model session vector, and
+          every compared read demands it and catches up like
+          [serve_stamped]: drain the push, then refetch what is still
+          behind. A stamped read that serves stale data is a divergence *)
+  | Migrate
+      (** engines 0 and 1 are homes, engine 2 the compute. A periodic
+          event moves one table's live sub-range to the other home
+          ([Directory.assign]); reads must follow the directory, and the
+          compute's subscriptions survive the move (the Fetch handoff) *)
+  | Shards of int
+      (** the shard-per-core server: k engines, each owning a
+          component-space slice of every table ([Shard.directory]),
+          computing join outputs from fetched, subscription-fresh
+          sibling slices; reads enter at a rotating shard *)
+
 type variant = {
   va_name : string;
   va_tweak : Config.t -> unit;
   va_persist : persist_kind;
-  va_remote : bool;
-      (** a second plain engine plays the home server for every base
-          table; the engine under test resolves missing ranges from it
-          (§3.3), with writes forwarded only for subscribed ranges *)
-  va_migrate : bool;
-      (** remote mode with TWO home engines behind a mutable range
-          directory: a periodic migration event snapshot-copies part of
-          the live keyspace to the other home and flips the directory,
-          modelling live range migration — reads must follow the
-          directory only, and the compute side's subscriptions survive
-          the move (the Fetch handoff) *)
-  va_shards : int;
-      (** 0 = off; k >= 2 models the shard-per-core server: k engines,
-          each owning a component-space slice of every base table (the
-          wildcard directory [Shard.directory] builds), writes routed to
-          the owner and forwarded to subscribed siblings, sink tables
-          computed by whichever engine serves the scan from fetched,
-          subscription-fresh source slices *)
+  va_cluster : cluster;
   va_async_feed : bool;
-      (** remote mode driven like the asynchronous read path: each
-          [`Missing] round feeds a random nonempty subset of the
-          reported ranges, in a random order, before retrying — the
-          fetch completions of a parked scan land in arbitrary order,
-          and a dropped range models a failed fetch the retry reissues.
-          Convergence to the same transcript as the in-order feed is
-          exactly the §3.3 restart property the net layer relies on *)
-  va_session : bool;
-      (** remote mode with a {e lagged} push: subscribed writes land on
-          the home immediately but queue toward the compute with the
-          stamp trailer their ack carried, released in random prefixes —
-          so the compute's copies are genuinely stale between flushes.
-          Every write folds its ack into a model session vector, every
-          compared read demands that vector and, when the compute's
-          recorded stamps fall short, catches up exactly like
-          [serve_stamped]: drain the push, then refetch what is still
-          behind. The oracle is always fresh, so a stamped read that
-          serves stale data despite the demand is a divergence *)
+      (** a missing set is fed like the asynchronous read path: a random
+          nonempty subset of the reported ranges, in a random order,
+          before retrying. Fetch completions land in arbitrary order,
+          and a dropped range models a failed fetch the retry reissues:
+          the §3.3 restart property the net layer relies on *)
 }
 
 let base_variant =
-  { va_name = ""; va_tweak = (fun _ -> ()); va_persist = No_persist;
-    va_remote = false; va_migrate = false; va_shards = 0; va_async_feed = false;
-    va_session = false }
+  { va_name = ""; va_tweak = (fun _ -> ()); va_persist = No_persist; va_cluster = Single;
+    va_async_feed = false }
+
+let evict c = c.Config.memory_limit <- Some 8192
 
 let variants =
   [| { base_variant with va_name = "default" };
@@ -453,40 +457,29 @@ let variants =
        va_tweak = (fun c -> c.Config.pending_log_limit <- 1) };
      { base_variant with va_name = "subtables";
        va_tweak = (fun c -> c.Config.table_config <- (fun _ -> Some 2)) };
-     { base_variant with va_name = "evict";
-       va_tweak = (fun c -> c.Config.memory_limit <- Some 8192) };
+     { base_variant with va_name = "evict"; va_tweak = evict };
      { base_variant with va_name = "evict-no-combine";
        va_tweak =
          (fun c ->
-           c.Config.memory_limit <- Some 8192;
+           evict c;
            c.Config.combine_updaters <- false) };
      { base_variant with va_name = "persist";
        va_persist = Persist_always { snapshot_every = 0 } };
      { base_variant with va_name = "persist-snap";
        va_persist = Persist_always { snapshot_every = 7 } };
-     { base_variant with va_name = "remote"; va_remote = true };
-     { base_variant with va_name = "remote-evict";
-       va_tweak = (fun c -> c.Config.memory_limit <- Some 8192);
-       va_remote = true };
-     { base_variant with va_name = "remote-async";
-       va_remote = true; va_async_feed = true };
-     { base_variant with va_name = "remote-async-evict";
-       va_tweak = (fun c -> c.Config.memory_limit <- Some 8192);
-       va_remote = true; va_async_feed = true };
-     { base_variant with va_name = "session";
-       va_remote = true; va_session = true };
-     { base_variant with va_name = "session-evict";
-       va_tweak = (fun c -> c.Config.memory_limit <- Some 8192);
-       va_remote = true; va_session = true };
-     { base_variant with va_name = "migrate"; va_migrate = true };
-     { base_variant with va_name = "migrate-evict";
-       va_tweak = (fun c -> c.Config.memory_limit <- Some 8192);
-       va_migrate = true };
-     { base_variant with va_name = "shards-2"; va_shards = 2 };
-     { base_variant with va_name = "shards-3"; va_shards = 3 };
-     { base_variant with va_name = "shards-2-evict";
-       va_tweak = (fun c -> c.Config.memory_limit <- Some 8192);
-       va_shards = 2 } |]
+     { base_variant with va_name = "remote"; va_cluster = Remote };
+     { base_variant with va_name = "remote-evict"; va_tweak = evict; va_cluster = Remote };
+     { base_variant with va_name = "remote-async"; va_cluster = Remote; va_async_feed = true };
+     { base_variant with va_name = "remote-async-evict"; va_tweak = evict;
+       va_cluster = Remote; va_async_feed = true };
+     { base_variant with va_name = "session"; va_cluster = Session };
+     { base_variant with va_name = "session-evict"; va_tweak = evict; va_cluster = Session };
+     { base_variant with va_name = "migrate"; va_cluster = Migrate };
+     { base_variant with va_name = "migrate-evict"; va_tweak = evict; va_cluster = Migrate };
+     { base_variant with va_name = "shards-2"; va_cluster = Shards 2 };
+     { base_variant with va_name = "shards-3"; va_cluster = Shards 3 };
+     { base_variant with va_name = "shards-2-evict"; va_tweak = evict;
+       va_cluster = Shards 2 } |]
 
 let find_scenario name = Array.find_opt (fun s -> s.sc_name = name) scenarios
 let find_variant name = Array.find_opt (fun v -> v.va_name = name) variants
@@ -502,6 +495,17 @@ exception Case_failed of failure
 let stat_cases = ref 0
 let stat_ops = ref 0
 let stat_compares = ref 0
+
+(* how often each cluster mechanism fired, cumulative likewise: ranges
+   fed, feeds of a range the session gate found behind, lagged pushes
+   released, directory flips, scan pieces served by another engine than
+   the one read, lost subscriptions healed *)
+let stat_feeds = ref 0
+let stat_refetches = ref 0
+let stat_released = ref 0
+let stat_flips = ref 0
+let stat_forwarded = ref 0
+let stat_heals = ref 0
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -541,6 +545,18 @@ let first_diff got want =
   in
   go 0 got want
 
+(* the tables a scenario writes: every join source no join outputs *)
+let base_tables scenario =
+  let specs =
+    List.filter_map
+      (fun text -> Result.to_option (Joinspec.parse text))
+      (scenario.sc_joins @ scenario.sc_extra)
+  in
+  let outputs = List.map Joinspec.output_table specs in
+  List.filter
+    (fun t -> not (List.mem t outputs))
+    (List.sort_uniq String.compare (List.concat_map Joinspec.source_tables specs))
+
 (** Run one (scenario, variant, ops) case from scratch. [Ok ()] when
     every compared read agreed, every invariant held, and the final
     whole-keyspace scan matched; [Error f] pinpoints the first bad
@@ -551,420 +567,298 @@ let run_case scenario variant ops =
   let config = Config.default () in
   variant.va_tweak config;
   config.Config.now <- (fun () -> !clock);
-  let dir =
+  let data_dir =
     match variant.va_persist with
     | No_persist -> None
     | Persist_always _ -> Some (fresh_dir ~prefix:"pequod-fuzz" ())
   in
-  let server = ref (Server.create ~config ()) in
-  let persist = ref None in
-  let attach () =
-    match (variant.va_persist, dir) with
-    | Persist_always { snapshot_every }, Some d ->
-      let p = Config.default_persist ~dir:d in
-      p.Config.p_sync <- Config.Sync_always;
-      p.Config.p_snapshot_every <- snapshot_every;
-      p.Config.p_wal_max_bytes <- 1 lsl 20;
-      persist := Some (Persist.attach !server p)
-    | _ -> persist := None
-  in
-  let oracle = Oracle.create () in
   let step = ref (-1) in
   let fail fmt =
     Printf.ksprintf
       (fun reason -> raise (Case_failed { f_step = !step; f_reason = reason }))
       fmt
   in
-  (* shard mode: [va_shards] sibling engines each own a disjoint
-     component-space slice of every table — the shard layer's wildcard
-     directory, modelled in-process and synchronously, with engine [j]
-     homed at address ["j"]. Each engine's resolver plans missing source
-     ranges against the directory ([Directory.plan]) and serves them from
-     the sibling stores, clamped to each sibling's slice; a range inside
-     the engine's own slice — and any join-output table, which every
-     shard recomputes from subscription-fresh sources — is Local, which
-     terminates the recursion (sibling scans are always slice-clamped,
-     so they resolve Local on the sibling). Every resolved range is a
-     subscription: writes land on the home and are forwarded to
-     subscribed siblings, modelling the Notify push. Owners, scan cuts
-     and spreads come from the real [Directory] built by
-     [Shard.directory], so the fuzzer exercises the shipped routing. *)
-  let shards_arr =
-    if variant.va_shards < 2 then None
-    else begin
+  let cluster = variant.va_cluster in
+  let n = match cluster with Single -> 1 | Remote | Session -> 2 | Migrate -> 3 | Shards k -> k in
+  let engs = Array.init n (fun _ -> Server.create ~config ()) in
+  let persist = ref None in
+  let attach () =
+    match (variant.va_persist, data_dir) with
+    | Persist_always { snapshot_every }, Some d ->
+      let p = Config.default_persist ~dir:d in
+      p.Config.p_sync <- Config.Sync_always;
+      p.Config.p_snapshot_every <- snapshot_every;
+      p.Config.p_wal_max_bytes <- 1 lsl 20;
+      persist := Some (Persist.attach engs.(0) p)
+    | _ -> persist := None
+  in
+  let oracle = Oracle.create () in
+  let addr = string_of_int and idx = int_of_string in
+  (* clients talk to the last engine (the compute); shards rotate reads *)
+  let client = n - 1 in
+  let tables = base_tables scenario in
+  let dir =
+    match cluster with
+    | Single -> Directory.create ()
+    | Shards k ->
       (* component-space cuts sized to the generators' vocabulary:
          users ann..dee, digit-led timestamps, voters x/y/z *)
-      let cuts = match variant.va_shards with 2 -> [ "c" ] | _ -> [ "b"; "d" ] in
-      let homes = List.init variant.va_shards string_of_int in
-      Some
-        ( Array.init variant.va_shards (fun _ -> Server.create ~config ()),
-          Shard.directory ~cuts ~homes )
-    end
+      Shard.directory ~cuts:(if k = 2 then [ "c" ] else [ "b"; "d" ]) ~homes:(List.init k addr)
+    | Remote | Session | Migrate -> (
+      (* one bare [--partition] spec per base table, homed at engine 0 *)
+      let d = Directory.create () in
+      match
+        Result.bind (Remote.entries_of_specs ~self_addr:"0" tables) (fun entries ->
+            Directory.install d ~epoch:1 ~entries)
+      with
+      | Ok () -> d
+      | Error msg -> fail "directory rejected: %s" msg)
   in
-  let owner dir k =
-    match Directory.home_of dir ~key:k with
-    | Some h -> int_of_string h
-    | None -> fail "shard directory does not cover %S" k
+  let entries () = Directory.entries dir in
+  let plan j ~table ~lo ~hi =
+    Directory.plan ~self:(addr j)
+      ~outputs:(List.map Joinspec.output_table (Server.joins engs.(j)))
+      (entries ()) ~table ~lo ~hi
   in
-  let shard_subs =
-    match shards_arr with
-    | None -> [||]
-    | Some (arr, _) -> Array.map (fun _ -> ref []) arr
-  in
-  let shard_subscribed j k =
-    List.exists
-      (fun (lo, hi) -> String.compare lo k <= 0 && String.compare k hi < 0)
-      !(shard_subs.(j))
-  in
-  (match shards_arr with
-  | None -> ()
-  | Some (arr, dir) ->
+  if cluster <> Single then
     Array.iteri
-      (fun k _ ->
-        Server.set_resolver arr.(k) (fun ~table ~lo ~hi ->
-            match
-              Directory.plan ~self:(string_of_int k)
-                ~outputs:(List.map Pequod_pattern.Joinspec.output_table (Server.joins arr.(k)))
-                (Directory.entries dir) ~table ~lo ~hi
-            with
+      (fun j eng ->
+        Server.set_resolver eng (fun ~table ~lo ~hi ->
+            match plan j ~table ~lo ~hi with
             | `Unrouted | `Fetch [] -> Server.Local
-            | `Gap -> fail "shard directory leaves a gap in %s[%S, %S)" table lo hi
-            | `Fetch clamps ->
-              shard_subs.(k) := (lo, hi) :: !(shard_subs.(k));
-              (* [Resolved] pairs are applied additively over the
-                 range, so the engine's own slice survives the feed *)
-              Server.Resolved
-                (List.concat_map
-                   (fun ((e : Pequod_proto.Message.dir_entry), clo, chi) ->
-                     Server.scan arr.(int_of_string e.de_home) ~lo:clo ~hi:chi)
-                   clamps)))
-      arr);
+            | `Fetch _ -> Server.Deferred
+            | `Gap -> fail "the directory leaves a gap in %s[%S, %S)" table lo hi))
+      engs;
+  let home_of k =
+    match Directory.write_home (entries ()) ~self:(addr client) ~key:k with
+    | Some h -> idx h
+    | None -> client
+  in
   let install_join text =
-    let on_engine srv =
-      match Server.add_join_text srv text with
-      | Ok () -> ()
-      | Error msg -> fail "engine rejected join %S: %s" text msg
-    in
-    (match shards_arr with
-    | Some (arr, _) -> Array.iter on_engine arr
-    | None -> on_engine !server);
+    Array.iter
+      (fun eng ->
+        match Server.add_join_text eng text with
+        | Ok () -> ()
+        | Error msg -> fail "engine rejected join %S: %s" text msg)
+      engs;
     match Oracle.add_join_text oracle text with
     | Ok () -> ()
     | Error msg -> fail "oracle rejected join %S: %s" text msg
   in
-  (* remote/migrate modes: [homes] are the home servers for every base
-     table — one in remote mode, two behind a mutable range directory in
-     migrate mode — and the engine under test is the compute side. Its
-     resolver alternates between the synchronous fast path (Resolved, as
-     over a healthy TCP peer) and Deferred, which forces the read loop
-     below through the feed_base-and-retry restart path (§3.3). Every
-     resolved range is a subscription: later writes land on the home
-     first and are forwarded only when subscribed, modelling the Notify
-     push (which in migrate mode also models the Fetch handoff — the
-     subscription keeps delivering across a move). *)
-  let homes =
-    if variant.va_remote then Some [| Server.create () |]
-    else if variant.va_migrate then Some [| Server.create (); Server.create () |]
-    else None
+  (* subs.(j): the (table, lo, hi) clamps engine [j] fetched, each a
+     subscription that receives later writes to its keys *)
+  let subs = Array.map (fun _ -> ref []) engs in
+  let subscribed j k = List.exists (fun (_, lo, hi) -> Strkey.in_range ~lo ~hi k) !(subs.(j)) in
+  (* a push reaches its subscriber as one [Notify_batch], applied
+     through the shipped one-way path (items, then the stamp trailer) *)
+  let deliver (j, items, stamps) =
+    ignore (Message.apply_to_server engs.(j) (Message.Notify_batch { items; stamps }))
   in
-  (* the model directory: sorted boundaries, entry (lo, j) homes keys in
-     [lo, next boundary) at homes.(j); everything starts at home 0 *)
-  let dirb = ref [ ("", 0) ] in
-  let dir_segments lo hi =
-    let rec go = function
-      | [] -> []
-      | (slo, j) :: rest ->
-        let shi = match rest with (nlo, _) :: _ -> nlo | [] -> "\xff" in
-        let clo = if String.compare lo slo > 0 then lo else slo in
-        let chi = if String.compare hi shi < 0 then hi else shi in
-        if String.compare clo chi < 0 then (clo, chi, j) :: go rest else go rest
-    in
-    go !dirb
-  in
-  let home_of k =
-    List.fold_left
-      (fun acc (slo, j) -> if String.compare slo k <= 0 then j else acc)
-      0 !dirb
-  in
-  let home_scan lo hi =
-    match homes with
-    | None -> []
-    | Some arr ->
-      List.concat_map
-        (fun (clo, chi, j) -> Server.scan arr.(j) ~lo:clo ~hi:chi)
-        (dir_segments lo hi)
-  in
-  let home_put k v =
-    match homes with Some arr -> Server.put arr.(home_of k) k v | None -> ()
-  in
-  let home_remove k =
-    match homes with Some arr -> Server.remove arr.(home_of k) k | None -> ()
-  in
-  (* split like the net layer's dispatch: each home sees, in argument
-     order, exactly the pairs the directory routes to it *)
-  let home_put_batch pairs =
-    match homes with
-    | None -> ()
-    | Some arr ->
-      Array.iteri
-        (fun j eng ->
-          match List.filter (fun (k, _) -> home_of k = j) pairs with
-          | [] -> ()
-          | mine -> Server.put_batch eng mine)
-        arr
-  in
-  (* migrate mode: hand a slice of the live keyspace to the other home —
-     snapshot-copy through ordinary writes (the Notify_batch feed), flip
-     the directory, then clear the source's copy (the real server
-     unmarks presence; the model deletes so every pair lives at exactly
-     one home and a later migration back cannot resurrect stale data) *)
-  let migrations = ref 0 in
-  let dir_assign lo hi dest =
-    let hi_home = home_of hi in
-    let before = List.filter (fun (slo, _) -> String.compare slo lo < 0) !dirb in
-    let after = List.filter (fun (slo, _) -> String.compare slo hi > 0) !dirb in
-    dirb :=
-      before
-      @ (lo, dest)
-        :: (if String.compare hi "\xfe" >= 0 then [] else (hi, hi_home) :: after)
-  in
-  let migrate_event () =
-    match homes with
-    | Some arr when Array.length arr = 2 ->
-      let live = home_scan "" "\xfe" in
-      let n = List.length live in
-      if n >= 2 then begin
-        incr migrations;
-        (* alternate between handing off the tail and a middle slice *)
-        let lo, hi =
-          if !migrations mod 2 = 1 then (fst (List.nth live (n / 2)), "\xfe")
-          else (fst (List.nth live (n / 4)), fst (List.nth live (3 * n / 4)))
-        in
-        if String.compare lo hi < 0 then begin
-          let dest = 1 - home_of lo in
-          let sources = dir_segments lo hi in
-          List.iter
-            (fun (clo, chi, j) ->
-              if j <> dest then
-                List.iter
-                  (fun (k, v) -> Server.put arr.(dest) k v)
-                  (Server.scan arr.(j) ~lo:clo ~hi:chi))
-            sources;
-          dir_assign lo hi dest;
-          List.iter
-            (fun (clo, chi, j) ->
-              if j <> dest then
-                List.iter
-                  (fun (k, _) -> Server.remove arr.(j) k)
-                  (Server.scan arr.(j) ~lo:clo ~hi:chi))
-            sources
-        end
-      end
-    | _ -> ()
-  in
-  let subs = ref [] in
-  let defer_next = ref false in
-  (match homes with
-  | None -> ()
-  | Some _ ->
-    Server.set_resolver !server (fun ~table:_ ~lo ~hi ->
-        subs := (lo, hi) :: !subs;
-        defer_next := not !defer_next;
-        (* session mode resolves everything through the feed loop below,
-           which models the FIFO fetch (drain the queued push first) and
-           records the fetched range's stamp — a synchronous Resolved
-           would bypass both *)
-        if !defer_next || variant.va_session then Server.Deferred
-        else Server.Resolved (home_scan lo hi)))
-  ;
-  let subscribed k =
-    List.exists
-      (fun (lo, hi) -> String.compare lo k <= 0 && String.compare k hi < 0)
-      !subs
-  in
-  let table_of k =
-    match String.index_opt k '|' with Some i -> String.sub k 0 i | None -> k
-  in
-  (* session mode: the push lags. A subscribed write queues here with
-     the stamp entries its ack carried instead of being applied to the
-     compute immediately; [session_lag] releases random prefixes, so
-     between flushes the compute's subscribed copies are genuinely
-     behind the home. Flushing an item applies the pair AND records its
-     stamp trailer, mirroring [Notify_batch]'s stamps — so the
-     compute's recorded stamps measure exactly how far the push has
-     caught up, which is what [stamp_unsatisfied] gates on. *)
-  let session_vec : (string * string * string, int) Hashtbl.t = Hashtbl.create 32 in
-  let session_fold entries =
-    List.iter
-      (fun (t, slo, shi, s) ->
-        let key = (t, slo, shi) in
-        match Hashtbl.find_opt session_vec key with
-        | Some s' when s' >= s -> ()
-        | _ -> Hashtbl.replace session_vec key s)
-      entries
-  in
-  let push_q :
-      ((string * string option) list * (string * string * string * int) list) Queue.t =
-    Queue.create ()
-  in
-  let session_flush n =
-    for _ = 1 to n do
-      match Queue.take_opt push_q with
-      | None -> ()
-      | Some (items, stamps) ->
-        List.iter
-          (fun (k, v) ->
-            match v with
-            | Some v -> Server.put !server k v
-            | None -> Server.remove !server k)
-          items;
-        List.iter
-          (fun (t, slo, shi, s) ->
-            Server.set_range_stamp !server ~table:t ~lo:slo ~hi:shi s)
-          stamps
+  (* session mode: pushes queue here, released in prefixes *)
+  let push_q = Queue.create () in
+  (* the ranges the last session gate found behind the demand *)
+  let behind = ref [] in
+  let release k =
+    for _ = 1 to k do
+      Option.iter (fun p -> incr stat_released; deliver p) (Queue.take_opt push_q)
     done
   in
-  (* every session write: the home applies it at once (it is the
-     authority), the ack's stamp entries fold into the session vector,
-     and the subscribed keys queue as ONE push item — a batch is
-     delivered as a single [Notify_batch] with one stamp trailer, never
-     split, so duplicate keys inside it cannot be observed mid-batch *)
-  let session_write items =
-    match homes with
-    | None -> ()
-    | Some arr ->
-      let stamped =
-        List.map
-          (fun (k, v) -> ((k, v), Server.stamps_for_keys arr.(home_of k) [ k ]))
-          items
-      in
-      List.iter (fun (_, s) -> session_fold s) stamped;
-      (match List.filter (fun ((k, _), _) -> subscribed k) stamped with
-      | [] -> ()
-      | fwd -> Queue.add (List.map fst fwd, List.concat_map snd fwd) push_q)
-  in
-  (* a fetched copy records the owner's stamp over the fetched range,
-     like [Remote.Fetcher] (the replica-warming fix); and because the
-     home's connection is FIFO, a fetch response is ordered after every
-     notify already emitted — so the queued push drains first *)
-  let session_feed table mlo mhi =
-    session_flush (Queue.length push_q);
-    Server.feed_base !server ~table ~lo:mlo ~hi:mhi (home_scan mlo mhi);
-    match homes with
-    | None -> ()
-    | Some arr ->
+  (* Fetch missing [\[lo, hi)] into engine [j], as [Remote.Fetcher] does:
+     plan it, and feed each clamp the owner's snapshot through
+     [feed_base], recording the owner's stamp and subscribing. The
+     owner's connection is FIFO, so the snapshot lands after every push
+     already queued. *)
+  let fetch j (table, lo, hi) =
+    release (Queue.length push_q);
+    match plan j ~table ~lo ~hi with
+    | `Unrouted | `Fetch [] -> () (* nothing remote: the retry resolves it Local *)
+    | `Gap -> fail "the directory leaves a gap in %s[%S, %S)" table lo hi
+    | `Fetch clamps ->
       List.iter
-        (fun (clo, chi, j) ->
-          let s = Server.range_stamp arr.(j) ~table ~lo:clo ~hi:chi in
-          if s > 0 then Server.set_range_stamp !server ~table ~lo:clo ~hi:chi s)
-        (dir_segments mlo mhi)
+        (fun ((e : Message.dir_entry), clo, chi) ->
+          let home = engs.(idx e.de_home) in
+          Server.feed_base engs.(j) ~table ~lo:clo ~hi:chi (Server.scan home ~lo:clo ~hi:chi);
+          Server.set_range_stamp engs.(j) ~table ~lo:clo ~hi:chi
+            (Server.range_stamp home ~table ~lo:clo ~hi:chi);
+          incr stat_feeds;
+          if List.exists (fun (t, slo, shi) -> t = table && slo < chi && clo < shi) !behind
+          then incr stat_refetches;
+          subs.(j) := (table, clo, chi) :: !(subs.(j)))
+        clamps
+  in
+  (* remote mode: subscriptions a lost push dropped, healed before the
+     next compared read like [Remote]'s heartbeat (a refetch) *)
+  let lost = ref [] in
+  let heal () =
+    List.iter (fun (j, r) -> incr stat_heals; fetch j r) (List.rev !lost);
+    lost := []
+  in
+  (* deterministic loss schedule, seeded from the step and subscriber
+     alone, so a shrunk repro loses the same pushes *)
+  let push_lost j = Rng.int (Rng.create (Hashtbl.hash ("push-loss", !step, j))) 4 = 0 in
+  let session_vec : (string * string * string, int) Hashtbl.t = Hashtbl.create 32 in
+  let session_fold =
+    List.iter (fun (t, lo, hi, s) ->
+        if s > Option.value ~default:0 (Hashtbl.find_opt session_vec (t, lo, hi)) then
+          Hashtbl.replace session_vec (t, lo, hi) s)
+  in
+  (* one client write's push: every subscriber of one of its keys gets
+     those items as ONE batch, never split, with the ack's stamp entries
+     as its trailer (session mode folds every ack into the vector) *)
+  let push items =
+    let stamped =
+      List.map (fun ((k, _) as item) -> (item, Server.stamps_for_keys engs.(home_of k) [ k ])) items
+    in
+    if cluster = Session then List.iter (fun (_, s) -> session_fold s) stamped;
+    Array.iteri
+      (fun j _ ->
+        match List.filter (fun ((k, _), _) -> subscribed j k) stamped with
+        | [] -> ()
+        | fwd ->
+          let p = (j, List.map fst fwd, List.concat_map snd fwd) in
+          if cluster = Session then Queue.add p push_q
+          else if cluster = Remote && push_lost j then begin
+            let hit, kept =
+              List.partition
+                (fun (_, lo, hi) -> List.exists (fun ((k, _), _) -> Strkey.in_range ~lo ~hi k) fwd)
+                !(subs.(j))
+            in
+            subs.(j) := kept;
+            lost := List.map (fun r -> (j, r)) hit @ !lost
+          end
+          else deliver p)
+      engs
   in
   (* the read-side gate, mirroring [Net_server.serve_stamped]: demand
      the session's whole vector; if the compute's copies are behind,
      drain the push (the parked read's pump), then unmark whatever is
-     still short so the converge loop refetches it fresh from the home *)
+     still short so the read refetches it fresh from the home *)
   let session_gate () =
     let demand =
       Hashtbl.fold (fun (t, slo, shi) s acc -> (t, slo, shi, s) :: acc) session_vec []
     in
-    if demand <> [] then
-      match Server.stamp_unsatisfied !server demand with
-      | [] -> ()
-      | _ ->
-        session_flush (Queue.length push_q);
-        List.iter
-          (fun (t, ulo, uhi, _) ->
-            Server.unmark_present !server ~table:t ~lo:ulo ~hi:uhi)
-          (Server.stamp_unsatisfied !server demand)
+    if demand <> [] && Server.stamp_unsatisfied engs.(client) demand <> [] then begin
+      release (Queue.length push_q);
+      behind := List.map (fun (t, lo, hi, _) -> (t, lo, hi)) (Server.stamp_unsatisfied engs.(client) demand);
+      List.iter (fun (t, lo, hi) -> Server.unmark_present engs.(client) ~table:t ~lo ~hi) !behind
+    end
   in
   (* deterministic lag schedule: after op [i], maybe release a random
-     prefix of the queued push — seeded from the step index alone, so a
-     shrunk repro replays the exact same flush pattern *)
+     prefix of the queued push, seeded from the step index alone *)
   let session_lag i =
     let rng = Rng.create (Hashtbl.hash ("session-lag", i)) in
-    if Rng.int rng 2 = 0 then session_flush (Rng.int rng (Queue.length push_q + 1))
+    if Rng.int rng 2 = 0 then release (Rng.int rng (Queue.length push_q + 1))
   in
+  (* migrate mode: move one table's live sub-range, inside one home's
+     entry, to the other home as [Migrate] does: copy it to the
+     destination, flip the directory with [Directory.assign], delete it
+     at the source (the real server unmarks presence; deleting keeps
+     every pair at exactly one home, so a later move back cannot
+     resurrect stale data) *)
+  let migrations = ref 0 in
+  let migrate_event () =
+    let live t =
+      List.concat_map
+        (fun (e : Message.dir_entry) -> Server.scan engs.(idx e.de_home) ~lo:e.de_lo ~hi:e.de_hi)
+        (Directory.for_table (entries ()) ~table:t)
+    in
+    let nt = List.length tables in
+    match
+      List.find_map
+        (fun i ->
+          let t = List.nth tables ((!migrations + i) mod nt) in
+          match live t with _ :: _ :: _ as l -> Some (t, l) | _ -> None)
+        (List.init nt Fun.id)
+    with
+    | None -> ()
+    | Some (table, live) -> (
+      incr migrations;
+      let k = List.length live in
+      (* alternate between handing off the tail and a middle slice *)
+      let lo, hi =
+        if !migrations mod 2 = 1 then (fst (List.nth live (k / 2)), table ^ "}")
+        else (fst (List.nth live (k / 4)), fst (List.nth live (3 * k / 4)))
+      in
+      match
+        List.find_opt
+          (fun (e : Message.dir_entry) -> Strkey.in_range ~lo:e.de_lo ~hi:e.de_hi lo)
+          (Directory.for_table (entries ()) ~table)
+      with
+      | None -> fail "the directory does not cover %S" lo
+      | Some e ->
+        let hi = if String.compare e.de_hi hi < 0 then e.de_hi else hi in
+        if String.compare lo hi < 0 then begin
+          let src = idx e.de_home in
+          let dest = 1 - src in
+          let moving = Server.scan engs.(src) ~lo ~hi in
+          if moving <> [] then Server.put_batch engs.(dest) moving;
+          (match Directory.assign (entries ()) ~table ~lo ~hi ~home:(addr dest) with
+          | Error msg -> fail "migration of %s[%S, %S) refused: %s" table lo hi msg
+          | Ok es -> (
+            match Directory.install dir ~epoch:(Directory.epoch dir + 1) ~entries:es with
+            | Ok () -> ()
+            | Error msg -> fail "flipped directory rejected: %s" msg));
+          List.iter (fun (key, _) -> Server.remove engs.(src) key) moving;
+          incr stat_flips
+        end)
+  in
+  (* one routed piece served at engine [j] like a parked read: scan,
+     fetch whatever it reports missing, retry *)
+  let max_attempts = if variant.va_async_feed then 64 else 32 in
+  let serve j lo hi =
+    let rec converge attempts =
+      match Server.scan_result engs.(j) ~lo ~hi with
+      | `Ok pairs -> pairs
+      | `Missing ranges ->
+        if attempts >= max_attempts then
+          fail "scan [%S, %S) at %d still missing ranges after %d feeds" lo hi j attempts;
+        let to_feed =
+          if not variant.va_async_feed then ranges
+          else begin
+            (* seeded from the read's identity so a repro replays *)
+            let rng = Rng.create (Hashtbl.hash (lo, hi, attempts, !stat_compares)) in
+            let arr = Array.of_list ranges in
+            for i = Array.length arr - 1 downto 1 do
+              let r = Rng.int rng (i + 1) in
+              let t = arr.(i) in
+              arr.(i) <- arr.(r);
+              arr.(r) <- t
+            done;
+            Array.to_list (Array.sub arr 0 (1 + Rng.int rng (Array.length arr)))
+          end
+        in
+        List.iter (fetch j) to_feed;
+        converge (attempts + 1)
+    in
+    converge 0
+  in
+  (* a client read, as the net layer routes it: the engine read splits
+     it with [Directory.scan_route], each piece is served where it is
+     routed, and the answers merge in piece order through the shipped
+     dedup *)
   let scan_rr = ref 0 in
-  let engine_scan lo hi =
-    match shards_arr with
-    | Some (arr, dir) -> (
-      let n = Array.length arr in
-      (* the net layer's routing: a rotating shard receives the scan
-         (so successive reads exercise different fetch/subscription
-         states) as a client request, and [Directory.scan_route] splits
-         it; each piece is served where it is routed, and the answers
-         merge in piece order through the shipped dedup *)
-      let s = !scan_rr mod n in
-      incr scan_rr;
-      List.fold_left
-        (fun acc (route, slo, shi) ->
-          let j =
-            match route with
-            | Directory.Forward (home :: _) -> int_of_string home
-            | _ -> s
-          in
-          Net_server.merge_dedup acc (Server.scan arr.(j) ~lo:slo ~hi:shi))
-        []
-        (Directory.scan_route (Directory.entries dir) ~self:(string_of_int s) ~spread:true ~lo
-           ~hi))
-    | None -> (
-    match homes with
-    | None -> Server.scan !server ~lo ~hi
-    | Some _ ->
-      let max_attempts = if variant.va_async_feed then 64 else 32 in
-      let rec converge attempts =
-        match Server.scan_result !server ~lo ~hi with
-        | `Ok pairs -> pairs
-        | `Missing ranges ->
-          if attempts >= max_attempts then
-            fail "remote scan [%S, %S) still missing ranges after %d feeds" lo hi attempts;
-          let to_feed =
-            if not variant.va_async_feed then ranges
-            else begin
-              (* async-feed modelling: a parked scan's fetches complete
-                 in arbitrary order, and some fail — feed a random
-                 nonempty subset of the missing set, shuffled, and let
-                 the retry reissue the rest. Seeded from the read's
-                 identity so a repro file replays identically. *)
-              let rng =
-                Rng.create (Hashtbl.hash (lo, hi, attempts, !stat_compares))
-              in
-              let arr = Array.of_list ranges in
-              for i = Array.length arr - 1 downto 1 do
-                let j = Rng.int rng (i + 1) in
-                let t = arr.(i) in
-                arr.(i) <- arr.(j);
-                arr.(j) <- t
-              done;
-              Array.to_list (Array.sub arr 0 (1 + Rng.int rng (Array.length arr)))
-            end
-          in
-          List.iter
-            (fun (table, mlo, mhi) ->
-              if variant.va_session then session_feed table mlo mhi
-              else
-                Server.feed_base !server ~table ~lo:mlo ~hi:mhi (home_scan mlo mhi))
-            to_feed;
-          converge (attempts + 1)
-      in
-      (* session mode: every compared read is a stamped read demanding
-         the whole session vector — catch the compute up first *)
-      if variant.va_session then session_gate ();
-      (* route by table, like a deployed client: join outputs are
-         materialized on the compute engine (which pulls any missing
-         source ranges first), base tables live on their home *)
-      let sinks =
-        List.map Pequod_pattern.Joinspec.output_table (Oracle.joins oracle)
-      in
-      let is_sink k = List.mem (table_of k) sinks in
-      let front = List.filter (fun (k, _) -> is_sink k) (converge 0) in
-      let base = List.filter (fun (k, _) -> not (is_sink k)) (home_scan lo hi) in
-      List.merge (fun (a, _) (b, _) -> String.compare a b) front base)
+  let read lo hi =
+    heal ();
+    if cluster = Session then session_gate ();
+    let s =
+      match cluster with
+      | Shards _ ->
+        incr scan_rr;
+        (!scan_rr - 1) mod n
+      | _ -> client
+    in
+    List.fold_left
+      (fun acc (route, plo, phi) ->
+        let j = match route with Directory.Forward (h :: _) -> idx h | _ -> s in
+        if j <> s then incr stat_forwarded;
+        Net_server.merge_dedup acc (serve j plo phi))
+      []
+      (Directory.scan_route (entries ()) ~self:(addr s) ~spread:true ~lo ~hi)
   in
   let compare_scan lo hi =
     incr stat_compares;
     clock := !clock +. scenario.sc_tick;
-    let got = engine_scan lo hi in
+    let got = read lo hi in
     let want = Oracle.scan oracle ~lo ~hi in
     if got <> want then
       fail "scan [%S, %S) diverges — %s\n    engine %s\n    oracle %s" lo hi
@@ -976,89 +870,47 @@ let run_case scenario variant ops =
      oracle documents them out of scope), so a generator producing one
      is a scenario bug — fail loudly rather than report a divergence *)
   let guard_sink k =
-    let table =
-      match String.index_opt k '|' with Some i -> String.sub k 0 i | None -> k
-    in
+    let table = Pequod_store.Store.table_name_of k in
     List.iter
       (fun j ->
-        if Pequod_pattern.Joinspec.output_table j = table then
+        if Joinspec.output_table j = table then
           fail "scenario bug: base write %S targets sink table %S" k table)
       (Oracle.joins oracle)
   in
   let apply op =
     incr stat_ops;
     match op with
-    | Put (k, v) -> (
+    | Put (k, v) ->
       guard_sink k;
-      (match shards_arr with
-      | Some (arr, dir) ->
-        let o = owner dir k in
-        Server.put arr.(o) k v;
-        Array.iteri
-          (fun j eng -> if j <> o && shard_subscribed j k then Server.put eng k v)
-          arr
-      | None -> (
-        match homes with
-        | None -> Server.put !server k v
-        | Some _ ->
-          home_put k v;
-          if variant.va_session then session_write [ (k, Some v) ]
-          else if subscribed k then Server.put !server k v));
-      Oracle.put oracle k v)
+      Server.put engs.(home_of k) k v;
+      push [ (k, Some v) ];
+      Oracle.put oracle k v
     | Put_batch pairs ->
       List.iter (fun (k, _) -> guard_sink k) pairs;
-      (match shards_arr with
-      | Some (arr, dir) ->
-        (* split like the net layer's routing: each shard sees, in
-           argument order, the pairs it homes plus those it subscribes to *)
-        Array.iteri
-          (fun j eng ->
-            match
-              List.filter
-                (fun (k, _) -> owner dir k = j || shard_subscribed j k)
-                pairs
-            with
-            | [] -> ()
-            | mine -> Server.put_batch eng mine)
-          arr
-      | None -> (
-      match homes with
-      | None -> Server.put_batch !server pairs
-      | Some _ ->
-        home_put_batch pairs;
-        if variant.va_session then
-          session_write (List.map (fun (k, v) -> (k, Some v)) pairs)
-        else (
-          match List.filter (fun (k, _) -> subscribed k) pairs with
+      (* split like the net layer's dispatch: each home sees, in
+         argument order, exactly the pairs the directory routes to it *)
+      Array.iteri
+        (fun h eng ->
+          match List.filter (fun (k, _) -> home_of k = h) pairs with
           | [] -> ()
-          | fwd -> Server.put_batch !server fwd)));
+          | mine -> Server.put_batch eng mine)
+        engs;
+      push (List.map (fun (k, v) -> (k, Some v)) pairs);
       (* put_batch is specified as equivalent to sequential puts; the
          oracle applies the same pairs one at a time (argument order —
          the batch's stable sort keeps duplicate keys in argument order,
          so last-write-wins agrees) *)
       List.iter (fun (k, v) -> Oracle.put oracle k v) pairs
-    | Remove k -> (
+    | Remove k ->
       guard_sink k;
-      (match shards_arr with
-      | Some (arr, dir) ->
-        let o = owner dir k in
-        Server.remove arr.(o) k;
-        Array.iteri
-          (fun j eng -> if j <> o && shard_subscribed j k then Server.remove eng k)
-          arr
-      | None -> (
-        match homes with
-        | None -> Server.remove !server k
-        | Some _ ->
-          home_remove k;
-          if variant.va_session then session_write [ (k, None) ]
-          else if subscribed k then Server.remove !server k));
-      Oracle.remove oracle k)
+      Server.remove engs.(home_of k) k;
+      push [ (k, None) ];
+      Oracle.remove oracle k
     | Scan (lo, hi) -> compare_scan lo hi
     | Count (lo, hi) ->
       incr stat_compares;
       clock := !clock +. scenario.sc_tick;
-      let got = List.length (engine_scan lo hi) in
+      let got = List.length (read lo hi) in
       let want = Oracle.count oracle ~lo ~hi in
       if got <> want then fail "count [%S, %S): engine %d, oracle %d" lo hi got want
     | Tick -> clock := !clock +. 1.0
@@ -1072,8 +924,13 @@ let run_case scenario variant ops =
       | None -> () (* no durability: crashing is out of scope *)
       | Some p ->
         Persist.crash p;
-        server := Server.create ~config ();
+        engs.(0) <- Server.create ~config ();
         attach ())
+  in
+  let guarded what f =
+    try f () with
+    | Case_failed _ as e -> raise e
+    | e -> fail "%s: %s" what (Printexc.to_string e)
   in
   let body () =
     attach ();
@@ -1081,35 +938,19 @@ let run_case scenario variant ops =
     List.iteri
       (fun i op ->
         step := i;
-        (try apply op with
-        | Case_failed _ as e -> raise e
-        | e -> fail "op %s raised %s" (op_to_line op) (Printexc.to_string e));
-        (* migrate mode: periodically live-migrate part of the keyspace
-           between the two homes, deterministically mid-sequence *)
-        if variant.va_migrate && i mod 13 = 7 then begin
-          try migrate_event () with
-          | Case_failed _ as e -> raise e
-          | e -> fail "migration event raised %s" (Printexc.to_string e)
-        end;
-        if variant.va_session then session_lag i;
-        try
-          match shards_arr with
-          | Some (arr, _) -> Array.iter Server.check_invariants arr
-          | None -> (
-            Server.check_invariants !server;
-            match homes with
-            | Some arr -> Array.iter Server.check_invariants arr
-            | None -> ())
-        with
-        | Case_failed _ as e -> raise e
-        | e -> fail "invariants after %s: %s" (op_to_line op) (Printexc.to_string e))
+        guarded ("op " ^ op_to_line op) (fun () -> apply op);
+        (* migrate mode: periodically move a range between the homes *)
+        if cluster = Migrate && i mod 13 = 7 then guarded "migration event" migrate_event;
+        if cluster = Session then session_lag i;
+        guarded ("invariants after " ^ op_to_line op) (fun () ->
+            Array.iter Server.check_invariants engs))
       ops;
     step := List.length ops;
     compare_scan "" "\xfe"
   in
   let finish () =
     (match !persist with Some p -> (try Persist.close p with _ -> ()) | None -> ());
-    match dir with Some d -> rm_rf d | None -> ()
+    match data_dir with Some d -> rm_rf d | None -> ()
   in
   match body () with
   | () ->
@@ -1307,4 +1148,8 @@ let run_sweep ?(verbose = false) ?scenario_filter ?variant_filter ?(repro_dir = 
        reads, 0 divergences\n\
        %!"
       !ran (Array.length scenarios) (Array.length variants) !stat_ops !stat_compares;
+  Printf.printf
+    "cluster model: %d ranges fed (%d behind a session), %d lagged pushes released, %d \
+     flips, %d forwarded scan pieces, %d lost subscriptions healed\n%!"
+    !stat_feeds !stat_refetches !stat_released !stat_flips !stat_forwarded !stat_heals;
   !failures

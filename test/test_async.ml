@@ -31,8 +31,8 @@ let attach_entries t entries =
   Remote.attach ~server:t ~self_addr:(addr_of t) ~check_every:2.0 dir
 
 (* route [compute] by the epoch-1 directory [--partition specs] fix *)
-let attach_specs ?(peers = []) compute specs =
-  match Remote.entries_of_specs ~peers ~self_addr:(addr_of compute) specs with
+let attach_specs compute specs =
+  match Remote.entries_of_specs ~self_addr:(addr_of compute) specs with
   | Ok entries -> attach_entries compute entries
   | Error e -> Alcotest.fail e
 
@@ -102,7 +102,7 @@ let test_single_flight () =
   Server.mark_present h ~table:"p" ~lo:"p|" ~hi:"p}";
   Server.put h "s|ann|bob" "1";
   Server.put h "p|bob|0000000007" "hello";
-  attach_specs ~peers:[ addr_of home ] compute [ "s"; "p" ];
+  attach_specs compute [ "s@" ^ addr_of home; "p@" ^ addr_of home ];
   let fd = connect compute in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   let n = 5 in
@@ -179,7 +179,7 @@ let run_transcript mode seed =
       let h = Net_server.engine home in
       Server.mark_present h ~table:"s" ~lo:"s|" ~hi:"s}";
       Server.mark_present h ~table:"p" ~lo:"p|" ~hi:"p}";
-      attach_specs ~peers:[ addr_of home ] compute [ "s"; "p" ];
+      attach_specs compute [ "s@" ^ addr_of home; "p@" ^ addr_of home ];
       home
   in
   let servers = [ compute; home ] in
@@ -370,7 +370,7 @@ let test_migrate_never_waits backend () =
 let test_migrate_hands_subscribers_over () =
   with_pair ~backend:`Epoll @@ fun a b ->
   with_server ~joins:[ timeline_join ] @@ fun c ->
-  attach_specs ~peers:[ addr_of a; addr_of b ] c
+  attach_specs c
     [ Printf.sprintf "s@%s" (addr_of a); Printf.sprintf "p@%s" (addr_of b) ];
   let servers = [ a; b; c ] in
   let cfd = connect c and afd = connect a and bfd = connect b in

@@ -158,6 +158,39 @@ let test_bounded_sweep () =
   in
   check_int "no divergences" 0 failures
 
+(* Coverage guard: every cluster variant must exercise its mechanism on
+   a plain scenario, so a refactor that silently makes one local-only
+   fails here rather than passing the sweep vacuously. *)
+let test_cluster_coverage () =
+  let scenario = Option.get (F.find_scenario "twip") in
+  let counters =
+    [| F.stat_feeds; F.stat_refetches; F.stat_released; F.stat_flips; F.stat_forwarded;
+       F.stat_heals |]
+  in
+  Array.iter
+    (fun (v : F.variant) ->
+      let before = Array.map ( ! ) counters in
+      for i = 0 to 3 do
+        let ops = F.gen_ops scenario (Rng.create (F.derive_seed 7 i)) ~max_ops:40 in
+        match F.run_case scenario v ops with
+        | Ok () -> ()
+        | Error f -> Alcotest.failf "%s: step %d: %s" v.F.va_name f.F.f_step f.F.f_reason
+      done;
+      let fired what k =
+        check_bool (v.F.va_name ^ ": " ^ what) true (!(counters.(k)) > before.(k))
+      in
+      match v.F.va_cluster with
+      | F.Single -> ()
+      | F.Remote ->
+        fired "ranges fed" 0;
+        fired "lost subscriptions healed" 5
+      | F.Session ->
+        fired "lagged pushes released" 2;
+        fired "ranges refetched behind the session" 1
+      | F.Migrate -> fired "directory flips" 3
+      | F.Shards _ -> fired "scan pieces forwarded" 4)
+    F.variants
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -176,5 +209,9 @@ let () =
           Alcotest.test_case "generator determinism" `Quick test_gen_determinism;
           Alcotest.test_case "shrinker" `Quick test_shrinker;
         ] );
-      ("sweep", [ Alcotest.test_case "all pairs, twice" `Quick test_bounded_sweep ]);
+      ( "sweep",
+        [
+          Alcotest.test_case "all pairs, twice" `Quick test_bounded_sweep;
+          Alcotest.test_case "cluster mechanisms fire" `Quick test_cluster_coverage;
+        ] );
     ]

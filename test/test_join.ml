@@ -429,32 +429,32 @@ let test_eviction_join_interplay () =
 (* Resolver / missing data (§3.3)                                      *)
 
 let test_sync_resolver () =
-  (* base posts live in a "database"; Pequod fetches ranges on demand *)
+  (* base posts live in a "database"; a blocking host fetches each range
+     the scan defers, feeds it, and retries *)
   let db = [ ("p|bob|0100", "hello"); ("p|bob|0150", "again"); ("p|liz|0120", "liz here") ] in
   let fetches = ref 0 in
   let s = make_twip () in
-  Server.set_resolver s (fun ~table ~lo ~hi ->
+  Server.set_resolver s (fun ~table ~lo:_ ~hi:_ ->
       if table = "p" then begin
         incr fetches;
-        Server.Resolved (List.filter (fun (k, _) -> Strkey.in_range ~lo ~hi k) db)
+        Server.Deferred
       end
       else Server.Local);
   subscribe s "ann" "bob";
   check_pairs "timeline from db"
     [ ("t|ann|0100|bob", "hello"); ("t|ann|0150|bob", "again") ]
-    (timeline s "ann");
-  let f1 = !fetches in
-  check_bool "fetched" true (f1 > 0);
-  ignore (timeline s "ann");
-  check_int "no refetch when present" f1 !fetches
+    (Test_util.scan_fed s ~backing:db ~lo:"t|ann|" ~hi:(Strkey.prefix_upper "t|ann|"));
+  check_bool "fetched" true (!fetches > 0)
 
 let test_deferred_resolver () =
   (* asynchronous backing store: scan_result reports what to fetch; the
      host feeds it and retries without recomputing completed work *)
   let pending = ref None in
+  let consulted = ref 0 in
   let s = make_twip () in
   Server.set_resolver s (fun ~table ~lo ~hi ->
       if table = "p" then begin
+        incr consulted;
         pending := Some (table, lo, hi);
         Server.Deferred
       end
@@ -470,7 +470,30 @@ let test_deferred_resolver () =
   (match Server.scan_result s ~lo:"t|ann|" ~hi:(Strkey.prefix_upper "t|ann|") with
   | `Ok pairs -> check_pairs "after feed" [ ("t|ann|0100|bob", "hello") ] pairs
   | `Missing _ -> Alcotest.fail "should be resolved now");
+  let c1 = !consulted in
+  ignore (timeline s "ann");
+  check_int "no refetch when present" c1 !consulted;
   Server.validate s
+
+(* A refetched snapshot is the range's whole truth: a resident key it no
+   longer holds (say, the push of its removal was lost) goes, and so
+   does the join output built from it. This is how a fetched copy heals
+   after a missed update. *)
+let test_feed_reconciles () =
+  let s = make_twip () in
+  Server.set_resolver s (fun ~table ~lo:_ ~hi:_ ->
+      if table = "p" then Server.Deferred else Server.Local);
+  subscribe s "ann" "bob";
+  let lo = "p|bob|" and hi = Strkey.prefix_upper "p|bob|" in
+  Server.feed_base s ~table:"p" ~lo ~hi [ ("p|bob|0100", "hello"); ("p|bob|0150", "again") ];
+  check_pairs "joined from the first snapshot"
+    [ ("t|ann|0100|bob", "hello"); ("t|ann|0150|bob", "again") ]
+    (timeline s "ann");
+  Server.feed_base s ~table:"p" ~lo ~hi [ ("p|bob|0150", "again") ];
+  check_pairs "the key the refetch lacks is gone" [ ("p|bob|0150", "again") ]
+    (Server.scan s ~lo ~hi);
+  check_pairs "its output is retracted" [ ("t|ann|0150|bob", "again") ] (timeline s "ann");
+  Server.check_invariants s
 
 (* An eager check (lazy_checks = false) that meets a deferred value
    source must not fail the write that fired it: the asynchronous host
@@ -895,6 +918,7 @@ let () =
         [
           Alcotest.test_case "sync" `Quick test_sync_resolver;
           Alcotest.test_case "deferred" `Quick test_deferred_resolver;
+          Alcotest.test_case "a refetch reconciles" `Quick test_feed_reconciles;
           Alcotest.test_case "eager check meets a deferred source" `Quick
             test_eager_check_deferred;
         ] );

@@ -77,7 +77,7 @@ let test_basic_session () =
           | Message.Metrics metrics -> check_bool "metrics" true (metrics <> [])
           | _ -> Alcotest.fail "stats_full over TCP"))
 
-(* One-way requests produce no response frame: a Notify_put followed by a
+(* One-way requests produce no response frame: a Notify_batch followed by a
    Get must answer the Get first (and only) — the notify is applied, not
    acknowledged. *)
 let test_oneway_notify () =
@@ -87,7 +87,9 @@ let test_oneway_notify () =
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
           let wire =
-            Frame.encode (Message.encode_request (Message.Notify_put ("k|a", "pushed")))
+            Frame.encode
+              (Message.encode_request
+                 (Message.Notify_batch { items = [ ("k|a", Some "pushed") ]; stamps = [] }))
             ^ Frame.encode (Message.encode_request (Message.Get "k|a"))
           in
           let sent = ref 0 in
@@ -462,7 +464,7 @@ let test_wildcard_directory () =
      never be read as one *)
   List.iter
     (fun spec ->
-      match Remote.entries_of_specs ~peers:[] ~self_addr:"me:1" [ "s"; spec ] with
+      match Remote.entries_of_specs ~self_addr:"me:1" [ "s"; spec ] with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "spec %S must be rejected" spec)
     [ "*"; "*@127.0.0.1:1"; "*:a:b@127.0.0.1:1" ]

@@ -297,9 +297,12 @@ let test_refetch_after_recovery () =
   let backing ~table ~lo:_ ~hi:_ =
     if table = "p" then begin
       incr fetches;
-      Server.Resolved [ ("p|bob|0000000100", "hello"); ("p|bob|0000000200", "world") ]
+      Server.Deferred
     end
     else Server.Local
+  in
+  let fed s backing =
+    Test_util.scan_fed s ~backing ~lo:"t|ann|" ~hi:(Strkey.prefix_upper "t|ann|")
   in
   let s, p = durable_server dir in
   Server.set_resolver s backing;
@@ -308,7 +311,8 @@ let test_refetch_after_recovery () =
   let expect =
     [ ("t|ann|0000000100|bob", "hello"); ("t|ann|0000000200|bob", "world") ]
   in
-  check_bool "cold scan" true (timeline s "ann" = expect);
+  check_bool "cold scan" true
+    (fed s [ ("p|bob|0000000100", "hello"); ("p|bob|0000000200", "world") ] = expect);
   check_int "one backing fetch" 1 !fetches;
   Persist.close p;
   let s2, p2 = durable_server dir in
@@ -318,11 +322,11 @@ let test_refetch_after_recovery () =
   Server.set_resolver s2 (fun ~table ~lo:_ ~hi:_ ->
       if table = "p" then begin
         incr refetches;
-        Server.Resolved [ ("p|bob|0000000100", "fresh") ]
+        Server.Deferred
       end
       else Server.Local);
   check_bool "warm scan refetches current data" true
-    (timeline s2 "ann" = [ ("t|ann|0000000100|bob", "fresh") ]);
+    (fed s2 [ ("p|bob|0000000100", "fresh") ] = [ ("t|ann|0000000100|bob", "fresh") ]);
   check_bool "resolver consulted after restart" true (!refetches >= 1);
   Persist.close p2
 

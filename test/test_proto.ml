@@ -49,8 +49,6 @@ let requests =
     Message.Scan { lo = "t|ann|"; hi = "t|ann}" };
     Message.Add_join "t|<u>|<t> = copy p|<u>|<t>";
     Message.Fetch { table = "p"; lo = "p|a"; hi = "p|b"; subscriber = "10.0.0.7:7077" };
-    Message.Notify_put ("p|bob|0100", "hi");
-    Message.Notify_remove "p|bob|0100";
     Message.Put_batch [ ("p|bob|0100", "hello"); ("s|ann|bob", "1") ];
     Message.Put_batch [];
     Message.Notify_batch
@@ -137,8 +135,9 @@ let test_bad_tags () =
     | exception Message.Protocol_error _ -> true
     | _ -> false)
 
-(* The v1 integer-stats tags stay reserved: decoding them must fail
-   loudly with a message naming the protocol version, never misparse. *)
+(* Retired tags stay reserved (the v1 integer stats, the single-key
+   pushes): decoding them must fail loudly with a message naming the
+   protocol version, never misparse. *)
 let test_retired_tags () =
   let versioned what f =
     match f () with
@@ -152,6 +151,8 @@ let test_retired_tags () =
          find 0)
     | _ -> Alcotest.failf "%s: retired tag decoded" what
   in
+  versioned "notify_put request (0x07)" (fun () -> Message.decode_request "\x07");
+  versioned "notify_remove request (0x08)" (fun () -> Message.decode_request "\x08");
   versioned "stats request (0x09)" (fun () -> Message.decode_request "\x09");
   versioned "stat_list response (0x85)" (fun () -> Message.decode_response "\x85\x00")
 
@@ -280,27 +281,25 @@ let test_rng_all_variants () =
       Message.Fetch
         { table = rand_string (); lo = rand_string (); hi = rand_string ();
           subscriber = rand_string () }
-    | 6 -> Message.Notify_put (rand_string (), rand_string ())
-    | 7 -> Message.Notify_remove (rand_string ())
-    | 8 -> Message.Put_batch (rand_pairs ())
-    | 9 ->
+    | 6 -> Message.Put_batch (rand_pairs ())
+    | 7 ->
       Message.Notify_batch
         { items =
             List.init (Rng.int rng 4) (fun _ ->
                 ( rand_string (),
                   if Rng.int rng 2 = 0 then Some (rand_string ()) else None ));
           stamps = rand_stamps () }
-    | 10 -> Message.Hello { version = Rng.int rng 1_000 }
-    | 11 -> Message.Sub_check { subscriber = rand_string () }
-    | 12 -> Message.Dir_get
-    | 13 -> Message.Dir_watch { epoch = Rng.int rng 1_000 }
-    | 14 -> Message.Dir_update { epoch = Rng.int rng 1_000; entries = rand_entries () }
-    | 15 ->
+    | 8 -> Message.Hello { version = Rng.int rng 1_000 }
+    | 9 -> Message.Sub_check { subscriber = rand_string () }
+    | 10 -> Message.Dir_get
+    | 11 -> Message.Dir_watch { epoch = Rng.int rng 1_000 }
+    | 12 -> Message.Dir_update { epoch = Rng.int rng 1_000; entries = rand_entries () }
+    | 13 ->
       Message.Migrate
         { table = rand_string (); lo = rand_string (); hi = rand_string ();
           dest = rand_string () }
-    | 16 -> Message.Get_at { key = rand_string (); min = rand_stamps () }
-    | 17 ->
+    | 14 -> Message.Get_at { key = rand_string (); min = rand_stamps () }
+    | 15 ->
       Message.Scan_at { lo = rand_string (); hi = rand_string (); min = rand_stamps () }
     | _ -> Message.Stats_full
   in
@@ -328,7 +327,7 @@ let test_rng_all_variants () =
     done
   in
   for round = 1 to 50 do
-    for variant = 0 to 18 do
+    for variant = 0 to 16 do
       let req = rand_request variant in
       let wire = Message.encode_request req in
       check_bool "request round-trips" true (Message.decode_request wire = req);

@@ -25,3 +25,18 @@ let rng_of root i = Rng.create (derive_seed root i)
 (** Fresh scratch directory under the system temp dir, recursively
     cleared first if a previous run left it behind. *)
 let fresh_dir ?(prefix = "pequod-test") () = Pequod_fuzz.Fuzz.fresh_dir ~prefix ()
+
+(** The host half of the §3.3 fetch loop, as a blocking caller runs it:
+    scan, feed every range the scan reports missing with the [backing]
+    pairs inside it ({!Pequod_core.Server.feed_base}), and retry until
+    the scan completes. *)
+let rec scan_fed s ~backing ~lo ~hi =
+  match Pequod_core.Server.scan_result s ~lo ~hi with
+  | `Ok pairs -> pairs
+  | `Missing ranges ->
+    List.iter
+      (fun (table, flo, fhi) ->
+        Pequod_core.Server.feed_base s ~table ~lo:flo ~hi:fhi
+          (List.filter (fun (k, _) -> Strkey.in_range ~lo:flo ~hi:fhi k) backing))
+      ranges;
+    scan_fed s ~backing ~lo ~hi
