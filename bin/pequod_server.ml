@@ -167,12 +167,6 @@ let directory =
            reads/writes by it instead of by static $(b,--partition) flags. Incompatible \
            with $(b,--dir-host), $(b,--partition) and $(b,--shards).")
 
-let dir_poll_every =
-  Arg.(
-    value & opt float 1.0
-    & info [ "dir-poll-every" ] ~docv:"SECONDS"
-        ~doc:"Seconds between directory polls to the seed (followers only).")
-
 let sub_check_every =
   Arg.(
     value & opt float 2.0
@@ -184,7 +178,7 @@ let sub_check_every =
 
 let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_max_bytes
     metrics_dump verbose partitions advertise sub_check_every shards shard_cuts
-    dir_host directory dir_poll_every =
+    dir_host directory =
   Fmt_tty.setup_std_outputs ();
   Logs.set_reporter (Logs_fmt.reporter ());
   (* Warning, not App: Some App would filter out Logs.err itself, and a
@@ -245,9 +239,11 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
       let self_addr = Printf.sprintf "%s:%d" advertise (Net_server.port t) in
       (* Routing truth is always a partition directory. A follower's copy
          stays at epoch 0 ("not yet synced") until its first poll of the
-         seed lands, and so does a seed with no specs, waiting for
-         pequod_ctl dir-seed. Every other server fixes its specs at epoch
-         1 — even none, which routes everything here. *)
+         seed lands — the loop's first step sends it, so a follower's
+         listening line below reports epoch 0 — and so does a seed with
+         no specs, waiting for pequod_ctl dir-seed. Every other server
+         fixes its specs at epoch 1 — even none, which routes everything
+         here. *)
       let dir = Directory.create () in
       let installed =
         match Remote.entries_of_specs ~self_addr partitions with
@@ -261,8 +257,8 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
         Logs.err (fun m -> m "%s" msg);
         1
       | Ok () ->
-        Remote.attach ~server:t ~self_addr ~check_every:sub_check_every ?seed:directory
-          ~poll_every:dir_poll_every dir;
+        Remote.attach ~node:(Net_server.node t) ~self_addr ~check_every:sub_check_every
+          ?seed:directory dir;
         Logs.app (fun m ->
             m "pequod-server listening on port %d with %d joins, directory epoch %d (%d \
                entries%s)%s"
@@ -284,7 +280,6 @@ let cmd =
     Term.(
       const main $ port $ joins $ memory_limit $ data_dir $ sync_mode $ sync_interval
       $ snapshot_every $ wal_max_bytes $ metrics_dump $ verbose $ partitions
-      $ advertise $ sub_check_every $ shards $ shard_cuts $ dir_host $ directory
-      $ dir_poll_every)
+      $ advertise $ sub_check_every $ shards $ shard_cuts $ dir_host $ directory)
 
 let () = if not !Sys.interactive then exit (Cmd.eval' cmd)

@@ -17,7 +17,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type phase = Copying | Awaiting_barrier | Flipping
 
 type env = {
-  peers : Peer.t;
+  out : Peer.outbound;
   engine : Server.t;
   dir : Directory.t;
   self : string;
@@ -104,7 +104,7 @@ let fail mg msg =
 (* [k resp] for [req] sent to [addr] on [lane]; a peer failure, an
    [Error] answer or a raise in [k] fails the migration *)
 let call mg lane addr req k =
-  Peer.call mg.env.peers lane addr req (fun reply ->
+  mg.env.out.call lane addr req (fun reply ->
       match reply with
       | Ok (Message.Error msg) | Error msg ->
         fail mg (if String.equal addr mg.dest then msg else "seed: " ^ msg)
@@ -137,7 +137,7 @@ let rec feed mg = function
       | x :: rest -> take (n - 1) (x :: acc) rest
     in
     let batch, rest = take 1024 [] items in
-    Peer.post mg.env.peers mg.dest (Message.Notify_batch { items = batch; stamps = [] });
+    mg.env.out.post mg.dest (Message.Notify_batch { items = batch; stamps = [] });
     feed mg rest
 
 (* Subscriptions to hand over at the flip: the new home installs each
@@ -192,7 +192,7 @@ let flip mg =
           Option.map (fun (l, h) -> (tb, l, h, s)) (Directory.intersect ~lo ~hi (slo, shi)))
       (Server.stamp_ranges env.engine)
   in
-  if stamps <> [] then Peer.post env.peers dest (Message.Notify_batch { items = []; stamps });
+  if stamps <> [] then env.out.post dest (Message.Notify_batch { items = []; stamps });
   let assign entries =
     match Directory.assign entries ~table ~lo ~hi ~home:dest with
     | Ok e -> e
@@ -207,9 +207,11 @@ let flip mg =
     (match Directory.install env.dir ~epoch ~entries with
     | Ok () -> ()
     | Error msg -> if env.seed = None then raise (Fail msg));
-    (* this server no longer owns the range; its own resolver (on the
-       flipped routes) fetches it from the new home on demand *)
+    (* this server no longer owns the range, nor keeps its data: a
+       copy left behind would come back to life if the range ever moved
+       here again, with the keys removed since *)
     Server.unmark_present env.engine ~table ~lo ~hi;
+    List.iter (fun (key, _) -> Server.remove env.engine key) (Server.scan env.engine ~lo ~hi);
     let result =
       Message.Pairs
         [ ("keys_moved", string_of_int mg.keys);
@@ -245,7 +247,7 @@ let flip mg =
     in
     let reqs = Message.Dir_update { epoch; entries } :: handoff mg in
     pending := List.length reqs;
-    List.iter (fun req -> Peer.call env.peers Peer.Parked dest req answered) reqs
+    List.iter (fun req -> env.out.call Peer.Parked dest req answered) reqs
   in
   (* 2. the barrier proves the destination applied the delta; then the
      new directory: assigned here, or at the seed when there is one *)

@@ -13,14 +13,15 @@
     and held while flipping; the flip releases them once it ends, and a
     failure at any point leaves the directory unchanged.
 
-    A migration talks to peers through the server's {!Peer} pool, never
-    blocking. Counters: [migrate.keys_moved], [migrate.delta_replayed]. *)
+    A migration talks to peers through its server's outbound record
+    ({!Peer.outbound}), never blocking. Counters: [migrate.keys_moved],
+    [migrate.delta_replayed]. *)
 
 type phase = Copying | Awaiting_barrier | Flipping
 
 (** What a migration needs of its server. *)
 type env = {
-  peers : Peer.t;
+  out : Peer.outbound; (** the server's way to reach other servers *)
   engine : Pequod_core.Server.t;
   dir : Directory.t;
   self : string; (** this server's advertised address *)

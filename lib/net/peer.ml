@@ -185,6 +185,13 @@ let post t addr req =
   end
   else t.on_lost addr
 
+type outbound = {
+  call : lane -> string -> Message.request -> (reply -> unit) -> unit;
+  post : string -> Message.request -> unit;
+}
+
+let outbound t = { call = call t; post = post t }
+
 (* nonblocking flush; write interest stays on exactly while bytes remain
    buffered (a level-triggered poller would spin otherwise) *)
 let write_out t c =

@@ -54,6 +54,18 @@ val call :
 (** Send a one-way request (the [Notify_*] family); no response. *)
 val post : t -> string -> Pequod_proto.Message.request -> unit
 
+(** A server's two ways to reach another, as values: {!call} and
+    {!post}. The request core ({!Node}) holds this record, not the pool,
+    so a test can wire cores together through memory; an implementation
+    must keep the pool's guarantees (FIFO per sender, receiver and lane,
+    answers in request order, posts on [Prompt]). *)
+type outbound = {
+  call : lane -> string -> Pequod_proto.Message.request -> (reply -> unit) -> unit;
+  post : string -> Pequod_proto.Message.request -> unit;
+}
+
+val outbound : t -> outbound
+
 (** Write every connection's buffered requests. The owning loop calls
     this once per iteration, so the requests of one iteration leave as
     one burst per peer. *)

@@ -3,6 +3,7 @@
    compute-server half of the §2.4 fetch/subscribe protocol. *)
 
 module Server = Pequod_core.Server
+module Config = Pequod_core.Config
 module Message = Pequod_proto.Message
 module Joinspec = Pequod_pattern.Joinspec
 
@@ -39,8 +40,8 @@ let entries_of_specs ~self_addr specs =
     (Ok []) specs
   |> Result.map List.rev
 
-(* The asynchronous fetch engine behind [Net_server]'s parked reads,
-   on top of the server's peer pool ({!Peer}): a parked read's whole
+(* The asynchronous fetch engine behind the core's parked reads, on top
+   of its outbound record ({!Peer.outbound}): a parked read's whole
    missing-range set is planned into clamps and sent as one pipelined
    burst per peer, concurrently across peers. Each landed [Subscribed]
    snapshot is fed into the engine and the read retried once the full
@@ -66,10 +67,11 @@ module Fetcher = struct
     fl_key : string * string * string; (* table, clamp lo, clamp hi *)
     mutable fl_cands : string list; (* candidates not yet tried, the home last *)
     mutable fl_waiters : waiter list;
+    mutable fl_stale : int; (* snapshots dropped as older than a landed push *)
   }
 
   type t = {
-    f_peers : Peer.t;
+    f_out : Peer.outbound;
     f_engine : Server.t;
     f_self : string;
     (* missing range -> (table, clamp lo, clamp hi, candidates) fetches,
@@ -84,10 +86,9 @@ module Fetcher = struct
     m_inflight : Obs.Gauge.t; (* fetch.inflight *)
   }
 
-  let create ~server ~self_addr ~plan ~tracked =
-    let engine = Net_server.engine server in
+  let create ~out ~engine ~self_addr ~plan ~tracked =
     let obs = Server.obs engine in
-    { f_peers = Net_server.peers server;
+    { f_out = out;
       f_engine = engine;
       f_self = self_addr;
       f_plan = plan;
@@ -121,7 +122,7 @@ module Fetcher = struct
       fl.fl_cands <- rest;
       Obs.Counter.incr f.m_fetch_out;
       let table, lo, hi = fl.fl_key in
-      Peer.call f.f_peers Peer.Prompt addr
+      f.f_out.call Peer.Prompt addr
         (Message.Fetch { table; lo; hi; subscriber = f.f_self })
         (fun reply ->
           let failed why =
@@ -129,6 +130,16 @@ module Fetcher = struct
             issue f fl
           in
           match reply with
+          | Ok (Message.Subscribed { stamp; _ })
+            when stamp < Server.range_stamp f.f_engine ~table ~lo ~hi && fl.fl_stale < 8 ->
+            (* a push the home sent after this snapshot landed first:
+               answers and pushes travel on different connections. Every
+               such push carries a trailer for exactly this range, above
+               the snapshot's stamp, and feeding the snapshot would
+               revert it; fetch again from the same candidate *)
+            fl.fl_stale <- fl.fl_stale + 1;
+            fl.fl_cands <- addr :: fl.fl_cands;
+            issue f fl
           | Ok (Message.Subscribed { stamp; pairs }) ->
             Hashtbl.replace f.f_tracked fl.fl_key addr;
             Server.feed_base f.f_engine ~table ~lo ~hi pairs;
@@ -140,7 +151,7 @@ module Fetcher = struct
           | Ok _ -> failed "answered unexpectedly"
           | Error msg -> failed ("failed: " ^ msg))
 
-  (* The fetcher [Net_server.set_directory] installs: fetch a whole
+  (* The fetcher [Node.set_directory] installs: fetch a whole
      missing-range set, calling [k ~ok] once every clamp has landed (or
      failed on every candidate). Completion may run synchronously —
      every candidate in dead-peer backoff — or later from the peer pool;
@@ -175,17 +186,20 @@ module Fetcher = struct
             Obs.Counter.incr f.m_coalesced;
             fl.fl_waiters <- waiter :: fl.fl_waiters
           | None ->
-            let fl = { fl_key = key; fl_cands = cands; fl_waiters = [ waiter ] } in
+            let fl = { fl_key = key; fl_cands = cands; fl_waiters = [ waiter ]; fl_stale = 0 } in
             Hashtbl.replace f.f_inflight key fl;
             Obs.Gauge.set f.m_inflight (Hashtbl.length f.f_inflight);
             issue f fl)
         (List.rev clamps)
 end
 
-let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
-  let engine = Net_server.engine server in
+(* seconds between a follower's directory polls *)
+let poll_every = 1.0
+
+let attach ~node ~self_addr ~check_every ?seed dir =
+  let engine = Node.engine node in
   let obs = Server.obs engine in
-  let peers = Net_server.peers server in
+  let out = Node.out node in
   let m_sub_lost = Obs.counter obs "peer.sub.lost" in
   (* live subscriptions this server believes it holds: exactly the
      (table, clamp) ranges whose Fetch was granted, keyed to the server
@@ -242,7 +256,7 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
     end
   in
   let fetcher =
-    Fetcher.create ~server ~self_addr ~tracked ~plan:(fun ~table ~lo ~hi ->
+    Fetcher.create ~out ~engine ~self_addr ~tracked ~plan:(fun ~table ~lo ~hi ->
         if !applied = 0 then `Fail
         else
           match plan ~table ~lo ~hi with
@@ -282,14 +296,17 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
   let apply ~epoch new_entries =
     let old_owned = owned_of !entries in
     let new_owned = owned_of new_entries in
-    List.iter
-      (fun ((table, lo, hi) as k) ->
-        if not (List.mem k old_owned) then Server.mark_present engine ~table ~lo ~hi)
-      new_owned;
+    (* unmark before marking: a range that shrank (a migration moved
+       part of it) is unmarked whole, and the part still owned is
+       marked again *)
     List.iter
       (fun ((table, lo, hi) as k) ->
         if not (List.mem k new_owned) then Server.unmark_present engine ~table ~lo ~hi)
       old_owned;
+    List.iter
+      (fun ((table, lo, hi) as k) ->
+        if not (List.mem k old_owned) then Server.mark_present engine ~table ~lo ~hi)
+      new_owned;
     entries := new_entries;
     applied := epoch;
     govern ();
@@ -359,22 +376,14 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
       let unreachable msg =
         Log.debug (fun m -> m "directory seed %s unreachable: %s" seed_addr msg)
       in
-      (* the bootstrap poll: it runs before the serving loop starts, so a
-         short-fuse blocking client stalls nothing *)
-      (let client =
-         Net_client.create ~config:{ connect_timeout = 0.5; call_timeout = 2.0 } seed_addr
-       in
-       (match Net_client.call client (Message.Dir_watch { epoch = Directory.epoch dir }) with
-       | resp -> answer resp
-       | exception Net_client.Net_error msg -> unreachable msg);
-       Net_client.close client);
-      let last_poll = ref (Unix.gettimeofday ()) in
+      (* the first tick polls at once *)
+      let last_poll = ref neg_infinity in
       let polling = ref false in
       fun now ->
         if (not !polling) && now -. !last_poll >= poll_every then begin
           last_poll := now;
           polling := true;
-          Peer.call peers Peer.Prompt seed_addr
+          out.call Peer.Prompt seed_addr
             (Message.Dir_watch { epoch = Directory.epoch dir })
             (fun reply ->
               polling := false;
@@ -410,7 +419,7 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
       Hashtbl.iter
         (fun addr keys ->
           incr checking;
-          Peer.call peers Peer.Prompt addr (Message.Sub_check { subscriber = self_addr })
+          out.call Peer.Prompt addr (Message.Sub_check { subscriber = self_addr })
             (fun reply ->
               decr checking;
               match reply with
@@ -444,7 +453,7 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
   govern ();
   let last_warm = ref neg_infinity in
   let tick () =
-    let now = Unix.gettimeofday () in
+    let now = (Server.config engine).Config.now () in
     poll now;
     sync ();
     if !warm_pending <> [] && now -. !last_warm >= 1.0 then begin
@@ -453,5 +462,5 @@ let attach ~server ~self_addr ~check_every ?seed ?(poll_every = 1.0) dir =
     end;
     heal now
   in
-  Net_server.set_directory server ?seed ~dir ~self_addr ~fetcher:(Fetcher.request fetcher)
+  Node.set_directory node ?seed ~dir ~self_addr ~fetcher:(Fetcher.request fetcher)
     ~tick ()

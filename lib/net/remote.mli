@@ -14,7 +14,8 @@
 
     A read that misses parks instead of blocking the event loop: the
     fetcher issues its whole missing set as one pipelined burst per
-    peer over the server's {!Peer} pool, single-flighted across waiters.
+    peer through the core's outbound record ({!Peer.outbound}),
+    single-flighted across waiters.
     A fetch whose every candidate (the range's replicas, then its home)
     fails answers the parked read [Error] instead of crashing; the next
     read retries, so a respawned peer heals the route. The resolver
@@ -24,7 +25,7 @@
     so the next read recomputes it and parks.
 
     Subscriptions self-heal: the tick returned by {!attach} periodically
-    sends [Sub_check] (through the peer pool, never blocking) to every
+    sends [Sub_check] (through the outbound record, never blocking) to every
     server this one fetched from and compares
     the answer against the subscriptions it believes it holds. A range
     the server dropped (a failed push, a restart) is re-planned against
@@ -42,17 +43,19 @@ val entries_of_specs :
   self_addr:string -> string list ->
   (Pequod_proto.Message.dir_entry list, string) result
 
-(** Route [server] by the partition directory [dir]: install [dir] as
-    the server's routing truth ({!Net_server.set_directory}), the
-    resolver and the asynchronous fetcher, and register the maintenance
-    tick, which the server runs once per step. Call once, before
-    serving.
+(** Route the request core [node] by the partition directory [dir]:
+    install [dir] as the core's routing truth ({!Node.set_directory}),
+    the resolver and the asynchronous fetcher, and register the
+    maintenance tick, which the core's owner runs once per step. Call
+    once, before serving. Every timer reads the engine's clock,
+    [Config.now].
 
     [seed = None] means the directory is installed locally: a seed, a
     server whose [--partition] specs fixed it at epoch 1, or a shard.
-    Otherwise the tick polls [seed] every [poll_every] seconds (default
-    1) through the peer pool; the first poll happens here, before the
-    serving loop starts, on a short-fuse blocking {!Net_client}.
+    Otherwise the tick polls [seed] once a second through the outbound
+    record, the first time on the first tick. Until that poll lands the
+    follower is at epoch 0 and defers every read, so a follower that
+    has just been attached, and its listening line, report epoch 0.
 
     Every epoch change marks and un-marks owned ranges by diff, drops
     subscriptions whose granting server the directory no longer names,
@@ -69,5 +72,4 @@ val entries_of_specs :
     session reads (docs/SESSIONS.md) can tell a fresh copy from a stale
     one — on replicas exactly as on computes. *)
 val attach :
-  server:Net_server.t -> self_addr:string -> check_every:float -> ?seed:string ->
-  ?poll_every:float -> Directory.t -> unit
+  node:Node.t -> self_addr:string -> check_every:float -> ?seed:string -> Directory.t -> unit

@@ -7,7 +7,7 @@
    cut once, in component space (the part of every key after "T|"), and
    every shard holds the same fixed epoch-1 partition directory with one
    wildcard entry per slice, homed at that shard's own port. Each shard
-   then routes exactly like any directory server (Net_server): writes
+   then routes exactly like any directory server (Node): writes
    and point reads go to the home, scans are cut into slices served by
    their homes, and join sources resolve through the engine's ordinary
    resolver — the same §2.4 fetch+subscribe path a compute server uses
@@ -193,8 +193,9 @@ let create ?config ?backend ?metrics_every ?(sub_check_every = 2.0)
         let self_addr = List.nth addrs i in
         (* a copy per shard: a directory is its owning domain's state *)
         let dir = directory ~cuts ~homes:addrs in
-        Remote.attach ~server:srv ~self_addr ~check_every:sub_check_every dir;
-        Net_server.set_shard srv ~self:i ~addrs ~merge:merge_stats)
+        let node = Net_server.node srv in
+        Remote.attach ~node ~self_addr ~check_every:sub_check_every dir;
+        Node.set_shard node ~self:i ~addrs ~merge:merge_stats)
       servers;
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;

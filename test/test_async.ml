@@ -7,6 +7,7 @@ module Net_server = Pequod_server_lib.Net_server
 module Remote = Pequod_server_lib.Remote
 module Directory = Pequod_server_lib.Directory
 module Migration = Pequod_server_lib.Migration
+module Node = Pequod_server_lib.Node
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
@@ -28,7 +29,7 @@ let attach_entries t entries =
   (match Directory.install dir ~epoch:1 ~entries with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  Remote.attach ~server:t ~self_addr:(addr_of t) ~check_every:2.0 dir
+  Remote.attach ~node:(Net_server.node t) ~self_addr:(addr_of t) ~check_every:2.0 dir
 
 (* route [compute] by the epoch-1 directory [--partition specs] fix *)
 let attach_specs compute specs =
@@ -407,7 +408,7 @@ let test_migrate_hands_subscribers_over () =
 (* ------------------------------------------------------------------ *)
 (* Migration phases, pinned by leaving the destination unstepped       *)
 
-let phase t = Option.map Migration.phase t.Net_server.migration
+let phase t = Option.map Migration.phase (Net_server.node t).Node.migration
 let send fd reqs =
   write_all fd
     (String.concat "" (List.map (fun r -> Frame.encode (Message.encode_request r)) reqs))
@@ -466,7 +467,7 @@ let test_flip_keeps_old_epoch () =
 let test_flip_destination_lost () =
   with_pair ~backend:`Epoll @@ fun a b ->
   with_server ~joins:[] @@ fun c ->
-  attach_entries c (Directory.entries a.Net_server.dir);
+  attach_entries c (Node.entries (Net_server.node a));
   let ctl = connect a and writer = connect a in
   Fun.protect ~finally:(fun () -> List.iter Unix.close [ ctl; writer ]) @@ fun () ->
   migrate_to_flip a b ctl;
@@ -482,11 +483,38 @@ let test_flip_destination_lost () =
   | Message.Done | Message.Stamps _ -> ()
   | _ -> Alcotest.fail "the held write failed");
   check_bool "applied at A" true (Server.get (Net_server.engine a) "s|a|2" = Some "w");
-  check_bool "A's epoch unchanged" true (Directory.epoch a.Net_server.dir = 1);
+  check_bool "A's epoch unchanged" true (Directory.epoch (Net_server.node a).Node.dir = 1);
   match rpc ~servers:[ a; c ] ctl (migrate_s c) with
   | Message.Pairs stats ->
     check_bool "both keys moved to C" true (List.assoc_opt "keys_moved" stats = Some "2")
   | _ -> Alcotest.fail "the migration to C failed"
+
+(* A migrates the top of its s range to B. A keeps owning the rest,
+   keeps no copy of what moved (one could come back to life if the range
+   moved back), and refuses a Fetch straddling the moved boundary: a
+   follower lagging the flip would otherwise get a copy of the moved
+   part that no write reaches. *)
+let test_partial_migration () =
+  with_pair ~backend:`Epoll @@ fun a b ->
+  let ea = Net_server.engine a in
+  Server.put ea "s|z|1" "w";
+  let ctl = connect a in
+  Fun.protect ~finally:(fun () -> Unix.close ctl) @@ fun () ->
+  let migrate = Message.Migrate { table = "s"; lo = "s|m"; hi = "s}"; dest = addr_of b } in
+  (match rpc ~servers:[ a; b ] ctl migrate with
+  | Message.Pairs _ -> ()
+  | _ -> Alcotest.fail "migration failed");
+  settle [ a; b ];
+  check_bool "A owns the rest" true (Server.present_ranges ea = [ ("s", "s|", "s|m") ]);
+  check_bool "A keeps no copy of what moved" true (Server.scan ea ~lo:"s|m" ~hi:"s}" = []);
+  check_bool "B holds it" true (Server.get (Net_server.engine b) "s|z|1" = Some "w");
+  let fetch lo hi =
+    match rpc ~servers:[ a; b ] ctl (Message.Fetch { table = "s"; lo; hi; subscriber = "" }) with
+    | Message.Subscribed _ -> true
+    | _ -> false
+  in
+  check_bool "the rest is granted" true (fetch "s|" "s|m");
+  check_bool "a straddling range is refused" false (fetch "s|" "s}")
 
 (* ------------------------------------------------------------------ *)
 (* Cold timelines over a deferring resolver, in process                 *)
@@ -610,5 +638,7 @@ let () =
           Alcotest.test_case "Dir_watch while flipping sees the old epoch" `Quick
             test_flip_keeps_old_epoch;
           Alcotest.test_case "destination lost while flipping" `Quick
-            test_flip_destination_lost ] );
+            test_flip_destination_lost;
+          Alcotest.test_case "a partial migration leaves the rest" `Quick
+            test_partial_migration ] );
     ]

@@ -160,36 +160,75 @@ let test_bounded_sweep () =
 
 (* Coverage guard: every cluster variant must exercise its mechanism on
    a plain scenario, so a refactor that silently makes one local-only
-   fails here rather than passing the sweep vacuously. *)
+   fails here rather than passing the sweep vacuously. The counts are
+   the cores' own registries, summed per case. *)
 let test_cluster_coverage () =
+  let module Server = Pequod_core.Server in
   let scenario = Option.get (F.find_scenario "twip") in
-  let counters =
-    [| F.stat_feeds; F.stat_refetches; F.stat_released; F.stat_flips; F.stat_forwarded;
-       F.stat_heals |]
-  in
   Array.iter
     (fun (v : F.variant) ->
-      let before = Array.map ( ! ) counters in
+      let sums = Hashtbl.create 8 and epochs_moved = ref false in
+      let sum name = Option.value ~default:0 (Hashtbl.find_opt sums name) in
+      let inspect engs =
+        List.iter
+          (fun name ->
+            Hashtbl.replace sums name
+              (sum name + Array.fold_left (fun acc e -> acc + Server.counter e name) 0 engs))
+          F.mechanisms;
+        (* the followers (every core but the seed, core 0) learned a flip *)
+        if
+          Array.length engs > 1
+          && Array.for_all
+               (fun e -> List.assoc_opt "dir.epoch" (Server.stats_snapshot e) > Some 1)
+               (Array.sub engs 1 (Array.length engs - 1))
+        then epochs_moved := true
+      in
       for i = 0 to 3 do
         let ops = F.gen_ops scenario (Rng.create (F.derive_seed 7 i)) ~max_ops:40 in
-        match F.run_case scenario v ops with
+        match F.run_case ~inspect scenario v ops with
         | Ok () -> ()
         | Error f -> Alcotest.failf "%s: step %d: %s" v.F.va_name f.F.f_step f.F.f_reason
       done;
-      let fired what k =
-        check_bool (v.F.va_name ^ ": " ^ what) true (!(counters.(k)) > before.(k))
-      in
+      let fired name = check_bool (v.F.va_name ^ ": " ^ name) true (sum name > 0) in
       match v.F.va_cluster with
       | F.Single -> ()
       | F.Remote ->
-        fired "ranges fed" 0;
-        fired "lost subscriptions healed" 5
+        fired "peer.fetch.in";
+        fired "peer.sub.lost"
       | F.Session ->
-        fired "lagged pushes released" 2;
-        fired "ranges refetched behind the session" 1
-      | F.Migrate -> fired "directory flips" 3
-      | F.Shards _ -> fired "scan pieces forwarded" 4)
+        fired "session.stale_waits";
+        fired "session.refetches"
+      | F.Migrate ->
+        fired "migrate.keys_moved";
+        check_bool (v.F.va_name ^ ": every follower past epoch 1") true !epochs_moved
+      | F.Shards _ -> fired "shard.forward.out")
     F.variants
+
+(* Shrunk repros of defects the fuzzer found on the real path; each case
+   failed before its fix. *)
+let replay scenario variant ops () =
+  let s = Option.get (F.find_scenario scenario) and v = Option.get (F.find_variant variant) in
+  match F.run_case ~inspect:ignore s v ops with
+  | Ok () -> ()
+  | Error f -> Alcotest.failf "step %d: %s" f.F.f_step f.F.f_reason
+
+(* A stamped read refetched its unmet demand once. Another read's fetch
+   then made the p table governed, so an entry for a p key it held no
+   copy of became an unmet gap, and the read went [Stale] at the
+   deadline. *)
+let test_stamp_refetch_again =
+  replay "mixed" "session"
+    [ F.Put ("s|ann|cal", "1"); F.Count ("t|cal|", "t|cal}"); F.Put ("p|dee|0019", "m18") ]
+
+(* A point-range refetch's snapshot landed after the push of a later
+   write to that key, on the other connection, and reverted it: the
+   compute served a page without the comment. *)
+let test_snapshot_after_push =
+  replay "newp" "session"
+    [ F.Put ("article|ann|102", "art1"); F.Remove "comment|ann|102|c2|ann";
+      F.Put ("comment|bob|101|c2|bob", "c1"); F.Scan ("", "\xfe"); F.Crash;
+      F.Put ("comment|ann|102|c2|ann", "c5"); F.Remove "vote|bob|101|ann";
+      F.Put ("vote|ann|102|bob", "1") ]
 
 let () =
   Alcotest.run "fuzz"
@@ -213,5 +252,10 @@ let () =
         [
           Alcotest.test_case "all pairs, twice" `Quick test_bounded_sweep;
           Alcotest.test_case "cluster mechanisms fire" `Quick test_cluster_coverage;
+        ] );
+      ( "regressions",
+        [
+          Alcotest.test_case "a stamped read refetches again" `Quick test_stamp_refetch_again;
+          Alcotest.test_case "a snapshot older than a push" `Quick test_snapshot_after_push;
         ] );
     ]
