@@ -239,8 +239,9 @@ let main port joins memory_limit data_dir sync sync_interval snapshot_every wal_
       let self_addr = Printf.sprintf "%s:%d" advertise (Net_server.port t) in
       (* Routing truth is always a partition directory. A follower's copy
          stays at epoch 0 ("not yet synced") until its first poll of the
-         seed lands — the loop's first step sends it, so a follower's
-         listening line below reports epoch 0 — and so does a seed with
+         seed lands, answering keyed requests Error until then; the poll
+         leaves before the loop's first wait, so a follower's listening
+         line below reports epoch 0 — and so does a seed with
          no specs, waiting for pequod_ctl dir-seed. Every other server
          fixes its specs at epoch 1 — even none, which routes everything
          here. *)

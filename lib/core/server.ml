@@ -1585,6 +1585,26 @@ let unmark_present t ~table ~lo ~hi =
     Option.iter (fun p -> Range_map.clear_range p ~lo ~hi) m.present;
     Option.iter (fun o -> Range_map.clear_range o ~lo ~hi) m.owned
 
+(** Remove, through {!remove}, up to [limit] resident keys of [\[lo, hi)]
+    that neither lie in a fetched copy (present, not owned: a feed
+    reconciled them) nor are named by [keep]: what a migration's source
+    still holds of a range it gave away. [Some next] is where the next
+    call resumes; [None]: the walk reached [hi]. *)
+let drop_moved t ~lo ~hi ~limit ~keep =
+  let covered map k = match map with Some m -> Range_map.find m k <> None | None -> false in
+  let fetched =
+    match Hashtbl.find_opt t.meta (Store.table_name_of lo) with
+    | Some m -> fun k -> covered m.present k && not (covered m.owned k)
+    | None -> fun _ -> false
+  in
+  let n, keys =
+    Store.fold_range_stop t.store ~lo ~hi ~init:(0, []) (fun (n, acc) k _ ->
+        let st = (n + 1, k :: acc) in
+        if n + 1 >= limit then `Stop st else `Continue st)
+  in
+  List.iter (fun k -> if not (fetched k || keep k) then remove t k) keys;
+  match keys with last :: _ when n >= limit -> Some (last ^ "\x00") | _ -> None
+
 (** Number of key-value pairs resident (all tables). *)
 let size t = Store.size t.store
 

@@ -143,6 +143,14 @@ val mark_present : t -> table:string -> lo:string -> hi:string -> unit
     subscription the home dropped. *)
 val unmark_present : t -> table:string -> lo:string -> hi:string -> unit
 
+(** Remove, through {!remove}, up to [limit] resident keys of [\[lo, hi)]
+    that neither lie in a fetched copy (present, not owned: a feed
+    reconciled them) nor are named by [keep]: what a migration's source
+    still holds of a range it gave away. [Some next] is where the next
+    call resumes; [None]: the walk reached [hi]. *)
+val drop_moved :
+  t -> lo:string -> hi:string -> limit:int -> keep:(string -> bool) -> string option
+
 (** {2 Per-range version stamps (session consistency)}
 
     Every range this server is authoritative for — an owned piece, or

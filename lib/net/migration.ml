@@ -4,7 +4,8 @@
    barrier; writes landing in the range during the copy are captured as
    the delta. Once the copy is done the flip holds every write to the
    range, replays the delta and flips the directory epoch, so the
-   destination never becomes the home of a range it only half holds. *)
+   destination never becomes the home of a range it only half holds.
+   The moved keys then leave this server in chunks, as they came. *)
 
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
@@ -14,7 +15,7 @@ let src = Logs.Src.create "pequod.migration"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type phase = Copying | Awaiting_barrier | Flipping
+type phase = Copying | Awaiting_barrier | Flipping | Removing
 
 type env = {
   out : Peer.outbound;
@@ -32,11 +33,12 @@ type t = {
   hi : string;
   dest : string;
   mutable phase : phase;
-  mutable cursor : string; (* next key to copy *)
+  mutable cursor : string; (* next key to copy, then to remove *)
   mutable delta : (string * string option) list; (* captured writes, newest first *)
   mutable keys : int;
   mutable deltas : int;
   mutable held : (unit -> unit) list; (* held writes' retries, newest first *)
+  arrived : (string, unit) Hashtbl.t; (* keys applied here while removing *)
   on_end : unit -> unit; (* the server forgets this migration *)
   reply : Message.response -> unit; (* answers the Migrate request *)
   m_keys : Obs.Counter.t; (* migrate.keys_moved *)
@@ -47,6 +49,7 @@ exception Fail of string
 
 let chunk = 512 (* keys per posted snapshot batch *)
 let chunks_per_step = 64
+let removals_per_step = 16 (* each is logged, and fsynced under --sync always *)
 
 let phase mg = mg.phase
 let inside mg key = String.compare mg.lo key <= 0 && String.compare key mg.hi < 0
@@ -66,14 +69,17 @@ let start env ~table ~lo ~hi ~dest ~on_end reply =
       let obs = Server.obs env.engine in
       Ok
         { env; table; lo; hi; dest; phase = Copying; cursor = lo; delta = []; keys = 0;
-          deltas = 0; held = []; on_end; reply;
+          deltas = 0; held = []; arrived = Hashtbl.create 8; on_end; reply;
           m_keys = Obs.counter obs "migrate.keys_moved";
           m_delta = Obs.counter obs "migrate.delta_replayed" }
 
 (* a write applied here while the range is moving is part of the
-   handoff delta: the snapshot chunk covering it may be copied already *)
+   handoff delta: the snapshot chunk covering it may be copied already.
+   Once it has moved, one is the range coming back, and stays *)
 let capture mg key value =
-  if inside mg key then mg.delta <- (key, value) :: mg.delta
+  if inside mg key then
+    if mg.phase = Removing then Hashtbl.replace mg.arrived key ()
+    else mg.delta <- (key, value) :: mg.delta
 
 let hold mg touches k retry =
   if mg.phase = Flipping && touches (inside mg) then begin
@@ -83,11 +89,10 @@ let hold mg touches k retry =
   end
   else false
 
-(* the migration is over: release the held writes, which re-route by
-   the directory as it now stands (forwarded to the new home after an
+(* the flip is over: release the held writes, which re-route by the
+   directory as it now stands (forwarded to the new home after an
    install, applied here after a failure) *)
-let finish mg =
-  mg.on_end ();
+let release mg =
   let held = List.rev mg.held in
   mg.held <- [];
   List.iter (fun retry -> retry ()) held
@@ -98,7 +103,8 @@ let fail mg msg =
         "migration of %s[%s,%s) to %s failed after %d keys: %s (directory unchanged; re-run \
          the migration)"
         mg.table mg.lo mg.hi mg.dest mg.keys msg);
-  finish mg;
+  mg.on_end ();
+  release mg;
   mg.reply (Message.Error msg)
 
 (* [k resp] for [req] sent to [addr] on [lane]; a peer failure, an
@@ -207,11 +213,7 @@ let flip mg =
     (match Directory.install env.dir ~epoch ~entries with
     | Ok () -> ()
     | Error msg -> if env.seed = None then raise (Fail msg));
-    (* this server no longer owns the range, nor keeps its data: a
-       copy left behind would come back to life if the range ever moved
-       here again, with the keys removed since *)
     Server.unmark_present env.engine ~table ~lo ~hi;
-    List.iter (fun (key, _) -> Server.remove env.engine key) (Server.scan env.engine ~lo ~hi);
     let result =
       Message.Pairs
         [ ("keys_moved", string_of_int mg.keys);
@@ -241,7 +243,9 @@ let flip mg =
         Log.app (fun m ->
             m "migration of %s[%s,%s) to %s complete: %d keys, %d delta writes" table lo hi
               dest mg.keys mg.deltas);
-        finish mg;
+        mg.phase <- Removing;
+        mg.cursor <- lo;
+        release mg;
         mg.reply result
       end
     in
@@ -267,11 +271,24 @@ let flip mg =
                 | _ -> raise (Fail "seed: unexpected Dir_update response"))
           | _ -> raise (Fail "seed: unexpected Dir_get response")))
 
-(* one step's worth of copying: up to [chunks_per_step] chunks posted to
-   the destination, then a barrier the pump waits on; the last barrier
-   starts the flip *)
+(* One step's worth of work. Copying: up to [chunks_per_step] chunks
+   posted to the destination, then a barrier the pump waits on; the last
+   barrier starts the flip. Removing: [removals_per_step] moved keys
+   leave this server. A copy left behind would come back to life if the
+   range moved here again, with the keys removed since; a key that
+   arrived since (the range moving back) stays, as does a fetched copy,
+   which its feed reconciled. *)
 let pump mg =
-  if mg.phase = Copying then
+  match mg.phase with
+  | Awaiting_barrier | Flipping -> ()
+  | Removing -> (
+    match
+      Server.drop_moved mg.env.engine ~lo:mg.cursor ~hi:mg.hi ~limit:removals_per_step
+        ~keep:(Hashtbl.mem mg.arrived)
+    with
+    | Some next -> mg.cursor <- next
+    | None -> mg.on_end ())
+  | Copying -> (
     try
       let copied_all = ref false in
       let budget = ref chunks_per_step in
@@ -291,4 +308,4 @@ let pump mg =
       done;
       mg.phase <- Awaiting_barrier;
       barrier mg (fun () -> if !copied_all then flip mg else mg.phase <- Copying)
-    with Fail msg -> fail mg msg
+    with Fail msg -> fail mg msg)

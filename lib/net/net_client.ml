@@ -24,12 +24,7 @@ let create ?obs ?(config = default_config) addr =
   { addr; config; obs; pool = None; m_timeouts = Obs.counter obs "net.client.timeouts" }
 
 let close t =
-  match t.pool with
-  | None -> ()
-  | Some p ->
-    t.pool <- None;
-    Peer.close p.peer;
-    Poller.close p.poller
+  Option.iter (fun p -> t.pool <- None; Peer.close p.peer; Poller.close p.poller) t.pool
 
 (* a failed exchange drops the pool, so the next call dials at once
    rather than sitting out Peer's backoff *)

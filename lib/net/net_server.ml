@@ -351,13 +351,10 @@ let dump_metrics t =
 
 let maybe_dump_metrics t =
   match t.metrics_every with
-  | None -> ()
-  | Some every ->
-    let now = Unix.gettimeofday () in
-    if now >= t.next_dump then begin
-      t.next_dump <- now +. every;
-      dump_metrics t
-    end
+  | Some every when Unix.gettimeofday () >= t.next_dump ->
+    t.next_dump <- Unix.gettimeofday () +. every;
+    dump_metrics t
+  | _ -> ()
 
 (** One iteration of the event loop: wait up to [timeout] seconds for
     readiness (less when the core's pumps are due), then

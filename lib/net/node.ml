@@ -46,6 +46,7 @@ type stamp_wait = {
   sw_k : Message.stamp_entry list -> unit; (* [] once satisfied, else the unmet ranges *)
   mutable sw_fetching : bool; (* explicit refetch of the unmet ranges in flight *)
   mutable sw_fetch_failed : bool; (* refetch failed: owner unreachable, fail [Stale] *)
+  mutable sw_refetched : Message.stamp_entry list list; (* the unmet sets refetched *)
 }
 
 (* Shard mode, installed by the shard layer (see shard.ml): this shard's
@@ -66,7 +67,8 @@ type t = {
   out : Peer.outbound; (* every request to another server *)
   mutable shard : shard option;
   (* routing truth, installed by [set_directory]; until then empty
-     (epoch 0), which routes every key here *)
+     (epoch 0), which routes every key here — except on a follower,
+     which answers keyed requests [Error] until it first syncs *)
   mutable dir : Directory.t;
   mutable self : string; (* this server's advertised address *)
   mutable seed : string option; (* the seed's address; None: [dir] is authoritative *)
@@ -250,31 +252,26 @@ let flush_notifications t =
            through the stamp recorded here — pushes leave in write order
            per connection, so the floor over the range at flush time is
            a sound promise *)
-        let stamps = ref [] in
+        let ranges = Hashtbl.create 4 in
         List.iter
           (fun (key, _) ->
             let table = Pequod_store.Store.table_name_of key in
-            match Hashtbl.find_opt t.subs table with
-            | None -> ()
-            | Some im ->
-              Interval_map.stab im key (fun h ->
-                  if String.equal (Interval_map.handle_data h) dst then begin
-                    let slo, shi = Interval_map.handle_range h in
-                    if
-                      not
-                        (List.exists
-                           (fun (tb, l, h', _) ->
-                             String.equal tb table && String.equal l slo
-                             && String.equal h' shi)
-                           !stamps)
-                    then
-                      stamps :=
-                        ( table, slo, shi,
-                          Server.range_stamp t.engine ~table ~lo:slo ~hi:shi )
-                        :: !stamps
-                  end))
+            Option.iter
+              (fun im ->
+                Interval_map.stab im key (fun h ->
+                    if String.equal (Interval_map.handle_data h) dst then
+                      let lo, hi = Interval_map.handle_range h in
+                      Hashtbl.replace ranges (table, lo, hi) ()))
+              (Hashtbl.find_opt t.subs table))
           items;
-        let stamps = List.filter (fun (_, _, _, s) -> s > 0) !stamps in
+        let stamps =
+          Hashtbl.fold
+            (fun (table, lo, hi) () acc ->
+              match Server.range_stamp t.engine ~table ~lo ~hi with
+              | 0 -> acc
+              | s -> (table, lo, hi, s) :: acc)
+            ranges []
+        in
         Obs.Counter.incr t.m_notify_out;
         t.out.post dst (Message.Notify_batch { items; stamps }))
     order
@@ -436,6 +433,7 @@ let local_get t key k =
    far cheaper than keeping the reader parked. Seconds of [Config.now]. *)
 let stamp_refetch_after = 0.005 (* give the push 5ms to catch up *)
 let stamp_deadline = 2.0 (* then the read fails [Stale] *)
+let max_refetches = 4 (* per parked read *)
 
 (* One pump pass over the parked stamped reads: a wait whose demand the
    subscription push has satisfied is served; a wait older than
@@ -445,8 +443,9 @@ let stamp_deadline = 2.0 (* then the read fails [Stale] *)
    [Stale] carrying the unmet sub-ranges. A refetch may land and leave
    a new entry unmet: another read's fetch can make a table governed
    after this wait parked, and an entry the table did not hold a copy
-   of then counts as a gap. So a wait refetches again while unmet, not
-   once. *)
+   of then counts as a gap. So a wait refetches again for an unmet set
+   it has not refetched yet, at most [max_refetches] times; a demand
+   the owner's copy cannot reach waits out the deadline after one. *)
 let pump_stamp_waits t =
   match t.stamp_waits with
   | [] -> ()
@@ -466,7 +465,10 @@ let pump_stamp_waits t =
           match Server.stamp_unsatisfied t.engine w.sw_min with
           | [] -> settle []
           | unmet ->
-            let refetching = waited >= stamp_refetch_after && not w.sw_fetching in
+            let refetching =
+              waited >= stamp_refetch_after && (not w.sw_fetching)
+              && List.length w.sw_refetched < max_refetches && not (List.mem unmet w.sw_refetched)
+            in
             if refetching then begin
               (* the push is not catching up: drop the stale copies and
                  fetch them back explicitly. The serve need not scan the
@@ -476,6 +478,7 @@ let pump_stamp_waits t =
                  completed refetch, which re-records the owner's stamp,
                  discharges the demand. *)
               Obs.Counter.incr t.m_refetches;
+              w.sw_refetched <- unmet :: w.sw_refetched;
               List.iter
                 (fun (table, lo, hi, _) -> Server.unmark_present t.engine ~table ~lo ~hi)
                 unmet;
@@ -492,10 +495,6 @@ let pump_stamp_waits t =
             (* the owner is unreachable: freshness cannot be
                re-established, so fail honestly and fast *)
             if waited >= stamp_deadline || w.sw_fetch_failed then settle unmet
-            else if
-              refetching && (not w.sw_fetching)
-              && Server.stamp_unsatisfied t.engine w.sw_min = []
-            then settle []
             else keep := w :: !keep
         end)
       waits;
@@ -512,7 +511,7 @@ let serve_stamped t conn ~min ~read k =
     t.stamp_waits <-
       { sw_conn = conn; sw_min = min; sw_t0 = now t;
         sw_k = (function [] -> read k | unmet -> k (Message.Stale unmet));
-        sw_fetching = false; sw_fetch_failed = false }
+        sw_fetching = false; sw_fetch_failed = false; sw_refetched = [] }
       :: t.stamp_waits
 
 (* a local scan; a stamped one ([min] not []) waits for its demand first *)
@@ -667,6 +666,11 @@ let rec route t conn req k =
     | None -> false
   in
   match req with
+  | Message.(Put _ | Remove _ | Put_batch _ | Get _ | Get_at _ | Scan _ | Scan_at _)
+    when t.seed <> None && Directory.epoch t.dir = 0 ->
+    (* a follower that has not synced yet knows no home: served here, a
+       write homed elsewhere would be lost and a read answered empty *)
+    k (Message.Error "directory not yet synced")
   | Message.Put (key, _) | Message.Remove key ->
     if not (held (fun inside -> inside key)) then (
       match Directory.write_home (entries t) ~self:t.self ~key with
@@ -812,8 +816,9 @@ let pump t =
   flush_notifications t
 
 (** How long the owner may wait for I/O before the next {!pump}, at most
-    [timeout]: none during a copy, 2 ms while stamped reads are parked. *)
+    [timeout]: none while a migration copies or removes, 2 ms while
+    stamped reads are parked. *)
 let max_wait t timeout =
   match t.migration with
-  | Some mg when Migration.phase mg = Migration.Copying -> 0.0
+  | Some mg when Migration.(phase mg = Copying || phase mg = Removing) -> 0.0
   | _ -> if t.stamp_waits <> [] then Float.min timeout 0.002 else timeout

@@ -122,6 +122,7 @@ module Fetcher = struct
       fl.fl_cands <- rest;
       Obs.Counter.incr f.m_fetch_out;
       let table, lo, hi = fl.fl_key in
+      let floor = Server.range_stamp f.f_engine ~table ~lo ~hi in
       f.f_out.call Peer.Prompt addr
         (Message.Fetch { table; lo; hi; subscriber = f.f_self })
         (fun reply ->
@@ -131,15 +132,18 @@ module Fetcher = struct
           in
           match reply with
           | Ok (Message.Subscribed { stamp; _ })
-            when stamp < Server.range_stamp f.f_engine ~table ~lo ~hi && fl.fl_stale < 8 ->
+            when (let now = Server.range_stamp f.f_engine ~table ~lo ~hi in
+                  now > floor && stamp < now) ->
             (* a push the home sent after this snapshot landed first:
                answers and pushes travel on different connections. Every
                such push carries a trailer for exactly this range, above
-               the snapshot's stamp, and feeding the snapshot would
-               revert it; fetch again from the same candidate *)
+               the snapshot's stamp, so the range's stamp rose past it
+               while the fetch was out, and feeding the snapshot would
+               revert the push; fetch again from the same candidate, a
+               few times, and never feed it *)
             fl.fl_stale <- fl.fl_stale + 1;
-            fl.fl_cands <- addr :: fl.fl_cands;
-            issue f fl
+            if fl.fl_stale > 8 then failed "answered snapshots older than its pushes"
+            else (fl.fl_cands <- addr :: fl.fl_cands; issue f fl)
           | Ok (Message.Subscribed { stamp; pairs }) ->
             Hashtbl.replace f.f_tracked fl.fl_key addr;
             Server.feed_base f.f_engine ~table ~lo ~hi pairs;
@@ -360,34 +364,30 @@ let attach ~node ~self_addr ~check_every ?seed dir =
     match seed with
     | None -> fun _ -> () (* installs land in [dir] directly *)
     | Some seed_addr ->
-      let answer = function
-        | Message.Dir_state { epoch; entries } -> (
-          Obs.Counter.incr m_dir_fetch;
-          (* a migration flip pushed to this server can race the poll:
-             an answer at-or-below the installed epoch is just old news *)
-          if epoch > Directory.epoch dir then
-            match Directory.install dir ~epoch ~entries with
-            | Ok () -> ()
-            | Error msg -> Log.warn (fun m -> m "directory update from seed rejected: %s" msg))
-        | Message.Done -> Obs.Counter.incr m_dir_fetch (* unchanged *)
-        | Message.Error msg -> Log.warn (fun m -> m "seed %s refused Dir_watch: %s" seed_addr msg)
-        | _ -> ()
-      in
-      let unreachable msg =
-        Log.debug (fun m -> m "directory seed %s unreachable: %s" seed_addr msg)
-      in
       (* the first tick polls at once *)
-      let last_poll = ref neg_infinity in
-      let polling = ref false in
+      let last_poll = ref neg_infinity and polling = ref false in
       fun now ->
         if (not !polling) && now -. !last_poll >= poll_every then begin
           last_poll := now;
           polling := true;
-          out.call Peer.Prompt seed_addr
-            (Message.Dir_watch { epoch = Directory.epoch dir })
+          out.call Peer.Prompt seed_addr (Message.Dir_watch { epoch = Directory.epoch dir })
             (fun reply ->
               polling := false;
-              match reply with Ok resp -> answer resp | Error msg -> unreachable msg)
+              match reply with
+              | Ok (Message.Dir_state { epoch; entries }) -> (
+                Obs.Counter.incr m_dir_fetch;
+                (* a migration flip pushed to this server can race the
+                   poll: an answer at-or-below the installed epoch is
+                   just old news; a newer one applies at once *)
+                if epoch > Directory.epoch dir then
+                  match Directory.install dir ~epoch ~entries with
+                  | Ok () -> sync ()
+                  | Error msg -> Log.warn (fun m -> m "directory from seed rejected: %s" msg))
+              | Ok Message.Done -> Obs.Counter.incr m_dir_fetch (* unchanged *)
+              | Ok (Message.Error msg) ->
+                Log.warn (fun m -> m "seed %s refused Dir_watch: %s" seed_addr msg)
+              | Ok _ -> ()
+              | Error msg -> Log.debug (fun m -> m "seed %s unreachable: %s" seed_addr msg))
         end
   in
   (* a range the heartbeat found dropped: re-plan it against the current
@@ -449,8 +449,6 @@ let attach ~node ~self_addr ~check_every ?seed dir =
         by_addr
     end
   in
-  sync ();
-  govern ();
   let last_warm = ref neg_infinity in
   let tick () =
     let now = (Server.config engine).Config.now () in
@@ -462,5 +460,8 @@ let attach ~node ~self_addr ~check_every ?seed dir =
     end;
     heal now
   in
-  Node.set_directory node ?seed ~dir ~self_addr ~fetcher:(Fetcher.request fetcher)
-    ~tick ()
+  (* the first tick runs now: a follower's first poll leaves before
+     its owner first waits *)
+  tick ();
+  govern ();
+  Node.set_directory node ?seed ~dir ~self_addr ~fetcher:(Fetcher.request fetcher) ~tick ()

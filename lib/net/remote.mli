@@ -53,9 +53,11 @@ val entries_of_specs :
     [seed = None] means the directory is installed locally: a seed, a
     server whose [--partition] specs fixed it at epoch 1, or a shard.
     Otherwise the tick polls [seed] once a second through the outbound
-    record, the first time on the first tick. Until that poll lands the
-    follower is at epoch 0 and defers every read, so a follower that
-    has just been attached, and its listening line, report epoch 0.
+    record, the first time from [attach] itself, before the owner first
+    waits. Until that poll lands the follower is at epoch 0 and its core
+    answers every keyed request [Error "directory not yet synced"], so a
+    follower that has just been attached, and its listening line, report
+    epoch 0.
 
     Every epoch change marks and un-marks owned ranges by diff, drops
     subscriptions whose granting server the directory no longer names,

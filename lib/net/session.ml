@@ -85,26 +85,18 @@ let put t k v = write t (Message.Put (k, v))
 let put_batch t pairs = if pairs <> [] then write t (Message.Put_batch pairs)
 let remove t k = write t (Message.Remove k)
 
-let get t key =
-  let req =
-    match stamp t with
-    | [] -> Message.Get key
-    | min -> Message.Get_at { key; min }
-  in
-  match Net_client.call t.sn_client req with
-  | Message.Value v -> v
+(* a read, stamped with the session's vector when it holds one *)
+let read t ~plain ~at answer =
+  match Net_client.call t.sn_client (match stamp t with [] -> plain | min -> at min) with
   | Message.Stale unmet -> raise (Stale unmet)
   | Message.Error msg -> fail msg
-  | _ -> fail "unexpected get response"
+  | resp -> (match answer resp with Some v -> v | None -> fail "unexpected read response")
+
+let get t key =
+  read t ~plain:(Message.Get key) ~at:(fun min -> Message.Get_at { key; min }) (function
+    | Message.Value v -> Some v
+    | _ -> None)
 
 let scan t ~lo ~hi =
-  let req =
-    match stamp t with
-    | [] -> Message.Scan { lo; hi }
-    | min -> Message.Scan_at { lo; hi; min }
-  in
-  match Net_client.call t.sn_client req with
-  | Message.Pairs pairs -> pairs
-  | Message.Stale unmet -> raise (Stale unmet)
-  | Message.Error msg -> fail msg
-  | _ -> fail "unexpected scan response"
+  read t ~plain:(Message.Scan { lo; hi }) ~at:(fun min -> Message.Scan_at { lo; hi; min })
+    (function Message.Pairs pairs -> Some pairs | _ -> None)

@@ -111,17 +111,14 @@ let check_shard_marker dir shards =
    [dir/shard-i] and gets an equal slice of the memory budget *)
 let shard_config template ~shards ~i =
   let c = { template with Config.now = template.Config.now } in
-  (match template.Config.persist with
-  | None -> ()
-  | Some p ->
-    let dir = Filename.concat p.Config.p_dir (Printf.sprintf "shard-%d" i) in
-    mkdir_p dir;
-    c.Config.persist <-
-      Some
-        { p with Config.p_dir = dir });
-  (match template.Config.memory_limit with
-  | None -> ()
-  | Some m -> c.Config.memory_limit <- Some (max 1 (m / shards)));
+  Option.iter
+    (fun p ->
+      let dir = Filename.concat p.Config.p_dir (Printf.sprintf "shard-%d" i) in
+      mkdir_p dir;
+      c.Config.persist <- Some { p with Config.p_dir = dir })
+    template.Config.persist;
+  Option.iter (fun m -> c.Config.memory_limit <- Some (max 1 (m / shards)))
+    template.Config.memory_limit;
   c
 
 (* Stats_full, aggregated: sum counters and gauges across shards under
@@ -170,9 +167,7 @@ let create ?config ?backend ?metrics_every ?(sub_check_every = 2.0)
   (* the directory validates the cuts (strictly increasing) before any
      listener is bound *)
   ignore (directory ~cuts ~homes:(List.init shards string_of_int));
-  (match template.Config.persist with
-  | Some p -> check_shard_marker p.Config.p_dir shards
-  | None -> ());
+  Option.iter (fun p -> check_shard_marker p.Config.p_dir shards) template.Config.persist;
   (* bind every shard's own listener first (ephemeral ports), so sibling
      addresses are known before any routing is installed *)
   let servers =

@@ -8,6 +8,7 @@ module Remote = Pequod_server_lib.Remote
 module Directory = Pequod_server_lib.Directory
 module Migration = Pequod_server_lib.Migration
 module Node = Pequod_server_lib.Node
+module Peer = Pequod_server_lib.Peer
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
 module Frame = Pequod_proto.Frame
@@ -516,6 +517,160 @@ let test_partial_migration () =
   check_bool "the rest is granted" true (fetch "s|" "s|m");
   check_bool "a straddling range is refused" false (fetch "s|" "s}")
 
+(* A migration of many keys: the flip answers, then A removes the moved
+   keys a bounded number per step, not in one pass that would stall its
+   loop. It keeps a key applied there since (the range moving back) and
+   a fetched copy, which its feed reconciled; a piece that comes back
+   owned is still cleaned of keys that did not come back with it. *)
+let test_removal_in_chunks () =
+  with_pair ~backend:`Epoll @@ fun a b ->
+  let ea = Net_server.engine a in
+  Server.put_batch ea (List.init 5000 (fun i -> (Printf.sprintf "s|k%04d" i, "v")));
+  let resident () =
+    let n = ref 0 in
+    Server.iter_pairs ea (fun k _ -> if String.starts_with ~prefix:"s|" k then incr n);
+    !n
+  in
+  let ctl = connect a in
+  Fun.protect ~finally:(fun () -> Unix.close ctl) @@ fun () ->
+  (match rpc ~servers:[ a; b ] ctl (migrate_s b) with
+  | Message.Pairs _ -> ()
+  | _ -> Alcotest.fail "migration failed");
+  check_bool "removing after the answer" true (phase a = Some Migration.Removing);
+  Node.apply_oneway (Net_server.node a)
+    (Message.Notify_batch { items = [ ("s|zz", Some "back") ]; stamps = [] });
+  Server.feed_base ea ~table:"s" ~lo:"s|k4990" ~hi:"s|k5000" [ ("s|k4995", "fetched") ];
+  Server.mark_present ea ~table:"s" ~lo:"s|k1000" ~hi:"s|k1010";
+  let steps = ref 0 in
+  while phase a <> None do
+    let before = resident () in
+    Net_server.step ~timeout:0.001 a;
+    incr steps;
+    check_bool "at most 16 per step" true (before - resident () <= 16)
+  done;
+  check_bool "removed over many steps" true (!steps >= 50);
+  check_bool "only the arrival and the fetched copy are left" true
+    (resident () = 2 && Server.get ea "s|zz" = Some "back"
+    && Server.get ea "s|k4995" = Some "fetched");
+  check_bool "B holds the range" true (Server.get (Net_server.engine b) "s|k4999" = Some "v")
+
+(* ------------------------------------------------------------------ *)
+(* One core over a scripted outbound record, on a manual clock          *)
+
+(* A core at "c" whose outbound record logs every call (address,
+   request, continuation) and answers it at once with
+   [answer engine req], if that is [Some]. *)
+let scripted_core ?(joins = []) answer =
+  let clock = ref 1000.0 in
+  let config = Pequod_core.Config.default () in
+  config.Pequod_core.Config.now <- (fun () -> !clock);
+  let engine = Server.create ~config () in
+  List.iter (Server.add_join_exn engine) joins;
+  let calls = ref [] in
+  let out =
+    { Peer.call =
+        (fun _ addr req k ->
+          calls := (addr, req, k) :: !calls;
+          Option.iter (fun resp -> k (Ok resp)) (answer engine req));
+      post = (fun _ _ -> ()) }
+  in
+  (Node.create ~out engine, clock, calls)
+
+let ask node req =
+  let answer = ref None in
+  Node.handle node { Node.injected = false; alive = true } req (fun r -> answer := Some r);
+  answer
+
+(* s and p homed at "home", fixed at epoch 1 *)
+let attach_home ?seed node =
+  let dir = Directory.create () in
+  if seed = None then
+    ignore (Directory.install dir ~epoch:1 ~entries:[ entry "s" "home"; entry "p" "home" ]);
+  Remote.attach ~node ~self_addr:"c" ~check_every:1.0 ?seed dir
+
+let fetches calls =
+  List.length (List.filter (function _, Message.Fetch _, _ -> true | _ -> false) !calls)
+
+(* A follower's first poll leaves from [attach], and until its answer
+   lands the follower refuses every keyed request: routed over no
+   entries, a write homed elsewhere would be applied here and lost. *)
+let test_unsynced_follower () =
+  let node, _, calls = scripted_core (fun _ _ -> None) in
+  attach_home ~seed:"seed" node;
+  let poll =
+    List.find_map (function "seed", Message.Dir_watch _, k -> Some k | _ -> None) !calls
+  in
+  check_bool "polled at attach" true (poll <> None);
+  List.iter
+    (fun req ->
+      match !(ask node req) with
+      | Some (Message.Error _) -> ()
+      | _ -> Alcotest.fail "an unsynced follower served a keyed request")
+    [ Message.Put ("s|a|1", "v"); Message.Put_batch [ ("s|a|2", "v") ]; Message.Remove "s|a|1";
+      Message.Get "s|a|1"; Message.Scan { lo = "s|"; hi = "s}" } ];
+  check_bool "nothing applied" true (Server.size (Node.engine node) = 0);
+  Option.get poll
+    (Ok (Message.Dir_state { epoch = 1; entries = [ entry "s" "home"; entry "p" "home" ] }));
+  ignore (ask node (Message.Put ("s|a|1", "v")));
+  check_bool "synced, the write goes home" true
+    (List.exists (function "home", Message.Put _, _ -> true | _ -> false) !calls)
+
+(* A home whose every snapshot loses to a push of the same range: the
+   fetch is retried a bounded number of times and then fails, never
+   feeding a snapshot older than data already applied; the next read
+   retries and, with the pushes quiet, is served. *)
+let test_snapshot_keeps_losing () =
+  let pushing = ref true in
+  let node, _, calls =
+    scripted_core ~joins:[ timeline_join ] (fun engine -> function
+      | Message.Fetch { table; lo; hi; _ } ->
+        if !pushing then
+          Server.set_range_stamp engine ~table ~lo ~hi
+            (max 1 (Server.range_stamp engine ~table ~lo ~hi) + 1);
+        Some
+          (Message.Subscribed
+             { stamp = 1;
+               pairs = (if table = "s" then [ ("s|ann|bob", "1") ] else [ ("p|bob|0001", "hi") ]) })
+      | _ -> None)
+  in
+  attach_home node;
+  let timeline = Message.Scan { lo = "t|ann|"; hi = "t|ann}" } in
+  (match !(ask node timeline) with
+  | Some (Message.Error _) -> ()
+  | _ -> Alcotest.fail "a snapshot older than its pushes was served");
+  Test_util.check_int "fetched 9 times" 9 (fetches calls);
+  check_bool "never fed" true (Server.size (Node.engine node) = 0);
+  pushing := false;
+  match !(ask node timeline) with
+  | Some (Message.Pairs [ ("t|ann|0001|bob", "hi") ]) -> ()
+  | _ -> Alcotest.fail "the next read must be served"
+
+(* A stamped read demanding more than the owner's copy will ever show
+   refetches once, then waits out the deadline and answers [Stale]. *)
+let test_refetches_bounded () =
+  let node, clock, calls =
+    scripted_core ~joins:[ timeline_join ] (fun _ -> function
+      | Message.Fetch _ -> Some (Message.Subscribed { stamp = 1; pairs = [] })
+      | _ -> None)
+  in
+  attach_home node;
+  ignore (ask node (Message.Scan { lo = "t|ann|"; hi = "t|ann}" }));
+  let answer =
+    ask node
+      (Message.Scan_at { lo = "t|ann|"; hi = "t|ann}"; min = [ ("s", "s|ann|", "s|ann}", 1000) ] })
+  in
+  let pumps = ref 0 in
+  while !answer = None && !pumps < 3000 do
+    clock := !clock +. 0.001;
+    Node.pump node;
+    incr pumps
+  done;
+  (match !answer with
+  | Some (Message.Stale _) -> ()
+  | _ -> Alcotest.fail "the demand cannot be met: Stale");
+  Test_util.check_int "one refetch" 1 (Server.counter (Node.engine node) "session.refetches");
+  Test_util.check_int "two fetches in all" 2 (fetches calls)
+
 (* ------------------------------------------------------------------ *)
 (* Cold timelines over a deferring resolver, in process                 *)
 
@@ -640,5 +795,13 @@ let () =
           Alcotest.test_case "destination lost while flipping" `Quick
             test_flip_destination_lost;
           Alcotest.test_case "a partial migration leaves the rest" `Quick
-            test_partial_migration ] );
+            test_partial_migration;
+          Alcotest.test_case "moved keys leave in chunks" `Quick test_removal_in_chunks ] );
+      ( "scripted-core",
+        [ Alcotest.test_case "an unsynced follower refuses keyed requests" `Quick
+            test_unsynced_follower;
+          Alcotest.test_case "a snapshot that keeps losing to pushes fails" `Quick
+            test_snapshot_keeps_losing;
+          Alcotest.test_case "stamped-read refetches stay bounded" `Quick
+            test_refetches_bounded ] );
     ]

@@ -785,10 +785,15 @@ let test_directory_heal () =
   in
   dir_update seed ~epoch:1
     [ entry "s" addr_a; entry "p" (Printf.sprintf "127.0.0.1:%d" port_b) ];
-  poll ~timeout:10.0 ~what:"the compute to adopt the directory" (fun () ->
-      fst (dir_state compute) = 1);
+  (* a follower answers writes only once it knows the directory *)
+  let adopted c =
+    poll ~timeout:10.0 ~what:"a follower to adopt the directory" (fun () ->
+        fst (dir_state c) = 1)
+  in
+  let home_b = client port_b in
+  List.iter adopted [ compute; home_b ];
   put_ok seed "s|ann|bob" "1";
-  put_ok (client port_b) "p|bob|0000000100" "hi";
+  put_ok home_b "p|bob|0000000100" "hi";
   (match scan_pairs compute "t|ann|" "t|ann}" with
   | Ok [ ("t|ann|0000000100|bob", "hi") ] -> ()
   | Ok pairs -> Alcotest.failf "first scan: %d pairs" (List.length pairs)
@@ -797,7 +802,9 @@ let test_directory_heal () =
   ignore (Unix.waitpid [] pid_b);
   let _, port_b2 = start (home_b_args port_b) in
   check_bool "respawned on the same port" true (port_b2 = port_b);
-  put_ok (client port_b) "p|bob|0000000400" "anew";
+  let home_b2 = client port_b in
+  adopted home_b2;
+  put_ok home_b2 "p|bob|0000000400" "anew";
   poll ~timeout:15.0 ~what:"sub_check healing after the home respawn" (fun () ->
       match scan_pairs compute "t|ann|" "t|ann}" with
       | Ok pairs -> List.mem_assoc "t|ann|0000000400|bob" pairs
