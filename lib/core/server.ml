@@ -105,7 +105,8 @@ type tbl_meta = {
   (* per-range version stamps (session consistency, docs/SESSIONS.md):
      on ranges this server is authoritative for, a counter bumped once
      per public mutation; on fetched ranges, the owner's stamp as
-     recorded from [Subscribed] snapshots and [Notify] push trailers.
+     set by the [Subscribed] snapshot's feed and raised by [Notify] push
+     trailers.
      One map serves both roles — a migration flips a range from fetched
      to owned and the counter continues where the feed left it *)
   mutable stamps : int Range_map.t option;
@@ -1182,7 +1183,8 @@ let stamps_for_keys t keys =
     keys
 
 (** Record that this server's copy of [\[lo, hi)] reflects the owner's
-    version [stamp] (a [Subscribed] snapshot or a [Notify] push trailer).
+    version [stamp] (a [Notify] push trailer; a snapshot's feed sets its
+    stamp exactly, {!feed_base}).
     Monotone: only ever raises recorded stamps. Fetched freshness is
     cache state, like fetched presence — nothing reaches the durability
     hook; the restore path reuses this entry point because raising from
@@ -1532,11 +1534,18 @@ let present_map m =
     pairs as the authoritative content of [\[lo, hi)] — any resident key
     the feed no longer contains is removed through the updaters, so a
     refetch after recovery or a lost subscription heals stale state and
-    the joins computed from it — and marks the range present. Fetched
-    presence and pairs are cache, not client state: nothing reaches the
-    durability hook (recovery refetches instead). *)
-let feed_base t ~table ~lo ~hi pairs =
-  Range_map.set (present_map (meta t table)) ~lo ~hi ();
+    the joins computed from it — and marks the range present at exactly
+    the home's version [stamp]. Fetched presence, pairs and stamp are
+    cache, not client state: nothing reaches the durability hook
+    (recovery refetches instead). *)
+let feed_base t ~table ~lo ~hi ~stamp pairs =
+  let m = meta t table in
+  Range_map.set (present_map m) ~lo ~hi ();
+  (* exactly, not raised: a stamp this engine issued itself while the
+     table was ungoverned, or a push trailer the snapshot predates, is
+     not the home's version of this copy *)
+  if stamp > 0 then Range_map.set (stamps_map m) ~lo ~hi stamp
+  else Option.iter (fun s -> Range_map.clear_range s ~lo ~hi) m.stamps;
   (* reconcile only pure base tables: a table some local join outputs
      into (a chained join's middle table) mixes fetched pairs with
      locally derived ones, which a backing copy must not delete *)

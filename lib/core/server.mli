@@ -130,8 +130,11 @@ val set_resolver : t -> resolver -> unit
     [Fetch] responses through this). Resident keys the feed no longer
     contains are removed through the updaters, so refetching a range —
     after recovery, eviction, or a lost subscription — heals stale base
-    data and the join output computed from it. *)
-val feed_base : t -> table:string -> lo:string -> hi:string -> (string * string) list -> unit
+    data and the join output computed from it. The range's recorded
+    stamp becomes exactly [stamp], the home's version of the snapshot
+    (0: none), whatever was recorded over it before. *)
+val feed_base :
+  t -> table:string -> lo:string -> hi:string -> stamp:int -> (string * string) list -> unit
 
 (** Mark a base range as locally owned (home-server partitions). Unlike
     fetched presence, ownership reaches the mutation hook and
@@ -156,8 +159,9 @@ val drop_moved :
     Every range this server is authoritative for — an owned piece, or
     any range of a table no partition layer governs — carries a version
     stamp bumped once per public mutation ({!put}, {!remove},
-    {!put_batch}). Fetched copies record the owner's stamp from
-    [Subscribed] snapshots and [Notify] push trailers. Stamps of
+    {!put_batch}). A fetched copy records exactly the owner's stamp of
+    its [Subscribed] snapshot ({!feed_base}), raised by [Notify] push
+    trailers. Stamps of
     authoritative ranges persist through snapshots (and reproduce under
     WAL replay, which re-runs the same mutations); recorded fetched
     stamps are cache state and do not survive. See docs/SESSIONS.md. *)

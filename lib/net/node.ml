@@ -95,6 +95,8 @@ type t = {
      (batched per peer, single-flighted across waiters) and calls back
      once all of them completed. [None]: no routes, so no read misses. *)
   mutable fetcher : ((string * string * string) list -> (ok:bool -> unit) -> unit) option;
+  (* sees every applied push: the fetcher's replay log ([Remote.attach]) *)
+  mutable on_push : (string * string option) list -> Message.stamp_entry list -> unit;
   m_scan_parked : Obs.Counter.t; (* scan.parked *)
   m_get : Obs.Counter.t; (* op.get: once per local Get, not per retry *)
   m_fetch_wait : Obs.Histogram.t; (* resolver.fetch.wait_ns *)
@@ -126,6 +128,7 @@ let create ~out engine =
     m_replica_reads = Obs.counter obs "replica.reads";
     tick = ignore;
     fetcher = None;
+    on_push = (fun _ _ -> ());
     m_scan_parked = Obs.counter obs "scan.parked";
     m_get = Obs.counter obs "op.get";
     m_fetch_wait = Obs.histogram obs "resolver.fetch.wait_ns";
@@ -145,13 +148,15 @@ let now t = (Server.config t.engine).Config.now ()
     whose [--partition] specs fixed it at epoch 1, a shard), a follower
     copy polled from [seed] otherwise. Reads missing base ranges park,
     and [fetcher] is handed the full missing set plus a completion
-    callback; [tick] runs once per {!pump} and rate-limits itself.
-    [Remote.attach] calls this, once, before serving. *)
-let set_directory t ?seed ~dir ~self_addr ~fetcher ~tick () =
+    callback; [on_push] sees every applied push; [tick] runs once per
+    {!pump} and rate-limits itself. [Remote.attach] calls this, once,
+    before serving. *)
+let set_directory t ?seed ~dir ~self_addr ~fetcher ~on_push ~tick () =
   t.dir <- dir;
   t.self <- self_addr;
   t.seed <- seed;
   t.fetcher <- Some fetcher;
+  t.on_push <- on_push;
   t.tick <- tick
 
 (** Make this core shard [self] of a shard-per-core process whose
@@ -560,10 +565,11 @@ let apply_oneway t req =
   ignore (Message.apply_to_server t.engine req);
   Obs.Counter.incr t.m_notify_in;
   match req with
-  | Message.Notify_batch { items; _ } ->
+  | Message.Notify_batch { items; stamps } ->
     (* [apply_to_server] applies the items and records the stamp
        trailer, so the freshness promise lands with the data *)
-    List.iter (fun (k, v) -> buffer_notify t k v) items
+    List.iter (fun (k, v) -> buffer_notify t k v) items;
+    t.on_push items stamps
   | _ -> ()
 
 (* The requests this server answers from its own state at once. *)

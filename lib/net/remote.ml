@@ -30,15 +30,11 @@ let parse_spec ~self_addr spec =
   | [ table; lo; hi ] when table <> "" && String.compare lo hi < 0 -> entry table lo hi
   | _ -> Error (Printf.sprintf "partition %S: expected TABLE or TABLE:LO:HI" spec)
 
+(* the first bad spec's error, in order *)
 let entries_of_specs ~self_addr specs =
-  List.fold_left
-    (fun acc spec ->
-      match (acc, parse_spec ~self_addr spec) with
-      | (Error _ as e), _ -> e
-      | _, (Error _ as e) -> e
-      | Ok es, Ok e -> Ok (e :: es))
-    (Ok []) specs
-  |> Result.map List.rev
+  List.fold_right
+    (fun s acc -> Result.bind (parse_spec ~self_addr s) (fun e -> Result.map (List.cons e) acc))
+    specs (Ok [])
 
 (* The asynchronous fetch engine behind the core's parked reads, on top
    of its outbound record ({!Peer.outbound}): a parked read's whole
@@ -55,7 +51,13 @@ let entries_of_specs ~self_addr specs =
    Single-flight: an in-flight table keyed by the exact (table, lo, hi)
    clamp means N concurrent parked reads missing the same range share
    one wire [Fetch] and one [feed_base]; the extra joins are counted in
-   [fetch.coalesced]. *)
+   [fetch.coalesced].
+
+   A push the home sent after a snapshot can land before it (they
+   travel on different connections) and the feed would revert it, so a
+   flight logs the pushes over its clamp and, once its snapshot at stamp
+   S is fed, applies again those whose trailer is above S
+   ([fetch.replayed]). *)
 module Fetcher = struct
   type waiter = {
     mutable w_remaining : int; (* clamps not yet landed *)
@@ -67,7 +69,9 @@ module Fetcher = struct
     fl_key : string * string * string; (* table, clamp lo, clamp hi *)
     mutable fl_cands : string list; (* candidates not yet tried, the home last *)
     mutable fl_waiters : waiter list;
-    mutable fl_stale : int; (* snapshots dropped as older than a landed push *)
+    (* pushes applied while out, newest first: (trailer over the clamp,
+       items inside it, trailer) *)
+    mutable fl_log : (int * (string * string option) list * Message.stamp_entry list) list;
   }
 
   type t = {
@@ -83,6 +87,7 @@ module Fetcher = struct
     f_inflight : (string * string * string, flight) Hashtbl.t;
     m_fetch_out : Obs.Counter.t; (* peer.fetch.out *)
     m_coalesced : Obs.Counter.t; (* fetch.coalesced *)
+    m_replayed : Obs.Counter.t; (* fetch.replayed *)
     m_inflight : Obs.Gauge.t; (* fetch.inflight *)
   }
 
@@ -96,7 +101,24 @@ module Fetcher = struct
       f_inflight = Hashtbl.create 16;
       m_fetch_out = Obs.counter obs "peer.fetch.out";
       m_coalesced = Obs.counter obs "fetch.coalesced";
+      m_replayed = Obs.counter obs "fetch.replayed";
       m_inflight = Obs.gauge obs "fetch.inflight" }
+
+  (* every push [Node.apply_oneway] applied; one whose trailer misses a
+     clamp cannot be above its snapshot, so that flight skips it *)
+  let on_push f items stamps =
+    if Hashtbl.length f.f_inflight > 0 then
+      Hashtbl.iter
+        (fun (table, lo, hi) fl ->
+          let over_clamp acc (t, slo, shi, s) =
+            if t = table && Strkey.range_overlaps (slo, shi) (lo, hi) then max acc s else acc
+          in
+          match List.fold_left over_clamp 0 stamps with
+          | 0 -> ()
+          | over ->
+            let inside = List.filter (fun (k, _) -> Strkey.in_range ~lo ~hi k) items in
+            fl.fl_log <- (over, inside, stamps) :: fl.fl_log)
+        f.f_inflight
 
   let complete_waiter w ~ok =
     if not ok then w.w_failed <- true;
@@ -122,7 +144,6 @@ module Fetcher = struct
       fl.fl_cands <- rest;
       Obs.Counter.incr f.m_fetch_out;
       let table, lo, hi = fl.fl_key in
-      let floor = Server.range_stamp f.f_engine ~table ~lo ~hi in
       f.f_out.call Peer.Prompt addr
         (Message.Fetch { table; lo; hi; subscriber = f.f_self })
         (fun reply ->
@@ -131,25 +152,21 @@ module Fetcher = struct
             issue f fl
           in
           match reply with
-          | Ok (Message.Subscribed { stamp; _ })
-            when (let now = Server.range_stamp f.f_engine ~table ~lo ~hi in
-                  now > floor && stamp < now) ->
-            (* a push the home sent after this snapshot landed first:
-               answers and pushes travel on different connections. Every
-               such push carries a trailer for exactly this range, above
-               the snapshot's stamp, so the range's stamp rose past it
-               while the fetch was out, and feeding the snapshot would
-               revert the push; fetch again from the same candidate, a
-               few times, and never feed it *)
-            fl.fl_stale <- fl.fl_stale + 1;
-            if fl.fl_stale > 8 then failed "answered snapshots older than its pushes"
-            else (fl.fl_cands <- addr :: fl.fl_cands; issue f fl)
           | Ok (Message.Subscribed { stamp; pairs }) ->
             Hashtbl.replace f.f_tracked fl.fl_key addr;
-            Server.feed_base f.f_engine ~table ~lo ~hi pairs;
-            (* record the snapshot's version: stamped reads compare
-               their demand against it, on replicas as on computes *)
-            if stamp > 0 then Server.set_range_stamp f.f_engine ~table ~lo ~hi stamp;
+            (* the copy is exactly the home's version [stamp], on
+               replicas as on computes *)
+            Server.feed_base f.f_engine ~table ~lo ~hi ~stamp pairs;
+            (* a home's batches leave in write order: those above [stamp]
+               hold every write the snapshot missed; one at or below it is
+               in the snapshot, and replayed could revert a newer key *)
+            List.iter
+              (fun (over, items, stamps) ->
+                if over > stamp then begin
+                  Obs.Counter.incr f.m_replayed;
+                  ignore (Message.apply_to_server f.f_engine (Notify_batch { items; stamps }))
+                end)
+              (List.rev fl.fl_log);
             complete_flight f fl ~ok:true
           | Ok (Message.Error msg) -> failed ("refused: " ^ msg)
           | Ok _ -> failed "answered unexpectedly"
@@ -190,7 +207,7 @@ module Fetcher = struct
             Obs.Counter.incr f.m_coalesced;
             fl.fl_waiters <- waiter :: fl.fl_waiters
           | None ->
-            let fl = { fl_key = key; fl_cands = cands; fl_waiters = [ waiter ]; fl_stale = 0 } in
+            let fl = { fl_key = key; fl_cands = cands; fl_waiters = [ waiter ]; fl_log = [] } in
             Hashtbl.replace f.f_inflight key fl;
             Obs.Gauge.set f.m_inflight (Hashtbl.length f.f_inflight);
             issue f fl)
@@ -248,13 +265,8 @@ let attach ~node ~self_addr ~check_every ?seed dir =
      Once needed (a follower not yet synced, a remote range) it stays. *)
   let resolving = ref false in
   let govern () =
-    if
-      (not !resolving)
-      && (!applied = 0
-         || List.exists
-              (fun (e : Message.dir_entry) -> not (String.equal e.de_home self_addr))
-              !entries)
-    then begin
+    let remote (e : Message.dir_entry) = not (String.equal e.de_home self_addr) in
+    if (not !resolving) && (!applied = 0 || List.exists remote !entries) then begin
       resolving := true;
       Server.set_resolver engine resolve
     end
@@ -358,8 +370,7 @@ let attach ~node ~self_addr ~check_every ?seed dir =
       Obs.Gauge.set m_epoch epoch
     end
   in
-  (* ask the seed for a newer directory (rate-limited, one poll at a
-     time) *)
+  (* poll the seed for a newer directory: rate-limited, one at a time *)
   let poll =
     match seed with
     | None -> fun _ -> () (* installs land in [dir] directly *)
@@ -464,4 +475,5 @@ let attach ~node ~self_addr ~check_every ?seed dir =
      its owner first waits *)
   tick ();
   govern ();
-  Node.set_directory node ?seed ~dir ~self_addr ~fetcher:(Fetcher.request fetcher) ~tick ()
+  Node.set_directory node ?seed ~dir ~self_addr ~fetcher:(Fetcher.request fetcher)
+    ~on_push:(Fetcher.on_push fetcher) ~tick ()

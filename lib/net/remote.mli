@@ -69,9 +69,13 @@ val entries_of_specs :
     Parked scans report [scan.parked], [fetch.coalesced],
     [fetch.inflight] and [resolver.fetch.wait_ns].
 
-    Every [Subscribed] snapshot's version stamp is recorded against the
-    fed range ({!Pequod_core.Server.set_range_stamp}), so stamped
+    A fed range records exactly its [Subscribed] snapshot's stamp
+    ({!Pequod_core.Server.feed_base}), the home's version, so stamped
     session reads (docs/SESSIONS.md) can tell a fresh copy from a stale
-    one — on replicas exactly as on computes. *)
+    one — on replicas exactly as on computes. A push the home sent after
+    the snapshot may land before it; the fetcher logs the pushes it sees
+    while a fetch is out ([on_push] of {!Node.set_directory}) and, after
+    the feed, applies again those whose trailer over the range is above
+    the snapshot's stamp ([fetch.replayed]). *)
 val attach :
   node:Node.t -> self_addr:string -> check_every:float -> ?seed:string -> Directory.t -> unit

@@ -278,8 +278,7 @@ let fetch_range t ~requester ~table ~lo ~hi k =
         Event.schedule t.event ~delay:t.latency (fun () ->
             match Message.decode_response resp_wire with
             | Message.Subscribed { stamp; pairs } ->
-              Server.feed_base t.nodes.(subscriber).server ~table ~lo ~hi pairs;
-              Server.set_range_stamp t.nodes.(subscriber).server ~table ~lo ~hi stamp;
+              Server.feed_base t.nodes.(subscriber).server ~table ~lo ~hi ~stamp pairs;
               k ()
             | _ -> assert false)
       | _ -> assert false)

@@ -379,7 +379,7 @@ let stat_compares = ref 0
    registries, summed over every core of every case *)
 let mechanisms =
   [ "peer.fetch.in"; "peer.sub.lost"; "session.stale_waits"; "session.refetches";
-    "migrate.keys_moved"; "shard.forward.out" ]
+    "migrate.keys_moved"; "shard.forward.out"; "fetch.replayed" ]
 
 (* hub steps a client op, a migration or a settle may take; past it the
    case fails: every request must be answered (deadlock freedom) *)

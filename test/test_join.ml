@@ -465,7 +465,7 @@ let test_deferred_resolver () =
   | `Missing _ | `Ok _ -> Alcotest.fail "expected one missing range");
   (match !pending with
   | Some (table, lo, hi) ->
-    Server.feed_base s ~table ~lo ~hi [ ("p|bob|0100", "hello") ]
+    Server.feed_base s ~table ~lo ~hi ~stamp:0 [ ("p|bob|0100", "hello") ]
   | None -> Alcotest.fail "resolver not consulted");
   (match Server.scan_result s ~lo:"t|ann|" ~hi:(Strkey.prefix_upper "t|ann|") with
   | `Ok pairs -> check_pairs "after feed" [ ("t|ann|0100|bob", "hello") ] pairs
@@ -485,11 +485,12 @@ let test_feed_reconciles () =
       if table = "p" then Server.Deferred else Server.Local);
   subscribe s "ann" "bob";
   let lo = "p|bob|" and hi = Strkey.prefix_upper "p|bob|" in
-  Server.feed_base s ~table:"p" ~lo ~hi [ ("p|bob|0100", "hello"); ("p|bob|0150", "again") ];
+  Server.feed_base s ~table:"p" ~lo ~hi ~stamp:0
+    [ ("p|bob|0100", "hello"); ("p|bob|0150", "again") ];
   check_pairs "joined from the first snapshot"
     [ ("t|ann|0100|bob", "hello"); ("t|ann|0150|bob", "again") ]
     (timeline s "ann");
-  Server.feed_base s ~table:"p" ~lo ~hi [ ("p|bob|0150", "again") ];
+  Server.feed_base s ~table:"p" ~lo ~hi ~stamp:0 [ ("p|bob|0150", "again") ];
   check_pairs "the key the refetch lacks is gone" [ ("p|bob|0150", "again") ]
     (Server.scan s ~lo ~hi);
   check_pairs "its output is retracted" [ ("t|ann|0150|bob", "again") ] (timeline s "ann");
@@ -518,7 +519,7 @@ let test_eager_check_deferred () =
     | `Missing _ | `Ok _ -> Alcotest.fail "the timeline must report the missing posts"
   in
   Server.check_invariants s;
-  Server.feed_base s ~table ~lo:plo ~hi:phi [ ("p|bob|0100", "hello") ];
+  Server.feed_base s ~table ~lo:plo ~hi:phi ~stamp:0 [ ("p|bob|0100", "hello") ];
   (match Server.scan_result s ~lo ~hi with
   | `Ok pairs -> check_pairs "joined after the feed" [ ("t|ann|0100|bob", "hello") ] pairs
   | `Missing _ -> Alcotest.fail "should be resolved now");

@@ -36,7 +36,7 @@ let rec scan_fed s ~backing ~lo ~hi =
   | `Missing ranges ->
     List.iter
       (fun (table, flo, fhi) ->
-        Pequod_core.Server.feed_base s ~table ~lo:flo ~hi:fhi
+        Pequod_core.Server.feed_base s ~table ~lo:flo ~hi:fhi ~stamp:0
           (List.filter (fun (k, _) -> Strkey.in_range ~lo:flo ~hi:fhi k) backing))
       ranges;
     scan_fed s ~backing ~lo ~hi
