@@ -2,7 +2,7 @@
 # test suite (unit, integration, property-based, and the persist
 # fault-injection tests in test/test_persist.ml).
 
-.PHONY: check build test bench micro micro-smoke net-smoke cluster-bench cluster-smoke perfbench-smoke fuzz fuzz-replay doc linkcheck clean
+.PHONY: check build test bench micro micro-smoke net-smoke cluster-bench cluster-smoke perfbench-smoke fig10-smoke fuzz fuzz-replay doc linkcheck clean
 
 check: ; dune build && dune runtest
 
@@ -111,6 +111,11 @@ perfbench-smoke:
 	echo "$$line"; \
 	echo "$$line" | grep -q '"correct": true' && echo "$$line" | grep -Eq '"failed": 0[,}]' \
 		|| { echo "FAIL: perfbench smoke was not correct or had failed ops" >&2; exit 1; }
+
+# Fig 10 at a quarter scale on the shipped request cores through the
+# in-memory hub (lib/hub): the run fails on any request left unanswered
+# or answered Error
+fig10-smoke: ; timeout 120 dune exec bench/main.exe -- fig10 --scale 0.25
 
 # model-based differential fuzzing: replay seeded op sequences against
 # the engine and the naive oracle (test/fuzz/).  Deterministic given

@@ -7,97 +7,88 @@
     memory grows with base-data duplication, and the inter-server
     subscription share of network traffic rises from ~10% to ~16%.
 
-    Throughput here is client operations divided by the bottleneck compute
-    node's accumulated work units (store operations + message handling) —
-    the same CPU bottleneck the paper measures. *)
+    The cluster is the shipped request cores ({!Pequod_server_lib.Node})
+    wired through the in-memory {!Hub}: 6 homes, each holding one
+    contiguous user range of [s] and [p], and the compute servers, which
+    run the timeline join. Throughput is checks divided by the busiest
+    compute's work: its store operations plus the messages it handled
+    (the paper's bottleneck is compute-server CPU). Every column is a
+    count, a byte total or a memory ledger value, so a seed gives the
+    same table on every run. *)
 
-module Event = Pequod_sim.Event
-module Cluster = Pequod_sim.Cluster
+module Hub = Pequod_hub.Hub
+module Node = Pequod_server_lib.Node
+module Directory = Pequod_server_lib.Directory
+module Server = Pequod_core.Server
+module Message = Pequod_proto.Message
 module Social_graph = Pequod_apps.Social_graph
 module Workload = Pequod_apps.Workload
 module Twip = Pequod_apps.Twip
 
 type row = {
   ncompute : int;
-  qps : float;
+  throughput : float; (* checks per 1,000 units of the busiest compute's work *)
   speedup : float;
   base_memory : int;
   compute_memory : int;
   subscription_share : float;
 }
 
-let partition_of nbase ~table ~lo =
-  match table with
-  | "p" | "s" -> (
-    match String.split_on_char '|' lo with
-    | _ :: who :: _ -> Some (Hashtbl.hash who mod nbase)
-    | _ -> Some 0)
-  | _ -> None
+let nbase = 6
 
-(* work units per second of server CPU: one unit is one store operation
-   or equivalent message-handling work; ~2.5us each as measured for this
-   engine. Only relative throughput matters for the scaling shape. *)
-let units_per_second = 400_000.0
-
-let run_point ~graph ~ops ~nbase ~ncompute ~seed =
-  ignore seed;
-  let event = Event.create () in
-  let cluster =
-    Cluster.create ~event ~nbase ~ncompute ~partition:(fun ~table ~lo ->
-        partition_of nbase ~table ~lo)
-      ()
-  in
-  Cluster.add_join cluster Twip.timeline_join;
+let run_point ~graph ~ops ~ncompute =
   let nusers = Social_graph.nusers graph in
-  let compute_ids = Array.of_list (Cluster.compute_ids cluster) in
-  let compute_of u = compute_ids.(u mod Array.length compute_ids) in
-  (* load the graph into the backing store *)
+  let user = Social_graph.user_name in
+  let clock = ref 1_000_000.0 in
+  let hub =
+    Hub.cluster ~clock ~homes:nbase ~computes:ncompute ~tables:[ "s"; "p" ]
+      ~cuts:(List.init (nbase - 1) (fun k -> user ((k + 1) * nusers / nbase)))
+      ~joins:[ Twip.timeline_join ] ~check_every:1e9
+  in
+  let entries = Node.entries hub.Hub.nodes.(0) in
+  let call core req =
+    match Hub.call hub core req with
+    | Message.Error msg -> failwith ("fig10: a request answered Error: " ^ msg)
+    | _ -> ()
+  in
+  (* clients write to the key's home and read at their compute *)
+  let put key value =
+    let home = Option.get (Directory.write_home entries ~self:"" ~key) in
+    call (int_of_string home) (Put (key, value))
+  in
+  let check u =
+    let lo = Printf.sprintf "t|%s|" (user u) in
+    call (nbase + (u mod ncompute)) (Scan { lo; hi = Strkey.prefix_upper lo })
+  in
   for u = 0 to nusers - 1 do
-    let user = Social_graph.user_name u in
-    Array.iter
-      (fun p ->
-        Cluster.client_put cluster (Printf.sprintf "s|%s|%s" user (Social_graph.user_name p)) "1")
+    Array.iter (fun p -> put (Printf.sprintf "s|%s|%s" (user u) (user p)) "1")
       (Social_graph.following graph u)
   done;
-  Event.run event;
   (* warm the caches: log every user in on its compute server (§5.5) *)
-  for u = 0 to nusers - 1 do
-    let user = Social_graph.user_name u in
-    Cluster.client_scan cluster ~via:(compute_of u) ~lo:(Printf.sprintf "t|%s|" user)
-      ~hi:(Strkey.prefix_upper (Printf.sprintf "t|%s|" user))
-      (fun _ -> ())
-  done;
-  Event.run event;
-  Cluster.mark_epoch cluster;
+  for u = 0 to nusers - 1 do check u done;
+  Hub.reset_counts hub;
+  let computes = Array.sub hub.Hub.nodes nbase ncompute in
+  let ops0 = Array.map (fun n -> Server.store_ops (Node.engine n)) computes in
   let checks = ref 0 in
   Array.iter
-    (fun op ->
-      (match op with
-      | Workload.Login u | Workload.Check u ->
-        incr checks;
-        let user = Social_graph.user_name u in
-        Cluster.client_scan cluster ~via:(compute_of u) ~lo:(Printf.sprintf "t|%s|" user)
-          ~hi:(Strkey.prefix_upper (Printf.sprintf "t|%s|" user))
-          (fun _ -> ())
-      | Workload.Subscribe (u, p) ->
-        Cluster.client_put cluster
-          (Printf.sprintf "s|%s|%s" (Social_graph.user_name u) (Social_graph.user_name p))
-          "1"
+    (function
+      | Workload.Login u | Workload.Check u -> incr checks; check u
+      | Workload.Subscribe (u, p) -> put (Printf.sprintf "s|%s|%s" (user u) (user p)) "1"
       | Workload.Post (p, time) ->
-        let poster = Social_graph.user_name p in
-        Cluster.client_put cluster
-          (Printf.sprintf "p|%s|%s" poster (Strkey.encode_time time))
-          (Twip.tweet_text poster time));
-      Event.run event)
+        put
+          (Printf.sprintf "p|%s|%s" (user p) (Strkey.encode_time time))
+          (Twip.tweet_text (user p) time))
     ops;
-  Event.run event;
-  let work = Cluster.bottleneck_work cluster in
-  let qps = float_of_int !checks /. (float_of_int work /. units_per_second) in
-  let sb = Cluster.server_bytes cluster and cb = Cluster.client_bytes cluster in
-  ( qps,
-    Cluster.total_memory cluster (Cluster.base_ids cluster),
-    Cluster.total_memory cluster (Cluster.compute_ids cluster),
-    float_of_int sb /. float_of_int (max 1 (sb + cb)) )
+  let work i n = Server.store_ops (Node.engine n) - ops0.(i) + hub.Hub.handled.(nbase + i) in
+  let busiest = Array.fold_left max 1 (Array.mapi work computes) in
+  let memory nodes =
+    Array.fold_left (fun acc n -> acc + Server.memory_bytes (Node.engine n)) 0 nodes
+  in
+  let peer = List.fold_left (fun acc l -> acc + l.Hub.bytes) 0 (Hub.links hub) in
+  ( 1000.0 *. float_of_int !checks /. float_of_int busiest,
+    memory (Array.sub hub.Hub.nodes 0 nbase),
+    memory computes,
+    float_of_int peer /. float_of_int (max 1 (peer + hub.Hub.client_bytes)) )
 
 let default_points = [ 12; 24; 36; 48 ]
 
@@ -109,21 +100,19 @@ let run ?(points = default_points) (scale : Scale.t) =
     Workload.generate ~rng:(Rng.create (scale.Scale.seed + 3)) ~graph ~active_fraction:1.0
       ~total_ops:(Scale.i scale 30_000) ()
   in
-  let nbase = 6 in
   let rows =
     List.map
       (fun ncompute ->
-        let qps, base_memory, compute_memory, subscription_share =
-          run_point ~graph ~ops:w.Workload.ops ~nbase ~ncompute ~seed:scale.Scale.seed
+        let throughput, base_memory, compute_memory, subscription_share =
+          run_point ~graph ~ops:w.Workload.ops ~ncompute
         in
-        Gc.full_major ();
-        (ncompute, qps, base_memory, compute_memory, subscription_share))
+        (ncompute, throughput, base_memory, compute_memory, subscription_share))
       points
   in
-  let base_qps = match rows with (_, q, _, _, _) :: _ -> q | [] -> 1.0 in
+  let base = match rows with (_, q, _, _, _) :: _ -> q | [] -> 1.0 in
   List.map
-    (fun (ncompute, qps, base_memory, compute_memory, subscription_share) ->
-      { ncompute; qps; speedup = qps /. base_qps; base_memory; compute_memory;
+    (fun (ncompute, throughput, base_memory, compute_memory, subscription_share) ->
+      { ncompute; throughput; speedup = throughput /. base; base_memory; compute_memory;
         subscription_share })
     rows
 
@@ -131,7 +120,7 @@ let print rows =
   let t =
     Tablefmt.create ~title:"Figure 10: distributed Twip scalability"
       ~headers:
-        [ "Compute servers"; "QPS (k/s)"; "Speedup"; "Base mem (MB)"; "Compute mem (MB)";
+        [ "Compute servers"; "Checks/kwork"; "Speedup"; "Base mem (MB)"; "Compute mem (MB)";
           "Subscr. traffic" ]
       ~aligns:[ Tablefmt.Right; Right; Right; Right; Right; Right ]
   in
@@ -140,7 +129,7 @@ let print rows =
       Tablefmt.add_row t
         [
           string_of_int r.ncompute;
-          Tablefmt.fmt_float ~decimals:1 (r.qps /. 1000.0);
+          Tablefmt.fmt_float ~decimals:2 r.throughput;
           Printf.sprintf "%.2fx" r.speedup;
           Tablefmt.fmt_float ~decimals:1 (float_of_int r.base_memory /. 1048576.0);
           Tablefmt.fmt_float ~decimals:1 (float_of_int r.compute_memory /. 1048576.0);

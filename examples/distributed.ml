@@ -1,63 +1,60 @@
-(* Distributed Pequod (§2.4) on the event simulator: base data lives on
-   home servers; compute servers fetch missing ranges, get subscriptions
-   installed, and then receive pushed updates — eventually consistent.
+(* Distributed Pequod (§2.4) on the shipped request cores, wired through
+   the in-memory hub: base data lives on home servers; compute servers
+   fetch missing ranges, get subscriptions installed, and then receive
+   pushed updates — eventually consistent.
 
    Run with: dune exec examples/distributed.exe *)
 
-module Event = Pequod_sim.Event
-module Cluster = Pequod_sim.Cluster
-
-let partition ~table ~lo =
-  match table with
-  | "p" | "s" -> (
-    (* home server chosen by the user/poster component *)
-    match String.split_on_char '|' lo with
-    | _ :: who :: _ -> Some (Hashtbl.hash who mod 2)
-    | _ -> Some 0)
-  | _ -> None (* computed tables are not partitioned *)
+module Hub = Pequod_hub.Hub
+module Node = Pequod_server_lib.Node
+module Directory = Pequod_server_lib.Directory
+module Server = Pequod_core.Server
+module Message = Pequod_proto.Message
 
 let () =
-  let event = Event.create () in
-  let cluster = Cluster.create ~event ~nbase:2 ~ncompute:2 ~partition ~latency:0.0005 () in
-  Cluster.add_join cluster
-    "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>";
-
+  (* cores 0 and 1 are homes (users before "c" at 0, the rest at 1),
+     cores 2 and 3 are computes *)
+  let clock = ref 0.0 in
+  let hub =
+    Hub.cluster ~clock ~homes:2 ~computes:2 ~tables:[ "s"; "p" ] ~cuts:[ "c" ]
+      ~joins:[ "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>" ]
+      ~check_every:1.0
+  in
+  let entries = Node.entries hub.Hub.nodes.(0) in
   (* writes go to their home servers *)
-  Cluster.client_put cluster "s|ann|bob" "1";
-  Cluster.client_put cluster "s|ann|liz" "1";
-  Cluster.client_put cluster "p|bob|0000000100" "hello from bob";
-  Cluster.client_put cluster "p|liz|0000000110" "liz checking in";
-  Event.run event;
+  let put key value =
+    let home = Option.get (Directory.write_home entries ~self:"" ~key) in
+    ignore (Hub.call hub (int_of_string home) (Put (key, value)))
+  in
+  let fetches () =
+    Server.counter (Node.engine hub.Hub.nodes.(0)) "peer.fetch.in"
+    + Server.counter (Node.engine hub.Hub.nodes.(1)) "peer.fetch.in"
+  in
+  let timeline what =
+    match Hub.call hub 2 (Scan { lo = "t|ann|"; hi = Strkey.prefix_upper "t|ann|" }) with
+    | Message.Pairs pairs ->
+      Printf.printf "[t=%.3fs] %s (%d fetches so far):\n" !clock what (fetches ());
+      List.iter (fun (k, v) -> Printf.printf "  %-28s -> %s\n" k v) pairs
+    | _ -> failwith "the scan failed"
+  in
+  put "s|ann|bob" "1";
+  put "s|ann|liz" "1";
+  put "p|bob|0000000100" "hello from bob";
+  put "p|liz|0000000110" "liz checking in";
+  Printf.printf "cluster: 2 home servers, 2 compute servers; reads go to core 2\n\n";
 
-  let compute = List.hd (Cluster.compute_ids cluster) in
-  Printf.printf "cluster: 2 base servers, 2 compute servers; reads go to node %d\n\n" compute;
+  (* first timeline check: the compute fetches base ranges from both
+     homes and subscribes to them *)
+  timeline "first check of ann's timeline, assembled across both homes";
 
-  (* first timeline check: the compute server fetches base ranges from
-     their home servers and subscribes to them *)
-  Cluster.client_scan cluster ~via:compute ~lo:"t|ann|" ~hi:(Strkey.prefix_upper "t|ann|")
-    (fun pairs ->
-      Printf.printf "[t=%.4fs] first check of ann's timeline (%d fetch rounds so far):\n"
-        (Event.now event) (Cluster.fetch_rounds cluster);
-      List.iter (fun (k, v) -> Printf.printf "  %-28s -> %s\n" k v) pairs);
-  Event.run event;
-  Printf.printf "subscriptions installed at home servers: %d\n\n"
-    (Cluster.subscription_count cluster);
+  (* a new post is pushed to the subscribed compute: no new fetch *)
+  let before = fetches () in
+  put "p|bob|0000000150" "pushed through the subscription";
+  timeline "after bob posts again";
+  Printf.printf "new fetches for the pushed post: %d\n" (fetches () - before);
 
-  (* a new post is pushed to the subscribed compute server: no new fetch *)
-  Cluster.client_put cluster "p|bob|0000000150" "pushed through the subscription";
-  Event.run event;
-  Cluster.client_scan cluster ~via:compute ~lo:"t|ann|" ~hi:(Strkey.prefix_upper "t|ann|")
-    (fun pairs ->
-      Printf.printf "[t=%.4fs] after bob posts again (no refetch, %d fetch rounds):\n"
-        (Event.now event) (Cluster.fetch_rounds cluster);
-      List.iter (fun (k, v) -> Printf.printf "  %-28s -> %s\n" k v) pairs);
-  Event.run event;
-
-  Printf.printf "\ninter-server traffic: %d bytes in %d messages; %d scans served\n"
-    (Cluster.server_bytes cluster)
-    (let total = ref 0 in
-     List.iter
-       (fun id -> total := !total + Cluster.node_msgs_sent (Cluster.node cluster id))
-       (Cluster.base_ids cluster @ Cluster.compute_ids cluster);
-     !total)
-    (Cluster.scans_done cluster)
+  let links = Hub.links hub in
+  Printf.printf "\ninter-server traffic: %d bytes in %d messages over %d links\n"
+    (List.fold_left (fun acc l -> acc + l.Hub.bytes) 0 links)
+    (List.fold_left (fun acc l -> acc + l.Hub.msgs) 0 links)
+    (List.length links)

@@ -156,6 +156,7 @@ type metrics = {
   agg_recompute : Obs.Counter.t; (* aggregate.recompute *)
   combined : Obs.Counter.t; (* updater.combined *)
   installed : Obs.Counter.t; (* updater.installed *)
+  dup_checks : Obs.Counter.t; (* updater.dup_checks *)
   exec_runs : Obs.Counter.t; (* exec.run *)
   probes : Obs.Counter.t; (* exec.probe *)
   resolver_deferred : Obs.Counter.t; (* resolver.deferred *)
@@ -184,6 +185,7 @@ let make_metrics obs =
     agg_recompute = Obs.counter obs "aggregate.recompute";
     combined = Obs.counter obs "updater.combined";
     installed = Obs.counter obs "updater.installed";
+    dup_checks = Obs.counter obs "updater.dup_checks";
     exec_runs = Obs.counter obs "exec.run";
     probes = Obs.counter obs "exec.probe";
     resolver_deferred = Obs.counter obs "resolver.deferred";
@@ -388,8 +390,8 @@ let entries_for m join ~source_idx ~kind ~slo ~shi =
    a context sits in both the cover's list and its entry's, so the two
    are walked in lockstep and the shorter bounds the scan: a cover with
    thousands of sources pays for the entry's few contexts, a popular
-   entry for the cover's few. *)
-let holds_context cover entries bindings =
+   entry for the cover's few. [checks] counts the contexts compared. *)
+let holds_context checks cover entries bindings =
   let rec go mine theirs rest =
     match (mine, theirs) with
     | [], _ -> false
@@ -398,6 +400,7 @@ let holds_context cover entries bindings =
       | e :: rest -> go mine (Interval_map.handle_data e).up_contexts rest
       | [] -> false)
     | a :: mine, b :: theirs ->
+      Obs.Counter.add checks 2;
       (List.memq a.cx_entry entries && a.cx_bindings = bindings)
       || (b.cx_cover == cover && b.cx_bindings = bindings)
       || go mine theirs rest
@@ -633,7 +636,7 @@ and install_updater t join ~source_idx ~kind ~slo ~shi ~bindings ~residual ~cove
     let src = (source_array join.spec).(source_idx) in
     let m = meta t (Pattern.table src.Joinspec.pattern) in
     let entries = entries_for m join ~source_idx ~kind ~slo ~shi in
-    if not (holds_context cover entries bindings) then begin
+    if not (holds_context t.hot.dup_checks cover entries bindings) then begin
       let e =
         match entries with
         | e :: _ when t.config.Config.combine_updaters ->
@@ -1667,12 +1670,16 @@ let sync_registry t =
   g "lru.covers" (Lru.length t.lru);
   g "updater.entries" t.entries;
   g "updater.contexts" t.contexts;
+  g "status.pieces" (Hashtbl.fold (fun _ m acc -> acc + Range_map.cardinal m.status) t.meta 0);
   let s = Store.stats_totals t.store in
   let c name v = Obs.Counter.set (Obs.counter t.obs name) v in
   c "table.lookups" s.Table.lookups;
   c "table.inserts" s.Table.inserts;
   c "table.removes" s.Table.removes;
-  c "table.steps" s.Table.steps
+  c "table.steps" s.Table.steps;
+  let gc = Gc.quick_stat () in
+  c "gc.minor_words" (int_of_float gc.Gc.minor_words);
+  c "gc.major_words" (int_of_float gc.Gc.major_words)
 
 (** Full registry snapshot (counters, gauges, histograms), with the
     mirrored gauges freshly synced. *)

@@ -20,6 +20,7 @@ module Directory = Pequod_server_lib.Directory
 module Remote = Pequod_server_lib.Remote
 module Message = Pequod_proto.Message
 module Joinspec = Pequod_pattern.Joinspec
+module Hub = Pequod_hub.Hub
 
 (* ------------------------------------------------------------------ *)
 (* Seed derivation                                                     *)
@@ -318,6 +319,10 @@ type cluster =
       (** cores 0 and 1 are homes, core 2 the compute, following core 0;
           a periodic [Migrate] moves a live sub-range between the homes *)
   | Shards of int  (** k shards, each homing a slice ([Shard.directory]) *)
+  | Spread
+      (** cores 0 and 1 are homes, each base table cut in two between
+          them; cores 2 and 3 are computes, and client ops alternate
+          between them, so both hold replicas assembled across homes *)
 
 type variant = {
   va_name : string;
@@ -359,7 +364,9 @@ let variants =
      variant "migrate-evict" ~tweak:evict ~cluster:Migrate;
      variant "shards-2" ~cluster:(Shards 2);
      variant "shards-3" ~cluster:(Shards 3);
-     variant "shards-2-evict" ~tweak:evict ~cluster:(Shards 2) |]
+     variant "shards-2-evict" ~tweak:evict ~cluster:(Shards 2);
+     variant "spread" ~cluster:Spread;
+     variant "spread-evict" ~tweak:evict ~cluster:Spread |]
 
 let find_scenario name = Array.find_opt (fun s -> s.sc_name = name) scenarios
 let find_variant name = Array.find_opt (fun v -> v.va_name = name) variants
@@ -379,7 +386,7 @@ let stat_compares = ref 0
    registries, summed over every core of every case *)
 let mechanisms =
   [ "peer.fetch.in"; "peer.sub.lost"; "session.stale_waits"; "session.refetches";
-    "migrate.keys_moved"; "shard.forward.out"; "fetch.replayed" ]
+    "migrate.keys_moved"; "shard.forward.out"; "fetch.replayed"; "peer.notify.in" ]
 
 (* hub steps a client op, a migration or a settle may take; past it the
    case fails: every request must be answered (deadlock freedom) *)
@@ -436,7 +443,10 @@ let run_case ~inspect scenario variant ops =
     Printf.ksprintf (fun reason -> raise (Case_failed { f_step = !step; f_reason = reason })) fmt
   in
   let cluster = variant.va_cluster in
-  let n = match cluster with Single -> 1 | Remote | Session -> 2 | Migrate -> 3 | Shards k -> k in
+  let n =
+    match cluster with
+    | Single -> 1 | Remote | Session -> 2 | Migrate -> 3 | Spread -> 4 | Shards k -> k
+  in
   let engs = Array.init n (fun _ -> Server.create ~config ()) in
   let hub = Hub.create ~clock engs in
   let oracle = Oracle.create () in
@@ -482,14 +492,22 @@ let run_case ~inspect scenario variant ops =
          ann..dee, digit-led timestamps, voters x/y/z *)
       let cuts = if k = 2 then [ "c" ] else [ "b"; "d" ] in
       Array.init k (fun _ -> (Shard.directory ~cuts ~homes:(List.init k addr), None))
-    | Remote | Session | Migrate -> (
+    | Remote | Session | Migrate | Spread -> (
       (* [--partition] specs homing every base table at core 0, whole or
-         cut into three pieces; under Migrate the others follow core 0 *)
-      let cut t = List.map (fun (lo, hi) -> Printf.sprintf "%s:%s|%s:%s%s" t t lo t hi) in
-      let pieces = [ ("", "|b"); ("b", "|d"); ("d", "}") ] in
+         cut into three pieces, or under Spread cut in two between cores
+         0 and 1; under Migrate the others follow core 0 *)
+      let cut t =
+        List.map (fun (lo, hi, home) -> Printf.sprintf "%s:%s|%s:%s%s@%s" t t lo t hi home)
+      in
+      let pieces =
+        if cluster = Spread then [ ("", "|c", "0"); ("c", "}", "1") ]
+        else [ ("", "|b", "0"); ("b", "|d", "0"); ("d", "}", "0") ]
+      in
       match
         Remote.entries_of_specs ~self_addr:"0"
-          (List.concat_map (fun t -> if variant.va_cut then cut t pieces else [ t ]) tables)
+          (List.concat_map
+             (fun t -> if variant.va_cut || cluster = Spread then cut t pieces else [ t ])
+             tables)
       with
       | Error msg -> fail "partition specs rejected: %s" msg
       | Ok entries ->
@@ -505,19 +523,21 @@ let run_case ~inspect scenario variant ops =
       | _ -> ())
     dirs;
   (* client ops enter at the last core (the compute); on shards, at a
-     rotating shard, as the acceptor deals connections *)
+     rotating shard, as the acceptor deals connections; under Spread, at
+     the two computes in turn *)
   let injected = match cluster with Shards _ -> true | _ -> false in
   let rr = ref 0 in
-  let entry () = if injected then (incr rr; !rr mod n) else n - 1 in
+  let entry () =
+    match cluster with
+    | Shards _ -> incr rr; !rr mod n
+    | Spread -> incr rr; 2 + (!rr mod 2)
+    | _ -> n - 1
+  in
   let run_until what cond =
     if not (Hub.run hub ~budget:step_budget cond) then
       fail "%s: no answer after %d steps (%s)" what step_budget (Hub.queues hub)
   in
-  let send i ~injected req =
-    let answer = ref None in
-    Node.handle hub.Hub.nodes.(i) { Node.injected; alive = true } req (fun r -> answer := Some r);
-    answer
-  in
+  let send i ~injected req = Hub.request hub ~injected i req in
   let await what answer =
     run_until what (fun () -> !answer <> None);
     match Option.get !answer with
@@ -638,7 +658,11 @@ let run_case ~inspect scenario variant ops =
       if i < Array.length extra && not installed.(i) then begin
         installed.(i) <- true;
         joined "oracle" extra.(i) (Oracle.add_join_text oracle extra.(i));
-        ignore (call "add_join" (Message.Add_join extra.(i)))
+        (* every compute serves reads of the new output *)
+        let req = Message.Add_join extra.(i) in
+        if cluster = Spread then
+          List.iter (fun c -> ignore (await "add_join" (send c ~injected req))) [ 2; 3 ]
+        else ignore (call "add_join" req)
       end
     | Crash ->
       Option.iter

@@ -201,7 +201,10 @@ let test_cluster_coverage () =
       | F.Migrate ->
         fired "migrate.keys_moved";
         check_bool (v.F.va_name ^ ": every follower past epoch 1") true !epochs_moved
-      | F.Shards _ -> fired "shard.forward.out")
+      | F.Shards _ -> fired "shard.forward.out"
+      | F.Spread ->
+        fired "peer.fetch.in";
+        fired "peer.notify.in")
     F.variants
 
 (* Shrunk repros of defects the fuzzer found on the real path; each case
