@@ -41,9 +41,9 @@ let run_point ~graph ~ops ~ncompute =
   let user = Social_graph.user_name in
   let clock = ref 1_000_000.0 in
   let hub =
-    Hub.cluster ~clock ~homes:nbase ~computes:ncompute ~tables:[ "s"; "p" ]
+    Hub.cluster ~clock ~homes:nbase ~computes:ncompute
       ~cuts:(List.init (nbase - 1) (fun k -> user ((k + 1) * nusers / nbase)))
-      ~joins:[ Twip.timeline_join ] ~check_every:1e9
+      ~joins:[ Twip.timeline_join ]
   in
   let entries = Node.entries hub.Hub.nodes.(0) in
   let call core req =

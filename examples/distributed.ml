@@ -16,9 +16,8 @@ let () =
      cores 2 and 3 are computes *)
   let clock = ref 0.0 in
   let hub =
-    Hub.cluster ~clock ~homes:2 ~computes:2 ~tables:[ "s"; "p" ] ~cuts:[ "c" ]
+    Hub.cluster ~clock ~homes:2 ~computes:2 ~cuts:[ "c" ]
       ~joins:[ "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>" ]
-      ~check_every:1.0
   in
   let entries = Node.entries hub.Hub.nodes.(0) in
   (* writes go to their home servers *)

@@ -202,7 +202,7 @@ val memory_bytes : t -> int
 val size : t -> int
 
 (** Cumulative store operations (tree lookups/inserts/removes/steps) —
-    the distributed simulator's CPU cost model. *)
+    Fig 10's count of a server's work. *)
 val store_ops : t -> int
 
 (** {2 Observability}

@@ -217,36 +217,47 @@ let queues t =
          else Some (Printf.sprintf "%s: %d sent, %d unanswered, %d answers" l.name r s a))
   |> function [] -> "all queues empty" | qs -> String.concat "; " qs
 
+(** [--partition] specs cutting each of [tables] at the key components
+    [cuts] (ascending) into contiguous pieces, homed in order at [homes]
+    (one address more than [cuts]). *)
+let cut_specs ~tables ~cuts ~homes =
+  let los = "|" :: List.map (( ^ ) "|") cuts in
+  let pieces = List.combine (List.combine los (List.tl los @ [ "}" ])) homes in
+  List.concat_map
+    (fun tb ->
+      List.map (fun ((lo, hi), home) -> Printf.sprintf "%s:%s%s:%s%s@%s" tb tb lo tb hi home)
+        pieces)
+    tables
+
 (** [homes] home cores, then [computes] compute cores, over fresh
-    engines whose clock is [clock]. Each of [tables] is cut at the key
-    components [cuts] (ascending, [homes - 1] of them) into contiguous
-    pieces homed at cores 0, 1, ... in order. Every core routes by that
-    fixed directory ([Remote.attach], healing every [check_every]
-    seconds), and the computes install [joins]. *)
-let cluster ~clock ~homes ~computes ~tables ~cuts ~joins ~check_every =
+    engines whose clock is [clock]. The timeline join's base tables [s]
+    and [p] are cut at the key components [cuts] ([homes - 1] of them)
+    and homed at cores 0, 1, ... in order ({!cut_specs}). Every core
+    routes by that fixed directory, and the computes install [joins]. *)
+let cluster ~clock ~homes ~computes ~cuts ~joins =
   let config = Config.default () in
   config.Config.now <- (fun () -> !clock);
   let engines = Array.init (homes + computes) (fun _ -> Server.create ~config ()) in
   let ok = function Ok x -> x | Error msg -> invalid_arg ("Hub.cluster: " ^ msg) in
-  let los = "|" :: List.map (( ^ ) "|") cuts in
-  let pieces = List.combine los (List.tl los @ [ "}" ]) in
-  let spec tb i (lo, hi) = Printf.sprintf "%s:%s%s:%s%s@%d" tb tb lo tb hi i in
-  let specs = List.concat_map (fun tb -> List.mapi (spec tb) pieces) tables in
+  let specs = cut_specs ~tables:[ "s"; "p" ] ~cuts ~homes:(List.init homes string_of_int) in
   let entries = ok (Remote.entries_of_specs ~self_addr:"" specs) in
   let t = create ~clock engines in
   Array.iteri
     (fun i node ->
       let dir = Directory.create () in
       ok (Directory.install dir ~epoch:1 ~entries);
-      Remote.attach ~node ~self_addr:(string_of_int i) ~check_every dir;
+      (* the directory never moves and no post is lost, so no
+         subscription needs healing: the heartbeat checks once, never
+         again, and adds no traffic to the counts *)
+      Remote.attach ~node ~self_addr:(string_of_int i) ~check_every:infinity dir;
       if i >= homes then List.iter (Server.add_join_exn (Node.engine node)) joins)
     t.nodes;
   t
 
-(** Core [i]'s answer to [req], stepping until it is produced (at most
-    [budget] steps), then until nothing is in flight. *)
-let call t ?(budget = 100_000) i req =
+(** Core [i]'s answer to [req], stepping until it is produced, then
+    until nothing is in flight; fails after 100,000 steps. *)
+let call t i req =
   let answer = request t i req in
-  if not (run t ~budget (fun () -> Option.is_some !answer && idle t)) then
+  if not (run t ~budget:100_000 (fun () -> Option.is_some !answer && idle t)) then
     failwith ("Hub.call: no answer or no quiet (" ^ queues t ^ ")");
   Option.get !answer

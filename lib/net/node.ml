@@ -79,7 +79,7 @@ type t = {
      stop getting through. *)
   subs : (string, string Interval_map.t) Hashtbl.t;
   (* outgoing pushes, coalesced per destination until the next flush:
-     one Notify_batch per subscriber per batch, as in the simulator *)
+     one Notify_batch per subscriber per batch *)
   pending_notify : (string, (string * string option) list) Hashtbl.t; (* dst -> rev items *)
   mutable pending_order : string list; (* destinations, reverse first-enqueue order *)
   m_fetch_in : Obs.Counter.t; (* peer.fetch.in *)
@@ -206,8 +206,8 @@ let gather legs k =
       legs
 
 (* ------------------------------------------------------------------ *)
-(* Subscription push (§2.4): the live-cluster version of the
-   simulator's coalesced Notify_batch protocol.                        *)
+(* Subscription push (§2.4): writes coalesced into one Notify_batch per
+   subscriber per flush.                                               *)
 
 let subs_for t table =
   match Hashtbl.find_opt t.subs table with

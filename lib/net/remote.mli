@@ -10,7 +10,7 @@
     a [Fetch] names this server's own address as the subscriber, and the
     home (or a read replica) replies [Subscribed] with a snapshot and
     starts pushing [Notify_batch] frames for every later write in the
-    range — the protocol the simulator models, between live processes.
+    range.
 
     A read that misses parks instead of blocking the event loop: the
     fetcher issues its whole missing set as one pipelined burst per

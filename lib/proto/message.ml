@@ -13,7 +13,7 @@
 
     v2: [Hello]/[Welcome] handshake carries the version; [Fetch] replies
     [Subscribed] and names the subscriber by an opaque callback address
-    (["host:port"] on TCP, a stringified node id in the simulator);
+    (["host:port"] on TCP, a stringified core index on the in-memory hub);
     [Sub_check]/[Sub_ranges] let a subscriber audit (and heal) its
     subscriptions against the home; tags [0x09]/[0x85] are retired —
     still reserved, but decoding them fails loudly with a versioned

@@ -41,8 +41,7 @@ val size : 'v t -> int
 val memory_bytes : 'v t -> int
 val tables : 'v t -> 'v Table.t list
 
-(** Summed operation statistics across tables (the simulator's CPU cost
-    model). *)
+(** Summed operation statistics across tables (Fig 10's work count). *)
 val total_ops : 'v t -> int
 
 (** Aggregate of every table's {!Table.stats} as a fresh record; the

@@ -9,7 +9,7 @@
     walk the subtables in order (a [Map] keeps them sorted).
 
     The table also keeps operation statistics used by the ablation
-    benchmarks and the distributed simulator's CPU cost model. *)
+    benchmarks and Fig 10's work count. *)
 
 module Smap = Map.Make (String)
 

@@ -496,19 +496,13 @@ let run_case ~inspect scenario variant ops =
       (* [--partition] specs homing every base table at core 0, whole or
          cut into three pieces, or under Spread cut in two between cores
          0 and 1; under Migrate the others follow core 0 *)
-      let cut t =
-        List.map (fun (lo, hi, home) -> Printf.sprintf "%s:%s|%s:%s%s@%s" t t lo t hi home)
+      let specs =
+        if cluster = Spread then Hub.cut_specs ~tables ~cuts:[ "c" ] ~homes:[ "0"; "1" ]
+        else if variant.va_cut then
+          Hub.cut_specs ~tables ~cuts:[ "b"; "d" ] ~homes:[ "0"; "0"; "0" ]
+        else tables
       in
-      let pieces =
-        if cluster = Spread then [ ("", "|c", "0"); ("c", "}", "1") ]
-        else [ ("", "|b", "0"); ("b", "|d", "0"); ("d", "}", "0") ]
-      in
-      match
-        Remote.entries_of_specs ~self_addr:"0"
-          (List.concat_map
-             (fun t -> if variant.va_cut || cluster = Spread then cut t pieces else [ t ])
-             tables)
-      with
+      match Remote.entries_of_specs ~self_addr:"0" specs with
       | Error msg -> fail "partition specs rejected: %s" msg
       | Ok entries ->
         Array.init n (fun i ->

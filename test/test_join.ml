@@ -607,7 +607,8 @@ let test_resubscribe ~combine () =
    the entry's, so materializing the timelines stays linear in the number
    of posters. Every install for the second reader meets the first's
    entry, so every one compares contexts ([updater.dup_checks]). The
-   check counts them for 8,000 posters against 1,000: linear work scales
+   check counts them, and the store operations of the whole
+   materialization, for 8,000 posters against 1,000: linear work scales
    by about 8, a scan of the cover's contexts per install by 64. *)
 let test_many_sources () =
   let materialize n =
@@ -622,12 +623,18 @@ let test_many_sources () =
       [ "ann"; "bob" ];
     check_int "one context per reader and poster, plus the checks'" ((2 * n) + 2) (contexts s);
     Server.check_invariants s;
-    Server.counter s "updater.dup_checks"
+    (Server.counter s "updater.dup_checks", Server.store_ops s)
   in
-  let small = materialize 1_000 and large = materialize 8_000 in
-  if small = 0 || large > 9 * small then
-    Alcotest.failf "8,000 posters compared %d contexts, %.1fx the 1,000-poster %d" large
-      (float_of_int large /. float_of_int small) small
+  let (small, small_ops) = materialize 1_000 and (large, large_ops) = materialize 8_000 in
+  if small = 0 && not !Obs.enabled then
+    Alcotest.fail "observability is disabled (PEQUOD_OBS): updater.dup_checks is not counted";
+  let at_most_9x what large small =
+    if small = 0 || large > 9 * small then
+      Alcotest.failf "8,000 posters took %d %s, %.1fx the 1,000-poster %d" large what
+        (float_of_int large /. float_of_int small) small
+  in
+  at_most_9x "context comparisons" large small;
+  at_most_9x "store operations" large_ops small_ops
 
 (* A fixed seeded op stream over the timeline join: subscriptions come
    and go, posters post and delete, readers scan whole and partial
