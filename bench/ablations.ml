@@ -22,41 +22,21 @@ type row = {
   memory_ratio : float;
 }
 
-let subtable_config () =
+(* the full configuration with one mechanism turned off *)
+let without off () =
   let c = Config.default () in
-  c.Config.table_config <-
-    (fun name -> match name with "t" | "p" | "s" -> Some 2 | _ -> None);
+  off c;
   c
 
 let variants : (string * (unit -> Config.t)) list =
   [
-    ("baseline (all on)", subtable_config);
-    ("no subtables", Config.default);
-    ( "no output hints",
-      fun () ->
-        let c = subtable_config () in
-        c.Config.output_hints <- false;
-        c );
-    ( "no value sharing",
-      fun () ->
-        let c = subtable_config () in
-        c.Config.value_sharing <- false;
-        c );
-    ( "no updater combining",
-      fun () ->
-        let c = subtable_config () in
-        c.Config.combine_updaters <- false;
-        c );
-    ( "eager check maintenance",
-      fun () ->
-        let c = subtable_config () in
-        c.Config.lazy_checks <- false;
-        c );
-    ( "complete invalidation only",
-      fun () ->
-        let c = subtable_config () in
-        c.Config.pending_log_limit <- 0;
-        c );
+    ("baseline (all on)", Config.default);
+    ("no subtables", without (fun c -> c.Config.subtables <- false));
+    ("no output hints", without (fun c -> c.Config.output_hints <- false));
+    ("no value sharing", without (fun c -> c.Config.value_sharing <- false));
+    ("no updater combining", without (fun c -> c.Config.combine_updaters <- false));
+    ("eager check maintenance", without (fun c -> c.Config.lazy_checks <- false));
+    ("complete invalidation only", without (fun c -> c.Config.pending_log_limit <- 0));
   ]
 
 let run_one ~graph ~config ~total_ops ~seed =

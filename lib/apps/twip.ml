@@ -111,17 +111,9 @@ let put_rpc meter k v =
 let scan_rpc meter lo hi =
   match rpc meter (Message.Scan { lo; hi }) with Message.Pairs p -> p | _ -> assert false
 
-(* the paper's Twip deployment marks timeline/post/subscription boundaries
-   as subtables (§4.1) *)
-let twip_config () =
-  let c = Config.default () in
-  c.Config.table_config <- (fun name -> match name with "t" | "p" | "s" -> Some 2 | _ -> None);
-  c
-
 (** 1. Pequod with the timeline cache join. *)
 let pequod ?config ?(deployment = In_process) () =
-  let config = match config with Some c -> c | None -> twip_config () in
-  let meter = pequod_channel ~config ~deployment ~joins:[ timeline_join ] () in
+  let meter = pequod_channel ?config ~deployment ~joins:[ timeline_join ] () in
   let subscribe ~user ~poster = put_rpc meter (Printf.sprintf "s|%s|%s" user poster) "1" in
   engine_backend ~name:"Pequod" ~meter ~subscribe ~bulk_subscribe:subscribe
     ~post:(fun ~poster ~time ~tweet -> put_rpc meter (Printf.sprintf "p|%s|%s" poster time) tweet)

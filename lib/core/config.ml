@@ -2,9 +2,9 @@
 
     The optimization toggles exist so the §4 ablation experiments can
     measure each mechanism: output hints (§4.2), value sharing (§4.3),
-    updater combining (§3.2), subtables (§4.1, via [table_config]) and the
-    check-source maintenance policy (§3.2). Production use keeps the
-    defaults, which match the paper's prototype. *)
+    updater combining (§3.2), subtables (§4.1) and the check-source
+    maintenance policy (§3.2). Production use keeps the defaults, which
+    match the paper's prototype. *)
 
 (** When to force the write-ahead log to stable storage. *)
 type sync_mode =
@@ -47,7 +47,8 @@ type t = {
                                       escalate to complete invalidation *)
   mutable memory_limit : int option; (* eviction high-water mark, bytes *)
   mutable now : unit -> float; (* clock, for snapshot joins *)
-  mutable table_config : string -> int option; (* table -> subtable depth *)
+  mutable subtables : bool; (* split tables at the boundaries the joins
+                               name (§4.1); read as each join is added *)
   mutable persist : persist option; (* durability; None = pure in-memory *)
 }
 
@@ -60,6 +61,6 @@ let default () =
     pending_log_limit = 64;
     memory_limit = None;
     now = Unix.gettimeofday;
-    table_config = (fun _ -> None);
+    subtables = true;
     persist = None;
   }

@@ -61,6 +61,10 @@ type st_state =
 
 type status = { mutable state : st_state }
 
+(* What a subtable notes: the status piece that last answered a read in
+   it, checked before use ([warm_read]). *)
+type note = status Range_map.piece_ref
+
 (* A cover is one materialized execution of one join over one output
    range: it owns the updater contexts installed during that execution,
    the output hint, and an LRU slot for eviction. *)
@@ -201,7 +205,7 @@ let make_metrics obs =
   }
 
 type t = {
-  store : cell Store.t;
+  store : (cell, note) Store.t;
   obs : Obs.t; (* per-server metrics registry + trace ring *)
   hot : metrics;
   config : Config.t;
@@ -227,8 +231,7 @@ let create ?config () =
   let config = match config with Some c -> c | None -> Config.default () in
   let obs = Obs.create () in
   {
-    store = Store.create ~table_config:(fun name -> config.Config.table_config name)
-        ~dummy:{ data = ""; charged = 0 } ();
+    store = Store.create ~dummy:{ data = ""; charged = 0 } ();
     obs;
     hot = make_metrics obs;
     config;
@@ -315,6 +318,14 @@ let add_join t spec =
   else begin
     let join = { jid = t.next_jid; spec } in
     t.next_jid <- t.next_jid + 1;
+    (* §4.1: every table the join names splits where its keys first name
+       a slot value ([t|ann|]), so a read of one user's range stays in
+       one small tree *)
+    if t.config.Config.subtables then
+      List.iter
+        (fun p ->
+          Option.iter (Store.add_boundary t.store (Pattern.table p)) (Pattern.boundary_depth p))
+        (Joinspec.output spec :: List.map (fun s -> s.Joinspec.pattern) (Joinspec.sources spec));
     t.joins <- t.joins @ [ join ];
     emit t (M_add_join (Joinspec.to_string spec));
     Ok ()
@@ -851,9 +862,7 @@ and validate_range t ~active ~lo ~hi =
                 | Some { state = Valid { expires = None } } -> touch_covers t involved
                 | Some { state = Valid { expires = Some e } } when now t < e ->
                   touch_covers t involved
-                | Some { state = Pending { log; _ } } ->
-                  (* re-read state: an earlier piece's work may have changed it *)
-                  apply_log t ~active m ~plo ~phi (List.rev log)
+                | Some { state = Pending _ } -> heal_piece t ~active m table ~plo ~phi
                 | Some { state = Valid _ } (* expired snapshot *)
                 | Some { state = Invalid } | None ->
                   recompute_region t ~active m table ~plo ~phi
@@ -862,6 +871,20 @@ and validate_range t ~active ~lo ~hi =
         end)
       tables
   end
+
+(* Heal the whole [Pending] piece the read's clip [\[plo, phi)] lies in:
+   healing only the clip would leave the rest [Pending] with the same
+   log, the next invalidation would split it again, and pieces and logs
+   would pile up. The state is re-read, since an earlier piece's work may
+   have changed it. *)
+and heal_piece t ~active m table ~plo ~phi =
+  match Range_map.find m.status plo with
+  | Some (wlo, whi, { state = Pending { log; _ } }) ->
+    apply_log t ~active m ~plo:wlo ~phi:whi (List.rev log)
+  | Some (_, _, { state = Valid { expires = None } }) -> ()
+  | Some (_, _, { state = Valid { expires = Some e } }) when now t < e -> ()
+  | Some (_, _, { state = Valid _ | Invalid }) | None ->
+    recompute_region t ~active m table ~plo ~phi
 
 and touch_covers t involved =
   if t.config.Config.memory_limit <> None then
@@ -1381,21 +1404,39 @@ let pull_results t ~lo ~hi =
 let has_pull_joins t =
   List.exists (fun j -> Joinspec.maintenance j.spec = Joinspec.Pull) t.joins
 
-(* Fast path for the common warm read: the request stays in one table and
-   one unexpired Valid status piece covers all of it, so every overlapping
-   join's output is already fresh in the store. *)
-let warm_fast_path t ~lo ~hi =
+(* The common warm read: no pull join, one table, and one unexpired
+   Valid status piece covering all of [\[lo, hi)], so every overlapping
+   join's output is already fresh in the store. A read confined to one
+   subtable first checks the piece noted there, as the cover's output
+   hint is checked before use: still a piece of the status map, covering
+   the read, Valid with no expiry. Only when the note fails is the status
+   map descended, and a piece found there that passes becomes the note. *)
+let warm_read t ~lo ~hi =
+  let name = Store.table_name_of lo in
   (not (has_pull_joins t))
-  && String.equal (Store.table_name_of lo) (Store.table_name_of hi)
+  && String.equal name (Store.table_name_of hi)
   &&
-  match Hashtbl.find_opt t.meta (Store.table_name_of lo) with
+  match Hashtbl.find_opt t.meta name with
   | None -> false
   | Some m -> (
-    match Range_map.find m.status lo with
-    | Some (_, phi, { state = Valid { expires } }) ->
-      String.compare hi phi <= 0
-      && (match expires with None -> true | Some e -> now t < e)
-    | _ -> false)
+    let sub = Option.bind (Store.find_table t.store name) (Table.confined ~lo ~hi) in
+    let settled p =
+      match Range_map.piece_covering p ~lo ~hi with
+      | Some { state = Valid { expires = None } } -> true
+      | _ -> false
+    in
+    match Option.bind sub Table.note with
+    | Some p when settled p -> true
+    | _ -> (
+      match Range_map.find_piece m.status lo with
+      | Some p when settled p ->
+        Option.iter (fun sub -> Table.set_note sub p) sub;
+        true
+      | Some p -> (
+        match Range_map.piece_covering p ~lo ~hi with
+        | Some { state = Valid { expires = Some e } } -> now t < e
+        | _ -> false)
+      | None -> false))
 
 (* first [n] elements of [l] (all of [l] when shorter) *)
 let rec take n l =
@@ -1446,7 +1487,7 @@ let scan_result ?limit t ~lo ~hi =
       in
       List.rev acc
   in
-  if warm_fast_path t ~lo ~hi then begin
+  if warm_read t ~lo ~hi then begin
     Obs.Counter.incr t.hot.scans_fast;
     finish ~warm:true (bounded_stored ())
   end
@@ -1671,6 +1712,15 @@ let sync_registry t =
   g "updater.entries" t.entries;
   g "updater.contexts" t.contexts;
   g "status.pieces" (Hashtbl.fold (fun _ m acc -> acc + Range_map.cardinal m.status) t.meta 0);
+  let logged = ref 0 in
+  Hashtbl.iter
+    (fun _ m ->
+      Range_map.iter m.status (fun _ _ st ->
+          match st.state with
+          | Pending { len; _ } -> logged := !logged + len
+          | Valid _ | Invalid -> ()))
+    t.meta;
+  g "status.log_entries" !logged;
   let s = Store.stats_totals t.store in
   let c name v = Obs.Counter.set (Obs.counter t.obs name) v in
   c "table.lookups" s.Table.lookups;
@@ -1780,7 +1830,12 @@ let check_invariants t =
         failwith
           (Printf.sprintf "Server.check_invariants: table %s counts %d pairs, walk found %d"
              (Table.name tbl) (Table.size tbl) !pairs);
-      let expected = !key_bytes + (!pairs * Table.node_overhead) in
+      let subtables =
+        match Table.subtable_depth tbl with None -> 0 | Some _ -> Table.subtable_count tbl
+      in
+      let expected =
+        !key_bytes + (!pairs * Table.node_overhead) + (subtables * Table.subtable_overhead)
+      in
       if Table.memory_bytes tbl <> expected then
         failwith
           (Printf.sprintf

@@ -66,6 +66,17 @@ let slots t =
 
 let mentions_slot t i = List.mem i (slots t)
 
+(** The natural subtable boundary of the pattern's keys (§4.1): the
+    number of leading segments up to and including the first slot, when
+    more segments follow it ([t|<user>|<time>|<poster>] gives 2: one
+    subtable per [t|user|]). *)
+let boundary_depth t =
+  let n = Array.length t.segs in
+  let rec first i =
+    if i >= n then None else match t.segs.(i) with Slot _ -> Some i | Lit _ -> first (i + 1)
+  in
+  match first 0 with Some i when i + 1 < n -> Some (i + 1) | _ -> None
+
 (* [piece_eq key pos len v]: does key[pos .. pos+len) equal [v]? *)
 let piece_eq key pos len v =
   String.length v = len

@@ -39,6 +39,12 @@ val slots : t -> int list
 
 val mentions_slot : t -> int -> bool
 
+(** The pattern's natural subtable boundary (§4.1): how many leading
+    segments reach its first slot, when more segments follow it
+    ([t|<user>|<time>|<poster>] gives [Some 2]); [None] when the first
+    slot is the last segment or there is none. *)
+val boundary_depth : t -> int option
+
 (** [match_key t key ~bindings] matches [key] against the pattern,
     returning bindings extended with newly bound slots — or [None] on a
     shape mismatch, literal mismatch, or conflict with an existing

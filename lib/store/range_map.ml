@@ -45,6 +45,23 @@ let find t k =
   | Some { key; value = Piece p; _ } when String.compare k p.hi < 0 -> Some (key, p.hi, p.v)
   | _ -> None
 
+(* A piece held across operations: its node, which splits, trims and
+   merges edit in place and a removal kills. *)
+type 'a piece_ref = 'a piece Rb.node
+
+let find_piece t k =
+  match Rb.floor t.tree k with
+  | Some ({ value = Piece p; _ } as n) when String.compare k p.hi < 0 -> Some n
+  | _ -> None
+
+(** The value of a held piece, when it is still a piece of its map and
+    covers [\[lo, hi)]. *)
+let piece_covering (n : _ piece_ref) ~lo ~hi =
+  match n.value with
+  | Piece p when Rb.is_live n && String.compare n.key lo <= 0 && String.compare hi p.hi <= 0 ->
+    Some p.v
+  | _ -> None
+
 (* The first piece ending after [lo]: the one containing [lo], else the
    first one starting after it. *)
 let first_after t lo =

@@ -14,6 +14,18 @@ val cardinal : 'a t -> int
 (** The explicit range containing the key, if any. *)
 val find : 'a t -> string -> (string * string * 'a) option
 
+(** A piece held across operations, checked before use: splits, trims
+    and merges edit pieces in place, and a removed piece never covers
+    anything again. *)
+type 'a piece_ref
+
+(** The piece containing the key, if any. *)
+val find_piece : 'a t -> string -> 'a piece_ref option
+
+(** The held piece's current value, when it is still a piece of its map
+    and covers all of [\[lo, hi)]. O(1). *)
+val piece_covering : 'a piece_ref -> lo:string -> hi:string -> 'a option
+
 (** Explicit ranges intersecting [\[lo, hi)], in order.
     O(log n + matches). *)
 val overlapping : 'a t -> lo:string -> hi:string -> (string * string * 'a) list

@@ -11,6 +11,8 @@
       successor of a hint node in O(1) amortized time when the hint is
       accurate, falling back to a normal insert when it is not.
     - {b ordered iteration} over half-open key ranges, the basis of [scan].
+      The tree keeps its maximum node, so a range starting past every key
+      (a timeline check from a later time) walks nothing.
 
     The implementation follows CLRS with a per-tree [nil] sentinel. *)
 
@@ -24,7 +26,12 @@ type 'v node = {
   mutable live : bool; (* false once unlinked; guards stale hints *)
 }
 
-type 'v t = { nil : 'v node; mutable root : 'v node; mutable size : int }
+type 'v t = {
+  nil : 'v node;
+  mutable root : 'v node;
+  mutable size : int;
+  mutable max : 'v node; (* the last node in key order; [nil] when empty *)
+}
 
 let make_nil dummy =
   let rec nil =
@@ -36,7 +43,7 @@ let make_nil dummy =
     the value type used to seed the sentinel; it is never observable. *)
 let create ~dummy () =
   let nil = make_nil dummy in
-  { nil; root = nil; size = 0 }
+  { nil; root = nil; size = 0; max = nil }
 
 let is_empty t = t.root == t.nil
 let size t = t.size
@@ -46,7 +53,7 @@ let rec subtree_min t x = if x.left == t.nil then x else subtree_min t x.left
 let rec subtree_max t x = if x.right == t.nil then x else subtree_max t x.right
 
 let min_node t = if t.root == t.nil then None else Some (subtree_min t t.root)
-let max_node t = if t.root == t.nil then None else Some (subtree_max t t.root)
+let max_node t = if t.max == t.nil then None else Some t.max
 
 (** In-order successor, or [None] at the maximum. *)
 let next t x =
@@ -72,14 +79,15 @@ let find t k =
   in
   go t.root
 
-(** First node with key >= [k], in O(log n). *)
+(** First node with key >= [k], in O(log n); O(1) when [k] sorts past the
+    maximum. *)
 let lower_bound t k =
   let rec go x best =
     if x == t.nil then best
     else if String.compare x.key k >= 0 then go x.left (Some x)
     else go x.right best
   in
-  go t.root None
+  if t.max == t.nil || String.compare k t.max.key > 0 then None else go t.root None
 
 (* Descent for [floor]: [best] is the deepest node seen with key <= [k]
    ([nil] when none). Top-level so a lookup allocates no closure. *)
@@ -169,9 +177,17 @@ let link_child t parent side k v =
   let z =
     { key = k; value = v; left = t.nil; right = t.nil; parent; red = true; live = true }
   in
-  if parent == t.nil then t.root <- z
+  if parent == t.nil then begin
+    t.root <- z;
+    t.max <- z
+  end
   else begin
-    match side with `Left -> parent.left <- z | `Right -> parent.right <- z
+    match side with
+    | `Left -> parent.left <- z
+    | `Right ->
+      parent.right <- z;
+      (* the max has no right child, so a node linked there is the new max *)
+      if parent == t.max then t.max <- z
   end;
   t.size <- t.size + 1;
   insert_fixup t z;
@@ -291,6 +307,7 @@ let delete_fixup t x0 =
     other nodes keep their identity (hints to them stay valid). *)
 let remove_node t z =
   if not z.live then invalid_arg "Rbtree.remove_node: dead node";
+  if z == t.max then t.max <- (match prev t z with Some p -> p | None -> t.nil);
   let y_original_red = ref z.red in
   let x =
     if z.left == t.nil then begin
@@ -399,4 +416,6 @@ let validate t =
     end
   in
   ignore (go t.root None None);
-  if !count <> t.size then fail "size mismatch"
+  if !count <> t.size then fail "size mismatch";
+  let actual = if t.root == t.nil then t.nil else subtree_max t t.root in
+  if actual != t.max then fail "kept max is not the last node"

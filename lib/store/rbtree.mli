@@ -30,6 +30,8 @@ val size : 'v t -> int
 val is_live : 'v node -> bool
 
 val min_node : 'v t -> 'v node option
+
+(** The last node, kept up to date by every insert and removal: O(1). *)
 val max_node : 'v t -> 'v node option
 
 (** In-order successor / predecessor, or [None] at the ends. *)
@@ -38,7 +40,7 @@ val next : 'v t -> 'v node -> 'v node option
 val prev : 'v t -> 'v node -> 'v node option
 val find : 'v t -> string -> 'v node option
 
-(** First node with key >= the argument. *)
+(** First node with key >= the argument; O(1) past the maximum. *)
 val lower_bound : 'v t -> string -> 'v node option
 
 (** Last node with key <= the argument. *)
@@ -76,6 +78,6 @@ val iter : 'v t -> ('v node -> unit) -> unit
 val to_list : 'v t -> (string * 'v) list
 val count_range : 'v t -> lo:string -> hi:string -> int
 
-(** Check BST order, red-black invariants, parent pointers and size;
-    raises [Failure] on violation (tests). *)
+(** Check BST order, red-black invariants, parent pointers, size and the
+    kept maximum; raises [Failure] on violation (tests). *)
 val validate : 'v t -> unit

@@ -1,22 +1,20 @@
 (** The multi-table store facade (Fig 6's top layer).
 
     The first ['|']-separated component of every key names its table
-    ([p|bob|100] lives in table [p]). Tables are created on demand; a
-    configuration callback decides each new table's subtable depth. The
-    whole store is still one ordered key space: cross-table scans walk the
+    ([p|bob|100] lives in table [p]). Tables are created on demand, as
+    single trees until a boundary is declared for them ({!add_boundary});
+    the whole store is still one ordered key space: cross-table scans walk the
     tables in name order. *)
 
 module Smap = Map.Make (String)
 
-type 'v t = {
-  by_name : (string, 'v Table.t) Hashtbl.t;
-  mutable ordered : 'v Table.t Smap.t;
-  table_config : string -> int option; (* table name -> subtable depth *)
+type ('v, 'n) t = {
+  by_name : (string, ('v, 'n) Table.t) Hashtbl.t;
+  mutable ordered : ('v, 'n) Table.t Smap.t;
   dummy : 'v;
 }
 
-let create ?(table_config = fun _ -> None) ~dummy () =
-  { by_name = Hashtbl.create 16; ordered = Smap.empty; table_config; dummy }
+let create ~dummy () = { by_name = Hashtbl.create 16; ordered = Smap.empty; dummy }
 
 (** Table name of a key: everything before the first ['|'] (or the whole
     key if it has no separator). *)
@@ -29,12 +27,22 @@ let table t name =
   match Hashtbl.find_opt t.by_name name with
   | Some tbl -> tbl
   | None ->
-    let tbl = Table.create ?subtable_depth:(t.table_config name) ~name ~dummy:t.dummy () in
+    let tbl = Table.create ~name ~dummy:t.dummy () in
     Hashtbl.add t.by_name name tbl;
     t.ordered <- Smap.add name tbl t.ordered;
     tbl
 
 let table_of_key t key = table t (table_name_of key)
+
+let find_table t name = Hashtbl.find_opt t.by_name name
+
+(** Subdivide table [name] into subtables of [depth] components (§4.1).
+    Asked for several depths, a table keeps the shallowest; a table that
+    already holds pairs is re-laid out. *)
+let add_boundary t name depth =
+  let tbl = table t name in
+  let depth = match Table.subtable_depth tbl with Some d -> min d depth | None -> depth in
+  Table.set_subtable_depth tbl depth
 
 let get t key =
   Strkey.validate key;

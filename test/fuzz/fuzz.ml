@@ -347,7 +347,7 @@ let variants =
      variant "no-combine" ~tweak:(fun c -> c.Config.combine_updaters <- false);
      variant "eager-checks" ~tweak:(fun c -> c.Config.lazy_checks <- false);
      variant "log-limit-1" ~tweak:(fun c -> c.Config.pending_log_limit <- 1);
-     variant "subtables" ~tweak:(fun c -> c.Config.table_config <- (fun _ -> Some 2));
+     variant "single-tree" ~tweak:(fun c -> c.Config.subtables <- false);
      variant "evict" ~tweak:evict;
      variant "evict-no-combine" ~tweak:(fun c ->
          evict c;

@@ -89,6 +89,16 @@ let test_interleaved_literals () =
     (Pattern.match_key p "page|bob|101|k|c7|liz" ~bindings:empty <> None);
   check_bool "wrong tag" true (Pattern.match_key p "page|bob|101|c|c7|liz" ~bindings:empty = None)
 
+(* §4.1 boundaries: up to and including the first slot, when more
+   segments follow it *)
+let test_boundary_depth () =
+  let intern, _ = make_intern () in
+  let depth text = Pattern.boundary_depth (Pattern.parse ~intern text) in
+  Alcotest.(check (option int)) "timeline" (Some 2) (depth "t|<user>|<time>|<poster>");
+  Alcotest.(check (option int)) "after a literal" (Some 3) (depth "karma|x|<user>|<n>");
+  Alcotest.(check (option int)) "slot last" None (depth "karma|<user>");
+  Alcotest.(check (option int)) "no slot" None (depth "cfg|all")
+
 let test_containing_range_full () =
   let p, n = timeline_pattern () in
   let b = Array.make n None in
@@ -335,6 +345,7 @@ let () =
           Alcotest.test_case "match_key" `Quick test_match_key;
           Alcotest.test_case "build_key" `Quick test_build_key;
           Alcotest.test_case "interleaved literals" `Quick test_interleaved_literals;
+          Alcotest.test_case "boundary depth" `Quick test_boundary_depth;
         ] );
       ( "containing-range",
         [

@@ -184,6 +184,58 @@ let prop_rb_model =
         ops;
       Rbtree.to_list t = Smap.bindings !model)
 
+(* Property: the kept maximum survives every mutation. Random inserts,
+   hinted inserts, node removals and in-place rekeys; after each, the
+   tree validates (the kept max is the last node) and a walk from past
+   the max visits nothing. *)
+let prop_rb_max =
+  let open QCheck2 in
+  let key_gen = Gen.map (fun n -> Printf.sprintf "k%02d" n) (Gen.int_bound 40) in
+  let op_gen =
+    Gen.oneof
+      [
+        Gen.map (fun k -> `Insert k) key_gen;
+        Gen.map (fun k -> `Insert_after k) key_gen;
+        Gen.map (fun i -> `Remove_node i) Gen.nat;
+        Gen.map (fun i -> `Rekey i) Gen.nat;
+      ]
+  in
+  Test.make ~name:"rbtree keeps its max" ~count:300 (Gen.list_size (Gen.int_range 0 200) op_gen)
+    (fun ops ->
+      let t = Rbtree.create ~dummy:0 () in
+      let pick t i =
+        let nodes = Rbtree.nodes_in_range t ~lo:"" ~hi:"\xff" in
+        if nodes = [] then None else Some (List.nth nodes (i mod List.length nodes))
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | `Insert k -> ignore (Rbtree.insert t k step)
+          | `Insert_after k -> (
+            match pick t step with
+            | Some hint -> ignore (Rbtree.insert_after t ~hint k step)
+            | None -> ignore (Rbtree.insert t k step))
+          | `Remove_node i -> Option.iter (Rbtree.remove_node t) (pick t i)
+          | `Rekey i -> (
+            match pick t i with
+            | None -> ()
+            | Some n ->
+              let k = n.Rbtree.key ^ "~" in
+              let fits =
+                match Rbtree.next t n with
+                | Some s -> String.compare k s.Rbtree.key < 0
+                | None -> true
+              in
+              if fits then Rbtree.rekey n k));
+          Rbtree.validate t;
+          match Rbtree.max_node t with
+          | None -> if not (Rbtree.is_empty t) then failwith "no max in a nonempty tree"
+          | Some m ->
+            Rbtree.iter_range t ~lo:(m.Rbtree.key ^ "\x00") ~hi:"\xff" (fun _ ->
+                failwith "a walk from past the max visited a node"))
+        ops;
+      true)
+
 let prop_rb_range =
   let open QCheck2 in
   let key_gen = Gen.map (fun n -> Printf.sprintf "k%02d" n) (Gen.int_bound 40) in
@@ -570,6 +622,14 @@ let test_table_subtables () =
   ignore (Table.put tbl "t|ann|200|liz" "y");
   ignore (Table.put tbl "t|bob|150|ann" "z");
   check_int "two subtables" 2 (Table.subtable_count tbl);
+  (* a key too short for a boundary is its own group and must not
+     capture the keys that follow it *)
+  ignore (Table.put tbl "t|" "short");
+  ignore (Table.put tbl "t|cal|100|ann" "w");
+  check_bool "cal's key in cal's group" true (Table.get tbl "t|cal|100|ann" = Some "w");
+  check_int "short key under its own group" 4 (Table.subtable_count tbl);
+  ignore (Table.remove tbl "t|");
+  ignore (Table.remove tbl "t|cal|100|ann");
   (* scan within one subtable *)
   Alcotest.(check (list (pair string string)))
     "within"
@@ -618,6 +678,53 @@ let test_table_put_hint () =
     "order"
     [ ("t|ann|100|bob", "a"); ("t|ann|120|bob", "b"); ("t|bob|050|ann", "c") ]
     (Table.range_to_list tbl ~lo:"t|" ~hi:"t}")
+
+(* A subtable goes with its last pair: [subtable_count] falls, the
+   memory charge falls with it, and a group that comes back gets a
+   fresh subtable. *)
+let test_table_subtable_lifecycle () =
+  let tbl = Table.create ~subtable_depth:2 ~name:"t" ~dummy:"" () in
+  let base = Table.memory_bytes tbl in
+  let keys u = List.init 3 (fun i -> Printf.sprintf "t|%s|%03d" u i) in
+  List.iter (fun k -> ignore (Table.put tbl k "x")) (keys "ann" @ keys "bob");
+  check_int "two subtables" 2 (Table.subtable_count tbl);
+  let two = Table.memory_bytes tbl in
+  List.iter (fun k -> ignore (Table.put tbl k "x")) (keys "cal");
+  let three = Table.memory_bytes tbl in
+  check_int "a group is charged its subtable"
+    (Table.subtable_overhead + (3 * (String.length "t|cal|000" + Table.node_overhead)))
+    (three - two);
+  (* the last-group cache names bob's subtable when it goes *)
+  check_bool "bob's pairs found" true (Table.get tbl "t|bob|001" = Some "x");
+  List.iter (fun k -> ignore (Table.remove tbl k)) (keys "bob");
+  check_int "an emptied group drops its subtable" 2 (Table.subtable_count tbl);
+  Table.validate tbl;
+  check_bool "bob's range is empty" true (Table.range_to_list tbl ~lo:"t|bob|" ~hi:"t|bob}" = []);
+  ignore (Table.put tbl "t|bob|009" "y");
+  check_int "and a returning group gets a fresh one" 3 (Table.subtable_count tbl);
+  List.iter (fun k -> ignore (Table.remove tbl k)) ("t|bob|009" :: keys "ann" @ keys "cal");
+  check_int "every group gone" 0 (Table.subtable_count tbl);
+  check_int "nothing charged" base (Table.memory_bytes tbl);
+  Table.validate tbl
+
+(* A boundary declared for a table that already holds pairs re-lays it
+   out; the shallowest of several boundaries wins. *)
+let test_store_add_boundary () =
+  let st = Store.create ~dummy:"" () in
+  List.iter (fun k -> ignore (Store.put st k k)) [ "t|ann|1|x"; "t|ann|2|y"; "t|bob|1|z" ];
+  let tbl = Store.table st "t" in
+  check_int "one tree" 1 (Table.subtable_count tbl);
+  Store.add_boundary st "t" 3;
+  check_int "three groups at depth 3" 3 (Table.subtable_count tbl);
+  Store.add_boundary st "t" 2;
+  check_int "two at depth 2" 2 (Table.subtable_count tbl);
+  Store.add_boundary st "t" 4;
+  check_bool "the shallower boundary stays" true (Table.subtable_depth tbl = Some 2);
+  Table.validate tbl;
+  Alcotest.(check (list string))
+    "same pairs, same order"
+    [ "t|ann|1|x"; "t|ann|2|y"; "t|bob|1|z" ]
+    (List.map fst (Store.range_to_list st ~lo:"t|" ~hi:"t}"))
 
 let test_table_remove_range () =
   let tbl = Table.create ~name:"p" ~dummy:0 () in
@@ -790,7 +897,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_rb_empty;
           Alcotest.test_case "succ/pred" `Quick test_rb_succ_pred;
         ] );
-      ("rbtree-props", qsuite [ prop_rb_model; prop_rb_range ]);
+      ("rbtree-props", qsuite [ prop_rb_model; prop_rb_range; prop_rb_max ]);
       ( "interval_map",
         [
           Alcotest.test_case "basic" `Quick test_imap_basic;
@@ -814,12 +921,14 @@ let () =
           Alcotest.test_case "subtables" `Quick test_table_subtables;
           Alcotest.test_case "put hint" `Quick test_table_put_hint;
           Alcotest.test_case "remove range" `Quick test_table_remove_range;
+          Alcotest.test_case "subtable lifecycle" `Quick test_table_subtable_lifecycle;
         ] );
       ("table-props", qsuite [ prop_table_subtable_scan ]);
       ( "store",
         [
           Alcotest.test_case "routing" `Quick test_store_routing;
           Alcotest.test_case "fold_range_stop" `Quick test_fold_range_stop;
+          Alcotest.test_case "boundaries re-lay tables out" `Quick test_store_add_boundary;
         ] );
       ( "lru",
         [
