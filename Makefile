@@ -2,13 +2,23 @@
 # test suite (unit, integration, property-based, and the persist
 # fault-injection tests in test/test_persist.ml).
 
-.PHONY: check build test bench micro micro-smoke net-smoke cluster-bench cluster-smoke perfbench-smoke fig10-smoke fuzz fuzz-replay doc linkcheck clean
+.PHONY: check build test examples bench micro micro-smoke net-smoke cluster-bench cluster-smoke perfbench-smoke fig10-smoke fuzz fuzz-replay doc linkcheck clean
 
 check: ; dune build && dune runtest
 
 build: ; dune build
 
 test: ; dune runtest
+
+# run the six examples; each exits non-zero on failure (distributed.exe
+# also when its pushed post needed a fetch or never arrived)
+EXAMPLES = quickstart twip_timelines newp_pages celebrity distributed write_around
+
+examples:
+	dune build $(EXAMPLES:%=examples/%.exe)
+	@for e in $(EXAMPLES); do \
+		echo "== $$e"; ./_build/default/examples/$$e.exe || { echo "FAIL: example $$e" >&2; exit 1; }; \
+	done
 
 # regenerate the paper figures / microbenchmarks (micro also writes
 # BENCH_micro.json for cross-PR perf tracking)

@@ -33,7 +33,8 @@ let () =
     match Hub.call hub 2 (Scan { lo = "t|ann|"; hi = Strkey.prefix_upper "t|ann|" }) with
     | Message.Pairs pairs ->
       Printf.printf "[t=%.3fs] %s (%d fetches so far):\n" !clock what (fetches ());
-      List.iter (fun (k, v) -> Printf.printf "  %-28s -> %s\n" k v) pairs
+      List.iter (fun (k, v) -> Printf.printf "  %-28s -> %s\n" k v) pairs;
+      pairs
     | _ -> failwith "the scan failed"
   in
   put "s|ann|bob" "1";
@@ -44,16 +45,22 @@ let () =
 
   (* first timeline check: the compute fetches base ranges from both
      homes and subscribes to them *)
-  timeline "first check of ann's timeline, assembled across both homes";
+  ignore (timeline "first check of ann's timeline, assembled across both homes");
 
   (* a new post is pushed to the subscribed compute: no new fetch *)
   let before = fetches () in
   put "p|bob|0000000150" "pushed through the subscription";
-  timeline "after bob posts again";
-  Printf.printf "new fetches for the pushed post: %d\n" (fetches () - before);
+  let pairs = timeline "after bob posts again" in
+  let refetched = fetches () - before in
+  Printf.printf "new fetches for the pushed post: %d\n" refetched;
 
   let links = Hub.links hub in
   Printf.printf "\ninter-server traffic: %d bytes in %d messages over %d links\n"
     (List.fold_left (fun acc l -> acc + l.Hub.bytes) 0 links)
     (List.fold_left (fun acc l -> acc + l.Hub.msgs) 0 links)
-    (List.length links)
+    (List.length links);
+  (* the demo's point: the new post reached the compute by push alone *)
+  if refetched <> 0 || not (List.mem_assoc "t|ann|0000000150|bob" pairs) then begin
+    prerr_endline "FAIL: the pushed post did not arrive through the subscription alone";
+    exit 1
+  end

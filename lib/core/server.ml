@@ -528,6 +528,13 @@ and eager_check_apply t up cx b ~change =
   Obs.Counter.incr t.hot.eager_check;
   match change with
   | Update -> () (* check values are not interesting *)
+  | Insert
+    when Strkey.range_inter
+           (Pattern.containing_range (Joinspec.output up.up_join.spec) ~bindings:b
+              ~residual:cx.cx_residual)
+           (cx.cx_cover.co_lo, cx.cx_cover.co_hi)
+         = None ->
+    () (* the binding's outputs all fall outside this cover *)
   | Insert -> (
     try
       exec_sources t ~active:[] up.up_join ~bindings:b ~residual:cx.cx_residual

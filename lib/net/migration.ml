@@ -9,7 +9,6 @@
 
 module Server = Pequod_core.Server
 module Message = Pequod_proto.Message
-module Interval_map = Pequod_store.Interval_map
 
 let src = Logs.Src.create "pequod.migration"
 
@@ -23,7 +22,7 @@ type env = {
   dir : Directory.t;
   self : string;
   seed : string option;
-  subs : (string, string Interval_map.t) Hashtbl.t;
+  hand_off : table:string -> lo:string -> hi:string -> dest:string -> Message.request list;
 }
 
 type t = {
@@ -146,31 +145,6 @@ let rec feed mg = function
     mg.env.out.post mg.dest (Message.Notify_batch { items = batch; stamps = [] });
     feed mg rest
 
-(* Subscriptions to hand over at the flip: the new home installs each
-   one through the ordinary Fetch path (naming the subscriber's own
-   callback address), so pushes keep flowing without waiting for each
-   subscriber's Sub_check heal round to notice. Entries fully inside the
-   moved range are dropped here; a straddling entry keeps serving its
-   unmoved part, and its moved part can never fire again, because writes
-   there no longer apply locally. *)
-let handoff mg =
-  match Hashtbl.find_opt mg.env.subs mg.table with
-  | None -> []
-  | Some im ->
-    let handles = ref [] in
-    Interval_map.iter_overlapping im ~lo:mg.lo ~hi:mg.hi (fun h -> handles := h :: !handles);
-    List.filter_map
-      (fun h ->
-        let ((slo, shi) as range) = Interval_map.handle_range h in
-        let addr = Interval_map.handle_data h in
-        if String.compare mg.lo slo <= 0 && String.compare shi mg.hi <= 0 then
-          Interval_map.remove im h;
-        match Directory.intersect ~lo:mg.lo ~hi:mg.hi range with
-        | Some (lo, hi) when not (String.equal addr mg.dest) ->
-          Some (Message.Fetch { table = mg.table; lo; hi; subscriber = addr })
-        | _ -> None)
-      !handles
-
 (* The copy is done: flip the range to the destination, one answer at a
    time — delta and stamp trailer, a barrier, the new directory (from
    the seed, when there is one), the local install, then the
@@ -249,7 +223,7 @@ let flip mg =
         mg.reply result
       end
     in
-    let reqs = Message.Dir_update { epoch; entries } :: handoff mg in
+    let reqs = Message.Dir_update { epoch; entries } :: env.hand_off ~table ~lo ~hi ~dest in
     pending := List.length reqs;
     List.iter (fun req -> env.out.call Peer.Parked dest req answered) reqs
   in

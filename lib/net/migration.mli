@@ -31,8 +31,11 @@ type env = {
   dir : Directory.t;
   self : string; (** this server's advertised address *)
   seed : string option; (** the directory seed; [None]: [dir] is authoritative *)
-  subs : (string, string Pequod_store.Interval_map.t) Hashtbl.t;
-      (** the server's subscriptions: table -> subscriber per range *)
+  hand_off :
+    table:string -> lo:string -> hi:string -> dest:string -> Pequod_proto.Message.request list;
+      (** at the flip: the server's subscriptions to the moved range, as
+          [Fetch]es for [dest] to grant ({!Subs.hand_off}), so pushes keep
+          flowing without waiting for each subscriber's [Sub_check] heal *)
 }
 
 type t

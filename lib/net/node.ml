@@ -7,12 +7,12 @@
     pure {!Directory} function: a write goes to its home, a point read
     to a replica or the home, a scan is cut into segments served where
     they live. A read missing base ranges parks on the fetcher, a
-    stamped read on the stamp pump; writes are buffered as subscription
-    pushes, and a [Migrate] runs through {!Migration}. A shard
-    ({!set_shard}) is one more directory server whose wildcard entries
-    are homed at its siblings: only acceptor-handed requests spread a
-    multi-table scan over every shard, and a client's [Add_join] and
-    [Stats_full] fan out to all of them.
+    stamped read on the stamp pump; {!Subs} grants a [Fetch] and owes
+    every applied write to its subscribers, and a [Migrate] runs through
+    {!Migration}. A shard ({!set_shard}) is one more directory server
+    whose wildcard entries are homed at its siblings: only
+    acceptor-handed requests spread a multi-table scan over every shard,
+    and a client's [Add_join] and [Stats_full] fan out to all of them.
 
     The core reaches other servers only through its {!Peer.outbound}
     record and reads time only from the engine's clock, [Config.now].
@@ -22,7 +22,6 @@
 module Server = Pequod_core.Server
 module Config = Pequod_core.Config
 module Message = Pequod_proto.Message
-module Interval_map = Pequod_store.Interval_map
 
 let src = Logs.Src.create "pequod.server"
 
@@ -73,18 +72,8 @@ type t = {
   mutable self : string; (* this server's advertised address *)
   mutable seed : string option; (* the seed's address; None: [dir] is authoritative *)
   mutable migration : Migration.t option; (* at most one at a time *)
-  (* home-server subscriptions (§2.4): source table -> subscriber
-     callback address per fetched range. Installed by [Fetch], stabbed
-     on every client-origin write, dropped when pushes to the address
-     stop getting through. *)
-  subs : (string, string Interval_map.t) Hashtbl.t;
-  (* outgoing pushes, coalesced per destination until the next flush:
-     one Notify_batch per subscriber per batch *)
-  pending_notify : (string, (string * string option) list) Hashtbl.t; (* dst -> rev items *)
-  mutable pending_order : string list; (* destinations, reverse first-enqueue order *)
-  m_fetch_in : Obs.Counter.t; (* peer.fetch.in *)
+  subscriptions : Subs.t; (* the home's subscriptions and the pushes they owe *)
   m_notify_in : Obs.Counter.t; (* peer.notify.in *)
-  m_notify_out : Obs.Counter.t; (* peer.notify.out *)
   m_redirect : Obs.Counter.t; (* migrate.redirects: requests forwarded by the directory *)
   m_replica_reads : Obs.Counter.t; (* replica.reads *)
   (* the Remote maintenance tick (directory sync, subscription healing),
@@ -118,12 +107,8 @@ let create ~out engine =
     self = "";
     seed = None;
     migration = None;
-    subs = Hashtbl.create 8;
-    pending_notify = Hashtbl.create 8;
-    pending_order = [];
-    m_fetch_in = Obs.counter obs "peer.fetch.in";
+    subscriptions = Subs.create engine;
     m_notify_in = Obs.counter obs "peer.notify.in";
-    m_notify_out = Obs.counter obs "peer.notify.out";
     m_redirect = Obs.counter obs "migrate.redirects";
     m_replica_reads = Obs.counter obs "replica.reads";
     tick = ignore;
@@ -174,20 +159,8 @@ let set_shard t ~self ~addrs ~merge =
         sm_forward_out = Obs.counter obs "shard.forward.out";
         sm_forward_in = Obs.counter obs "shard.forward.in" }
 
-(** A subscriber stopped taking pushes (the outbound path's [on_lost]):
-    forget every subscription it held, so one dead peer costs one failed
-    connection, not one per write forever. A live one notices at its
-    next Sub_check, and refetches instead of serving a frozen copy. *)
-let drop_subscriber t addr =
-  let doomed = ref [] in
-  Hashtbl.iter
-    (fun _ im ->
-      Interval_map.iter im (fun h ->
-          if String.equal (Interval_map.handle_data h) addr then doomed := (im, h) :: !doomed))
-    t.subs;
-  if !doomed <> [] then
-    Log.warn (fun m -> m "dropping subscriber %s: pushes to it were lost" addr);
-  List.iter (fun (im, h) -> Interval_map.remove im h) !doomed
+(** A subscriber's pushes were lost (the outbound path's [on_lost]). *)
+let drop_subscriber t addr = Subs.drop t.subscriptions addr
 
 (* Start every leg at once; [k] gets their answers, in leg order, once
    the last has answered. *)
@@ -205,81 +178,15 @@ let gather legs k =
             if !left = 0 then k (Array.to_list out)))
       legs
 
-(* ------------------------------------------------------------------ *)
-(* Subscription push (§2.4): writes coalesced into one Notify_batch per
-   subscriber per flush.                                               *)
+(* a write applied here: part of a moving range's delta, and owed to
+   its subscribers *)
+let wrote t key value =
+  Option.iter (fun mg -> Migration.capture mg key value) t.migration;
+  Subs.enqueue t.subscriptions key value
 
-let subs_for t table =
-  match Hashtbl.find_opt t.subs table with
-  | Some im -> im
-  | None ->
-    let im = Interval_map.create () in
-    Hashtbl.add t.subs table im;
-    im
-
-(* queue one update for every subscriber whose fetched range contains
-   [key]; flushed once per read batch *)
-let buffer_notify t key value_opt =
-  Option.iter (fun mg -> Migration.capture mg key value_opt) t.migration;
-  if Hashtbl.length t.subs > 0 then
-    match Hashtbl.find_opt t.subs (Pequod_store.Store.table_name_of key) with
-    | None -> ()
-    | Some im ->
-      let targets = ref [] in
-      Interval_map.stab im key (fun h -> targets := Interval_map.handle_data h :: !targets);
-      List.iter
-        (fun dst ->
-          let prev =
-            match Hashtbl.find_opt t.pending_notify dst with
-            | Some items -> items
-            | None ->
-              t.pending_order <- dst :: t.pending_order;
-              []
-          in
-          Hashtbl.replace t.pending_notify dst ((key, value_opt) :: prev))
-        (List.sort_uniq compare !targets)
-
-(** Post one [Notify_batch] per destination with pending updates; a
-    subscriber whose pushes are lost is dropped (the outbound path's
-    [on_lost], {!drop_subscriber}). *)
+(** Post one [Notify_batch] per subscriber with pushes owed. *)
 let flush_notifications t =
-  let order = List.rev t.pending_order in
-  t.pending_order <- [];
-  List.iter
-    (fun dst ->
-      match Hashtbl.find_opt t.pending_notify dst with
-      | None | Some [] -> ()
-      | Some rev_items ->
-        Hashtbl.remove t.pending_notify dst;
-        let items = List.rev rev_items in
-        (* stamp trailer: once [items] are applied, every subscribed
-           range of [dst] containing one of the pushed keys is current
-           through the stamp recorded here — pushes leave in write order
-           per connection, so the floor over the range at flush time is
-           a sound promise *)
-        let ranges = Hashtbl.create 4 in
-        List.iter
-          (fun (key, _) ->
-            let table = Pequod_store.Store.table_name_of key in
-            Option.iter
-              (fun im ->
-                Interval_map.stab im key (fun h ->
-                    if String.equal (Interval_map.handle_data h) dst then
-                      let lo, hi = Interval_map.handle_range h in
-                      Hashtbl.replace ranges (table, lo, hi) ()))
-              (Hashtbl.find_opt t.subs table))
-          items;
-        let stamps =
-          Hashtbl.fold
-            (fun (table, lo, hi) () acc ->
-              match Server.range_stamp t.engine ~table ~lo ~hi with
-              | 0 -> acc
-              | s -> (table, lo, hi, s) :: acc)
-            ranges []
-        in
-        Obs.Counter.incr t.m_notify_out;
-        t.out.post dst (Message.Notify_batch { items; stamps }))
-    order
+  List.iter (fun (dst, batch) -> t.out.post dst batch) (Subs.flush t.subscriptions)
 
 (* ------------------------------------------------------------------ *)
 (* Directory routing: carrying out {!Directory}'s decisions             *)
@@ -568,85 +475,44 @@ let apply_oneway t req =
   | Message.Notify_batch { items; stamps } ->
     (* [apply_to_server] applies the items and records the stamp
        trailer, so the freshness promise lands with the data *)
-    List.iter (fun (k, v) -> buffer_notify t k v) items;
+    List.iter (fun (k, v) -> wrote t k v) items;
     t.on_push items stamps
   | _ -> ()
 
 (* The requests this server answers from its own state at once. *)
 let handle_local t req =
   match req with
-  | Message.Fetch { table; lo; hi; subscriber } -> (
-    Obs.Counter.incr t.m_fetch_in;
-    (* refuse to grant a subscription on a range the directory routes
-       elsewhere, even in part (a replica's copy is subscription-fresh,
-       so it may serve). A post-migration straggler fetching from the
-       old home gets an error and replans off its refreshed directory,
-       instead of a frozen snapshot: a base-table scan here would answer
-       the moved part from the copy the migration left behind, and no
-       write would ever reach that subscription. *)
+  | Message.Fetch { table; lo; hi; subscriber } ->
+    (* refuse a range the directory routes elsewhere, even in part (a
+       replica's copy is subscription-fresh, so it may serve). A
+       post-migration straggler fetching from the old home gets an error
+       and replans off its refreshed directory, instead of a frozen
+       snapshot: a base-table scan here would answer the moved part from
+       the copy the migration left behind, and no write would ever reach
+       that subscription. *)
     let segs = Directory.scan_route (entries t) ~self:t.self ~spread:false ~lo ~hi in
-    match List.find_map (function Directory.Forward c, _, _ -> Some c | _ -> None) segs with
-    | Some cands ->
-      Message.Error
-        (Printf.sprintf "not the home for %s[%s,%s) (directory routes it to %s)" table lo hi
-           (String.concat ", " cands))
-    | None -> (
-    List.iter (fun (route, _, _) -> count_replica t route) segs;
-    (* refetches of the same range by the same subscriber (eviction
-       pressure, subscription healing) are idempotent on the subs
-       table: an identical live entry is reused, never duplicated,
-       so a long-lived subscriber cannot grow it without bound *)
-    let im = subs_for t table in
-    let already = ref false in
-    Interval_map.iter_overlapping im ~lo ~hi (fun h ->
-        if
-          (not !already)
-          && Interval_map.handle_range h = (lo, hi)
-          && String.equal (Interval_map.handle_data h) subscriber
-        then already := true);
-    (* install the subscription before snapshotting: a write landing
-       in between is pushed as well, and the duplicate application
-       at the subscriber is idempotent *)
-    let handle =
-      if subscriber = "" || !already then None
-      else Some (Interval_map.add im ~lo ~hi subscriber)
+    let refused =
+      match List.find_map (function Directory.Forward c, _, _ -> Some c | _ -> None) segs with
+      | Some cands ->
+        Some
+          (Printf.sprintf "not the home for %s[%s,%s) (directory routes it to %s)" table lo hi
+             (String.concat ", " cands))
+      | None ->
+        List.iter (fun (route, _, _) -> count_replica t route) segs;
+        None
     in
-    match Server.scan_result t.engine ~lo ~hi with
-    | `Ok pairs ->
-      (* the stamp this snapshot is current through: the subscriber
-         records it, and session reads demand at least it *)
-      Message.Subscribed { stamp = Server.range_stamp t.engine ~table ~lo ~hi; pairs }
-    | `Missing _ ->
-      (* this server does not own the range; rescind the subscription *)
-      Option.iter (Interval_map.remove (subs_for t table)) handle;
-      Message.Error (Printf.sprintf "not the home for %s[%s,%s)" table lo hi)
-    | exception e ->
-      Option.iter (Interval_map.remove (subs_for t table)) handle;
-      Message.Error (Printexc.to_string e)))
+    Subs.grant t.subscriptions ~refused ~table ~lo ~hi ~subscriber
   | Message.Sub_check { subscriber } ->
-    (* subscription heartbeat: report every range still pushed to
-       this subscriber, so it can detect (and heal) a drop *)
-    let ranges = ref [] in
-    Hashtbl.iter
-      (fun table im ->
-        Interval_map.iter im (fun h ->
-            if String.equal (Interval_map.handle_data h) subscriber then begin
-              let lo, hi = Interval_map.handle_range h in
-              ranges := (table, lo, hi) :: !ranges
-            end))
-      t.subs;
-    Message.Sub_ranges (List.sort compare !ranges)
-  | Message.Put (k, v) ->
+    (* subscription heartbeat: every range still pushed to this
+       subscriber, so it can detect (and heal) a drop *)
+    Message.Sub_ranges (Subs.ranges_of t.subscriptions subscriber)
+  | Message.(Put _ | Remove _ | Put_batch _) ->
     let resp = Message.apply_to_server t.engine req in
-    buffer_notify t k (Some v);
-    resp
-  | Message.Remove k ->
-    let resp = Message.apply_to_server t.engine req in
-    buffer_notify t k None;
-    resp
-  | Message.Put_batch pairs ->
-    let resp = Message.apply_to_server t.engine req in
-    List.iter (fun (k, v) -> buffer_notify t k (Some v)) pairs;
+    (match req with
+    | Message.Put (k, v) -> wrote t k (Some v)
+    | Message.Remove k -> wrote t k None
+    | Message.Put_batch pairs -> List.iter (fun (k, v) -> wrote t k (Some v)) pairs
+    | _ -> ());
     resp
   | Message.Dir_watch { epoch } when Directory.epoch t.dir <= epoch -> Message.Done
   | Message.Dir_get | Message.Dir_watch _ ->
@@ -729,7 +595,7 @@ let rec route t conn req k =
   | Message.Migrate { table; lo; hi; dest } -> (
     let env =
       { Migration.out = t.out; engine = t.engine; dir = t.dir; self = t.self;
-        seed = t.seed; subs = t.subs }
+        seed = t.seed; hand_off = Subs.hand_off t.subscriptions }
     in
     match t.migration with
     | Some _ -> k (Message.Error "a migration is already in progress")

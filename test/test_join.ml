@@ -718,7 +718,7 @@ let test_replay_counts () =
   in
   variant "default" ignore [ 37; 463; 18260 ];
   variant "no combining" (fun c -> c.Config.combine_updaters <- false) [ 500; 0; 18260 ];
-  variant "eager checks" (fun c -> c.Config.lazy_checks <- false) [ 37; 4648; 121170 ];
+  variant "eager checks" (fun c -> c.Config.lazy_checks <- false) [ 37; 472; 18572 ];
   variant "log limit 1" (fun c -> c.Config.pending_log_limit <- 1) [ 64; 1375; 18265 ];
   variant "evicting" (fun c -> c.Config.memory_limit <- Some 200_000) [ 1669; 7898; 5772 ]
 

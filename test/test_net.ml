@@ -736,6 +736,118 @@ let test_client_no_fd_leak () =
     Alcotest.(check int) "open descriptors" (before - 1) (fds ())
   end
 
+(* ------------------------------------------------------------------ *)
+(* The home's subscription table (Subs), on a bare engine: each row is
+   a script of operations on a fresh table and the transcript it gives *)
+
+module Subs = Pequod_server_lib.Subs
+
+type subs_op =
+  | Grant of string * string * string (* subscriber, lo, hi; table of [lo] *)
+  | Refused of string * string * string
+  | Write of string * string option
+  | Flush
+  | Ranges of string (* the subscriber's Sub_check answer *)
+  | Drop of string
+  | Hand_off of string * string * string (* lo, hi, dest *)
+
+let run_subs ops =
+  let engine = Server.create () in
+  (* [q] is computed from [r], which is homed elsewhere: a scan of [q]
+     misses *)
+  Server.add_join_exn engine "q|<a>|<b> = copy r|<a>|<b>";
+  Server.set_resolver engine (fun ~table ~lo:_ ~hi:_ ->
+      if table = "r" then Server.Deferred else Server.Local);
+  Server.set_range_stamp engine ~table:"p" ~lo:"p|a" ~hi:"p|f" 5;
+  Server.set_range_stamp engine ~table:"p" ~lo:"p|k" ~hi:"p|p" 7;
+  let subs = Subs.create engine in
+  let range (table, lo, hi) = Printf.sprintf "%s[%s,%s)" table lo hi in
+  let items l =
+    String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ Option.value v ~default:"-") l)
+  in
+  let batch = function
+    | dst, Message.Notify_batch { items = l; stamps } ->
+      Printf.sprintf "%s <- %s | %s" dst (items l)
+        (String.concat " "
+           (List.map
+              (fun (t, lo, hi, s) -> Printf.sprintf "%s@%d" (range (t, lo, hi)) s)
+              (List.sort compare stamps)))
+    | _ -> "unexpected request"
+  in
+  let fetch = function
+    | Message.Fetch { table; lo; hi; subscriber } -> subscriber ^ " " ^ range (table, lo, hi)
+    | _ -> "unexpected request"
+  in
+  let lines l = match l with [] -> "none" | l -> String.concat "; " l in
+  let grant ~refused sub lo hi =
+    let table = Pequod_store.Store.table_name_of lo in
+    match Subs.grant subs ~refused ~table ~lo ~hi ~subscriber:sub with
+    | Message.Subscribed _ -> [ "subscribed" ]
+    | Message.Error m -> [ "error: " ^ m ]
+    | _ -> [ "unexpected answer" ]
+  in
+  List.concat_map
+    (function
+      | Grant (sub, lo, hi) -> grant ~refused:None sub lo hi
+      | Refused (sub, lo, hi) -> grant ~refused:(Some "routed elsewhere") sub lo hi
+      | Write (key, v) ->
+        Subs.enqueue subs key v;
+        []
+      | Flush -> [ "flush: " ^ lines (List.map batch (Subs.flush subs)) ]
+      | Ranges sub -> [ sub ^ " holds: " ^ lines (List.map range (Subs.ranges_of subs sub)) ]
+      | Drop sub ->
+        Subs.drop subs sub;
+        []
+      | Hand_off (lo, hi, dest) ->
+        let table = Pequod_store.Store.table_name_of lo in
+        let reqs = Subs.hand_off subs ~table ~lo ~hi ~dest in
+        [ "hand off: " ^ lines (List.sort compare (List.map fetch reqs)) ])
+    ops
+
+let test_subs_table () =
+  let v = Some "v" in
+  List.iter
+    (fun (name, ops, want) ->
+      Alcotest.(check (list string)) name want (run_subs ops))
+    [ ( "a trailer lists the destination's pushed ranges that carry a stamp",
+        [ Grant ("c1", "p|a", "p|f"); Grant ("c1", "p|f", "p|k"); Grant ("c1", "p|k", "p|p");
+          Grant ("c2", "p|a", "p|c"); Write ("p|b", v); Write ("p|g", v); Flush ],
+        [ "subscribed"; "subscribed"; "subscribed"; "subscribed";
+          "flush: c1 <- p|b=v p|g=v | p[p|a,p|f)@5; c2 <- p|b=v | p[p|a,p|c)@5" ] );
+      ( "a key inside two ranges lists both",
+        [ Grant ("c1", "p|a", "p|f"); Grant ("c1", "p|b", "p|d"); Write ("p|c", v); Flush ],
+        [ "subscribed"; "subscribed"; "flush: c1 <- p|c=v | p[p|a,p|f)@5 p[p|b,p|d)@5" ] );
+      ( "destinations flush in first-enqueue order, once",
+        [ Grant ("c2", "p|d", "p|f"); Grant ("c1", "p|a", "p|c"); Write ("p|e", v);
+          Write ("p|b", None); Write ("p|d", v); Flush; Flush ],
+        [ "subscribed"; "subscribed";
+          "flush: c2 <- p|e=v p|d=v | p[p|d,p|f)@5; c1 <- p|b=- | p[p|a,p|c)@5";
+          "flush: none" ] );
+      ( "a regrant keeps one entry; another range adds one",
+        [ Grant ("c1", "p|a", "p|f"); Grant ("c1", "p|a", "p|f"); Ranges "c1";
+          Grant ("c1", "p|a", "p|g"); Ranges "c1" ],
+        [ "subscribed"; "subscribed"; "c1 holds: p[p|a,p|f)"; "subscribed";
+          "c1 holds: p[p|a,p|f); p[p|a,p|g)" ] );
+      ( "a missing, refused or anonymous grant leaves no entry",
+        [ Grant ("c1", "q|a", "q|f"); Refused ("c1", "p|a", "p|f"); Grant ("", "p|a", "p|f");
+          Ranges "c1"; Ranges ""; Write ("q|b", v); Write ("p|b", v); Flush ],
+        [ "error: not the home for q[q|a,q|f)"; "error: routed elsewhere"; "subscribed";
+          "c1 holds: none"; " holds: none"; "flush: none" ] );
+      ( "drop removes only that subscriber",
+        [ Grant ("c1", "p|a", "p|f"); Grant ("c2", "p|a", "p|f"); Grant ("c1", "p|k", "p|p");
+          Drop "c1"; Ranges "c1"; Ranges "c2"; Write ("p|b", v); Flush ],
+        [ "subscribed"; "subscribed"; "subscribed"; "c1 holds: none"; "c2 holds: p[p|a,p|f)";
+          "flush: c2 <- p|b=v | p[p|a,p|f)@5" ] );
+      ( "a hand-off moves the range's entries, clamped, and keeps straddlers",
+        [ Grant ("c1", "p|c", "p|e"); Grant ("c2", "p|a", "p|d"); Grant ("c3", "p|f", "p|k");
+          Grant ("d1", "p|c", "p|d"); Grant ("c4", "p|m", "p|p");
+          Hand_off ("p|b", "p|h", "d1"); Ranges "c1"; Ranges "c2"; Ranges "c3"; Ranges "d1";
+          Ranges "c4"; Write ("p|c", v); Flush ],
+        [ "subscribed"; "subscribed"; "subscribed"; "subscribed"; "subscribed";
+          "hand off: c1 p[p|c,p|e); c2 p[p|b,p|d); c3 p[p|f,p|h)"; "c1 holds: none";
+          "c2 holds: p[p|a,p|d)"; "c3 holds: p[p|f,p|k)"; "d1 holds: none";
+          "c4 holds: p[p|m,p|p)"; "flush: c2 <- p|c=v | p[p|a,p|d)@5" ] ) ]
+
 let () =
   Alcotest.run "net"
     [
@@ -756,6 +868,7 @@ let () =
           Alcotest.test_case "plan coverage" `Quick test_remote_plan;
           Alcotest.test_case "wildcard directory" `Quick test_wildcard_directory;
           Alcotest.test_case "routing decisions" `Quick test_routing_decisions;
+          Alcotest.test_case "subscription table" `Quick test_subs_table;
         ] );
       ( "client",
         [
