@@ -113,14 +113,17 @@ cluster-smoke:
 	rm -f BENCH_cluster_migrate.json
 
 # CI smoke for the repository benchmark (perfbench/, BENCHMARK.json): a
-# 2 s twip-static run on a live home + compute pair. Its last output line
-# is the JSON result; the run must check out correct with no failed op.
+# 2 s run of each gated workload on a live home + compute pair. Each last
+# output line is the JSON result; every run must check out correct with
+# no failed op.
 perfbench-smoke:
-	@line=$$(python3 perfbench/run.py --workload twip-static --seed 1 --seconds 2 --trace 0 \
-		| tail -n 1); \
-	echo "$$line"; \
-	echo "$$line" | grep -q '"correct": true' && echo "$$line" | grep -Eq '"failed": 0[,}]' \
-		|| { echo "FAIL: perfbench smoke was not correct or had failed ops" >&2; exit 1; }
+	@for w in twip-static twip-directory; do \
+		line=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 \
+			| tail -n 1); \
+		echo "$$line"; \
+		echo "$$line" | grep -q '"correct": true' && echo "$$line" | grep -Eq '"failed": 0[,}]' \
+			|| { echo "FAIL: perfbench smoke ($$w) was not correct or had failed ops" >&2; exit 1; }; \
+	done
 
 # Fig 10 at a quarter scale on the shipped request cores through the
 # in-memory hub (lib/hub): the run fails on any request left unanswered

@@ -272,12 +272,13 @@ let bench_range_map_split_heal =
 let cover_readers = 1_000
 let covers_case = "materialize + tear down 1k timeline covers"
 
+let timeline_join = "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>"
+
 let cover_engine () =
   let config = Pequod_core.Config.default () in
   config.Pequod_core.Config.memory_limit <- Some 0;
   let s = Engine.create ~config () in
-  Engine.add_join_exn s
-    "t|<user>|<time>|<poster> = check s|<user>|<poster> copy p|<poster>|<time>";
+  Engine.add_join_exn s timeline_join;
   for p = 0 to 63 do
     Engine.put s (Printf.sprintf "p|p%02d|%010d" p 1) "post"
   done;
@@ -305,6 +306,56 @@ let cover_minor_words () =
   run_covers s;
   (Gc.minor_words () -. w0) /. float_of_int cover_readers
 
+(* One subscription round on a compute-like engine: a [Local] resolver,
+   so scans run in collect mode, and every user's timeline materialized
+   from one followed post. A run pushes one new subscription [s|u|p] as a
+   one-pair batch (a Notify_batch reaching a compute) and checks
+   [t|u|]; users take turns, each following a poster it did not follow
+   yet, so every check replays one logged insert. *)
+let sub_users = 4_096
+let sub_posters = 64
+let subscription_case = "subscribe + check one timeline (4k users)"
+let sub_user = Array.init sub_users (Printf.sprintf "u%04d")
+
+let sub_engine () =
+  let s = Engine.create () in
+  Engine.add_join_exn s timeline_join;
+  Engine.set_resolver s (fun ~table:_ ~lo:_ ~hi:_ -> Engine.Local);
+  for p = 0 to sub_posters - 1 do
+    Engine.put s (Printf.sprintf "p|p%02d|%010d" p 1) "post"
+  done;
+  Array.iteri
+    (fun u user ->
+      Engine.put s (Printf.sprintf "s|%s|p%02d" user (u mod sub_posters)) "1";
+      ignore (Engine.scan s ~lo:("t|" ^ user ^ "|") ~hi:("t|" ^ user ^ "}")))
+    sub_user;
+  s
+
+(* round [i]: user [i mod sub_users] follows its next poster *)
+let subscription_round s i =
+  let u = i mod sub_users and k = 1 + (i / sub_users mod (sub_posters - 1)) in
+  let user = sub_user.(u) in
+  Engine.put_batch s [ (Printf.sprintf "s|%s|p%02d" user ((u + k) mod sub_posters), "1") ];
+  ignore (Engine.scan_result s ~lo:("t|" ^ user ^ "|") ~hi:("t|" ^ user ^ "}"))
+
+let bench_subscription =
+  let s = sub_engine () in
+  let round = ref 0 in
+  Test.make ~name:subscription_case
+    (Staged.stage (fun () ->
+         subscription_round s !round;
+         incr round))
+
+(* minor-heap words one subscription round allocates *)
+let subscription_minor_words () =
+  let s = sub_engine () in
+  let rounds = 2 * sub_users in
+  let w0 = Gc.minor_words () in
+  for i = 0 to rounds - 1 do
+    subscription_round s i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int rounds
+
 let all_tests =
   [
     bench_rbtree_insert;
@@ -319,6 +370,7 @@ let all_tests =
     bench_range_map_find;
     bench_range_map_split_heal;
     bench_covers;
+    bench_subscription;
     bench_pattern_match;
     bench_codec_roundtrip;
   ]
@@ -382,7 +434,7 @@ let registry_snapshot () =
 
 (* ratios worth tracking as first-class numbers, recomputed from the
    measured results so the JSON carries the claim, not just the inputs *)
-let derived_of ~cover_words results =
+let derived_of ~cover_words ~subscription_words results =
   let find name = match List.assoc_opt name results with Some (Some v) -> Some v | _ -> None in
   (match (find put_seq_10k_sorted, find put_batch_10k_sorted) with
   | Some seq, Some batch when batch > 0.0 ->
@@ -391,13 +443,15 @@ let derived_of ~cover_words results =
   @ (match find covers_case with
     | Some ns -> [ ("cover materialize+teardown ns/cover", ns /. float_of_int cover_readers) ]
     | None -> [])
-  @ [ ("cover materialize+teardown minor words/cover", cover_words) ]
+  @ [ ("cover materialize+teardown minor words/cover", cover_words);
+      ("subscribe+check minor words/round", subscription_words) ]
 
 (* provenance stamping (commit + ISO date + derived entries) is shared
    with BENCH_cluster.json through Benchstamp, so the files cannot
    drift in schema *)
-let write_json ~path ?registry ~cover_words results =
-  Benchstamp.write_file ~path ~benchmark:"micro" ~derived:(derived_of ~cover_words results)
+let write_json ~path ?registry ~cover_words ~subscription_words results =
+  Benchstamp.write_file ~path ~benchmark:"micro"
+    ~derived:(derived_of ~cover_words ~subscription_words results)
     ([ ("unit", Benchstamp.String "ns/run");
        ( "results",
          Benchstamp.Obj
@@ -425,6 +479,12 @@ let run_and_print () =
     Printf.printf "covers: %.0f ns and %.0f minor words per cover materialized and torn down\n"
       (ns /. float_of_int cover_readers) cover_words
   | _ -> ());
+  let subscription_words = subscription_minor_words () in
+  (match List.assoc_opt subscription_case results with
+  | Some (Some ns) ->
+    Printf.printf "subscriptions: %.0f ns and %.0f minor words per subscribe + check round\n" ns
+      subscription_words
+  | _ -> ());
   let json = "BENCH_micro.json" in
-  write_json ~path:json ~registry:(registry_snapshot ()) ~cover_words results;
+  write_json ~path:json ~registry:(registry_snapshot ()) ~cover_words ~subscription_words results;
   Printf.printf "(wrote %s)\n" json

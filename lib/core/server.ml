@@ -16,8 +16,9 @@
       base ranges from a backing database or a remote home server; an
       asynchronous resolver makes [scan_nb] return the set of ranges to
       fetch so the host can fetch them in parallel and retry (the restart
-      behaviour: completed covers stay valid, and a region is probed for
-      absent sources before it is materialized, so it is built once);
+      behaviour: completed covers stay valid, and a region executes
+      staged, committing nothing when a source is absent, so it is built
+      once);
     - LRU eviction of computed ranges under a memory limit (§2.5).
 
     The store itself is schema-free; bookkeeping lives beside the data:
@@ -43,7 +44,8 @@ let pointer_cost = 8
 type join = { jid : int; spec : Joinspec.t }
 
 (* A partial-invalidation log entry: a logged check-source change to be
-   applied when the output range is next queried (§3.2, [29]). *)
+   applied when the output range is next queried (§3.2, [29]), with the
+   cover whose context logged it. *)
 type log_entry = {
   le_join : join;
   le_source : int;
@@ -51,27 +53,29 @@ type log_entry = {
   le_change : change;
   le_bindings : string option array;
   le_residual : Pattern.residual option;
+  le_cover : cover;
 }
 
-type st_state =
+and st_state =
   | Valid of { expires : float option } (* snapshot joins carry an expiry *)
   | Invalid (* complete invalidation: recompute from scratch *)
   | Pending of { log : log_entry list; len : int }
       (* partial invalidation, newest first; [len] entries *)
 
-type status = { mutable state : st_state }
-
-(* What a subtable notes: the status piece that last answered a read in
-   it, checked before use ([warm_read]). *)
-type note = status Range_map.piece_ref
+and status = { mutable state : st_state }
 
 (* A cover is one materialized execution of one join over one output
    range: it owns the updater contexts installed during that execution,
    the output hint, and an LRU slot for eviction. *)
-type cover = {
+and cover = {
   co_join : join;
   co_lo : string;
   co_hi : string;
+  co_bind : (string option array * Pattern.residual option) option Lazy.t;
+      (* [Pattern.bind_range] of [\[co_lo, co_hi)], for log replays *)
+  mutable co_live : bool; (* false once [release_cover] ran *)
+  mutable co_piece : status Range_map.piece_ref option;
+      (* the status piece this cover last invalidated *)
   mutable co_contexts : context list; (* newest first *)
   mutable co_hint : cell Table.handle option;
   mutable co_lru : cover Lru.entry option;
@@ -96,6 +100,37 @@ and context = {
   cx_cover : cover;
   cx_entry : updater Interval_map.handle;
 }
+
+(* What a subtable notes: the status piece that last answered a read in
+   it, checked before use ([warm_read]). *)
+type note = status Range_map.piece_ref
+
+(* An updater install a pass decided on, made when the pass commits. *)
+type install = {
+  in_source : int;
+  in_kind : [ `Eager | `Invalidate ];
+  in_lo : string;
+  in_hi : string;
+  in_bindings : string option array;
+  in_residual : Pattern.residual option;
+}
+
+(* One execution pass's buffered effects ([exec_sources]): applied
+   together by [commit_pass], or dropped together. *)
+type pass = {
+  ps_installs : install list; (* walk order *)
+  ps_copies : (string * string) list; (* copy outputs, key order *)
+  ps_aggs : (string * string) list; (* aggregate outputs, key order *)
+}
+
+(* What one logged change does to its piece, decided before any of the
+   log is applied ([replay_entry]). *)
+type replay =
+  | No_op
+  | Run of cover * pass (* a logged insert's pass against its cover *)
+  | Retract of join * string option array * string * string
+      (* a logged remove: its binding, clipped to [\[lo, hi)] *)
+  | Rebuild (* no cover holds the piece: recompute it wholesale *)
 
 type tbl_meta = {
   status : status Range_map.t;
@@ -153,6 +188,7 @@ type metrics = {
   updater_runs : Obs.Counter.t; (* updater.run *)
   scans : Obs.Counter.t; (* op.scan *)
   scans_fast : Obs.Counter.t; (* op.scan_fast *)
+  scans_heal : Obs.Counter.t; (* op.scan_heal *)
   gets : Obs.Counter.t; (* op.get *)
   invalidations : Obs.Counter.t; (* updater.invalidate *)
   eager_value : Obs.Counter.t; (* updater.eager_value *)
@@ -182,6 +218,7 @@ let make_metrics obs =
     updater_runs = Obs.counter obs "updater.run";
     scans = Obs.counter obs "op.scan";
     scans_fast = Obs.counter obs "op.scan_fast";
+    scans_heal = Obs.counter obs "op.scan_heal";
     gets = Obs.counter obs "op.get";
     invalidations = Obs.counter obs "updater.invalidate";
     eager_value = Obs.counter obs "updater.eager_value";
@@ -374,19 +411,20 @@ let bindings_subsume ~sub ~sup =
   Array.iteri (fun i v -> if i >= n && v <> None then ok := false) sub;
   !ok
 
-(* merge adjacent Valid status pieces so warm reads see one piece *)
-let coalesce_valid m ~lo ~hi =
-  Range_map.coalesce m.status ~lo ~hi ~eq:(fun a b ->
-      match (a.state, b.state) with
-      | Valid { expires = None }, Valid { expires = None } -> true
-      | Valid { expires = Some x }, Valid { expires = Some y } -> x = y
-      | _ -> false)
+(* adjacent Valid status pieces merge, so warm reads see one piece *)
+let same_validity a b =
+  match (a.state, b.state) with
+  | Valid { expires = None }, Valid { expires = None } -> true
+  | Valid { expires = Some x }, Valid { expires = Some y } -> x = y
+  | _ -> false
 
-(* High-water mark of the collect-mode deferral list: a region whose
-   probe recorded new misses is not built, and one whose execution did
-   is not marked Valid, or output computed from absent sources would
-   freeze as fresh. *)
-let deferred_mark t = match t.deferred_acc with Some acc -> List.length !acc | None -> 0
+let coalesce_valid m ~lo ~hi = Range_map.coalesce m.status ~lo ~hi ~eq:same_validity
+
+(* The collect-mode deferral list as it stands, compared by identity: a
+   unit of work (a region, a log) during which it grew met an absent
+   source and commits nothing, or output computed from absent sources
+   would freeze as fresh. *)
+let deferred_mark t = match t.deferred_acc with Some acc -> !acc | None -> []
 
 (* The live entries serving [source_idx] of [join] with [kind] over
    exactly [\[slo, shi)]: at most one under combining. *)
@@ -430,11 +468,20 @@ let detach_context t cx =
     t.entries <- t.entries - 1
   end
 
-(* Release every context of a cover being torn down, evicted or rolled
-   back: a combined entry keeps the other covers' contexts. *)
+(* Release every context of a cover being torn down or evicted: a
+   combined entry keeps the other covers' contexts. The cover is dead
+   from then on, and log entries naming it look their piece's cover up
+   again. *)
 let release_cover t cover =
   List.iter (detach_context t) cover.co_contexts;
-  cover.co_contexts <- []
+  cover.co_contexts <- [];
+  cover.co_live <- false
+
+let new_cover j ~lo ~hi =
+  let out = Joinspec.output j.spec in
+  { co_join = j; co_lo = lo; co_hi = hi;
+    co_bind = lazy (Pattern.bind_range out ~lo ~hi ~nslots:(Joinspec.nslots j.spec));
+    co_live = true; co_piece = None; co_contexts = []; co_hint = None; co_lru = None }
 
 let rec apply_put ?hint ?(shared = false) t key data =
   Obs.Counter.incr t.hot.puts;
@@ -536,19 +583,23 @@ and eager_check_apply t up cx b ~change =
          = None ->
     () (* the binding's outputs all fall outside this cover *)
   | Insert -> (
-    try
-      exec_sources t ~active:[] up.up_join ~bindings:b ~residual:cx.cx_residual
-        ~out_range:(cx.cx_cover.co_lo, cx.cx_cover.co_hi)
-        ~mode:(`Materialize cx.cx_cover) ~skip_source:up.up_source
-    with Need_fetch _ ->
-      (* a source range is absent and its resolver deferred (an
-         asynchronous host fetches only for scans): give the cover up.
-         The next read recomputes it wholesale, collecting the miss. *)
+    let cover = cx.cx_cover in
+    (* a source range is absent and its resolver deferred (an
+       asynchronous host fetches only for scans): give the cover up.
+       The next read recomputes it wholesale, collecting the miss. *)
+    let give_up () =
       let m = meta t (Pattern.table (Joinspec.output up.up_join.spec)) in
-      Range_map.update_range m.status ~lo:cx.cx_cover.co_lo ~hi:cx.cx_cover.co_hi
-        (fun _ _ stv ->
+      Range_map.update_range m.status ~lo:cover.co_lo ~hi:cover.co_hi (fun _ _ stv ->
           Option.iter (fun st -> st.state <- Invalid) stv;
-          stv))
+          stv)
+    in
+    match
+      exec_sources t ~active:[] up.up_join ~bindings:b ~residual:cx.cx_residual
+        ~out_range:(cover.co_lo, cover.co_hi) ~materialize:true ~skip_source:up.up_source
+        ~dmark:(deferred_mark t)
+    with
+    | Some ps -> commit_pass t cover ps
+    | None | (exception Need_fetch _) -> give_up ())
   | Remove ->
     retract_binding t up.up_join b ~lo:cx.cx_cover.co_lo ~hi:cx.cx_cover.co_hi
 
@@ -562,24 +613,38 @@ and invalidate_apply t up cx b key ~change =
     let clo, chi = Pattern.containing_range out ~bindings:b ~residual:cx.cx_residual in
     match Strkey.range_inter (clo, chi) (cx.cx_cover.co_lo, cx.cx_cover.co_hi) with
     | None -> ()
-    | Some (lo, hi) ->
+    | Some (lo, hi) -> (
       Obs.Counter.incr t.hot.invalidations;
-      let m = meta t (Pattern.table out) in
+      let cover = cx.cx_cover in
       let entry =
         { le_join = join; le_source = up.up_source; le_key = key; le_change = change;
-          le_bindings = cx.cx_bindings; le_residual = cx.cx_residual }
+          le_bindings = cx.cx_bindings; le_residual = cx.cx_residual; le_cover = cover }
       in
       let limit = t.config.Config.pending_log_limit in
-      Range_map.update_range m.status ~lo ~hi (fun _ _ stv ->
-          match stv with
-          | None -> None (* unknown: nothing materialized to invalidate *)
-          | Some st ->
-            (match st.state with
-            | Valid _ -> st.state <- Pending { log = [ entry ]; len = 1 }
-            | Pending { len; _ } when len >= limit -> st.state <- Invalid
-            | Pending { log; len } -> st.state <- Pending { log = entry :: log; len = len + 1 }
-            | Invalid -> ());
-            Some st)
+      let log_into st =
+        match st.state with
+        | Valid _ -> st.state <- Pending { log = [ entry ]; len = 1 }
+        | Pending { len; _ } when len >= limit -> st.state <- Invalid
+        | Pending { log; len } -> st.state <- Pending { log = entry :: log; len = len + 1 }
+        | Invalid -> ()
+      in
+      (* the piece this cover last invalidated, when it still spans
+         exactly [lo, hi): log there in place. A piece spanning more is
+         split by [update_range], so the log stays with [lo, hi). *)
+      match
+        match cover.co_piece with Some p -> Range_map.piece_exact p ~lo ~hi | None -> None
+      with
+      | Some st -> log_into st
+      | None ->
+        let m = meta t (Pattern.table out) in
+        (* unknown pieces stay unknown: nothing materialized to invalidate *)
+        Range_map.update_range m.status ~lo ~hi (fun _ _ stv ->
+            Option.iter log_into stv;
+            stv);
+        cover.co_piece <-
+          (match Range_map.find_piece m.status lo with
+          | Some p when Range_map.piece_exact p ~lo ~hi <> None -> Some p
+          | _ -> None))
   end
 
 (* Remove the outputs and value-source updater contexts a vanished check
@@ -675,15 +740,16 @@ and install_updater t join ~source_idx ~kind ~slo ~shi ~bindings ~residual ~cove
   end
 
 (* The nested-loop executor (Figs 3 and 5). [skip_source] marks a source
-   already bound by the caller (log application / eager check insert).
-   [mode] is [`Materialize cover] (install results, updaters, hints),
-   [`Collect acc] (pull joins: just produce pairs) or [`Probe]: make every
-   source range the join reads ready, and nothing else. A probe installs
-   no updater, emits no output, and stops at the last source it must
-   make ready instead of reading its keys, which bind no further source. *)
-and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_source =
-  let probe = match mode with `Probe -> true | `Materialize _ | `Collect _ -> false in
-  Obs.Counter.incr (if probe then t.hot.probes else t.hot.exec_runs);
+   already bound by the caller (log replay / eager check insert). A pass
+   changes nothing itself: it returns its output pairs, in key order,
+   and, when [materialize] is set on a push join, the updater installs
+   it decided on, for [commit_pass] to apply (pull joins just read the
+   pairs). It returns [None] when an absent source was deferred during
+   it, or earlier in the caller's unit of work (the deferral list is no
+   longer [dmark]): from the miss on it only makes the remaining source
+   ranges ready, to collect every miss, and stops at the last source it
+   would read instead of walking its rows, which bind no further source. *)
+and exec_sources t ~active join ~bindings ~residual ~out_range ~materialize ~skip_source ~dmark =
   let spec = join.spec in
   let sources = source_array spec in
   let nsources = Array.length sources in
@@ -692,14 +758,10 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
   let vop = Joinspec.value_op spec in
   let out = Joinspec.output spec in
   let olo, ohi = out_range in
-  let install = match mode with
-    | `Materialize _ when Joinspec.maintenance spec = Joinspec.Push -> true
-    | _ -> false
-  in
+  let install = materialize && Joinspec.maintenance spec = Joinspec.Push in
   let agg = if Joinspec.is_aggregate vop then Some (Hashtbl.create 16) else None in
-  (* copy emissions are buffered and flushed in key order, so the output
-     hint turns materialization into sequential appends *)
-  let copy_buf = ref [] in
+  let missed = ref (deferred_mark t != dmark) in
+  let installs = ref [] and copies = ref [] in
   let emit b value =
     match Pattern.build_key out b with
     | exception Invalid_argument _ -> ()
@@ -709,15 +771,11 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
         | Some groups ->
           let prev = match Hashtbl.find_opt groups okey with Some l -> l | None -> [] in
           Hashtbl.replace groups okey (value :: prev)
-        | None -> (
-          match mode with
-          | `Materialize _ -> copy_buf := (okey, value) :: !copy_buf
-          | `Collect acc -> acc := (okey, value) :: !acc
-          | `Probe -> ())
+        | None -> copies := (okey, value) :: !copies
       end
   in
   let rec loop i b value =
-    if i >= nsources then (match value with Some v -> emit b v | None -> ())
+    if i >= nsources then (match value with Some v when not !missed -> emit b v | _ -> ())
     else if i = skip_source then
       (* pre-bound source; its key contributed bindings already, and check
          sources contribute no value *)
@@ -727,26 +785,27 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
       let slo, shi = Pattern.containing_range src.Joinspec.pattern ~bindings:b ~residual in
       if String.compare slo shi < 0 then begin
         ensure_source_ready t ~active (Pattern.table src.Joinspec.pattern) ~lo:slo ~hi:shi;
-        (if install then
-           match mode with
-           | `Materialize cover ->
-             let kind =
-               if src.Joinspec.op = Joinspec.Check && t.config.Config.lazy_checks then `Invalidate
-               else `Eager
-             in
-             (* install over the canonical residual-free range: updaters
-                from different queried subranges then combine into one
-                entry instead of piling up overlapping intervals *)
-             let ilo, ihi =
-               if residual = None then (slo, shi)
-               else Pattern.containing_range src.Joinspec.pattern ~bindings:b ~residual:None
-             in
-             install_updater t join ~source_idx:i ~kind ~slo:ilo ~shi:ihi ~bindings:b ~residual
-               ~cover
-           | `Collect _ | `Probe -> ());
-        (* safe to iterate live: emissions are buffered until the loop
-           finishes, so no store mutation happens during iteration *)
-        if not (probe && i = last) then
+        if deferred_mark t != dmark then missed := true;
+        if install && not !missed then begin
+          let kind =
+            if src.Joinspec.op = Joinspec.Check && t.config.Config.lazy_checks then `Invalidate
+            else `Eager
+          in
+          (* install over the canonical residual-free range: updaters
+             from different queried subranges then combine into one
+             entry instead of piling up overlapping intervals *)
+          let ilo, ihi =
+            if residual = None then (slo, shi)
+            else Pattern.containing_range src.Joinspec.pattern ~bindings:b ~residual:None
+          in
+          installs :=
+            { in_source = i; in_kind = kind; in_lo = ilo; in_hi = ihi; in_bindings = b;
+              in_residual = residual }
+            :: !installs
+        end;
+        (* safe to iterate live: nothing is written until the pass
+           commits *)
+        if not (!missed && i = last) then
           Store.iter_range t.store ~lo:slo ~hi:shi (fun k cell ->
               match Pattern.match_key src.Joinspec.pattern k ~bindings:b with
               | Some b' ->
@@ -757,27 +816,38 @@ and exec_sources t ~active join ~bindings ~residual ~out_range ~mode ~skip_sourc
     end
   in
   loop 0 bindings None;
-  (match (mode, !copy_buf) with
-  | `Materialize cover, (_ :: _ as buf) ->
-    (* stable sort keeps last-wins order for ambiguous joins *)
-    List.iter
-      (fun (okey, v) -> put_output t cover okey v ~shared:true)
-      (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (List.rev buf))
-  | _ -> ());
-  match agg with
-  | None -> ()
-  | Some groups ->
-    let groups = Hashtbl.fold (fun k vs acc -> (k, List.rev vs) :: acc) groups [] in
-    List.iter
-      (fun (okey, values) ->
-        match Operator.fold_aggregate vop values with
-        | Some v -> (
-          match mode with
-          | `Materialize cover -> put_output t cover okey v ~shared:false
-          | `Collect acc -> acc := (okey, v) :: !acc
-          | `Probe -> ())
-        | None -> ())
-      (List.sort compare groups)
+  if !missed then begin
+    Obs.Counter.incr t.hot.probes;
+    None
+  end
+  else
+    let aggs =
+      match agg with
+      | None -> []
+      | Some groups ->
+        List.filter_map
+          (fun (okey, values) ->
+            Option.map (fun v -> (okey, v)) (Operator.fold_aggregate vop (List.rev values)))
+          (List.sort compare (Hashtbl.fold (fun k vs acc -> (k, vs) :: acc) groups []))
+    in
+    Some
+      { ps_installs = List.rev !installs;
+        (* stable: last-wins order for ambiguous joins *)
+        ps_copies = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (List.rev !copies);
+        ps_aggs = aggs }
+
+(* Apply a pass of [cover]'s join: its installs, then its outputs in key
+   order, so the output hint turns materialization into sequential
+   appends. *)
+and commit_pass t cover ps =
+  Obs.Counter.incr t.hot.exec_runs;
+  List.iter
+    (fun i ->
+      install_updater t cover.co_join ~source_idx:i.in_source ~kind:i.in_kind ~slo:i.in_lo
+        ~shi:i.in_hi ~bindings:i.in_bindings ~residual:i.in_residual ~cover)
+    ps.ps_installs;
+  List.iter (fun (okey, v) -> put_output t cover okey v ~shared:true) ps.ps_copies;
+  List.iter (fun (okey, v) -> put_output t cover okey v ~shared:false) ps.ps_aggs
 
 (* Make a base/source range available locally, resolving through other
    joins (§3.3 case 1) or the resolver (cases 2 and 3). *)
@@ -886,8 +956,9 @@ and validate_range t ~active ~lo ~hi =
    have changed it. *)
 and heal_piece t ~active m table ~plo ~phi =
   match Range_map.find m.status plo with
-  | Some (wlo, whi, { state = Pending { log; _ } }) ->
-    apply_log t ~active m ~plo:wlo ~phi:whi (List.rev log)
+  | Some (wlo, whi, ({ state = Pending { log; _ } } as st)) ->
+    if apply_log t ~active m table st ~plo:wlo ~phi:whi log then
+      coalesce_valid m ~lo:wlo ~hi:whi
   | Some (_, _, { state = Valid { expires = None } }) -> ()
   | Some (_, _, { state = Valid { expires = Some e } }) when now t < e -> ()
   | Some (_, _, { state = Valid _ | Invalid }) | None ->
@@ -904,12 +975,11 @@ and touch_covers t involved =
 
 (* Recompute a region from scratch: expand to whole covers, tear them
    down, clear their outputs, re-execute every overlapping join, and mark
-   the region valid. In collect mode the joins are probed first: when a
+   the region valid. The joins execute staged ([rebuild_region]): when a
    source range is absent the misses are recorded and the region is left
    as it was, so a cold region is materialized once, by the retry that
    finds every source present, instead of once per fetch wave. *)
 and recompute_region t ~active m table ~plo ~phi =
-  let dmark = deferred_mark t in
   let t0 = Obs.tick () in
   (* expand to cover boundaries (fixpoint) so updater teardown is whole *)
   let lo = ref plo and hi = ref phi in
@@ -955,63 +1025,56 @@ and recompute_region t ~active m table ~plo ~phi =
         Option.map (fun span -> (j, b0, residual, span)) (Strkey.range_inter (clo, chi) (lo, hi)))
       involved
   in
-  if Option.is_some t.deferred_acc then
-    List.iter
-      (fun (j, b0, residual, out_range) ->
-        exec_sources t ~active:(j.jid :: active) j ~bindings:b0 ~residual ~out_range ~mode:`Probe
-          ~skip_source:(-1))
-      spans;
-  if deferred_mark t = dmark then begin
+  if rebuild_region t ~active m ~lo ~hi involved spans then begin
     Obs.Counter.incr t.hot.recomputes;
-    rebuild_region t ~active m ~lo ~hi involved spans;
     Obs.trace t.obs ~kind:"recompute" ~table ~lo ~hi ~dur_ns:(Obs.tock t0) ()
   end
 
-(* [recompute_region]'s rebuild, once its probe (if any) found every
-   source present: tear down the region's covers, drop their outputs,
-   execute each join over its span, and mark the region Valid. *)
+(* [recompute_region]'s rebuild: execute each join over its span, staged.
+   When no pass met an absent source, tear down the region's covers,
+   drop their outputs, commit the passes into fresh covers, mark the
+   region Valid and answer [true]; otherwise leave it exactly as it was
+   and answer [false]. *)
 and rebuild_region t ~active m ~lo ~hi involved spans =
   let dmark = deferred_mark t in
-  List.iter (fun (j, _, _) -> teardown_covers t j ~lo ~hi) involved;
-  (* drop stale outputs of the involved joins *)
-  List.iter
-    (fun (j, _, _) ->
-      let out = Joinspec.output j.spec in
-      let nb = Array.make (Joinspec.nslots j.spec) None in
-      let doomed =
-        Store.fold_range t.store ~lo ~hi ~init:[] (fun acc k _ ->
-            match Pattern.match_key out k ~bindings:nb with Some _ -> k :: acc | None -> acc)
-      in
-      List.iter (fun k -> apply_remove t k) doomed)
-    involved;
-  let expiry = ref None in
-  List.iter
-    (fun (j, b0, residual, (covlo, covhi)) ->
-      let cover =
-        { co_join = j; co_lo = covlo; co_hi = covhi; co_contexts = []; co_hint = None;
-          co_lru = None }
-      in
-      (try
-         exec_sources t ~active:(j.jid :: active) j ~bindings:b0 ~residual
-           ~out_range:(covlo, covhi) ~mode:(`Materialize cover) ~skip_source:(-1)
-       with e ->
-         (* roll back the partial execution's updaters *)
-         release_cover t cover;
-         raise e);
-      Range_map.set (covers_of t j.jid) ~lo:covlo ~hi:covhi cover;
-      cover.co_lru <- Some (Lru.add t.lru cover);
-      match Joinspec.maintenance j.spec with
-      | Joinspec.Snapshot secs ->
-        let e = now t +. secs in
-        expiry := Some (match !expiry with Some e0 -> Float.min e0 e | None -> e)
-      | Joinspec.Push | Joinspec.Pull -> ())
-    spans;
-  (* should the rebuild still meet a miss its probe did not, the region
-     stays not-Valid for the retry: output computed from absent sources
-     must not freeze as fresh *)
-  if deferred_mark t = dmark then begin
+  let passes =
+    List.map
+      (fun (j, b0, residual, (covlo, covhi)) ->
+        ( new_cover j ~lo:covlo ~hi:covhi,
+          exec_sources t ~active:(j.jid :: active) j ~bindings:b0 ~residual
+            ~out_range:(covlo, covhi) ~materialize:true ~skip_source:(-1) ~dmark ))
+      spans
+  in
+  deferred_mark t == dmark
+  && begin
+    List.iter (fun (j, _, _) -> teardown_covers t j ~lo ~hi) involved;
+    (* drop stale outputs of the involved joins *)
+    List.iter
+      (fun (j, _, _) ->
+        let out = Joinspec.output j.spec in
+        let nb = Array.make (Joinspec.nslots j.spec) None in
+        let doomed =
+          Store.fold_range t.store ~lo ~hi ~init:[] (fun acc k _ ->
+              match Pattern.match_key out k ~bindings:nb with Some _ -> k :: acc | None -> acc)
+        in
+        List.iter (fun k -> apply_remove t k) doomed)
+      involved;
+    let expiry = ref None in
+    List.iter
+      (fun (cover, ps) ->
+        Option.iter (commit_pass t cover) ps;
+        let j = cover.co_join in
+        Range_map.set (covers_of t j.jid) ~lo:cover.co_lo ~hi:cover.co_hi cover;
+        cover.co_lru <- Some (Lru.add t.lru cover);
+        match Joinspec.maintenance j.spec with
+        | Joinspec.Snapshot secs ->
+          let e = now t +. secs in
+          expiry := Some (match !expiry with Some e0 -> Float.min e0 e | None -> e)
+        | Joinspec.Push | Joinspec.Pull -> ())
+      passes;
     Range_map.set m.status ~lo ~hi { state = Valid { expires = !expiry } };
-    coalesce_valid m ~lo ~hi
+    coalesce_valid m ~lo ~hi;
+    true
   end
 
 and teardown_covers t j ~lo ~hi =
@@ -1023,80 +1086,96 @@ and teardown_covers t j ~lo ~hi =
       Range_map.clear_range cm ~lo:c.co_lo ~hi:c.co_hi)
     (Range_map.overlapping cm ~lo ~hi)
 
-(* Apply a partial-invalidation log to one status piece (§3.2): each
-   logged check-source change is joined against the other sources,
-   restricted to the piece. In collect mode the logged inserts are probed
-   first, as in [recompute_region]: on a miss the piece keeps its
-   [Pending] log, to be applied once the fetch lands. *)
-and apply_log t ~active m ~plo ~phi entries =
+(* Apply a partial-invalidation log to one status piece [st] (§3.2):
+   each logged check-source change is joined against the other sources,
+   restricted to the piece. The logged inserts execute staged: should
+   one meet an absent source, nothing is applied and the piece keeps its
+   [Pending] log, to be applied once the fetch lands. [log] is the
+   piece's log, newest first. Answers whether the piece turned Valid,
+   for the caller to coalesce it. *)
+and apply_log t ~active m table st ~plo ~phi log =
   let dmark = deferred_mark t in
-  if Option.is_some t.deferred_acc then
-    List.iter (replay_entry t ~active m ~plo ~phi ~probe:true) entries;
-  if deferred_mark t = dmark then begin
-    Obs.Counter.incr t.hot.apply_logs;
-    List.iter (replay_entry t ~active m ~plo ~phi ~probe:false) entries;
-    (* an evicted cover's recompute may still defer: the log is then
-       partly consumed, so the retry recomputes the piece wholesale *)
-    let clean = deferred_mark t = dmark in
-    Range_map.update_range m.status ~lo:plo ~hi:phi (fun _ _ stv ->
-        Option.iter
-          (fun st ->
-            match st.state with
-            | Pending _ -> st.state <- (if clean then Valid { expires = None } else Invalid)
-            | Valid _ | Invalid -> ())
-          stv;
-        stv);
-    if clean then coalesce_valid m ~lo:plo ~hi:phi
-  end
+  let rec stage acc = function
+    | [] -> Some (List.rev acc)
+    | e :: rest -> (
+      match replay_entry t ~active ~plo ~phi ~dmark e with
+      | Rebuild -> None
+      | r -> stage (r :: acc) rest)
+  in
+  match stage [] (List.rev log) with
+  | None ->
+    recompute_region t ~active m table ~plo ~phi;
+    false
+  | Some replays ->
+    deferred_mark t == dmark
+    && begin
+      Obs.Counter.incr t.hot.apply_logs;
+      List.iter
+        (function
+          | Run (cover, ps) -> commit_pass t cover ps
+          | Retract (join, b, lo, hi) -> retract_binding t join b ~lo ~hi
+          | No_op | Rebuild -> ())
+        replays;
+      match st.state with
+      | Pending { log = now; _ } when now == log ->
+        st.state <- Valid { expires = None };
+        true
+      | Valid _ | Invalid | Pending _ ->
+        false (* logged to while healing: the next read replays it whole *)
+    end
 
-(* One logged change, restricted to piece [\[plo, phi)]. A [~probe] run
-   only makes the sources of a logged insert ready. *)
-and replay_entry t ~active m ~plo ~phi ~probe e =
+(* What one logged change does to piece [\[plo, phi)]; a logged insert
+   executes its pass, staged. The cover that logged it serves while it
+   still holds the piece's low end; otherwise the one that does now. *)
+and replay_entry t ~active ~plo ~phi ~dmark e =
   let join = e.le_join in
   let src = (source_array join.spec).(e.le_source) in
   match Pattern.match_key src.Joinspec.pattern e.le_key ~bindings:e.le_bindings with
-  | None -> ()
+  | None -> No_op
   | Some b -> (
     match e.le_change with
-    | Update -> ()
+    | Update -> No_op
     | Insert -> (
-      (* find the cover this piece belongs to *)
-      match Range_map.find (covers_of t join.jid) plo with
-      | Some (_, _, cover) ->
+      let cover =
+        let c = e.le_cover in
+        if c.co_live && in_cover c plo then Some c
+        else Option.map (fun (_, _, c) -> c) (Range_map.find (covers_of t join.jid) plo)
+      in
+      match cover with
+      | None -> Rebuild (* the cover was evicted *)
+      | Some cover -> (
         let olo = Strkey.max_str plo cover.co_lo and ohi = Strkey.min_str phi cover.co_hi in
-        if String.compare olo ohi < 0 then begin
-          (* derive the slot set from the piece itself so source scans
-             are narrowed to exactly the queried range — the essence of
-             partial invalidation: "only those tweets strictly required
-             by queries" (§3.2) *)
-          match
+        (* derive the slot set from the piece itself so source scans are
+           narrowed to exactly the queried range — the essence of
+           partial invalidation: "only those tweets strictly required by
+           queries" (§3.2) *)
+        let bound =
+          if String.compare olo ohi >= 0 then None
+          else if String.equal olo cover.co_lo && String.equal ohi cover.co_hi then
+            Lazy.force cover.co_bind
+          else
             Pattern.bind_range (Joinspec.output join.spec) ~lo:olo ~hi:ohi
               ~nslots:(Joinspec.nslots join.spec)
-          with
-          | None -> ()
-          | Some (b0, residual_piece) -> (
-            match merge_bindings b b0 with
-            | None -> () (* the logged binding cannot output in this piece *)
-            | Some merged ->
-              exec_sources t ~active join ~bindings:merged ~residual:residual_piece
-                ~out_range:(olo, ohi)
-                ~mode:(if probe then `Probe else `Materialize cover)
-                ~skip_source:e.le_source)
-        end
-      | None ->
-        (* cover vanished (evicted): recompute wholesale, which probes
-           for itself *)
-        if not probe then
-          recompute_region t ~active m (Pattern.table (Joinspec.output join.spec)) ~plo ~phi)
+        in
+        match bound with
+        | None -> No_op
+        | Some (b0, residual) -> (
+          match merge_bindings b b0 with
+          | None -> No_op (* the logged binding cannot output in this piece *)
+          | Some merged -> (
+            match
+              exec_sources t ~active join ~bindings:merged ~residual ~out_range:(olo, ohi)
+                ~materialize:true ~skip_source:e.le_source ~dmark
+            with
+            | Some ps -> Run (cover, ps)
+            | None -> No_op (* a miss: nothing of the log commits *)))))
     | Remove ->
       (* retract outputs of this binding, restricted to the piece *)
-      if not probe then begin
-        let olo, ohi =
-          Pattern.containing_range (Joinspec.output join.spec) ~bindings:b ~residual:e.le_residual
-        in
-        let olo = Strkey.max_str olo plo and ohi = Strkey.min_str ohi phi in
-        if String.compare olo ohi < 0 then retract_binding t join b ~lo:olo ~hi:ohi
-      end)
+      let olo, ohi =
+        Pattern.containing_range (Joinspec.output join.spec) ~bindings:b ~residual:e.le_residual
+      in
+      let olo = Strkey.max_str olo plo and ohi = Strkey.min_str ohi phi in
+      if String.compare olo ohi < 0 then Retract (join, b, olo, ohi) else No_op)
 
 (* LRU eviction of computed covers under memory pressure (§2.5). *)
 and maybe_evict t =
@@ -1402,8 +1481,15 @@ let pull_results t ~lo ~hi =
           | None -> ()
           | Some (covlo, covhi) ->
             Obs.Counter.incr t.hot.pulls;
-            exec_sources t ~active:[ j.jid ] j ~bindings:b0 ~residual
-              ~out_range:(covlo, covhi) ~mode:(`Collect acc) ~skip_source:(-1))
+            match
+              exec_sources t ~active:[ j.jid ] j ~bindings:b0 ~residual
+                ~out_range:(covlo, covhi) ~materialize:false ~skip_source:(-1)
+                ~dmark:(deferred_mark t)
+            with
+            | Some ps ->
+              Obs.Counter.incr t.hot.exec_runs;
+              acc := ps.ps_copies @ ps.ps_aggs @ !acc
+            | None -> () (* the scan answers `Missing *))
       end)
     t.joins;
   List.sort_uniq compare !acc
@@ -1411,57 +1497,120 @@ let pull_results t ~lo ~hi =
 let has_pull_joins t =
   List.exists (fun j -> Joinspec.maintenance j.spec = Joinspec.Pull) t.joins
 
-(* The common warm read: no pull join, one table, and one unexpired
-   Valid status piece covering all of [\[lo, hi)], so every overlapping
-   join's output is already fresh in the store. A read confined to one
-   subtable first checks the piece noted there, as the cover's output
-   hint is checked before use: still a piece of the status map, covering
-   the read, Valid with no expiry. Only when the note fails is the status
-   map descended, and a piece found there that passes becomes the note. *)
+(* What a read finds in its status piece ([warm_read]). *)
+type warm =
+  | Hit (* every overlapping join's output is fresh in the store *)
+  | Heal of tbl_meta * string * status Range_map.piece_ref * status * log_entry list
+      (* the table, the [Pending] piece, its status and its log, all of
+         it replayable in place *)
+  | Cold (* [validate_range] decides *)
+
+(* A log the warm path replays: inserts and updates only, each logged
+   by a live cover spanning exactly the piece, so each replays against
+   that cover with its cached bindings and nothing is torn down. *)
+let replayable p log =
+  List.for_all
+    (fun e ->
+      e.le_change <> Remove
+      && e.le_cover.co_live
+      && Range_map.piece_exact p ~lo:e.le_cover.co_lo ~hi:e.le_cover.co_hi <> None)
+    log
+
+(* What piece [p] of [table], with status [st], offers a read it covers. *)
+let judge t m table p st =
+  match st.state with
+  | Valid { expires = None } -> Hit
+  | Valid { expires = Some e } -> if now t < e then Hit else Cold
+  | Pending { log; _ } when replayable p log -> Heal (m, table, p, st, log)
+  | Pending _ | Invalid -> Cold
+
+(* The common warm read: no pull join, one table, and one status piece
+   covering all of [\[lo, hi)]. Valid and unexpired, it is a [Hit]: every
+   overlapping join's output is already fresh in the store. [Pending]
+   with a replayable log, the read heals it in place. A read confined to
+   one subtable first checks the piece noted there, as the cover's
+   output hint is checked before use: still a piece of the status map,
+   covering the read. Only when the note fails is the status map
+   descended, and the piece found there becomes the note. *)
 let warm_read t ~lo ~hi =
   let name = Store.table_name_of lo in
-  (not (has_pull_joins t))
-  && String.equal name (Store.table_name_of hi)
-  &&
-  match Hashtbl.find_opt t.meta name with
-  | None -> false
-  | Some m -> (
-    let sub = Option.bind (Store.find_table t.store name) (Table.confined ~lo ~hi) in
-    let settled p =
-      match Range_map.piece_covering p ~lo ~hi with
-      | Some { state = Valid { expires = None } } -> true
-      | _ -> false
-    in
-    match Option.bind sub Table.note with
-    | Some p when settled p -> true
-    | _ -> (
-      match Range_map.find_piece m.status lo with
-      | Some p when settled p ->
-        Option.iter (fun sub -> Table.set_note sub p) sub;
-        true
-      | Some p -> (
-        match Range_map.piece_covering p ~lo ~hi with
-        | Some { state = Valid { expires = Some e } } -> now t < e
-        | _ -> false)
-      | None -> false))
+  if has_pull_joins t || not (String.equal name (Store.table_name_of hi)) then Cold
+  else
+    match Hashtbl.find_opt t.meta name with
+    | None -> Cold
+    | Some m -> (
+      let sub = Option.bind (Store.find_table t.store name) (Table.confined ~lo ~hi) in
+      let noted =
+        match Option.bind sub Table.note with
+        | Some p -> (
+          match Range_map.piece_covering p ~lo ~hi with
+          | Some st -> judge t m name p st
+          | None -> Cold)
+        | None -> Cold
+      in
+      match noted with
+      | Hit | Heal _ -> noted
+      | Cold -> (
+        match Range_map.find_piece m.status lo with
+        | None -> Cold
+        | Some p -> (
+          match Range_map.piece_covering p ~lo ~hi with
+          | None -> Cold
+          | Some st ->
+            Option.iter (fun sub -> Table.set_note sub p) sub;
+            judge t m name p st)))
 
 (* first [n] elements of [l] (all of [l] when shorter) *)
 let rec take n l =
   match l with x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> []
 
+(* [f ()] in collect mode: resolver misses accumulate instead of aborting
+   the scan at the first one, so `Missing carries the full set and an
+   asynchronous host can fetch it as one burst. Returns [f]'s result and
+   the misses, newest first. Saved/restored rather than assumed-None for
+   re-entrancy (a resolver or hook that scans). *)
+let collecting t f =
+  let saved = t.deferred_acc in
+  let acc = ref [] in
+  if Option.is_some t.resolver then t.deferred_acc <- Some acc;
+  match f () with
+  | v ->
+    t.deferred_acc <- saved;
+    (v, !acc)
+  | exception e ->
+    t.deferred_acc <- saved;
+    raise e
+
 let trace_scan t ~lo ~hi d =
   Obs.trace t.obs ~kind:"scan" ~table:(Store.table_name_of lo) ~lo ~hi ~dur_ns:d ()
+
+(* A scan's `Missing answer from its misses (newest first): in
+   first-discovery order, deduplicated, since the same gap can surface
+   once per join source that reads it. *)
+let missing t ~lo ~hi t0 acc =
+  if !Obs.enabled then trace_scan t ~lo ~hi (Obs.tock t0);
+  let seen = Hashtbl.create 8 in
+  `Missing
+    (List.filter
+       (fun r ->
+         if Hashtbl.mem seen r then false
+         else begin
+           Hashtbl.add seen r ();
+           true
+         end)
+       (List.rev acc))
 
 (** Non-blocking scan for asynchronous deployments: either the results, or
     the base ranges that must be fetched before retrying (§3.3). One pass
     collects every missing range it can see (a check join fans out over
     all bound value ranges at once). A join may still need one attempt
     per fetch wave (fetched check rows name the value ranges to fetch
-    next), but a region whose probe finds a miss is left untouched, so it
-    materializes once, on the attempt that finds every source present,
-    and no cover built from absent data is torn down by the retry.
-    Collect mode is on exactly when a resolver is installed: with none,
-    nothing can be missing, and the probe walks it adds would be wasted. *)
+    next), but a region or log whose staged passes meet a miss is left
+    untouched, so it materializes once, on the attempt that finds every
+    source present, and no cover built from absent data is torn down by
+    the retry. Collect mode is on exactly when a resolver is installed:
+    with none, nothing can be missing. A [Pending] piece whose log
+    replays in place is healed here, on the warm path ([warm_read]). *)
 let scan_result ?limit t ~lo ~hi =
   Obs.Counter.incr t.hot.scans;
   let t0 = Obs.tick () in
@@ -1494,42 +1643,28 @@ let scan_result ?limit t ~lo ~hi =
       in
       List.rev acc
   in
-  if warm_read t ~lo ~hi then begin
+  match warm_read t ~lo ~hi with
+  | Hit ->
     Obs.Counter.incr t.hot.scans_fast;
     finish ~warm:true (bounded_stored ())
-  end
-  else begin
-    (* collect mode: resolver misses accumulate here instead of aborting
-       the scan at the first one, so `Missing carries the full set and an
-       asynchronous host can fetch it as one burst. Saved/restored rather
-       than assumed-None for re-entrancy (a resolver or hook that scans). *)
-    let saved = t.deferred_acc in
-    let acc = ref [] in
-    let missing ranges =
-      if !Obs.enabled then trace_scan t ~lo ~hi (Obs.tock t0);
-      `Missing ranges
-    in
-    if Option.is_some t.resolver then t.deferred_acc <- Some acc;
+  | Heal (m, table, p, st, log) when limit = None -> (
+    let plo, phi = Range_map.piece_bounds p in
+    match collecting t (fun () -> apply_log t ~active:[] m table st ~plo ~phi log) with
+    | flipped, [] ->
+      if flipped then Range_map.coalesce_piece m.status p ~eq:same_validity;
+      Obs.Counter.incr t.hot.scans_heal;
+      let pairs = bounded_stored () in
+      maybe_evict t;
+      finish ~warm:false pairs
+    | _, acc -> missing t ~lo ~hi t0 acc)
+  | Heal _ | Cold -> (
     match
-      Fun.protect ~finally:(fun () -> t.deferred_acc <- saved) (fun () ->
+      collecting t (fun () ->
           validate_range t ~active:[] ~lo ~hi;
           pull_results t ~lo ~hi)
     with
-    | pulled when !acc <> [] ->
-      ignore pulled;
-      (* first-discovery order, deduplicated: the same gap can surface
-         once per join source that reads it *)
-      let seen = Hashtbl.create 8 in
-      missing
-        (List.filter
-           (fun r ->
-             if Hashtbl.mem seen r then false
-             else begin
-               Hashtbl.add seen r ();
-               true
-             end)
-           (List.rev !acc))
-    | pulled ->
+    | _, (_ :: _ as acc) -> missing t ~lo ~hi t0 acc
+    | pulled, [] ->
       let stored = bounded_stored () in
       (* merge, preferring materialized values on key collisions. The
          truncated stored list is safe under a limit: the n smallest stored
@@ -1548,8 +1683,7 @@ let scan_result ?limit t ~lo ~hi =
          this very scan must not vanish under the read *)
       maybe_evict t;
       finish ~warm:false merged
-    | exception Need_fetch (table, flo, fhi) -> missing [ (table, flo, fhi) ]
-  end
+    | exception Need_fetch (table, flo, fhi) -> missing t ~lo ~hi t0 [ (table, flo, fhi) ])
 
 (** Ordered scan of [\[lo, hi)], computing and freshening any overlapping
     cache-join output first. Thin wrapper over {!scan_result} for callers

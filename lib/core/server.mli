@@ -86,9 +86,9 @@ val get : t -> string -> string option
     first-discovery order without duplicates, so an asynchronous host
     can issue the whole set as one fetch burst. Completed covers stay
     valid across retries (§3.3 restart behaviour), and a region or log
-    is probed for absent sources before anything is built, so a region
-    that misses is left untouched and materializes once, on the retry
-    that finds all its sources. A retry may still surface ranges that
+    executes staged and commits only when no source was absent, so a
+    region that misses is left untouched and materializes once, on the
+    retry that finds all its sources. A retry may still surface ranges that
     were unreachable before the first feed (a check source gates which
     value ranges are scanned). *)
 type scan_result =

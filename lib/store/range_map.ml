@@ -62,6 +62,16 @@ let piece_covering (n : _ piece_ref) ~lo ~hi =
     Some p.v
   | _ -> None
 
+(** The value of a held piece, when it is still a piece of its map and
+    spans exactly [\[lo, hi)]. *)
+let piece_exact (n : _ piece_ref) ~lo ~hi =
+  match n.value with
+  | Piece p when Rb.is_live n && String.equal n.key lo && String.equal p.hi hi -> Some p.v
+  | _ -> None
+
+(** The bounds of a held piece as it stands now. *)
+let piece_bounds (n : _ piece_ref) = (n.key, hi_of n)
+
 (* The first piece ending after [lo]: the one containing [lo], else the
    first one starting after it. *)
 let first_after t lo =
@@ -130,42 +140,55 @@ let set t ~lo ~hi v =
   clear_range t ~lo ~hi;
   add t lo hi v
 
-(* Split the piece straddling [k], if any, at [k]; the half outside the
-   range being rewritten gets a duplicate, the inside half keeps the
-   value. [inside_right] says which half is inside. *)
-let split_at t k ~inside_right =
-  match Rb.floor t.tree k with
-  | Some n when String.compare n.key k < 0 && String.compare k (hi_of n) < 0 ->
-    let h = hi_of n and v = value_of n in
-    set_hi n k;
-    if inside_right then begin
-      set_value n (t.dup v);
-      add t k h v
-    end
-    else add t k h (t.dup v)
-  | _ -> ()
-
 (** [update_range t ~lo ~hi f] rewrites the cover of [\[lo, hi)] piecewise:
     [f sublo subhi v_opt] returns the piece's new value ([None] clears it).
     Straddling ranges are split first, so their outside remainders already
-    hold duplicates when [f] runs. *)
+    hold duplicates when [f] runs. One [floor] descent finds where the
+    range starts; splits and gap fills link their node beside a neighbour
+    ([Rb.insert_after]), and the rest is an in-order walk. *)
 let update_range t ~lo ~hi f =
   if String.compare lo hi < 0 then begin
     let tree = t.tree in
-    split_at t lo ~inside_right:true;
-    split_at t hi ~inside_right:false;
-    let fill cursor upto = match f cursor upto None with Some v -> add t cursor upto v | None -> () in
-    let rec go cursor = function
+    (* link [\[k, h)] right after [prev] (the node before it, if any) *)
+    let link prev k h v =
+      match prev with
+      | Some p -> fst (Rb.insert_after tree ~hint:p k (Piece { hi = h; v }))
+      | None -> fst (Rb.insert tree k (Piece { hi = h; v }))
+    in
+    let fill prev cursor upto =
+      match f cursor upto None with Some v -> ignore (link prev cursor upto v) | None -> ()
+    in
+    (* [prev]: the last node before [cursor], the hint for a gap fill *)
+    let rec go prev cursor = function
       | Some (n : _ piece Rb.node) when String.compare n.key hi < 0 ->
-        let next = Rb.next tree n and h = hi_of n in
-        if String.compare cursor n.key < 0 then fill cursor n.key;
+        if String.compare cursor n.key < 0 then fill prev cursor n.key;
+        let h = hi_of n in
+        let h =
+          if String.compare hi h < 0 then begin
+            (* straddles [hi]: the right remainder keeps a duplicate *)
+            set_hi n hi;
+            ignore (Rb.insert_after tree ~hint:n hi (Piece { hi = h; v = t.dup (value_of n) }));
+            hi
+          end
+          else h
+        in
+        let next = Rb.next tree n in
         (match f n.key h (Some (value_of n)) with
         | Some v -> set_value n v
         | None -> Rb.remove_node tree n);
-        go h next
-      | _ -> if String.compare cursor hi < 0 then fill cursor hi
+        go (Some n) h next
+      | _ -> if String.compare cursor hi < 0 then fill prev cursor hi
     in
-    go lo (Rb.lower_bound tree lo)
+    match Rb.floor tree lo with
+    | Some n when String.compare n.key lo < 0 && String.compare lo (hi_of n) < 0 ->
+      (* straddles [lo]: the left remainder keeps a duplicate in place *)
+      let h = hi_of n and v = value_of n in
+      set_hi n lo;
+      set_value n (t.dup v);
+      go (Some n) lo (Some (link (Some n) lo h v))
+    | Some n when String.equal n.key lo -> go None lo (Some n)
+    | Some n -> go (Some n) lo (Rb.next tree n)
+    | None -> go None lo (Rb.min_node tree)
   end
 
 (** Merge runs of adjacent ranges with [eq]-equal values in the
@@ -195,6 +218,24 @@ let coalesce t ~lo ~hi ~eq =
   match start with
   | Some s when String.compare s.key hi <= 0 -> go s (Rb.next tree s)
   | _ -> ()
+
+(** [coalesce] around one held piece, from its node: it merges with the
+    piece ending where it starts and the one starting where it ends,
+    when their values are [eq]-equal; the run keeps the leftmost value.
+    No descent. *)
+let coalesce_piece t (n : _ piece_ref) ~eq =
+  if Rb.is_live n then begin
+    (match Rb.next t.tree n with
+    | Some r when String.equal (hi_of n) r.key && eq (value_of n) (value_of r) ->
+      set_hi n (hi_of r);
+      Rb.remove_node t.tree r
+    | _ -> ());
+    match Rb.prev t.tree n with
+    | Some l when String.equal (hi_of l) n.key && eq (value_of l) (value_of n) ->
+      set_hi l (hi_of n);
+      Rb.remove_node t.tree n
+    | _ -> ()
+  end
 
 (** [f] must not modify the map. *)
 let iter t f = Rb.iter t.tree (fun n -> f n.key (hi_of n) (value_of n))

@@ -26,6 +26,13 @@ val find_piece : 'a t -> string -> 'a piece_ref option
     and covers all of [\[lo, hi)]. O(1). *)
 val piece_covering : 'a piece_ref -> lo:string -> hi:string -> 'a option
 
+(** The held piece's current value, when it is still a piece of its map
+    and spans exactly [\[lo, hi)]. O(1). *)
+val piece_exact : 'a piece_ref -> lo:string -> hi:string -> 'a option
+
+(** The held piece's bounds as they stand now. *)
+val piece_bounds : 'a piece_ref -> string * string
+
 (** Explicit ranges intersecting [\[lo, hi)], in order.
     O(log n + matches). *)
 val overlapping : 'a t -> lo:string -> hi:string -> (string * string * 'a) list
@@ -41,7 +48,8 @@ val clear_range : 'a t -> lo:string -> hi:string -> unit
 val set : 'a t -> lo:string -> hi:string -> 'a -> unit
 
 (** Rewrite the cover of [\[lo, hi)] piecewise; [None] clears a piece.
-    Straddling ranges are split first. *)
+    Straddling ranges are split first. One descent, then an in-order
+    walk. *)
 val update_range :
   'a t -> lo:string -> hi:string -> (string -> string -> 'a option -> 'a option) -> unit
 
@@ -49,6 +57,9 @@ val update_range :
     [\[lo, hi)]: from the piece ending at or containing [lo] to the one
     starting at [hi] (fights split/heal fragmentation). *)
 val coalesce : 'a t -> lo:string -> hi:string -> eq:('a -> 'a -> bool) -> unit
+
+(** {!coalesce} around one held piece, from its node: no descent. *)
+val coalesce_piece : 'a t -> 'a piece_ref -> eq:('a -> 'a -> bool) -> unit
 
 (** The callback must not modify the map. *)
 val iter : 'a t -> (string -> string -> 'a -> unit) -> unit

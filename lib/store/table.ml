@@ -229,6 +229,23 @@ let remove t key =
     t.pair_count <- t.pair_count - 1;
     Some v
 
+(* Where [\[lo, hi)] lies: within one complete boundary group, which has
+   a subtable or none, or across groups. *)
+type ('v, 'n) place = Within of ('v, 'n) sub | Absent_group | Across
+
+let place t depth ~lo ~hi =
+  match t.last with
+  | Some sub when group_matches sub.group lo && under_upper sub.group hi -> Within sub
+  | _ -> (
+    match boundary depth lo with
+    | Some g when under_upper g hi -> (
+      match Hashtbl.find_opt t.by_prefix g with
+      | Some sub ->
+        t.last <- Some sub;
+        Within sub
+      | None -> Absent_group)
+    | _ -> Across)
+
 (** The subtable holding every key of [\[lo, hi)]: the range lies within
     one complete boundary prefix and that subtable exists. [None] on a
     single-tree table, a range crossing boundaries, or an empty group. *)
@@ -236,17 +253,7 @@ let confined t ~lo ~hi =
   match t.depth with
   | None -> None
   | Some depth -> (
-    match t.last with
-    | Some sub when group_matches sub.group lo && under_upper sub.group hi -> Some sub
-    | _ -> (
-      match boundary depth lo with
-      | Some g when under_upper g hi -> (
-        match Hashtbl.find_opt t.by_prefix g with
-        | Some sub ->
-          t.last <- Some sub;
-          Some sub
-        | None -> None)
-      | _ -> None))
+    match place t depth ~lo ~hi with Within sub -> Some sub | Absent_group | Across -> None)
 
 let note sub = sub.note
 let set_note sub n = sub.note <- Some n
@@ -266,9 +273,10 @@ let iter_range t ~lo ~hi f =
     match t.depth with
     | None -> visit t t.single ~lo ~hi f
     | Some depth -> (
-      match confined t ~lo ~hi with
-      | Some sub -> visit t sub.stree ~lo ~hi f (* an O(1) jump *)
-      | None ->
+      match place t depth ~lo ~hi with
+      | Within sub -> visit t sub.stree ~lo ~hi f (* an O(1) jump *)
+      | Absent_group -> () (* one group, holding no key *)
+      | Across ->
         Seq.iter
           (fun (_, sub) -> visit t sub.stree ~lo ~hi f)
           (Seq.take_while

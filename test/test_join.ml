@@ -612,6 +612,43 @@ let test_no_staircase () =
   check_int "the whole timeline" 1_001 (List.length (timeline s "ann"));
   Server.check_invariants s
 
+(* A compute-like engine in the steady state: a [Local] resolver, so
+   every scan runs in collect mode, and every timeline materialized.
+   Then 500 rounds each push one new subscription [s|u|p] and check
+   [t|u|]. Every check heals the subscription's logged insert on the
+   warm path ([op.scan_heal]): one log replay per round, no recompute,
+   nothing torn down, and the status map keeps its one piece per
+   timeline. *)
+let test_warm_heals () =
+  let s = make_twip () in
+  Server.set_resolver s (fun ~table:_ ~lo:_ ~hi:_ -> Server.Local);
+  let readers = 50 and posters = 20 and rounds = 500 in
+  let reader r = Printf.sprintf "u%02d" r and poster p = Printf.sprintf "p%02d" p in
+  let check r = Server.scan s ~lo:("t|" ^ reader r ^ "|") ~hi:("t|" ^ reader r ^ "}") in
+  for p = 0 to posters - 1 do
+    post s (poster p) (p + 1) (poster p)
+  done;
+  for r = 0 to readers - 1 do
+    subscribe s (reader r) (poster (r mod posters));
+    check_int "first post" 1 (List.length (check r))
+  done;
+  let counter = Server.counter s in
+  let recomputes = counter "exec.recompute_region" and removes = counter "store.remove" in
+  let pieces = gauge s "status.pieces" in
+  for round = 0 to rounds - 1 do
+    let r = round mod readers and k = round / readers in
+    Server.put_batch s [ ("s|" ^ reader r ^ "|" ^ poster ((r + 1 + k) mod posters), "1") ];
+    let heals = counter "op.scan_heal" and logs = counter "exec.apply_log" in
+    let what = Printf.sprintf "round %d" round in
+    check_int (what ^ ": every followed post") (k + 2) (List.length (check r));
+    check_int (what ^ ": healed on the warm path") (heals + 1) (counter "op.scan_heal");
+    check_int (what ^ ": one log replay") (logs + 1) (counter "exec.apply_log")
+  done;
+  check_int "no recompute" recomputes (counter "exec.recompute_region");
+  check_int "nothing torn down" removes (counter "store.remove");
+  check_int "one piece per timeline" pieces (gauge s "status.pieces");
+  Server.check_invariants s
+
 (* Unsubscribing prunes the binding's context (retract_binding); a
    resubscription installs exactly one again, and the timeline matches
    the oracle throughout. *)
@@ -977,6 +1014,7 @@ let () =
           Alcotest.test_case "8,000 posters materialize linearly" `Quick test_many_sources;
           Alcotest.test_case "replay counts match" `Quick test_replay_counts;
           Alcotest.test_case "checks from later times keep one piece" `Quick test_no_staircase;
+          Alcotest.test_case "subscriptions heal on the warm path" `Quick test_warm_heals;
         ] );
       ( "properties",
         qsuite

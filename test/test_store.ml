@@ -482,72 +482,86 @@ let test_rmap_dup_on_split () =
     check_int "right unaffected" 1 !right
   | _ -> Alcotest.fail "expected two pieces")
 
-(* Seeded random op sequences against a sorted-list reference of
+(* Random op sequences against a sorted-list reference of
    [(lo, hi, content)] pieces. Map values are [int ref]s duplicated on
    split, so a remainder that shared its value with the piece an
    [update_range] callback mutates would show the mutation and diverge
-   from the reference; distinct pieces must also hold distinct refs. *)
-let test_rmap_model () =
-  let clear l ~lo ~hi =
-    if String.compare lo hi >= 0 then l
-    else
-      List.concat_map
-        (fun (a, b, c) ->
-          if String.compare b lo <= 0 || String.compare a hi >= 0 then [ (a, b, c) ]
-          else
-            (if String.compare a lo < 0 then [ (a, lo, c) ] else [])
-            @ if String.compare hi b < 0 then [ (hi, b, c) ] else [])
-        l
-  in
-  let sorted l = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) l in
-  let cover l ~lo ~hi =
-    let cursor = ref lo and out = ref [] in
-    List.iter
+   from the reference; distinct pieces must also hold distinct refs.
+   After every step the map validates and holds exactly the reference's
+   pieces. *)
+type rmap_op =
+  | R_set of string * string
+  | R_clear of string * string
+  | R_update of string * string (* some pieces mutated, cleared, gaps filled *)
+  | R_coalesce of string * string
+  | R_coalesce_piece of string (* around the piece holding the key, if any *)
+  | R_find of string
+  | R_overlapping of string * string
+  | R_cover of string * string
+
+let rmap_model_clear l ~lo ~hi =
+  if String.compare lo hi >= 0 then l
+  else
+    List.concat_map
       (fun (a, b, c) ->
-        let a' = Strkey.max_str a lo and b' = Strkey.min_str b hi in
-        if String.compare a' b' < 0 then begin
-          if String.compare !cursor a' < 0 then out := (!cursor, a', None) :: !out;
-          out := (a', b', Some c) :: !out;
-          cursor := b'
-        end)
-      l;
-    if String.compare !cursor hi < 0 then out := (!cursor, hi, None) :: !out;
-    List.rev !out
+        if String.compare b lo <= 0 || String.compare a hi >= 0 then [ (a, b, c) ]
+        else
+          (if String.compare a lo < 0 then [ (a, lo, c) ] else [])
+          @ if String.compare hi b < 0 then [ (hi, b, c) ] else [])
+      l
+
+let rmap_model_cover l ~lo ~hi =
+  let cursor = ref lo and out = ref [] in
+  List.iter
+    (fun (a, b, c) ->
+      let a' = Strkey.max_str a lo and b' = Strkey.min_str b hi in
+      if String.compare a' b' < 0 then begin
+        if String.compare !cursor a' < 0 then out := (!cursor, a', None) :: !out;
+        out := (a', b', Some c) :: !out;
+        cursor := b'
+      end)
+    l;
+  if String.compare !cursor hi < 0 then out := (!cursor, hi, None) :: !out;
+  List.rev !out
+
+let rmap_model_coalesce l ~lo ~hi =
+  let start =
+    List.fold_left (fun acc (a, _, _) -> if String.compare a lo < 0 then a else acc) lo l
   in
-  let coalesce l ~lo ~hi =
-    let start =
-      List.fold_left (fun acc (a, _, _) -> if String.compare a lo < 0 then a else acc) lo l
-    in
-    let rec go = function
-      | (a, b, c) :: (a2, b2, c2) :: rest
-        when String.compare start a <= 0 && String.compare a2 hi <= 0 && String.equal b a2
-             && c = c2 ->
-        go ((a, b2, c) :: rest)
-      | p :: rest -> p :: go rest
-      | [] -> []
-    in
-    go l
+  let rec go = function
+    | (a, b, c) :: (a2, b2, c2) :: rest
+      when String.compare start a <= 0 && String.compare a2 hi <= 0 && String.equal b a2
+           && c = c2 ->
+      go ((a, b2, c) :: rest)
+    | p :: rest -> p :: go rest
+    | [] -> []
   in
+  go l
+
+(* Run [ops] on a fresh map beside the reference; [what i] names step
+   [i] in a failure. *)
+let run_rmap_ops ~what ops =
+  let sorted l = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) l in
   (* the callback's decision depends only on the piece and the op *)
   let decide l k = Hashtbl.hash (l, k) mod 3 in
-  let key rng = Printf.sprintf "%02d" (Rng.int rng 16) in
-  for seed = 1 to 200 do
-    let rng = Test_util.rng_of 23 seed in
-    let rm = Range_map.create ~dup:(fun r -> ref !r) () in
-    let model = ref [] in
-    let contents () = List.map (fun (a, b, r) -> (a, b, !r)) (Range_map.to_list rm) in
-    let opt r = Option.map ( ! ) r in
-    for step = 1 to 60 do
-      let a = key rng and b = key rng in
-      let what = Printf.sprintf "seed %d step %d" seed step in
-      (match Rng.int rng 7 with
-      | 0 when String.compare a b < 0 ->
-        Range_map.set rm ~lo:a ~hi:b (ref step);
-        model := sorted ((a, b, step) :: clear !model ~lo:a ~hi:b)
-      | 0 | 1 ->
+  let rm = Range_map.create ~dup:(fun r -> ref !r) () in
+  let model = ref [] in
+  let contents () = List.map (fun (a, b, r) -> (a, b, !r)) (Range_map.to_list rm) in
+  let opt r = Option.map ( ! ) r in
+  List.iteri
+    (fun i op ->
+      let step = i + 1 in
+      let what = what step in
+      (match op with
+      | R_set (a, b) ->
+        if String.compare a b < 0 then begin
+          Range_map.set rm ~lo:a ~hi:b (ref step);
+          model := sorted ((a, b, step) :: rmap_model_clear !model ~lo:a ~hi:b)
+        end
+      | R_clear (a, b) ->
         Range_map.clear_range rm ~lo:a ~hi:b;
-        model := clear !model ~lo:a ~hi:b
-      | 2 ->
+        model := rmap_model_clear !model ~lo:a ~hi:b
+      | R_update (a, b) ->
         let seen = ref [] in
         Range_map.update_range rm ~lo:a ~hi:b (fun l h v ->
             seen := (l, h, opt v) :: !seen;
@@ -557,7 +571,7 @@ let test_rmap_model () =
               Some r
             | Some _, 1 | None, 0 -> None
             | _ -> Some (ref step));
-        let pieces = cover !model ~lo:a ~hi:b in
+        let pieces = rmap_model_cover !model ~lo:a ~hi:b in
         Alcotest.(check (list (triple string string (option int))))
           (what ^ ": update_range callbacks") pieces (List.rev !seen);
         let rewritten =
@@ -569,11 +583,18 @@ let test_rmap_model () =
               | _ -> Some (l, h, step))
             pieces
         in
-        model := sorted (rewritten @ clear !model ~lo:a ~hi:b)
-      | 3 ->
+        model := sorted (rewritten @ rmap_model_clear !model ~lo:a ~hi:b)
+      | R_coalesce (a, b) ->
         Range_map.coalesce rm ~lo:a ~hi:b ~eq:(fun x y -> !x = !y);
-        model := coalesce !model ~lo:a ~hi:b
-      | 4 ->
+        model := rmap_model_coalesce !model ~lo:a ~hi:b
+      | R_coalesce_piece a -> (
+        match Range_map.find_piece rm a with
+        | Some p ->
+          let l, h = Range_map.piece_bounds p in
+          Range_map.coalesce_piece rm p ~eq:(fun x y -> !x = !y);
+          model := rmap_model_coalesce !model ~lo:l ~hi:h
+        | None -> ())
+      | R_find a ->
         let got = Option.map (fun (l, h, r) -> (l, h, !r)) (Range_map.find rm a) in
         let want =
           List.find_opt
@@ -581,7 +602,7 @@ let test_rmap_model () =
             !model
         in
         Alcotest.(check (option (triple string string int))) (what ^ ": find") want got
-      | 5 ->
+      | R_overlapping (a, b) ->
         Alcotest.(check (list (triple string string int)))
           (what ^ ": overlapping")
           (List.filter
@@ -589,19 +610,77 @@ let test_rmap_model () =
                String.compare a b < 0 && String.compare l b < 0 && String.compare a h < 0)
              !model)
           (List.map (fun (l, h, r) -> (l, h, !r)) (Range_map.overlapping rm ~lo:a ~hi:b))
-      | _ ->
+      | R_cover (a, b) ->
         let got = ref [] in
         Range_map.iter_cover rm ~lo:a ~hi:b (fun l h v -> got := (l, h, opt v) :: !got);
         Alcotest.(check (list (triple string string (option int))))
-          (what ^ ": iter_cover") (cover !model ~lo:a ~hi:b) (List.rev !got));
+          (what ^ ": iter_cover") (rmap_model_cover !model ~lo:a ~hi:b) (List.rev !got));
       Range_map.validate rm;
       Alcotest.(check (list (triple string string int))) (what ^ ": pieces") !model (contents ());
       check_int (what ^ ": cardinal") (List.length !model) (Range_map.cardinal rm);
       let refs = List.map (fun (_, _, r) -> r) (Range_map.to_list rm) in
       check_bool (what ^ ": no shared values") true
-        (List.for_all (fun r -> List.length (List.filter (( == ) r) refs) = 1) refs)
-    done
+        (List.for_all (fun r -> List.length (List.filter (( == ) r) refs) = 1) refs))
+    ops
+
+let test_rmap_model () =
+  let key rng = Printf.sprintf "%02d" (Rng.int rng 16) in
+  for seed = 1 to 200 do
+    let rng = Test_util.rng_of 23 seed in
+    let ops =
+      List.init 60 (fun _ ->
+          let a = key rng and b = key rng in
+          match Rng.int rng 7 with
+          | 0 when String.compare a b < 0 -> R_set (a, b)
+          | 0 | 1 -> R_clear (a, b)
+          | 2 -> R_update (a, b)
+          | 3 -> R_coalesce (a, b)
+          | 4 -> R_find a
+          | 5 -> R_overlapping (a, b)
+          | _ -> R_cover (a, b))
+    in
+    run_rmap_ops ~what:(Printf.sprintf "seed %d step %d" seed) ops
   done
+
+(* The same reference, under generated op lists that QCheck shrinks: the
+   single-descent [update_range] and its in-place splits, gap fills and
+   removals against every other operation. Keys of two lengths make
+   pieces meet at prefixes ("05" < "05a" < "06"). *)
+let prop_rmap_sorted_model =
+  let open QCheck2 in
+  let key =
+    Gen.map2
+      (fun n tail -> Printf.sprintf "%02d%s" n (if tail then "a" else ""))
+      (Gen.int_bound 12) Gen.bool
+  in
+  let pair f = Gen.map2 f key key in
+  let op =
+    Gen.frequency
+      [ (3, pair (fun a b -> R_set (a, b)));
+        (2, pair (fun a b -> R_clear (a, b)));
+        (4, pair (fun a b -> R_update (a, b)));
+        (2, pair (fun a b -> R_coalesce (a, b)));
+        (2, Gen.map (fun a -> R_coalesce_piece a) key);
+        (1, Gen.map (fun a -> R_find a) key);
+        (1, pair (fun a b -> R_overlapping (a, b)));
+        (1, pair (fun a b -> R_cover (a, b))) ]
+  in
+  let print = function
+    | R_set (a, b) -> Printf.sprintf "set %s %s" a b
+    | R_clear (a, b) -> Printf.sprintf "clear %s %s" a b
+    | R_update (a, b) -> Printf.sprintf "update %s %s" a b
+    | R_coalesce (a, b) -> Printf.sprintf "coalesce %s %s" a b
+    | R_coalesce_piece a -> Printf.sprintf "coalesce_piece %s" a
+    | R_find a -> Printf.sprintf "find %s" a
+    | R_overlapping (a, b) -> Printf.sprintf "overlapping %s %s" a b
+    | R_cover (a, b) -> Printf.sprintf "cover %s %s" a b
+  in
+  Test.make ~name:"range map matches sorted-list model" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    (Gen.list_size (Gen.int_range 0 50) op)
+    (fun ops ->
+      run_rmap_ops ~what:(Printf.sprintf "step %d") ops;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Table and Store                                                     *)
@@ -914,7 +993,7 @@ let () =
           Alcotest.test_case "dup on split" `Quick test_rmap_dup_on_split;
           Alcotest.test_case "seeded model" `Quick test_rmap_model;
         ] );
-      ("range_map-props", qsuite [ prop_rmap_model ]);
+      ("range_map-props", qsuite [ prop_rmap_model; prop_rmap_sorted_model ]);
       ( "table",
         [
           Alcotest.test_case "basic" `Quick test_table_basic;
