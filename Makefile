@@ -2,7 +2,7 @@
 # test suite (unit, integration, property-based, and the persist
 # fault-injection tests in test/test_persist.ml).
 
-.PHONY: check build test examples bench micro micro-smoke net-smoke cluster-bench cluster-smoke perfbench-smoke fig10-smoke fuzz fuzz-replay doc linkcheck clean
+.PHONY: check build test examples bench micro micro-smoke ablations-smoke net-smoke cluster-bench cluster-smoke perfbench-smoke fig10-smoke fuzz fuzz-replay doc linkcheck clean
 
 check: ; dune build && dune runtest
 
@@ -30,6 +30,10 @@ micro: ; dune exec bench/main.exe -- micro
 # harness (and its BENCH_micro.json emitter) is exercised on every push
 # without burning minutes on statistical quality
 micro-smoke: ; PEQUOD_MICRO_QUOTA=0.02 dune exec bench/main.exe -- micro
+
+# the ablation table at a twentieth of its scale: the only run outside
+# the tests of the eager-check and complete-invalidation configurations
+ablations-smoke: ; timeout 120 dune exec bench/main.exe -- ablations --scale 0.05
 
 # live-cluster smoke: the forked multi-process integration tests (home
 # + compute servers over real TCP: kill/respawn, directory-routed

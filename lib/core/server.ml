@@ -14,7 +14,7 @@
     - pull and snapshot maintenance annotations (§3.4);
     - missing-data resolution hooks (§3.3): a resolver callback loads
       base ranges from a backing database or a remote home server; an
-      asynchronous resolver makes [scan_nb] return the set of ranges to
+      asynchronous resolver makes [scan_result] return the set of ranges to
       fetch so the host can fetch them in parallel and retry (the restart
       behaviour: completed covers stay valid, and a region executes
       staged, committing nothing when a source is absent, so it is built
@@ -101,6 +101,12 @@ and context = {
   cx_entry : updater Interval_map.handle;
 }
 
+(* What a read's step did to the status piece it met ([refresh]). *)
+type refreshed =
+  | Fresh (* nothing: a hit *)
+  | Healed (* a [Pending] piece's log replayed *)
+  | Rebuilt (* recomputed *)
+
 (* What a subtable notes: the status piece that last answered a read in
    it, checked before use ([warm_read]). *)
 type note = status Range_map.piece_ref
@@ -133,7 +139,11 @@ type replay =
   | Rebuild (* no cover holds the piece: recompute it wholesale *)
 
 type tbl_meta = {
+  name : string;
   status : status Range_map.t;
+  mutable writers : join list;
+      (* the push/snapshot joins outputting into this table, install
+         order ([add_join]) *)
   updaters : updater Interval_map.t;
   mutable present : unit Range_map.t option; (* Some when a resolver governs this table *)
   (* the subset of [present] installed by [mark_present] (home-partition
@@ -176,7 +186,6 @@ type mutation =
   | M_add_join of string (* canonical join text *)
   | M_present of string * string * string (* table, lo, hi now locally owned *)
 
-exception Need_fetch of (string * string * string) (* table, lo, hi *)
 exception Join_cycle of string
 
 (* Pre-resolved registry handles for the engine's hot paths: recording an
@@ -248,6 +257,7 @@ type t = {
   config : Config.t;
   mutable joins : join list; (* install order *)
   meta : (string, tbl_meta) Hashtbl.t;
+  mutable sinks : tbl_meta list; (* tables with writers, by name *)
   covers : (int, cover Range_map.t) Hashtbl.t; (* join id -> disjoint covers *)
   lru : cover Lru.t;
   mutable value_bytes : int;
@@ -257,10 +267,10 @@ type t = {
   mutable resolver : resolver option;
   mutable on_mutation : (mutation -> unit) option; (* durability hook *)
   (* While a scan runs with a resolver installed (collect mode), every
-     [Deferred] source range is recorded here instead of aborting the
-     scan at the first miss ([Need_fetch]); the scan returns the full
-     deduplicated set so the host can fetch all of it as one burst.
-     [None] outside a scan and on a server with no resolver. *)
+     [Deferred] source range is recorded here; the scan returns the full
+     deduplicated set so the host can fetch all of it as one burst. An
+     eager check's pass installs one of its own outside a scan. [None]
+     otherwise, and on a server with no resolver. *)
   mutable deferred_acc : (string * string * string) list ref option;
 }
 
@@ -274,6 +284,7 @@ let create ?config () =
     config;
     joins = [];
     meta = Hashtbl.create 16;
+    sinks = [];
     covers = Hashtbl.create 16;
     lru = Lru.create ();
     value_bytes = 0;
@@ -298,7 +309,9 @@ let meta t name =
   match Hashtbl.find_opt t.meta name with
   | Some m -> m
   | None ->
-    let m = { status = Range_map.create ~dup:(fun st -> { state = st.state }) ();
+    let m = { name;
+              status = Range_map.create ~dup:(fun st -> { state = st.state }) ();
+              writers = [];
               updaters = Interval_map.create ();
               present = None;
               owned = None;
@@ -364,6 +377,12 @@ let add_join t spec =
           Option.iter (Store.add_boundary t.store (Pattern.table p)) (Pattern.boundary_depth p))
         (Joinspec.output spec :: List.map (fun s -> s.Joinspec.pattern) (Joinspec.sources spec));
     t.joins <- t.joins @ [ join ];
+    if Joinspec.maintenance spec <> Joinspec.Pull then begin
+      let m = meta t out_table in
+      if m.writers = [] then
+        t.sinks <- List.sort (fun a b -> String.compare a.name b.name) (m :: t.sinks);
+      m.writers <- m.writers @ [ join ]
+    end;
     emit t (M_add_join (Joinspec.to_string spec));
     Ok ()
   end
@@ -418,7 +437,30 @@ let same_validity a b =
   | Valid { expires = Some x }, Valid { expires = Some y } -> x = y
   | _ -> false
 
-let coalesce_valid m ~lo ~hi = Range_map.coalesce m.status ~lo ~hi ~eq:same_validity
+let present_map m =
+  match m.present with
+  | Some p -> p
+  | None ->
+    let p = Range_map.create () in
+    m.present <- Some p;
+    p
+
+(* [f ()] in collect mode: resolver misses accumulate, so a scan's
+   `Missing carries the full set and an asynchronous host can fetch it as
+   one burst. Returns [f]'s result and the misses, newest first.
+   Saved/restored rather than assumed-None for re-entrancy (a resolver or
+   hook that scans). *)
+let collecting t f =
+  let saved = t.deferred_acc in
+  let acc = ref [] in
+  if Option.is_some t.resolver then t.deferred_acc <- Some acc;
+  match f () with
+  | v ->
+    t.deferred_acc <- saved;
+    (v, !acc)
+  | exception e ->
+    t.deferred_acc <- saved;
+    raise e
 
 (* The collect-mode deferral list as it stands, compared by identity: a
    unit of work (a region, a log) during which it grew met an absent
@@ -584,22 +626,23 @@ and eager_check_apply t up cx b ~change =
     () (* the binding's outputs all fall outside this cover *)
   | Insert -> (
     let cover = cx.cx_cover in
-    (* a source range is absent and its resolver deferred (an
-       asynchronous host fetches only for scans): give the cover up.
-       The next read recomputes it wholesale, collecting the miss. *)
-    let give_up () =
-      let m = meta t (Pattern.table (Joinspec.output up.up_join.spec)) in
-      Range_map.update_range m.status ~lo:cover.co_lo ~hi:cover.co_hi (fun _ _ stv ->
-          Option.iter (fun st -> st.state <- Invalid) stv;
-          stv)
-    in
-    match
+    let pass () =
       exec_sources t ~active:[] up.up_join ~bindings:b ~residual:cx.cx_residual
         ~out_range:(cover.co_lo, cover.co_hi) ~materialize:true ~skip_source:up.up_source
         ~dmark:(deferred_mark t)
-    with
+    in
+    (* a write outside any scan collects its own misses *)
+    let ps = if Option.is_none t.deferred_acc then fst (collecting t pass) else pass () in
+    match ps with
     | Some ps -> commit_pass t cover ps
-    | None | (exception Need_fetch _) -> give_up ())
+    | None ->
+      (* a source range is absent and its resolver deferred (an
+         asynchronous host fetches only for scans): give the cover up.
+         The next read recomputes it wholesale, collecting the miss. *)
+      let m = meta t (Pattern.table (Joinspec.output up.up_join.spec)) in
+      Range_map.update_range m.status ~lo:cover.co_lo ~hi:cover.co_hi (fun _ _ stv ->
+          Option.iter (fun st -> st.state <- Invalid) stv;
+          stv))
   | Remove ->
     retract_binding t up.up_join b ~lo:cx.cx_cover.co_lo ~hi:cx.cx_cover.co_hi
 
@@ -656,11 +699,7 @@ and retract_binding t join b ~lo ~hi =
   let olo, ohi = Pattern.containing_range out ~bindings:b ~residual:None in
   let olo = Strkey.max_str olo lo and ohi = Strkey.min_str ohi hi in
   if String.compare olo ohi < 0 then begin
-    let doomed =
-      Store.fold_range t.store ~lo:olo ~hi:ohi ~init:[] (fun acc k _ ->
-          match Pattern.match_key out k ~bindings:b with Some _ -> k :: acc | None -> acc)
-    in
-    List.iter (fun k -> apply_remove t k) doomed;
+    remove_outputs t join ~bindings:b ~lo:olo ~hi:ohi;
     (* prune value-source updater contexts subsumed by this binding, for
        covers that overlap the repaired region *)
     let vs = Joinspec.value_source join.spec in
@@ -685,6 +724,16 @@ and retract_binding t join b ~lo ~hi =
         cx.cx_cover.co_contexts <- List.filter (fun c -> c != cx) cx.cx_cover.co_contexts)
       !doomed
   end
+
+(* Remove the resident keys of [\[lo, hi)] that [join]'s output pattern
+   matches under [bindings]. *)
+and remove_outputs t join ~bindings ~lo ~hi =
+  let out = Joinspec.output join.spec in
+  let doomed =
+    Store.fold_range t.store ~lo ~hi ~init:[] (fun acc k _ ->
+        match Pattern.match_key out k ~bindings with Some _ -> k :: acc | None -> acc)
+  in
+  List.iter (apply_remove t) doomed
 
 and put_output t cover okey data ~shared =
   let hint = if t.config.Config.output_hints then cover.co_hint else None in
@@ -852,27 +901,13 @@ and commit_pass t cover ps =
 (* Make a base/source range available locally, resolving through other
    joins (§3.3 case 1) or the resolver (cases 2 and 3). *)
 and ensure_source_ready t ~active table ~lo ~hi =
-  (* chained joins: if any join outputs into this table, validate first *)
-  let feeds =
-    List.exists
-      (fun j ->
-        Joinspec.maintenance j.spec <> Joinspec.Pull
-        && String.equal (Pattern.table (Joinspec.output j.spec)) table)
-      t.joins
-  in
-  if feeds then validate_range t ~active ~lo ~hi;
+  let m = meta t table in
+  (* chained joins: a table some join outputs into is validated first *)
+  (match m.writers with [] -> () | _ :: _ -> validate_table t ~active m ~lo ~hi);
   match t.resolver with
   | None -> ()
   | Some resolve ->
-    let m = meta t table in
-    let present =
-      match m.present with
-      | Some p -> p
-      | None ->
-        let p = Range_map.create () in
-        m.present <- Some p;
-        p
-    in
+    let present = present_map m in
     let missing = ref [] in
     Range_map.iter_cover present ~lo ~hi (fun plo phi v ->
         if v = None then missing := (plo, phi) :: !missing);
@@ -891,87 +926,80 @@ and ensure_source_ready t ~active table ~lo ~hi =
              retry after the fetch recomputes it with real data *)
           match t.deferred_acc with
           | Some acc -> acc := (table, plo, phi) :: !acc
-          | None -> raise (Need_fetch (table, plo, phi))))
+          | None ->
+            invalid_arg
+              (Printf.sprintf "Server: %s [%s, %s) deferred outside a collecting pass" table plo
+                 phi)))
       (List.rev !missing)
 
-(* Bring every push/snapshot join's output in [lo, hi) up to date:
-   compute unknown ranges, recompute invalid ones, apply pending logs. *)
+(* Bring every push/snapshot join's output in [lo, hi) up to date, table
+   by table. *)
 and validate_range t ~active ~lo ~hi =
-  (* per-join cover of the request *)
-  let jcovers =
+  List.iter (fun m -> validate_table t ~active m ~lo ~hi) t.sinks
+
+(* Refresh every status piece of table [m] that one of its joins can
+   output into within [lo, hi). *)
+and validate_table t ~active m ~lo ~hi =
+  let spans =
     List.filter_map
       (fun j ->
-        if Joinspec.maintenance j.spec = Joinspec.Pull then None
-        else
-          let out = Joinspec.output j.spec in
-          match Pattern.bind_range out ~lo ~hi ~nslots:(Joinspec.nslots j.spec) with
-          | None -> None
-          | Some (b0, residual) ->
-            let clo, chi = Pattern.containing_range out ~bindings:b0 ~residual in
-            (match Strkey.range_inter (clo, chi) (lo, hi) with
-            | None -> None
-            | Some cov -> Some (j, b0, residual, cov)))
-      t.joins
+        let out = Joinspec.output j.spec in
+        Option.bind (Pattern.bind_range out ~lo ~hi ~nslots:(Joinspec.nslots j.spec))
+          (fun (b0, residual) ->
+            Strkey.range_inter (Pattern.containing_range out ~bindings:b0 ~residual) (lo, hi)))
+      m.writers
   in
-  if jcovers <> [] then begin
-    (* group by output table *)
-    let tables =
-      List.sort_uniq String.compare
-        (List.map (fun (j, _, _, _) -> Pattern.table (Joinspec.output j.spec)) jcovers)
-    in
-    List.iter
-      (fun table ->
-        let m = meta t table in
-        let mine = List.filter (fun (j, _, _, _) -> String.equal (Pattern.table (Joinspec.output j.spec)) table) jcovers in
-        let span_lo = List.fold_left (fun acc (_, _, _, (l, _)) -> Strkey.min_str acc l) hi mine in
-        let span_hi = List.fold_left (fun acc (_, _, _, (_, h)) -> Strkey.max_str acc h) lo mine in
-        if String.compare span_lo span_hi < 0 then begin
-          let pieces = ref [] in
-          Range_map.iter_cover m.status ~lo:span_lo ~hi:span_hi (fun plo phi st ->
-              pieces := (plo, phi, st) :: !pieces);
-          List.iter
-            (fun (plo, phi, st) ->
-              let involved =
-                List.filter (fun (_, _, _, cov) -> Strkey.range_overlaps cov (plo, phi)) mine
-              in
-              if involved <> [] then begin
-                match st with
-                | Some { state = Valid { expires = None } } -> touch_covers t involved
-                | Some { state = Valid { expires = Some e } } when now t < e ->
-                  touch_covers t involved
-                | Some { state = Pending _ } -> heal_piece t ~active m table ~plo ~phi
-                | Some { state = Valid _ } (* expired snapshot *)
-                | Some { state = Invalid } | None ->
-                  recompute_region t ~active m table ~plo ~phi
-              end)
-            (List.rev !pieces)
-        end)
-      tables
-  end
-
-(* Heal the whole [Pending] piece the read's clip [\[plo, phi)] lies in:
-   healing only the clip would leave the rest [Pending] with the same
-   log, the next invalidation would split it again, and pieces and logs
-   would pile up. The state is re-read, since an earlier piece's work may
-   have changed it. *)
-and heal_piece t ~active m table ~plo ~phi =
-  match Range_map.find m.status plo with
-  | Some (wlo, whi, ({ state = Pending { log; _ } } as st)) ->
-    if apply_log t ~active m table st ~plo:wlo ~phi:whi log then
-      coalesce_valid m ~lo:wlo ~hi:whi
-  | Some (_, _, { state = Valid { expires = None } }) -> ()
-  | Some (_, _, { state = Valid { expires = Some e } }) when now t < e -> ()
-  | Some (_, _, { state = Valid _ | Invalid }) | None ->
-    recompute_region t ~active m table ~plo ~phi
-
-and touch_covers t involved =
-  if t.config.Config.memory_limit <> None then
+  let span_lo = List.fold_left (fun acc (l, _) -> Strkey.min_str acc l) hi spans in
+  let span_hi = List.fold_left (fun acc (_, h) -> Strkey.max_str acc h) lo spans in
+  let pieces = ref [] in
+  Range_map.iter_cover m.status ~lo:span_lo ~hi:span_hi (fun plo phi st ->
+      pieces := (plo, phi, st) :: !pieces);
   List.iter
-    (fun (j, _, _, (clo, chi)) ->
-      List.iter
-        (fun (_, _, c) -> match c.co_lru with Some e -> Lru.touch t.lru e | None -> ())
-        (Range_map.overlapping (covers_of t j.jid) ~lo:clo ~hi:chi))
-    involved
+    (fun (plo, phi, st) ->
+      if List.exists (fun span -> Strkey.range_overlaps span (plo, phi)) spans then
+        ignore (refresh t ~active m ~plo ~phi st))
+    (List.rev !pieces)
+
+(* The one step a read takes for each status piece it meets, whether it
+   meets just one ([warm_read]) or walks several ([validate_table]): [st]
+   is what the read found over its clip [\[plo, phi)]. A fresh [Valid]
+   piece is a hit, and touches the covers it reads in the LRU. A
+   [Pending] piece replays its whole log: healing only the clip would
+   leave the rest [Pending] with the same log, the next invalidation
+   would split it again, and pieces and logs would pile up. The piece is
+   looked up again first, since an earlier piece's work may have changed
+   it. An [Invalid], expired or absent piece is recomputed. *)
+and refresh t ~active m ~plo ~phi st =
+  match st with
+  | Some { state = Valid { expires = None } } ->
+    touch_covers t m ~lo:plo ~hi:phi;
+    Fresh
+  | Some { state = Valid { expires = Some e } } when now t < e ->
+    touch_covers t m ~lo:plo ~hi:phi;
+    Fresh
+  | Some { state = Pending _ } -> (
+    match Range_map.find_piece m.status plo with
+    | None -> refresh t ~active m ~plo ~phi None
+    | Some p -> (
+      match Range_map.piece_covering p ~lo:plo ~hi:plo with
+      | Some ({ state = Pending { log; _ } } as st) ->
+        let wlo, whi = Range_map.piece_bounds p in
+        if apply_log t ~active m st ~plo:wlo ~phi:whi log then
+          Range_map.coalesce_piece m.status p ~eq:same_validity;
+        Healed
+      | now -> refresh t ~active m ~plo ~phi now))
+  | Some { state = Valid _ | Invalid } | None ->
+    recompute_region t ~active m ~plo ~phi;
+    Rebuilt
+
+and touch_covers t m ~lo ~hi =
+  if Option.is_some t.config.Config.memory_limit then
+    List.iter
+      (fun j ->
+        List.iter
+          (fun (_, _, c) -> Option.iter (Lru.touch t.lru) c.co_lru)
+          (Range_map.overlapping (covers_of t j.jid) ~lo ~hi))
+      m.writers
 
 (* Recompute a region from scratch: expand to whole covers, tear them
    down, clear their outputs, re-execute every overlapping join, and mark
@@ -979,7 +1007,7 @@ and touch_covers t involved =
    source range is absent the misses are recorded and the region is left
    as it was, so a cold region is materialized once, by the retry that
    finds every source present, instead of once per fetch wave. *)
-and recompute_region t ~active m table ~plo ~phi =
+and recompute_region t ~active m ~plo ~phi =
   let t0 = Obs.tick () in
   (* expand to cover boundaries (fixpoint) so updater teardown is whole *)
   let lo = ref plo and hi = ref phi in
@@ -988,28 +1016,22 @@ and recompute_region t ~active m table ~plo ~phi =
     changed := false;
     List.iter
       (fun j ->
-        if String.equal (Pattern.table (Joinspec.output j.spec)) table then
-          List.iter
-            (fun (_, _, c) ->
-              if String.compare c.co_lo !lo < 0 then begin lo := c.co_lo; changed := true end;
-              if String.compare c.co_hi !hi > 0 then begin hi := c.co_hi; changed := true end)
-            (Range_map.overlapping (covers_of t j.jid) ~lo:!lo ~hi:!hi))
-      t.joins
+        List.iter
+          (fun (_, _, c) ->
+            if String.compare c.co_lo !lo < 0 then begin lo := c.co_lo; changed := true end;
+            if String.compare c.co_hi !hi > 0 then begin hi := c.co_hi; changed := true end)
+          (Range_map.overlapping (covers_of t j.jid) ~lo:!lo ~hi:!hi))
+      m.writers
   done;
   let lo = !lo and hi = !hi in
   (* which joins can output here? *)
   let involved =
     List.filter_map
       (fun j ->
-        if
-          Joinspec.maintenance j.spec = Joinspec.Pull
-          || not (String.equal (Pattern.table (Joinspec.output j.spec)) table)
-        then None
-        else
-          match Pattern.bind_range (Joinspec.output j.spec) ~lo ~hi ~nslots:(Joinspec.nslots j.spec) with
-          | None -> None
-          | Some (b0, residual) -> Some (j, b0, residual))
-      t.joins
+        Option.map
+          (fun (b0, residual) -> (j, b0, residual))
+          (Pattern.bind_range (Joinspec.output j.spec) ~lo ~hi ~nslots:(Joinspec.nslots j.spec)))
+      m.writers
   in
   (* cycle guard for chained joins *)
   List.iter
@@ -1027,7 +1049,7 @@ and recompute_region t ~active m table ~plo ~phi =
   in
   if rebuild_region t ~active m ~lo ~hi involved spans then begin
     Obs.Counter.incr t.hot.recomputes;
-    Obs.trace t.obs ~kind:"recompute" ~table ~lo ~hi ~dur_ns:(Obs.tock t0) ()
+    Obs.trace t.obs ~kind:"recompute" ~table:m.name ~lo ~hi ~dur_ns:(Obs.tock t0) ()
   end
 
 (* [recompute_region]'s rebuild: execute each join over its span, staged.
@@ -1047,17 +1069,11 @@ and rebuild_region t ~active m ~lo ~hi involved spans =
   in
   deferred_mark t == dmark
   && begin
-    List.iter (fun (j, _, _) -> teardown_covers t j ~lo ~hi) involved;
-    (* drop stale outputs of the involved joins *)
+    (* tear down the involved joins' covers and drop their outputs *)
     List.iter
       (fun (j, _, _) ->
-        let out = Joinspec.output j.spec in
-        let nb = Array.make (Joinspec.nslots j.spec) None in
-        let doomed =
-          Store.fold_range t.store ~lo ~hi ~init:[] (fun acc k _ ->
-              match Pattern.match_key out k ~bindings:nb with Some _ -> k :: acc | None -> acc)
-        in
-        List.iter (fun k -> apply_remove t k) doomed)
+        teardown_covers t j ~lo ~hi;
+        remove_outputs t j ~bindings:(Array.make (Joinspec.nslots j.spec) None) ~lo ~hi)
       involved;
     let expiry = ref None in
     List.iter
@@ -1073,7 +1089,7 @@ and rebuild_region t ~active m ~lo ~hi involved spans =
         | Joinspec.Push | Joinspec.Pull -> ())
       passes;
     Range_map.set m.status ~lo ~hi { state = Valid { expires = !expiry } };
-    coalesce_valid m ~lo ~hi;
+    Range_map.coalesce m.status ~lo ~hi ~eq:same_validity;
     true
   end
 
@@ -1093,7 +1109,7 @@ and teardown_covers t j ~lo ~hi =
    [Pending] log, to be applied once the fetch lands. [log] is the
    piece's log, newest first. Answers whether the piece turned Valid,
    for the caller to coalesce it. *)
-and apply_log t ~active m table st ~plo ~phi log =
+and apply_log t ~active m st ~plo ~phi log =
   let dmark = deferred_mark t in
   let rec stage acc = function
     | [] -> Some (List.rev acc)
@@ -1104,7 +1120,7 @@ and apply_log t ~active m table st ~plo ~phi log =
   in
   match stage [] (List.rev log) with
   | None ->
-    recompute_region t ~active m table ~plo ~phi;
+    recompute_region t ~active m ~plo ~phi;
     false
   | Some replays ->
     deferred_mark t == dmark
@@ -1201,14 +1217,8 @@ and evict_cover t c =
   release_cover t c;
   Range_map.clear_range (covers_of t j.jid) ~lo:c.co_lo ~hi:c.co_hi;
   (* remove this join's outputs and forget the range's freshness *)
-  let out = Joinspec.output j.spec in
-  let nb = Array.make (Joinspec.nslots j.spec) None in
-  let doomed =
-    Store.fold_range t.store ~lo:c.co_lo ~hi:c.co_hi ~init:[] (fun acc k _ ->
-        match Pattern.match_key out k ~bindings:nb with Some _ -> k :: acc | None -> acc)
-  in
-  List.iter (fun k -> apply_remove t k) doomed;
-  let m = meta t (Pattern.table out) in
+  remove_outputs t j ~bindings:(Array.make (Joinspec.nslots j.spec) None) ~lo:c.co_lo ~hi:c.co_hi;
+  let m = meta t (Pattern.table (Joinspec.output j.spec)) in
   Range_map.clear_range m.status ~lo:c.co_lo ~hi:c.co_hi
 
 (* ------------------------------------------------------------------ *)
@@ -1497,108 +1507,45 @@ let pull_results t ~lo ~hi =
 let has_pull_joins t =
   List.exists (fun j -> Joinspec.maintenance j.spec = Joinspec.Pull) t.joins
 
-(* What a read finds in its status piece ([warm_read]). *)
-type warm =
-  | Hit (* every overlapping join's output is fresh in the store *)
-  | Heal of tbl_meta * string * status Range_map.piece_ref * status * log_entry list
-      (* the table, the [Pending] piece, its status and its log, all of
-         it replayable in place *)
-  | Cold (* [validate_range] decides *)
-
-(* A log the warm path replays: inserts and updates only, each logged
-   by a live cover spanning exactly the piece, so each replays against
-   that cover with its cached bindings and nothing is torn down. *)
-let replayable p log =
-  List.for_all
-    (fun e ->
-      e.le_change <> Remove
-      && e.le_cover.co_live
-      && Range_map.piece_exact p ~lo:e.le_cover.co_lo ~hi:e.le_cover.co_hi <> None)
-    log
-
-(* What piece [p] of [table], with status [st], offers a read it covers. *)
-let judge t m table p st =
-  match st.state with
-  | Valid { expires = None } -> Hit
-  | Valid { expires = Some e } -> if now t < e then Hit else Cold
-  | Pending { log; _ } when replayable p log -> Heal (m, table, p, st, log)
-  | Pending _ | Invalid -> Cold
-
-(* The common warm read: no pull join, one table, and one status piece
-   covering all of [\[lo, hi)]. Valid and unexpired, it is a [Hit]: every
-   overlapping join's output is already fresh in the store. [Pending]
-   with a replayable log, the read heals it in place. A read confined to
-   one subtable first checks the piece noted there, as the cover's
-   output hint is checked before use: still a piece of the status map,
-   covering the read. Only when the note fails is the status map
-   descended, and the piece found there becomes the note. *)
+(* A read answered from one status piece: no pull join, one table, and
+   one piece covering all of [\[lo, hi)], whose step ([refresh]) the read
+   takes; [None] when the read needs the walk. A read confined to one
+   subtable first checks the piece noted there, as the cover's output
+   hint is checked before use: still a piece of the status map, covering
+   the read. Only when the note fails is the status map descended, and
+   the piece found there becomes the note. *)
 let warm_read t ~lo ~hi =
   let name = Store.table_name_of lo in
-  if has_pull_joins t || not (String.equal name (Store.table_name_of hi)) then Cold
+  if has_pull_joins t || not (String.equal name (Store.table_name_of hi)) then None
   else
     match Hashtbl.find_opt t.meta name with
-    | None -> Cold
+    | None -> None
     | Some m -> (
       let sub = Option.bind (Store.find_table t.store name) (Table.confined ~lo ~hi) in
       let noted =
         match Option.bind sub Table.note with
-        | Some p -> (
-          match Range_map.piece_covering p ~lo ~hi with
-          | Some st -> judge t m name p st
-          | None -> Cold)
-        | None -> Cold
+        | Some p -> Range_map.piece_covering p ~lo ~hi
+        | None -> None
       in
-      match noted with
-      | Hit | Heal _ -> noted
-      | Cold -> (
-        match Range_map.find_piece m.status lo with
-        | None -> Cold
-        | Some p -> (
-          match Range_map.piece_covering p ~lo ~hi with
-          | None -> Cold
-          | Some st ->
-            Option.iter (fun sub -> Table.set_note sub p) sub;
-            judge t m name p st)))
+      let st =
+        match noted with
+        | Some _ -> noted
+        | None -> (
+          match Range_map.find_piece m.status lo with
+          | None -> None
+          | Some p ->
+            let st = Range_map.piece_covering p ~lo ~hi in
+            if Option.is_some st then Option.iter (fun sub -> Table.set_note sub p) sub;
+            st)
+      in
+      match st with None -> None | Some _ -> Some (refresh t ~active:[] m ~plo:lo ~phi:hi st))
 
 (* first [n] elements of [l] (all of [l] when shorter) *)
 let rec take n l =
   match l with x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> []
 
-(* [f ()] in collect mode: resolver misses accumulate instead of aborting
-   the scan at the first one, so `Missing carries the full set and an
-   asynchronous host can fetch it as one burst. Returns [f]'s result and
-   the misses, newest first. Saved/restored rather than assumed-None for
-   re-entrancy (a resolver or hook that scans). *)
-let collecting t f =
-  let saved = t.deferred_acc in
-  let acc = ref [] in
-  if Option.is_some t.resolver then t.deferred_acc <- Some acc;
-  match f () with
-  | v ->
-    t.deferred_acc <- saved;
-    (v, !acc)
-  | exception e ->
-    t.deferred_acc <- saved;
-    raise e
-
 let trace_scan t ~lo ~hi d =
   Obs.trace t.obs ~kind:"scan" ~table:(Store.table_name_of lo) ~lo ~hi ~dur_ns:d ()
-
-(* A scan's `Missing answer from its misses (newest first): in
-   first-discovery order, deduplicated, since the same gap can surface
-   once per join source that reads it. *)
-let missing t ~lo ~hi t0 acc =
-  if !Obs.enabled then trace_scan t ~lo ~hi (Obs.tock t0);
-  let seen = Hashtbl.create 8 in
-  `Missing
-    (List.filter
-       (fun r ->
-         if Hashtbl.mem seen r then false
-         else begin
-           Hashtbl.add seen r ();
-           true
-         end)
-       (List.rev acc))
 
 (** Non-blocking scan for asynchronous deployments: either the results, or
     the base ranges that must be fetched before retrying (§3.3). One pass
@@ -1609,25 +1556,11 @@ let missing t ~lo ~hi t0 acc =
     untouched, so it materializes once, on the attempt that finds every
     source present, and no cover built from absent data is torn down by
     the retry. Collect mode is on exactly when a resolver is installed:
-    with none, nothing can be missing. A [Pending] piece whose log
-    replays in place is healed here, on the warm path ([warm_read]). *)
+    with none, nothing can be missing. A read within one status piece
+    takes that piece's step ([refresh]) without walking the joins. *)
 let scan_result ?limit t ~lo ~hi =
   Obs.Counter.incr t.hot.scans;
   let t0 = Obs.tick () in
-  (* duration/size recording and tracing, skipped entirely when recording
-     is off (the [List.length] below must not run on the disabled path).
-     Warm hits leave no trace event: the ring keeps the scans that did
-     engine work or parked, and a hit allocates no event holding its
-     bounds. *)
-  let finish ~warm pairs =
-    if !Obs.enabled then begin
-      let d = Obs.tock t0 in
-      Obs.Histogram.observe t.hot.scan_ns d;
-      Obs.Histogram.observe t.hot.scan_pairs (List.length pairs);
-      if not warm then trace_scan t ~lo ~hi d
-    end;
-    `Ok pairs
-  in
   (* resident pairs in [lo, hi), stopping the tree walk at [limit] rather
      than materializing the full range *)
   let bounded_stored () =
@@ -1643,47 +1576,62 @@ let scan_result ?limit t ~lo ~hi =
       in
       List.rev acc
   in
-  match warm_read t ~lo ~hi with
-  | Hit ->
-    Obs.Counter.incr t.hot.scans_fast;
-    finish ~warm:true (bounded_stored ())
-  | Heal (m, table, p, st, log) when limit = None -> (
-    let plo, phi = Range_map.piece_bounds p in
-    match collecting t (fun () -> apply_log t ~active:[] m table st ~plo ~phi log) with
-    | flipped, [] ->
-      if flipped then Range_map.coalesce_piece m.status p ~eq:same_validity;
-      Obs.Counter.incr t.hot.scans_heal;
-      let pairs = bounded_stored () in
-      maybe_evict t;
-      finish ~warm:false pairs
-    | _, acc -> missing t ~lo ~hi t0 acc)
-  | Heal _ | Cold -> (
-    match
-      collecting t (fun () ->
+  match
+    collecting t (fun () ->
+        match warm_read t ~lo ~hi with
+        | Some _ as did -> (did, [])
+        | None ->
           validate_range t ~active:[] ~lo ~hi;
-          pull_results t ~lo ~hi)
-    with
-    | _, (_ :: _ as acc) -> missing t ~lo ~hi t0 acc
-    | pulled, [] ->
-      let stored = bounded_stored () in
-      (* merge, preferring materialized values on key collisions. The
-         truncated stored list is safe under a limit: the n smallest stored
-         keys are all present, so after the merged sort the first n
-         elements are exactly the true bounded result. *)
-      let merged =
-        if pulled = [] then stored
-        else begin
-          let stored_keys = List.map fst stored in
-          let extra = List.filter (fun (k, _) -> not (List.mem k stored_keys)) pulled in
-          let all = List.sort (fun (a, _) (b, _) -> String.compare a b) (stored @ extra) in
-          match limit with None -> all | Some n -> take n all
-        end
-      in
-      (* evict only after the response is assembled: a cover computed for
-         this very scan must not vanish under the read *)
-      maybe_evict t;
-      finish ~warm:false merged
-    | exception Need_fetch (table, flo, fhi) -> missing t ~lo ~hi t0 [ (table, flo, fhi) ])
+          (None, pull_results t ~lo ~hi))
+  with
+  | _, (_ :: _ as acc) ->
+    if !Obs.enabled then trace_scan t ~lo ~hi (Obs.tock t0);
+    (* in first-discovery order, deduplicated, since the same gap can
+       surface once per join source that reads it *)
+    let seen = Hashtbl.create 8 in
+    `Missing
+      (List.filter
+         (fun r ->
+           if Hashtbl.mem seen r then false
+           else begin
+             Hashtbl.add seen r ();
+             true
+           end)
+         (List.rev acc))
+  | (did, pulled), [] ->
+    (match did with
+    | Some Fresh -> Obs.Counter.incr t.hot.scans_fast
+    | Some Healed -> Obs.Counter.incr t.hot.scans_heal
+    | Some Rebuilt | None -> ());
+    let stored = bounded_stored () in
+    (* merge, preferring materialized values on key collisions. The
+       truncated stored list is safe under a limit: the n smallest stored
+       keys are all present, so after the merged sort the first n
+       elements are exactly the true bounded result. *)
+    let merged =
+      match pulled with
+      | [] -> stored
+      | _ :: _ -> (
+        let stored_keys = List.map fst stored in
+        let extra = List.filter (fun (k, _) -> not (List.mem k stored_keys)) pulled in
+        let all = List.sort (fun (a, _) (b, _) -> String.compare a b) (stored @ extra) in
+        match limit with None -> all | Some n -> take n all)
+    in
+    (* evict only after the response is assembled: a cover computed for
+       this very scan must not vanish under the read *)
+    maybe_evict t;
+    (* duration/size recording and tracing, skipped entirely when
+       recording is off (the [List.length] must not run on the disabled
+       path). Hits leave no trace event: the ring keeps the scans that
+       did engine work or parked, and a hit allocates no event holding
+       its bounds. *)
+    if !Obs.enabled then begin
+      let d = Obs.tock t0 in
+      Obs.Histogram.observe t.hot.scan_ns d;
+      Obs.Histogram.observe t.hot.scan_pairs (List.length merged);
+      match did with Some Fresh -> () | Some (Healed | Rebuilt) | None -> trace_scan t ~lo ~hi d
+    end;
+    `Ok merged
 
 (** Ordered scan of [\[lo, hi)], computing and freshening any overlapping
     cache-join output first. Thin wrapper over {!scan_result} for callers
@@ -1707,14 +1655,6 @@ let get_result t key =
   | `Ok _ -> `Ok None
   | `Missing _ as m -> m
 
-let present_map m =
-  match m.present with
-  | Some p -> p
-  | None ->
-    let p = Range_map.create () in
-    m.present <- Some p;
-    p
-
 (** Feed base data fetched by the host (distributed mode): installs the
     pairs as the authoritative content of [\[lo, hi)] — any resident key
     the feed no longer contains is removed through the updaters, so a
@@ -1734,14 +1674,7 @@ let feed_base t ~table ~lo ~hi ~stamp pairs =
   (* reconcile only pure base tables: a table some local join outputs
      into (a chained join's middle table) mixes fetched pairs with
      locally derived ones, which a backing copy must not delete *)
-  let join_fed =
-    List.exists
-      (fun j ->
-        Joinspec.maintenance j.spec <> Joinspec.Pull
-        && String.equal (Pattern.table (Joinspec.output j.spec)) table)
-      t.joins
-  in
-  if not join_fed then begin
+  if m.writers = [] then begin
     let incoming = Hashtbl.create (max 16 (List.length pairs)) in
     List.iter (fun (k, _) -> Hashtbl.replace incoming k ()) pairs;
     let stale =
@@ -1813,13 +1746,7 @@ let iter_pairs t f =
 
 (** Output tables of the installed push/snapshot joins — the tables whose
     contents are derived state, recomputable on demand after recovery. *)
-let sink_tables t =
-  List.sort_uniq String.compare
-    (List.filter_map
-       (fun j ->
-         if Joinspec.maintenance j.spec = Joinspec.Pull then None
-         else Some (Pattern.table (Joinspec.output j.spec)))
-       t.joins)
+let sink_tables t = List.map (fun m -> m.name) t.sinks
 
 (** Base ranges {e owned} by this server ({!mark_present} home-partition
     ownership). Restoring these on recovery is safe; fetched presence is

@@ -385,6 +385,33 @@ let test_eviction_and_recovery () =
   check_pairs "first entry" [ ("t|u00|0000|bob", "tweet 0") ] [ List.hd tl ];
   Server.validate s
 
+(* A read that hits keeps its timeline recent (§2.5's LRU). Two
+   timelines fit under the limit; [u00] is read again after each of the
+   other nine is materialized, so it is never the least recently used
+   and never recomputes. When hits did not touch the LRU, eviction was
+   first-in first-out: [u00] recomputed 4 times in 9 (12 evictions). *)
+let test_hits_stay_recent () =
+  let config = Config.default () in
+  config.Config.memory_limit <- Some 9_000;
+  let s = make_twip ~config () in
+  let users = List.init 10 (fun u -> Printf.sprintf "u%02d" u) in
+  List.iter (fun u -> subscribe s u "bob") users;
+  for i = 0 to 14 do
+    post s "bob" i (Printf.sprintf "tweet %d" i)
+  done;
+  check_int "u00 materialized" 15 (List.length (timeline s "u00"));
+  let recomputed = ref 0 in
+  List.iter
+    (fun u ->
+      ignore (timeline s u);
+      let before = Server.counter s "exec.recompute_region" in
+      check_int "u00 whole" 15 (List.length (timeline s "u00"));
+      recomputed := !recomputed + Server.counter s "exec.recompute_region" - before)
+    (List.tl users);
+  check_bool "timelines were evicted" true (Server.counter s "evict.cover" > 0);
+  check_int "u00 never recomputed" 0 !recomputed;
+  Server.check_invariants s
+
 let test_eviction_join_interplay () =
   (* evicting a materialized join range must be invisible to readers:
      the next scan recomputes the range and returns identical pairs,
@@ -649,6 +676,34 @@ let test_warm_heals () =
   check_int "one piece per timeline" pieces (gauge s "status.pieces");
   Server.check_invariants s
 
+(* Every [Pending] piece a read lies in heals on the warm path, whatever
+   its log holds and however the read is bounded: an unsubscription (a
+   logged remove) and a [limit] scan each replay the log in place
+   ([op.scan_heal]), with no recompute. *)
+let test_every_pending_heals () =
+  let s = make_twip () in
+  subscribe s "ann" "bob";
+  subscribe s "ann" "liz";
+  post s "bob" 10 "b10";
+  post s "liz" 20 "l20";
+  let both = [ ("t|ann|0010|bob", "b10"); ("t|ann|0020|liz", "l20") ] in
+  check_pairs "materialized" both (timeline s "ann");
+  let counter = Server.counter s in
+  let heals what read expect =
+    let healed = counter "op.scan_heal" and recomputed = counter "exec.recompute_region" in
+    check_pairs what expect (read ());
+    check_int (what ^ ": healed on the warm path") (healed + 1) (counter "op.scan_heal");
+    check_int (what ^ ": no recompute") recomputed (counter "exec.recompute_region")
+  in
+  unsubscribe s "ann" "liz";
+  heals "unsubscribed" (fun () -> timeline s "ann") [ ("t|ann|0010|bob", "b10") ];
+  subscribe s "ann" "liz";
+  heals "a limit scan"
+    (fun () -> Server.scan ~limit:1 s ~lo:"t|ann|0000" ~hi:(Strkey.prefix_upper "t|ann|"))
+    [ ("t|ann|0010|bob", "b10") ];
+  check_pairs "resubscribed" both (timeline s "ann");
+  Server.check_invariants s
+
 (* Unsubscribing prunes the binding's context (retract_binding); a
    resubscription installs exactly one again, and the timeline matches
    the oracle throughout. *)
@@ -757,7 +812,7 @@ let test_replay_counts () =
   variant "no combining" (fun c -> c.Config.combine_updaters <- false) [ 500; 0; 18260 ];
   variant "eager checks" (fun c -> c.Config.lazy_checks <- false) [ 37; 472; 18572 ];
   variant "log limit 1" (fun c -> c.Config.pending_log_limit <- 1) [ 64; 1375; 18265 ];
-  variant "evicting" (fun c -> c.Config.memory_limit <- Some 200_000) [ 1669; 7898; 5772 ]
+  variant "evicting" (fun c -> c.Config.memory_limit <- Some 200_000) [ 1670; 7895; 5737 ]
 
 (* ------------------------------------------------------------------ *)
 (* Golden property: incremental maintenance == from-scratch evaluation *)
@@ -996,6 +1051,7 @@ let () =
         [
           Alcotest.test_case "evict and recover" `Quick test_eviction_and_recovery;
           Alcotest.test_case "evict x join interplay" `Quick test_eviction_join_interplay;
+          Alcotest.test_case "hits stay recent" `Quick test_hits_stay_recent;
         ] );
       ( "resolver",
         [
@@ -1015,6 +1071,8 @@ let () =
           Alcotest.test_case "replay counts match" `Quick test_replay_counts;
           Alcotest.test_case "checks from later times keep one piece" `Quick test_no_staircase;
           Alcotest.test_case "subscriptions heal on the warm path" `Quick test_warm_heals;
+          Alcotest.test_case "every pending piece heals on the warm path" `Quick
+            test_every_pending_heals;
         ] );
       ( "properties",
         qsuite
